@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short vet lint bench results obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
+.PHONY: all build test test-short vet lint bench results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
 
 all: build vet lint test
 
@@ -37,6 +37,14 @@ bench:
 # Regenerate every reproduction experiment at full scale (minutes).
 results:
 	go run ./cmd/crbench -seed 7 -o results_full.txt
+
+# Mirror of CI's results-check job: regenerate E1–E18 at full scale into a
+# temporary file and require it to be byte-identical to results_full.txt,
+# so every experiment's full-scale bytes stay pinned.
+results-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		go run ./cmd/crbench -seed 7 -o "$$tmp" && \
+		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte"
 
 # Mirror of CI's obs-smoke job: exercise the -metrics/-cpuprofile/-memprofile
 # flags end to end and validate the NDJSON report (jq when installed).

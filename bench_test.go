@@ -174,25 +174,18 @@ func BenchmarkRunnerParallel(b *testing.B) { benchRunner(b, runtime.GOMAXPROCS(0
 
 // BenchmarkSINRDeliver measures one round of SINR delivery, the inner loop
 // of every fading-channel experiment, swept over deployment size, transmit
-// density, and delivery engine. "cached" is the precomputed-gain-matrix
-// engine (forced on regardless of size), "uncached" the on-the-fly fallback;
-// the two produce bit-identical receptions, so the ratio is pure speedup.
-// Sparse sets transmit n/32 nodes (late-protocol contention), dense n/5
-// (the default p = 0.2 of early rounds).
+// density, and channel variant: the paper's uniform powers, per-node
+// powers, and Rayleigh fades, all through the one exact kernel. Sparse sets
+// transmit n/32 nodes (late-protocol contention), dense n/5 (the default
+// p = 0.2 of early rounds).
 func BenchmarkSINRDeliver(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		for _, density := range []struct {
 			name  string
 			every int
 		}{{"sparse", 32}, {"dense", 5}} {
-			for _, engine := range []struct {
-				name string
-				opt  fadingcr.ChannelOption
-			}{
-				{"cached", fadingcr.WithGainCacheCap(0)},
-				{"uncached", fadingcr.WithGainCache(false)},
-			} {
-				name := "n=" + strconv.Itoa(n) + "/" + density.name + "/" + engine.name
+			for _, variant := range []string{"uniform", "per-node", "faded"} {
+				name := "n=" + strconv.Itoa(n) + "/" + density.name + "/" + variant
 				b.Run(name, func(b *testing.B) {
 					d, err := geom.UniformDisk(1, n)
 					if err != nil {
@@ -200,7 +193,15 @@ func BenchmarkSINRDeliver(b *testing.B) {
 					}
 					params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
 					params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
-					ch, err := sinr.New(params, d.Points, engine.opt)
+					var ch *sinr.Channel
+					switch variant {
+					case "uniform":
+						ch, err = sinr.New(params, d.Points)
+					case "per-node":
+						ch, err = sinr.NewWithPowers(params, d.Points, sinr.UniformPowers(n, params.Power))
+					default:
+						ch, err = sinr.NewRayleigh(params, d.Points, 1)
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -238,9 +239,8 @@ func benchGridPoints(n int) []geom.Point {
 
 // BenchmarkSINRDeliverScale measures one Deliver round at simulation-farm
 // scale, isolating the ε far-field and parallel engines of DESIGN.md §8:
-// every engine computes attenuations on the fly (the gain cache cannot hold
-// n=100 000 anyway), so the exact/eps ratio is pure pruning and eps/
-// eps-parallel pure intra-round parallelism. α=4 (the regime the pruning
+// the exact/eps ratio is pure pruning and eps/eps-parallel pure intra-round
+// parallelism. α=4 (the regime the pruning
 // radius (~1/ε)^{1/α} is designed for), dense transmit set (n/5, the
 // early-round default p = 0.2), ε=1e-2 — the pruning radius scales like
 // (1/ε)^{1/α}, and the cross-check test bounds the resulting one-sided
@@ -257,11 +257,9 @@ func BenchmarkSINRDeliverScale(b *testing.B) {
 			name string
 			opts []fadingcr.ChannelOption
 		}{
-			{"exact", []fadingcr.ChannelOption{fadingcr.WithGainCache(false)}},
-			{"eps", []fadingcr.ChannelOption{fadingcr.WithGainCache(false), fadingcr.WithFarFieldEps(eps)}},
-			{"eps-parallel", []fadingcr.ChannelOption{
-				fadingcr.WithGainCache(false), fadingcr.WithFarFieldEps(eps), fadingcr.WithDeliverParallelism(workers),
-			}},
+			{"exact", nil},
+			{"eps", []fadingcr.ChannelOption{fadingcr.WithFarFieldEps(eps)}},
+			{"eps-parallel", []fadingcr.ChannelOption{fadingcr.WithFarFieldEps(eps), fadingcr.WithDeliverParallelism(workers)}},
 		}
 		for _, eng := range engines {
 			b.Run("n="+strconv.Itoa(n)+"/"+eng.name, func(b *testing.B) {
@@ -294,7 +292,7 @@ func BenchmarkSINRDeliverScale(b *testing.B) {
 }
 
 // BenchmarkSINRDeliverMetrics measures the observability overhead on the
-// delivery hot path: the identical cached Deliver call with metrics
+// delivery hot path: the identical Deliver call with metrics
 // recording enabled (the process default; BenchmarkSINRDeliver above runs
 // this way) versus disabled via obs.SetEnabled(false). The delta is the
 // cost of the per-call atomic counter increments — BENCH_obs.json records
@@ -312,7 +310,7 @@ func BenchmarkSINRDeliverMetrics(b *testing.B) {
 			}
 			params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
 			params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
-			ch, err := sinr.New(params, d.Points, fadingcr.WithGainCacheCap(0))
+			ch, err := sinr.New(params, d.Points)
 			if err != nil {
 				b.Fatal(err)
 			}

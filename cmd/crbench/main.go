@@ -7,7 +7,6 @@
 //	crbench -ids E1,E3 -quick     # selected experiments, small sweeps
 //	crbench -format markdown -o results.md
 //	crbench -parallel 4 -timeout 10m
-//	crbench -gaincache off            # force on-the-fly SINR computation
 //
 // Trial loops run on the parallel Monte Carlo engine (internal/runner);
 // -parallel never changes results, only wall-clock time.
@@ -26,7 +25,6 @@ import (
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/obs"
 	"fadingcr/internal/shard"
-	"fadingcr/internal/sinr"
 	"fadingcr/internal/trace"
 )
 
@@ -56,7 +54,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		out          = fs.String("o", "", "write output to this file instead of stdout")
 		parallel     = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per trial loop (results are identical at any value)")
 		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-		gaincache    = fs.String("gaincache", "auto", "SINR gain-cache engine: auto|on|off (results are identical in every mode)")
 		shards       = fs.Int("shards", 1, "split every trial loop into this many shards and run them through the shard coordinator (output is byte-identical at any count)")
 		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
 		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
@@ -73,16 +70,16 @@ func run(args []string, stdout io.Writer) (err error) {
 		return cli.Usage(err)
 	}
 	// One shared parsing/validation path with crserve: the spec resolves
-	// ids, the gain-cache mode, and the trial count in one place.
-	selected, cfg, err := experiments.ConfigFromSpec(experiments.Spec{
+	// ids, the engine knobs, and the trial count in one place.
+	spec := experiments.Spec{
 		IDs:          *ids,
 		Seed:         *seed,
 		Trials:       *trials,
 		Quick:        *quick,
-		GainCache:    *gaincache,
 		FarFieldEps:  *farfieldEps,
 		SINRParallel: *sinrParallel,
-	})
+	}
+	selected, cfg, err := experiments.ConfigFromSpec(spec)
 	if err != nil {
 		return cli.Usage(err)
 	}
@@ -157,18 +154,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		// -trace-dir the workers capture under global trial indices and ship
 		// bundles back; the federated directory is byte-identical to an
 		// unsharded capture.
-		req := shard.Request{
-			Spec: experiments.Spec{
-				IDs:          *ids,
-				Seed:         *seed,
-				Trials:       *trials,
-				Quick:        *quick,
-				GainCache:    *gaincache,
-				FarFieldEps:  *farfieldEps,
-				SINRParallel: *sinrParallel,
-			},
-			Shards: *shards,
-		}
+		req := shard.Request{Spec: spec, Shards: *shards}
 		if *traceDir != "" {
 			req.Trace = &shard.TraceSpec{
 				Format:   *traceFmt,
@@ -209,9 +195,8 @@ func run(args []string, stdout io.Writer) (err error) {
 				return fmt.Errorf("span log: %w", serr)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "crbench: %d experiment(s), %d shard(s) in %v (parallelism %d, gain cache %s: %s)\n",
-			len(selected), *shards, time.Since(runStart).Round(time.Millisecond), effective, //crlint:allow nowallclock CLI elapsed-time summary
-			*gaincache, sinr.ReadGainCacheStats())
+		fmt.Fprintf(os.Stderr, "crbench: %d experiment(s), %d shard(s) in %v (parallelism %d)\n",
+			len(selected), *shards, time.Since(runStart).Round(time.Millisecond), effective) //crlint:allow nowallclock CLI elapsed-time summary
 		return nil
 	} else if *shards < 1 {
 		return cli.Usagef("-shards must be >= 1 (got %d)", *shards)
@@ -231,9 +216,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		//crlint:allow nowallclock per-experiment elapsed-time line
 		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Fprintf(os.Stderr, "\n%d experiment(s) in %v (parallelism %d, gain cache %s: %s)\n",
-		len(selected), time.Since(runStart).Round(time.Millisecond), effective, //crlint:allow nowallclock CLI elapsed-time summary
-		*gaincache, sinr.ReadGainCacheStats())
+	fmt.Fprintf(os.Stderr, "\n%d experiment(s) in %v (parallelism %d)\n",
+		len(selected), time.Since(runStart).Round(time.Millisecond), effective) //crlint:allow nowallclock CLI elapsed-time summary
 	if cfg.Trace != nil {
 		// Stderr, so table output stays byte-identical with tracing on or off.
 		fmt.Fprintf(os.Stderr, "crbench: %d trace files written to %s (%d dropped by retention)\n",

@@ -87,7 +87,7 @@ func run(args []string, ready chan<- string, shutdown <-chan struct{}) (err erro
 	if *drainTimeout <= 0 {
 		return cli.Usagef("-drain-timeout must be positive, got %v", *drainTimeout)
 	}
-	if _, err := sinr.EngineOptions("auto", *farfieldEps, *sinrParallel); err != nil {
+	if _, err := sinr.EngineOptions(*farfieldEps, *sinrParallel); err != nil {
 		return cli.Usage(err)
 	}
 	finish, err := obsFlags.Start("crserve")

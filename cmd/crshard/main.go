@@ -57,7 +57,6 @@ func run(args []string, stdout io.Writer) error {
 		trials       = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
 		format       = fs.String("format", "text", "output format: text|markdown")
 		out          = fs.String("o", "", "write output to this file instead of stdout")
-		gaincache    = fs.String("gaincache", "auto", "SINR gain-cache engine: auto|on|off (results are identical in every mode)")
 		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact)")
 		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential)")
 
@@ -128,7 +127,6 @@ func run(args []string, stdout io.Writer) error {
 			Seed:         *seed,
 			Trials:       *trials,
 			Quick:        *quick,
-			GainCache:    *gaincache,
 			FarFieldEps:  *farfieldEps,
 			SINRParallel: *sinrParallel,
 		},

@@ -63,7 +63,6 @@ func run(args []string) (err error) {
 		plot         = fs.Bool("plot", false, "render an ASCII scatter of the deployment and activity sparklines")
 		deployFile   = fs.String("deploy-file", "", "load node positions from this CSV (x,y per line) instead of -deploy")
 		trials       = fs.Int("trials", 1, "number of independent runs; > 1 prints summary statistics")
-		gaincache    = fs.String("gaincache", "auto", "SINR gain-cache engine: auto|on|off (results are identical in every mode)")
 		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
 		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
 
@@ -78,7 +77,7 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
-	sinrOpts, err := sinr.EngineOptions(*gaincache, *farfieldEps, *sinrParallel)
+	sinrOpts, err := sinr.EngineOptions(*farfieldEps, *sinrParallel)
 	if err != nil {
 		return cli.Usage(err)
 	}
@@ -131,7 +130,6 @@ func run(args []string) (err error) {
 		return cli.Usage(err)
 	}
 	ch := built.Channel
-	cacheBytes := built.GainCacheBytes
 	cfg := sim.Config{CollisionDetection: built.CollisionDetection}
 
 	cfg.MaxRounds = *maxRounds
@@ -165,16 +163,7 @@ func run(args []string) (err error) {
 	}
 
 	fmt.Printf("deployment: %s, n=%d, R=%.4g (%d possible link classes)\n", *deploy, d.N(), d.R, d.LinkClassCount())
-	switch {
-	case cacheBytes > 0:
-		fmt.Printf("channel:    %s (α=%.3g β=%.3g N=%.3g P=%.4g, gain cache %s)\n",
-			*channel, params.Alpha, params.Beta, params.Noise, params.Power, sinr.FormatBytes(cacheBytes))
-	case cacheBytes == 0:
-		fmt.Printf("channel:    %s (α=%.3g β=%.3g N=%.3g P=%.4g, gain cache off)\n",
-			*channel, params.Alpha, params.Beta, params.Noise, params.Power)
-	default:
-		fmt.Printf("channel:    %s (α=%.3g β=%.3g N=%.3g P=%.4g)\n", *channel, params.Alpha, params.Beta, params.Noise, params.Power)
-	}
+	fmt.Printf("channel:    %s (α=%.3g β=%.3g N=%.3g P=%.4g)\n", *channel, params.Alpha, params.Beta, params.Noise, params.Power)
 	fmt.Printf("algorithm:  %s\n", builder.Name())
 
 	if *trials > 1 {

@@ -44,7 +44,6 @@ func run(args []string) (code int) {
 	seed := fs.Uint64("seed", 7, "master seed")
 	trials := fs.Int("trials", 15, "trials per estimated quantity")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines (results are identical at any value)")
-	gaincache := fs.String("gaincache", "auto", "SINR gain-cache engine: auto|on|off (results are identical in every mode)")
 	farfieldEps := fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
 	sinrParallel := fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
 	obsFlags := obs.AddFlags(fs)
@@ -55,7 +54,7 @@ func run(args []string) (code int) {
 		}
 		return 2
 	}
-	sinrOpts, err := sinr.EngineOptions(*gaincache, *farfieldEps, *sinrParallel)
+	sinrOpts, err := sinr.EngineOptions(*farfieldEps, *sinrParallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crverify:", err)
 		return 2
@@ -106,14 +105,13 @@ func run(args []string) (code int) {
 		fmt.Printf("%-4s %s  %s\n     evidence: %s\n", c.id, status, c.claim, evidence)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond) //crlint:allow nowallclock CLI elapsed-time summary
-	cache := sinr.ReadGainCacheStats()
 	if failures > 0 {
-		fmt.Printf("\n%d/%d checks failed in %v (parallelism %d, gain cache %s: %s)\n",
-			failures, len(checks), elapsed, v.effectiveParallelism(), *gaincache, cache)
+		fmt.Printf("\n%d/%d checks failed in %v (parallelism %d)\n",
+			failures, len(checks), elapsed, v.effectiveParallelism())
 		return 1
 	}
-	fmt.Printf("\nall %d checks passed in %v (parallelism %d, gain cache %s: %s)\n",
-		len(checks), elapsed, v.effectiveParallelism(), *gaincache, cache)
+	fmt.Printf("\nall %d checks passed in %v (parallelism %d)\n",
+		len(checks), elapsed, v.effectiveParallelism())
 	return 0
 }
 
@@ -121,11 +119,11 @@ type verifier struct {
 	seed     uint64
 	trials   int
 	parallel int
-	sinrOpts []sinr.Option // gain-cache engine options for every SINR channel
+	sinrOpts []sinr.Option // engine options for every SINR channel
 }
 
 // channelFor builds the default single-hop channel with the verifier's
-// gain-cache options applied.
+// engine options applied.
 func (v *verifier) channelFor(p sinr.Params, d *geom.Deployment) (*sinr.Channel, error) {
 	return sinr.ChannelFor(p, d, v.sinrOpts...)
 }

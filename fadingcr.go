@@ -26,10 +26,9 @@ type (
 
 	// Params are the SINR physical-layer constants (α, β, N, P).
 	Params = sinr.Params
-	// SINRChannel is the paper's fading channel.
+	// SINRChannel is the paper's fading channel, also in its per-node
+	// power and Rayleigh-faded variants.
 	SINRChannel = sinr.Channel
-	// RayleighChannel adds stochastic per-pair fading.
-	RayleighChannel = sinr.RayleighChannel
 	// RadioChannel is the classical single-hop collision channel.
 	RadioChannel = radio.Channel
 
@@ -96,50 +95,31 @@ type (
 	// ExperimentConfig scales an experiment run.
 	ExperimentConfig = experiments.Config
 
-	// ChannelOption configures an SINR channel's gain-cache delivery
-	// engine; options change speed and memory, never results.
+	// ChannelOption configures an SINR channel's delivery engine.
 	ChannelOption = sinr.Option
-	// GainCacheStats is a snapshot of the process-wide gain-cache
-	// construction counters.
-	GainCacheStats = sinr.GainCacheStats
 )
 
 // DefaultSingleHopMargin is the paper's constant c ≥ 4 in the single-hop
 // power condition P > c·β·N·d^α.
 const DefaultSingleHopMargin = sinr.DefaultSingleHopMargin
 
-// DefaultGainCacheCap is the default memory cap for one channel's
-// precomputed gain matrix; larger deployments fall back to on-the-fly
-// attenuation computation.
-const DefaultGainCacheCap = sinr.DefaultGainCacheCap
-
 // MaxDeliverParallelism bounds WithDeliverParallelism worker counts.
 const MaxDeliverParallelism = sinr.MaxDeliverParallelism
 
-// SINR delivery engine controls. Every SINR channel precomputes the
-// pairwise attenuation matrix by default (up to DefaultGainCacheCap) and
-// delivers rounds allocation-free from the cached rows; the gain-cache
-// options tune or disable that engine without ever changing delivery
-// results. WithFarFieldEps and WithDeliverParallelism select the scaling
-// engines of DESIGN.md §8: ε pruning changes receptions within a
-// documented one-sided bound, and the parallel option is byte-identical
-// at any worker count (the Rayleigh channel switches its fade stream).
+// SINR delivery engine controls. Every SINR channel evaluates Eq. (1)
+// exactly and delivers rounds allocation-free by default.
+// WithFarFieldEps and WithDeliverParallelism select the scaling engines of
+// DESIGN.md §8: ε pruning changes receptions within a documented one-sided
+// bound, and the parallel option is byte-identical at any worker count
+// (the Rayleigh channel switches its fade stream).
 var (
-	// WithGainCache enables (default) or disables the precomputed matrix.
-	WithGainCache = sinr.WithGainCache
-	// WithGainCacheCap bounds the matrix size in bytes (≤ 0 = unlimited).
-	WithGainCacheCap = sinr.WithGainCacheCap
 	// WithFarFieldEps enables ε far-field pruning (0 < ε < 0.5).
 	WithFarFieldEps = sinr.WithFarFieldEps
 	// WithDeliverParallelism runs Deliver across intra-round workers.
 	WithDeliverParallelism = sinr.WithDeliverParallelism
-	// GainCacheOptions parses a mode string ("auto"|"on"|"off") into options.
-	GainCacheOptions = sinr.GainCacheOptions
-	// EngineOptions combines the mode string with the ε and parallelism
-	// knobs — the shared flag-parsing path of every CLI.
+	// EngineOptions validates the ε and parallelism knobs into options —
+	// the shared flag-parsing path of every CLI.
 	EngineOptions = sinr.EngineOptions
-	// ReadGainCacheStats snapshots the process-wide cache counters.
-	ReadGainCacheStats = sinr.ReadGainCacheStats
 )
 
 // Deployment generators.

@@ -118,15 +118,11 @@ type BuiltChannel struct {
 	// CollisionDetection reports whether sim.Config.CollisionDetection
 	// must be enabled (the radio-cd channel).
 	CollisionDetection bool
-	// GainCacheBytes is the size of the channel's gain cache: 0 when the
-	// cache is off or fell back, −1 when the channel kind has no gain
-	// cache at all (the radio channels).
-	GainCacheBytes int64
 }
 
 // Channel builds the named channel over the deployment. fadeSeed seeds the
 // Rayleigh fade stream and is ignored by the other kinds; opts configure
-// the SINR gain cache and are ignored by the radio kinds.
+// the SINR delivery engine and are ignored by the radio kinds.
 func Channel(kind string, params sinr.Params, d *geom.Deployment, fadeSeed uint64, opts ...sinr.Option) (BuiltChannel, error) {
 	switch kind {
 	case "sinr":
@@ -134,25 +130,25 @@ func Channel(kind string, params sinr.Params, d *geom.Deployment, fadeSeed uint6
 		if err != nil {
 			return BuiltChannel{}, err
 		}
-		return BuiltChannel{Channel: sc, GainCacheBytes: sc.GainCacheBytes()}, nil
+		return BuiltChannel{Channel: sc}, nil
 	case "rayleigh":
 		rc, err := sinr.NewRayleigh(params, d.Points, fadeSeed, opts...)
 		if err != nil {
 			return BuiltChannel{}, err
 		}
-		return BuiltChannel{Channel: rc, GainCacheBytes: rc.GainCacheBytes()}, nil
+		return BuiltChannel{Channel: rc}, nil
 	case "radio":
 		ch, err := radio.New(d.N(), false)
 		if err != nil {
 			return BuiltChannel{}, err
 		}
-		return BuiltChannel{Channel: ch, GainCacheBytes: -1}, nil
+		return BuiltChannel{Channel: ch}, nil
 	case "radio-cd":
 		ch, err := radio.New(d.N(), true)
 		if err != nil {
 			return BuiltChannel{}, err
 		}
-		return BuiltChannel{Channel: ch, CollisionDetection: true, GainCacheBytes: -1}, nil
+		return BuiltChannel{Channel: ch, CollisionDetection: true}, nil
 	default:
 		return BuiltChannel{}, fmt.Errorf("unknown channel %q (have %v)", kind, Channels())
 	}

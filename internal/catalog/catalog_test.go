@@ -71,9 +71,8 @@ func TestEveryListedChannelBuildsAndRuns(t *testing.T) {
 		if got := bc.CollisionDetection; got != (kind == "radio-cd") {
 			t.Errorf("%s: CollisionDetection = %v", kind, got)
 		}
-		wantNoCache := kind == "radio" || kind == "radio-cd"
-		if (bc.GainCacheBytes == -1) != wantNoCache {
-			t.Errorf("%s: GainCacheBytes = %d", kind, bc.GainCacheBytes)
+		if sc, ok := bc.Channel.(*sinr.Channel); ok != (kind == "sinr" || kind == "rayleigh") || ok && sc.Faded() != (kind == "rayleigh") {
+			t.Errorf("%s: built %T", kind, bc.Channel)
 		}
 		algo := "fixed"
 		if kind == "radio-cd" {

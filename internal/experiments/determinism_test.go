@@ -49,38 +49,39 @@ func TestParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestGainCacheInvariance is the determinism regression of the gain-cached
-// delivery engine: a representative experiment must render byte-identical
-// tables whether channels precompute the pairwise gain matrix ("on"),
-// compute attenuations on the fly ("off"), or pick per channel ("auto").
-// Both engines perform the per-listener float operations in the same order,
-// so the engine choice must never leak into results.
-func TestGainCacheInvariance(t *testing.T) {
+// TestDeliverEngineInvariance: the intra-round parallel Deliver option must
+// never leak into results. E1's deterministic channels render byte-identical
+// tables with and without it; E12's faded channels switch to the
+// per-listener fade substreams under any explicit worker count, which then
+// render identically at 1 and 3 workers.
+func TestDeliverEngineInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	base := renderAll(t, "E1", Config{Seed: 42, Quick: true, Trials: 6, GainCache: "on"})
-	for _, mode := range []string{"off", "auto"} {
-		if got := renderAll(t, "E1", Config{Seed: 42, Quick: true, Trials: 6, GainCache: mode}); got != base {
-			t.Errorf("E1 tables with gain cache %q differ from %q", mode, "on")
-		}
+	base := renderAll(t, "E1", Config{Seed: 42, Quick: true, Trials: 6})
+	if got := renderAll(t, "E1", Config{Seed: 42, Quick: true, Trials: 6, SINRParallel: 3}); got != base {
+		t.Error("E1 tables differ between sequential and 3-worker Deliver")
 	}
-	// E12 covers the Rayleigh channel's cached fade path.
-	rBase := renderAll(t, "E12", Config{Seed: 7, Quick: true, Trials: 3, GainCache: "on"})
-	if got := renderAll(t, "E12", Config{Seed: 7, Quick: true, Trials: 3, GainCache: "off"}); got != rBase {
-		t.Error("E12 tables differ between gain cache on and off")
+	rBase := renderAll(t, "E12", Config{Seed: 7, Quick: true, Trials: 3, SINRParallel: 1})
+	if got := renderAll(t, "E12", Config{Seed: 7, Quick: true, Trials: 3, SINRParallel: 3}); got != rBase {
+		t.Error("E12 tables differ between 1 and 3 Deliver workers")
 	}
 }
 
-// TestGainCacheModeRejected: an invalid mode surfaces as an experiment
-// error rather than being silently treated as a default.
-func TestGainCacheModeRejected(t *testing.T) {
+// TestEngineKnobsRejected: out-of-range engine knobs surface as an
+// experiment error rather than being silently clamped.
+func TestEngineKnobsRejected(t *testing.T) {
 	e, ok := ByID("E1")
 	if !ok {
 		t.Fatal("E1 missing")
 	}
-	if _, err := e.Run(Config{Seed: 1, Quick: true, Trials: 2, GainCache: "banana"}); err == nil {
-		t.Error("invalid gain-cache mode accepted")
+	for _, cfg := range []Config{
+		{Seed: 1, Quick: true, Trials: 2, FarFieldEps: 0.7},
+		{Seed: 1, Quick: true, Trials: 2, SINRParallel: -1},
+	} {
+		if _, err := e.Run(cfg); err == nil {
+			t.Errorf("eps %v, parallel %d accepted", cfg.FarFieldEps, cfg.SINRParallel)
+		}
 	}
 }
 

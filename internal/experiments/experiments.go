@@ -36,11 +36,6 @@ type Config struct {
 	// Context, when non-nil, cancels in-flight trial loops (deadline or
 	// interrupt); a canceled experiment returns the context's error.
 	Context context.Context
-	// GainCache selects the SINR delivery engine for every channel the
-	// experiment builds: "" or "auto" precomputes pairwise gains up to the
-	// default memory cap, "on" caches regardless of size, "off" forces
-	// on-the-fly computation. Results are bit-identical in every mode.
-	GainCache string
 	// FarFieldEps, when > 0, enables the ε far-field pruning engine on
 	// every SINR channel the experiment builds: per listener, transmitters
 	// whose aggregate contribution is provably ≤ ε·(noise + near
@@ -79,7 +74,7 @@ type Config struct {
 
 // sinrOptions translates the engine knobs into channel options.
 func (c Config) sinrOptions() ([]sinr.Option, error) {
-	return sinr.EngineOptions(c.GainCache, c.FarFieldEps, c.SINRParallel)
+	return sinr.EngineOptions(c.FarFieldEps, c.SINRParallel)
 }
 
 // ctx returns the configured context, defaulting to context.Background.
@@ -170,7 +165,7 @@ func DefaultParams() sinr.Params {
 // channelFor builds a single-hop SINR channel over the deployment with the
 // given parameters, deriving the minimum feasible power when p.Power is 0.
 // It is sinr.ChannelFor, the one shared definition of the derivation, with
-// the Config's gain-cache mode applied.
+// the Config's engine options applied.
 func channelFor(cfg Config, p sinr.Params, d *geom.Deployment) (*sinr.Channel, error) {
 	opts, err := cfg.sinrOptions()
 	if err != nil {
@@ -190,11 +185,12 @@ type trialOutcome struct {
 
 // channelName maps a channel value to its trace header name.
 func channelName(ch sim.Channel) string {
-	switch ch.(type) {
+	switch c := ch.(type) {
 	case *sinr.Channel:
+		if c.Faded() {
+			return "rayleigh"
+		}
 		return "sinr"
-	case *sinr.RayleighChannel:
-		return "rayleigh"
 	case *radio.Channel:
 		return "radio"
 	default:

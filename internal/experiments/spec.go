@@ -24,8 +24,6 @@ type Spec struct {
 	Trials int
 	// Quick shrinks sweeps for fast smoke runs.
 	Quick bool
-	// GainCache is the SINR delivery engine mode: ""/"auto", "on", "off".
-	GainCache string
 	// FarFieldEps enables ε far-field pruning when > 0 (see
 	// Config.FarFieldEps); it changes results within the documented bound
 	// and therefore the run's identity.
@@ -37,14 +35,14 @@ type Spec struct {
 
 // ConfigFromSpec validates a Spec and resolves it into the selected
 // experiments plus a ready Config. All validation lives here: unknown
-// experiment ids, an invalid gain-cache mode, and negative trial counts
+// experiment ids, out-of-range engine knobs, and negative trial counts
 // (which the old crbench flag path silently treated as "default") are
 // rejected with descriptive errors.
 func ConfigFromSpec(s Spec) ([]Experiment, Config, error) {
 	if s.Trials < 0 {
 		return nil, Config{}, fmt.Errorf("trials must be ≥ 0 (0 selects the experiment default), got %d", s.Trials)
 	}
-	if _, err := sinr.EngineOptions(s.GainCache, s.FarFieldEps, s.SINRParallel); err != nil {
+	if _, err := sinr.EngineOptions(s.FarFieldEps, s.SINRParallel); err != nil {
 		return nil, Config{}, err
 	}
 	selected, err := selectIDs(s.IDs)
@@ -55,7 +53,6 @@ func ConfigFromSpec(s Spec) ([]Experiment, Config, error) {
 		Seed:         s.Seed,
 		Trials:       s.Trials,
 		Quick:        s.Quick,
-		GainCache:    s.GainCache,
 		FarFieldEps:  s.FarFieldEps,
 		SINRParallel: s.SINRParallel,
 	}, nil

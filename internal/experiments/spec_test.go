@@ -38,7 +38,7 @@ func TestConfigFromSpecRejections(t *testing.T) {
 	}{
 		{"unknown id", Spec{IDs: "E999"}, "unknown experiment id"},
 		{"empty id in list", Spec{IDs: "E1,,E2"}, "unknown experiment id"},
-		{"bad gaincache", Spec{IDs: "E1", GainCache: "sometimes"}, "gain-cache"},
+		{"bad eps", Spec{IDs: "E1", FarFieldEps: 0.5}, "epsilon"},
 		{"negative trials", Spec{IDs: "E1", Trials: -1}, "trials"},
 	}
 	for _, tc := range cases {
@@ -53,12 +53,12 @@ func TestConfigFromSpecRejections(t *testing.T) {
 func TestConfigFromSpecMatchesDirectConfig(t *testing.T) {
 	// The spec path must produce the same Config a caller would build by
 	// hand, so crbench's migration to it cannot change results.
-	_, cfg, err := ConfigFromSpec(Spec{IDs: "E5", Seed: 9, Trials: 2, Quick: true, GainCache: "on"})
+	_, cfg, err := ConfigFromSpec(Spec{IDs: "E5", Seed: 9, Trials: 2, Quick: true, SINRParallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Seed: 9, Trials: 2, Quick: true, GainCache: "on"}
-	if cfg.Seed != want.Seed || cfg.Trials != want.Trials || cfg.Quick != want.Quick || cfg.GainCache != want.GainCache {
+	want := Config{Seed: 9, Trials: 2, Quick: true, SINRParallel: 2}
+	if cfg.Seed != want.Seed || cfg.Trials != want.Trials || cfg.Quick != want.Quick || cfg.SINRParallel != want.SINRParallel {
 		t.Errorf("Config = %+v, want %+v", cfg, want)
 	}
 }

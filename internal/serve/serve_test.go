@@ -321,6 +321,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"unknown field", `{"bogus":1}`, http.StatusBadRequest},
 		{"invalid spec", `{"sim":{"n":0,"deploy":"disk","algo":"fixed"}}`, http.StatusBadRequest},
 		{"unknown algo", `{"sim":{"n":8,"deploy":"disk","algo":"magic"}}`, http.StatusBadRequest},
+		{"bad gaincache", `{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"gaincache":"maybe"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, resp := postJob(t, ts, tc.body)

@@ -94,10 +94,8 @@ func (s *Server) Handler() http.Handler {
 const maxSpecBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode spec: %v", err))
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 
 	"fadingcr/internal/catalog"
@@ -48,15 +49,11 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// Quick shrinks experiment sweeps for smoke runs (experiment jobs).
 	Quick bool `json:"quick,omitempty"`
-	// GainCache is the SINR delivery engine mode: "auto" (default), "on",
-	// "off". Results are byte-identical in every mode.
-	GainCache string `json:"gaincache,omitempty"`
 	// FarFieldEps enables ε far-field pruning when > 0 (valid range
-	// (0, 0.5)). Unlike GainCache it is approximate — receptions may
-	// differ from the exact engine within the documented one-sided bound —
-	// so it is part of the result identity: the omitempty tag keeps legacy
-	// spec hashes stable while every ε job hashes differently from its
-	// exact counterpart.
+	// (0, 0.5)). It is approximate — receptions may differ from the exact
+	// engine within the documented one-sided bound — so it is part of the
+	// result identity: the omitempty tag keeps exact-job hashes unchanged
+	// while every ε job hashes differently from its exact counterpart.
 	FarFieldEps float64 `json:"farfield_eps,omitempty"`
 	// SINRParallel is the intra-round Deliver worker count (0 or 1 keeps
 	// the sequential engine; max sinr.MaxDeliverParallelism). Deterministic
@@ -148,7 +145,7 @@ type SimSpec struct {
 // hash surface is always an explicit, reviewed change in two places.
 var (
 	specHashFields = []string{
-		"kind", "experiment", "sim", "seed", "trials", "quick", "gaincache",
+		"kind", "experiment", "sim", "seed", "trials", "quick",
 		"farfield_eps", "sinr_parallel", "format", "trace", "shard",
 	}
 	simSpecHashFields = []string{
@@ -161,6 +158,27 @@ var (
 		"format", "every", "failures", "classes",
 	}
 )
+
+// DecodeSpec reads one JSON job spec, rejecting unknown fields. Older
+// clients may still send the retired "gaincache" field (auto|on|off): it
+// selected an engine that never changed results, so it is accepted and
+// dropped, and never reaches the canonical hash. Any other value is an
+// error, as it always was.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	var legacy struct {
+		Spec
+		GainCache *string `json:"gaincache"`
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&legacy); err != nil {
+		return Spec{}, err
+	}
+	if g := legacy.GainCache; g != nil && !slices.Contains([]string{"", "auto", "on", "off"}, *g) {
+		return Spec{}, fmt.Errorf("unknown gain-cache mode %q (want auto|on|off)", *g)
+	}
+	return legacy.Spec, nil
+}
 
 // Job kind names.
 const (
@@ -215,9 +233,6 @@ func (s Spec) Normalized() Spec {
 			n.Kind = KindSim
 		}
 		// Ambiguous or empty specs keep Kind "" and fail Validate.
-	}
-	if n.GainCache == "" {
-		n.GainCache = "auto"
 	}
 	switch n.Kind {
 	case KindExperiment:
@@ -311,7 +326,7 @@ func (s Spec) Validate() error {
 		if s.Sim.MaxRounds < 0 {
 			return fmt.Errorf("sim.max_rounds must be ≥ 0 (0 selects the default), got %d", s.Sim.MaxRounds)
 		}
-		if _, err := sinr.EngineOptions(s.GainCache, s.FarFieldEps, s.SINRParallel); err != nil {
+		if _, err := sinr.EngineOptions(s.FarFieldEps, s.SINRParallel); err != nil {
 			return err
 		}
 		if s.Trace && s.Trials != 1 {
@@ -331,7 +346,6 @@ func (s Spec) experimentSpec() experiments.Spec {
 		Seed:         s.Seed,
 		Trials:       s.Trials,
 		Quick:        s.Quick,
-		GainCache:    s.GainCache,
 		FarFieldEps:  s.FarFieldEps,
 		SINRParallel: s.SINRParallel,
 	}

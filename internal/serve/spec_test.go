@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -22,9 +23,6 @@ func TestNormalizedInfersKindAndDefaults(t *testing.T) {
 	}
 	if n.Sim.Channel != "sinr" {
 		t.Errorf("Channel = %q, want sinr", n.Sim.Channel)
-	}
-	if n.GainCache != "auto" {
-		t.Errorf("GainCache = %q, want auto", n.GainCache)
 	}
 
 	e := Spec{Experiment: "E5"}.Normalized()
@@ -135,14 +133,24 @@ func TestNormalizedDoesNotMutateInput(t *testing.T) {
 }
 
 func TestHashEqualForEquivalentSpecs(t *testing.T) {
-	implicit := simSpec() // kind, channel, gaincache all defaulted
+	implicit := simSpec() // kind and channel defaulted
 	explicit := simSpec()
 	explicit.Kind = KindSim
-	explicit.GainCache = "auto"
 	explicit.Sim.Channel = "sinr"
 	if implicit.Hash() != explicit.Hash() {
 		t.Errorf("equivalent specs hash differently:\n%s\n%s",
 			implicit.CanonicalJSON(), explicit.CanonicalJSON())
+	}
+
+	// The retired gaincache field of older clients decodes to the same job.
+	legacy, err := DecodeSpec(strings.NewReader(
+		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2,"gaincache":"auto"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Hash() != implicit.Hash() {
+		t.Errorf("legacy gaincache spelling hashes differently:\n%s\n%s",
+			legacy.CanonicalJSON(), implicit.CanonicalJSON())
 	}
 
 	// Experiment-only knobs must not perturb a sim job's hash.
@@ -214,7 +222,6 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown channel", Spec{Sim: &SimSpec{N: 8, Deploy: "disk", Algo: "fixed", Channel: "fiber"}}, "unknown channel"},
 		{"bad p", Spec{Sim: &SimSpec{N: 8, Deploy: "disk", Algo: "fixed", P: 1.5}}, "sim.p"},
 		{"negative rounds", Spec{Sim: &SimSpec{N: 8, Deploy: "disk", Algo: "fixed", MaxRounds: -1}}, "max_rounds"},
-		{"bad gaincache", func() Spec { s := simSpec(); s.GainCache = "maybe"; return s }(), "gain-cache"},
 		{"trace multi-trial", tr3, "trials=1"},
 		{"shard on sim", func() Spec { s := simSpec(); s.Shard = &ShardRef{Index: 0, Count: 2}; return s }(), "experiment jobs"},
 		{"shard zero count", Spec{Experiment: "E5", Shard: &ShardRef{Index: 0, Count: 0}}, "shard.count"},
@@ -273,6 +280,36 @@ func TestSpecHashFieldManifest(t *testing.T) {
 	for _, tc := range cases {
 		if got := serializedJSONNames(t, tc.typ); !slices.Equal(got, tc.list) {
 			t.Errorf("%sHashFields = %v, but %s serializes %v", strings.ToLower(tc.typ.Name()[:1])+tc.typ.Name()[1:], tc.list, tc.typ.Name(), got)
+		}
+	}
+}
+
+// TestDecodeSpecLegacyGainCache: the retired gaincache field is accepted
+// with each of its old values and dropped; any other value, like any
+// unknown field, is still rejected.
+func TestDecodeSpecLegacyGainCache(t *testing.T) {
+	const job = `{"experiment":"E5","seed":3%s}`
+	want, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"", "auto", "on", "off"} {
+		got, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, fmt.Sprintf(`,"gaincache":%q`, mode))))
+		if err != nil {
+			t.Fatalf("gaincache %q rejected: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("gaincache %q decoded to %+v, want %+v", mode, got, want)
+		}
+	}
+	for name, c := range map[string]struct{ extra, want string }{
+		"bad gaincache": {`,"gaincache":"maybe"`, "gain-cache"},
+		"unknown field": {`,"bogus":1`, "unknown field"},
+	} {
+		if _, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, c.extra))); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q missing %q", name, err, c.want)
 		}
 	}
 }

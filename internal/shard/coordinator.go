@@ -27,8 +27,11 @@ type Executor interface {
 // Coordinator fans the shards of one request out over a set of executors
 // and merges the results. Fault handling: per-attempt timeout, retry with
 // exponential backoff, straggler re-dispatch (an executor that runs out of
-// unstarted shards duplicates the lowest-indexed in-flight one — first
-// valid result wins, so one dead worker cannot stall the run), optional
+// unstarted shards duplicates the lowest-indexed in-flight one whose
+// current attempt has failed, while its executor backs off to retry —
+// first valid result wins, so a timed-out worker cannot hold up the run;
+// shards that are running without failure are waited for, so a healthy run
+// executes every shard exactly once), optional
 // per-shard checkpoints for kill-and-resume, and partial-failure
 // surfacing: a run with any unrecoverable shard reports exactly which
 // shards failed and why.
@@ -76,6 +79,13 @@ type coordState struct {
 	done     []bool
 	results  [][]byte
 	inflight []int
+	// failing[shard] marks a running shard one of whose attempts has
+	// failed since it was last claimed fresh; only such a shard is
+	// duplicated by an idle executor.
+	failing []bool
+	// changed is closed, and replaced, at every change an idle executor
+	// waits for: a shard finished, an attempt failed, an executor gave up.
+	changed chan struct{}
 	// gaveUp[shard][executor] marks an (executor, shard) pair whose
 	// retry budget is exhausted; a shard is lost only when every executor
 	// gave up on it.
@@ -87,11 +97,13 @@ type coordState struct {
 
 // next picks the executor's next shard under the lock: the lowest-indexed
 // unfinished shard nobody is running, else (straggler re-dispatch) the
-// lowest-indexed unfinished shard someone is running — the second return
-// reports which case fired. The third return is false when the executor
-// has nothing left to do.
-func (s *coordState) next(executor int) (int, bool, bool) {
-	pick := -1
+// lowest-indexed running shard that is failing — the second return
+// reports which case fired. With neither, the index is −1 and the third
+// return is nil when the executor has nothing left to do, or else the
+// channel to wait on: a shard it could still take is running and may yet
+// fail.
+func (s *coordState) next(executor int) (int, bool, <-chan struct{}) {
+	pick, running := -1, false
 	for i := range s.done {
 		if s.done[i] || s.gaveUp[i][executor] {
 			continue
@@ -100,16 +112,29 @@ func (s *coordState) next(executor int) (int, bool, bool) {
 			pick = i
 			break
 		}
-		if pick < 0 {
+		running = true
+		if pick < 0 && s.failing[i] {
 			pick = i
 		}
 	}
 	if pick < 0 {
-		return 0, false, false
+		if running {
+			return -1, false, s.changed
+		}
+		return -1, false, nil
 	}
 	straggler := s.inflight[pick] > 0
+	if !straggler {
+		s.failing[pick] = false
+	}
 	s.inflight[pick]++
-	return pick, straggler, true
+	return pick, straggler, nil
+}
+
+// signal wakes the executors waiting for a change. Call with mu held.
+func (s *coordState) signal() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // Run executes the request across the coordinator's executors and returns
@@ -128,6 +153,8 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 		done:     make([]bool, req.Shards),
 		results:  make([][]byte, req.Shards),
 		inflight: make([]int, req.Shards),
+		failing:  make([]bool, req.Shards),
+		changed:  make(chan struct{}),
 		gaveUp:   make([][]bool, req.Shards),
 		lastErr:  make([]error, req.Shards),
 	}
@@ -224,15 +251,23 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 }
 
 // executorLoop is one executor's work loop: claim a shard, attempt it with
-// retries, record the outcome, repeat until nothing is left.
+// retries, record the outcome, repeat until nothing is left; with nothing
+// to claim while others still run shards, wait for their outcome.
 func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash string, st *coordState, e int, retries int, backoff time.Duration) {
 	ex := c.Executors[e]
 	for ctx.Err() == nil {
 		st.mu.Lock()
-		index, straggler, ok := st.next(e)
+		index, straggler, wait := st.next(e)
 		st.mu.Unlock()
-		if !ok {
-			return
+		if index < 0 {
+			if wait == nil {
+				return
+			}
+			select {
+			case <-wait:
+			case <-ctx.Done():
+			}
+			continue
 		}
 		sp := st.run.Child("dispatch",
 			obs.F("shard", index), obs.F("executor", ex.Name()), obs.F("straggler", straggler))
@@ -256,6 +291,7 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 				}
 			}
 		}
+		st.signal()
 		st.mu.Unlock()
 	}
 }
@@ -318,6 +354,12 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 		if ctx.Err() != nil {
 			return nil, lastErr
 		}
+		// The shard is failing here: an idle executor may now duplicate it
+		// while this one backs off and retries.
+		st.mu.Lock()
+		st.failing[index] = true
+		st.signal()
+		st.mu.Unlock()
 	}
 	return nil, lastErr
 }

@@ -130,8 +130,9 @@ func TestCoordinatorPartialFailureListsShards(t *testing.T) {
 }
 
 // TestCoordinatorRedispatchesStragglers pins the dead-worker recovery path:
-// an executor that hangs on its claimed shard must not stall the run — the
-// healthy executor re-dispatches the in-flight shard and finishes it.
+// an executor that hangs on its claimed shard must not stall the run — once
+// its attempt times out, the healthy executor takes the shard over and
+// finishes it.
 func TestCoordinatorRedispatchesStragglers(t *testing.T) {
 	req := quickRequest(3)
 	dead := &fakeExec{name: "dead", block: true, started: make(chan struct{})}

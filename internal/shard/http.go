@@ -47,7 +47,6 @@ type shardJobSpec struct {
 	Seed         uint64      `json:"seed"`
 	Trials       int         `json:"trials,omitempty"`
 	Quick        bool        `json:"quick,omitempty"`
-	GainCache    string      `json:"gaincache,omitempty"`
 	FarFieldEps  float64     `json:"farfield_eps,omitempty"`
 	SINRParallel int         `json:"sinr_parallel,omitempty"`
 	Shard        shardJobRef `json:"shard"`
@@ -97,7 +96,6 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 		Seed:         req.Spec.Seed,
 		Trials:       req.Spec.Trials,
 		Quick:        req.Spec.Quick,
-		GainCache:    req.Spec.GainCache,
 		FarFieldEps:  req.Spec.FarFieldEps,
 		SINRParallel: req.Spec.SINRParallel,
 		Shard:        ref,

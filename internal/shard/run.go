@@ -114,31 +114,27 @@ func (r Request) Validate() error {
 
 // RequestHash is the canonical identity of the computation a request
 // shards, hashed like serve.Spec: hex SHA-256 of a canonical JSON form with
-// defaults made explicit ("" → "all" ids, "" → "auto" gain cache) and a
-// fixed field order. The shard coordinates — index AND count — are
-// deliberately absent: sharding never changes the computed values, so runs
-// of the same spec share the hash at every shard count (Merged.Hash
-// inherits that invariance), while Merge and the checkpoint loader validate
-// the coordinates structurally. The trace spec is absent for the same
-// reason — tracing is observational — and bundle presence/policy is
-// validated structurally instead (see Request.traceMatches).
+// defaults made explicit ("" → "all" ids) and a fixed field order. The
+// shard coordinates — index AND count — are deliberately absent: sharding
+// never changes the computed values, so runs of the same spec share the
+// hash at every shard count (Merged.Hash inherits that invariance), while
+// Merge and the checkpoint loader validate the coordinates structurally.
+// The trace spec is absent for the same reason — tracing is observational —
+// and bundle presence/policy is validated structurally instead (see
+// Request.traceMatches).
 func RequestHash(r Request) string {
 	spec := r.Spec
 	if spec.IDs == "" {
 		spec.IDs = "all"
-	}
-	if spec.GainCache == "" {
-		spec.GainCache = "auto"
 	}
 	canonical, err := json.Marshal(struct {
 		IDs          string  `json:"ids"`
 		Seed         uint64  `json:"seed"`
 		Trials       int     `json:"trials"`
 		Quick        bool    `json:"quick"`
-		GainCache    string  `json:"gaincache"`
 		FarFieldEps  float64 `json:"farfield_eps"`
 		SINRParallel int     `json:"sinr_parallel"`
-	}{spec.IDs, spec.Seed, spec.Trials, spec.Quick, spec.GainCache, spec.FarFieldEps, spec.SINRParallel})
+	}{spec.IDs, spec.Seed, spec.Trials, spec.Quick, spec.FarFieldEps, spec.SINRParallel})
 	if err != nil {
 		// Plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("shard: canonical request encoding: %v", err))

@@ -18,7 +18,7 @@ func quickRequest(shards int) Request {
 
 func TestRequestHashNormalizesDefaults(t *testing.T) {
 	implicit := Request{Spec: experiments.Spec{Seed: 1}, Shards: 2}
-	explicit := Request{Spec: experiments.Spec{IDs: "all", GainCache: "auto", Seed: 1}, Shards: 2}
+	explicit := Request{Spec: experiments.Spec{IDs: "all", Seed: 1}, Shards: 2}
 	if RequestHash(implicit) != RequestHash(explicit) {
 		t.Error("equivalent requests hash differently")
 	}

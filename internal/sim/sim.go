@@ -19,7 +19,8 @@ import (
 )
 
 // Channel is one-round message delivery over a fixed set of n nodes. It is
-// satisfied by sinr.Channel, sinr.RayleighChannel, and radio.Channel.
+// satisfied by sinr.Channel (plain, per-node power, or Rayleigh-faded) and
+// radio.Channel.
 type Channel interface {
 	// N returns the number of nodes on the channel.
 	N() int

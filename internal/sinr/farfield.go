@@ -9,17 +9,17 @@ import (
 // The ε far-field pruning engine.
 //
 // Exact delivery is Θ(|tx|·n) per round — every transmitter contributes to
-// every listener — which is the real wall at n = 100,000, not the gain
-// matrix. But path loss d^{-α} with α > 2 makes distant transmitters
-// collectively negligible: the interference arriving at a listener from
-// outside radius r decays like r^{2-α}. The far-field engine exploits this
-// with the uniform-grid spatial index from internal/geom. Once per round it
-// buckets the transmitter list by grid cell (a counting sort into CSR form,
-// shared read-only by every worker); per listener it then expands square
-// rings of cells outward, collecting the bucketed transmitters exactly
-// (summed in ascending transmitter index, the binding summation-order
-// contract), and stops as soon as a conservative bound proves the remaining
-// transmitters contribute at most eps·(Noise + near interference).
+// every listener — which is the real wall at n = 100,000. But path loss
+// d^{-α} with α > 2 makes distant transmitters collectively negligible: the
+// interference arriving at a listener from outside radius r decays like
+// r^{2-α}. The far-field engine exploits this with the uniform-grid spatial
+// index from internal/geom. Once per round it buckets the transmitter list by
+// grid cell (a counting sort into CSR form, shared read-only by every
+// worker); per listener it then expands square rings of cells outward,
+// collecting the bucketed transmitters exactly (summed in ascending
+// transmitter index, the binding summation-order contract), and stops as
+// soon as a conservative bound proves the remaining transmitters contribute
+// at most eps·(Noise + near interference).
 //
 // The guarantee (DESIGN.md §8): the pruned mass F_v at listener v satisfies
 // F_v ≤ eps·(Noise + LB_v) where LB_v is a provable lower bound on the near
@@ -32,10 +32,9 @@ import (
 // guarantees for every β ≥ 1. The pruning decision accumulates LB_v from the
 // collected transmitters' exact distances (times the static minimum power) in
 // the fixed ring-visit order, so it is bit-deterministic — the same IEEE
-// operations in the same order on every run — and identical in cached and
-// on-the-fly modes, which share one attenuation function. Exact distances
-// matter: a per-cell farthest-corner bound undercounts the nearest
-// transmitters by ~cell^α and inflates the stop radius past usefulness.
+// operations in the same order on every run. Exact distances matter: a
+// per-cell farthest-corner bound undercounts the nearest transmitters by
+// ~cell^α and inflates the stop radius past usefulness.
 const (
 	// farFieldSmallTx: with at most this many transmitters the engine uses
 	// the transmitter list directly — exact, zero pruning. Ring-scanning a
@@ -84,13 +83,14 @@ type farField struct {
 	cellTxStart []int32
 	cellTxIdx   []int32
 
-	near [][]int  // per-worker near-set buffers, each cap n
-	aux  [][]int  // per-worker radix scratch, each len n
-	mark [][]bool // per-worker membership masks, each len n
+	near  [][]int    // per-worker near-set buffers, each cap n
+	aux   [][]int    // per-worker radix scratch, each len n
+	mark  [][]bool   // per-worker membership masks, each len n
+	nodes [][]txNode // per-worker gathered near sets, each len n
 }
 
 // newFarField builds the pruning state. minPower/maxPower bound the per-node
-// transmission power (equal for the uniform-power channels). The grid is
+// transmission power (equal for uniform-power channels). The grid is
 // capped at max(farFieldMinCells, n/farFieldPointsPerCell) cells, which
 // both coarsens cells to several points each on large deployments and keeps
 // huge-spread deployments (exponential chains) from exhausting memory; the
@@ -124,6 +124,7 @@ func newFarField(pts []geom.Point, alpha, noise, minPower, maxPower, eps float64
 		near:        make([][]int, workers),
 		aux:         make([][]int, workers),
 		mark:        make([][]bool, workers),
+		nodes:       make([][]txNode, workers),
 	}
 	for limit := 256; limit < len(pts); limit <<= 8 {
 		ff.radixPasses++
@@ -136,6 +137,7 @@ func newFarField(pts []geom.Point, alpha, noise, minPower, maxPower, eps float64
 		ff.near[w] = make([]int, 0, len(pts))
 		ff.aux[w] = make([]int, len(pts))
 		ff.mark[w] = make([]bool, len(pts))
+		ff.nodes[w] = make([]txNode, len(pts))
 	}
 	return ff, nil
 }

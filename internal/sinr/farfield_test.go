@@ -1,10 +1,8 @@
 package sinr
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 
 	"fadingcr/internal/geom"
@@ -141,39 +139,6 @@ func TestFarFieldPrunes(t *testing.T) {
 	}
 }
 
-// TestFarFieldCachedMatchesUncached: the pruning decision is pure cell
-// geometry, and near-set signals are bit-equal cached and uncached — so the
-// ε engine must produce bit-identical receptions in both gain-cache modes.
-func TestFarFieldCachedMatchesUncached(t *testing.T) {
-	const side = 24
-	n := side * side
-	pts := gridPoints(side)
-	p := gridParams(3, 1.5, 1, side)
-	cached, err := New(p, pts, WithFarFieldEps(0.02), WithGainCacheCap(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.GainCacheBytes() == 0 {
-		t.Fatal("cache expected but absent")
-	}
-	direct, err := New(p, pts, WithFarFieldEps(0.02), WithGainCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(11)
-	ra, rb := make([]int, n), make([]int, n)
-	for round := 0; round < 5; round++ {
-		tx := randomTx(rng, n, 0.3)
-		cached.Deliver(tx, ra)
-		direct.Deliver(tx, rb)
-		for v := range ra {
-			if ra[v] != rb[v] {
-				t.Fatalf("round %d listener %d: cached ε recv %d, uncached ε recv %d", round, v, ra[v], rb[v])
-			}
-		}
-	}
-}
-
 // TestFarFieldSmallTxIsExact: with at most farFieldSmallTx transmitters the
 // ε engine uses the transmitter list directly, so receptions are
 // bit-identical to the exact engine — the sparse regime contention
@@ -234,8 +199,8 @@ func TestFarFieldZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestFarFieldRayleighDeterministic: the faded ε engine draws per-listener
-// fade substreams, so equal seeds give equal receptions — across separate
-// channels and across gain-cache modes.
+// fade substreams, so equal seeds give equal receptions across separate
+// channels.
 func TestFarFieldRayleighDeterministic(t *testing.T) {
 	const side = 24
 	n := side * side
@@ -245,7 +210,7 @@ func TestFarFieldRayleighDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRayleigh(p, pts, 42, WithFarFieldEps(0.02), WithGainCache(false))
+	b, err := NewRayleigh(p, pts, 42, WithFarFieldEps(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +222,7 @@ func TestFarFieldRayleighDeterministic(t *testing.T) {
 		b.Deliver(tx, rb)
 		for v := range ra {
 			if ra[v] != rb[v] {
-				t.Fatalf("round %d listener %d: recv %d vs %d across gain-cache modes", round, v, ra[v], rb[v])
+				t.Fatalf("round %d listener %d: recv %d vs %d with equal seeds", round, v, ra[v], rb[v])
 			}
 		}
 	}
@@ -312,65 +277,23 @@ func TestFarFieldOptionValidation(t *testing.T) {
 			t.Errorf("workers=%d accepted, want error", workers)
 		}
 	}
-	if _, err := EngineOptions("bogus", 0, 0); err == nil {
-		t.Error("bogus gain-cache mode accepted")
-	}
-	if _, err := EngineOptions("auto", 0.7, 0); err == nil {
+	if _, err := EngineOptions(0.7, 0); err == nil {
 		t.Error("eps=0.7 accepted by EngineOptions")
 	}
-	if _, err := EngineOptions("auto", 0, -3); err == nil {
+	if _, err := EngineOptions(0, -3); err == nil {
 		t.Error("workers=-3 accepted by EngineOptions")
 	}
-	opts, err := EngineOptions("on", 0.1, 8)
+	if opts, err := EngineOptions(0, 0); err != nil || len(opts) != 0 {
+		t.Errorf("EngineOptions(0, 0) = %d options, %v; want none", len(opts), err)
+	}
+	opts, err := EngineOptions(0.1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts) != 4 { // gaincache on = 2 options, plus eps, plus parallel
-		t.Errorf("EngineOptions(on, 0.1, 8) = %d options, want 4", len(opts))
+	if len(opts) != 2 {
+		t.Errorf("EngineOptions(0.1, 8) = %d options, want 2", len(opts))
 	}
 	if _, err := New(p, pts, opts...); err != nil {
 		t.Errorf("valid EngineOptions rejected by New: %v", err)
-	}
-}
-
-// TestGainCacheOverCapWarnsOnce: the first over-cap fallback prints one
-// actionable stderr line naming the cap and far-field knobs; later
-// fallbacks and explicitly disabled caches stay silent.
-func TestGainCacheOverCapWarnsOnce(t *testing.T) {
-	var buf bytes.Buffer
-	oldTo := gainCacheWarnTo
-	oldWarned := gainCacheWarned.Load()
-	gainCacheWarnTo = &buf
-	gainCacheWarned.Store(false)
-	defer func() {
-		gainCacheWarnTo = oldTo
-		gainCacheWarned.Store(oldWarned)
-	}()
-
-	pts := gridPoints(8)
-	p := gridParams(3, 1.5, 1, 8)
-	if _, err := New(p, pts, WithGainCacheCap(100)); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	for _, want := range []string{"WithGainCacheCap", "-gaincache", "-farfield-eps", "n=64"} {
-		if !strings.Contains(first, want) {
-			t.Errorf("over-cap warning %q does not mention %q", first, want)
-		}
-	}
-	if _, err := New(p, pts, WithGainCacheCap(100)); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != first {
-		t.Errorf("second over-cap fallback warned again:\n%s", buf.String())
-	}
-
-	gainCacheWarned.Store(false)
-	buf.Reset()
-	if _, err := New(p, pts, WithGainCache(false)); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "" {
-		t.Errorf("explicitly disabled cache warned: %q", buf.String())
 	}
 }

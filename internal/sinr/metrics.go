@@ -4,18 +4,11 @@ import "fadingcr/internal/obs"
 
 // Delivery-engine metrics, exported through the CLI -metrics flag. They are
 // plain atomic increments — no allocation, no branching on values — so the
-// //crlint:hotpath contract of the Deliver implementations is preserved, and
-// they never touch the simulated-randomness path (DESIGN.md §8).
-// ReadGainCacheStats is a façade over the gaincache_* metrics below, kept so
-// the CLI summary lines and existing callers are unaffected.
+// //crlint:hotpath contract of Deliver is preserved, and they never touch
+// the simulated-randomness path (DESIGN.md §8).
 var (
 	mDeliveries         = obs.Default.Counter("sinr.deliveries")
-	mDeliveriesCached   = obs.Default.Counter("sinr.deliveries_cached")
-	mDeliveriesFallback = obs.Default.Counter("sinr.deliveries_fallback")
 	mDeliveriesFarField = obs.Default.Counter("sinr.deliveries_farfield")
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
 	mFarFieldPrunedTx   = obs.Default.Counter("sinr.farfield_pruned_tx")
-	mGainCacheBuilt     = obs.Default.Counter("sinr.gaincache_built")
-	mGainCacheFallback  = obs.Default.Counter("sinr.gaincache_fallback")
-	mGainCacheMaxBytes  = obs.Default.Gauge("sinr.gaincache_max_bytes")
 )

@@ -24,14 +24,9 @@ func (o *recordingObserver) OnReception(listener, from int, sinr, margin float64
 	o.got = append(o.got, recordedReception{listener, from, sinr, margin})
 }
 
-// observable is the SetObserver surface shared by both SINR channels.
-type observable interface {
-	N() int
-	Deliver(tx []bool, recv []int)
-	SetObserver(ReceptionObserver)
-}
-
-func observerChannels(t *testing.T) map[string]observable {
+// observerChannels builds one channel per variant: uniform and per-node
+// powers, and both fade-stream rules.
+func observerChannels(t *testing.T) map[string]*Channel {
 	t.Helper()
 	d, err := geom.UniformDisk(11, 48)
 	if err != nil {
@@ -39,19 +34,25 @@ func observerChannels(t *testing.T) map[string]observable {
 	}
 	p := Params{Alpha: 3, Beta: 1.5, Noise: 1}
 	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
-	out := map[string]observable{}
-	for name, opts := range map[string][]Option{"cached": nil, "uncached": {WithGainCache(false)}} {
-		c, err := New(p, d.Points, opts...)
+	powers := UniformPowers(d.N(), p.Power)
+	for i := range powers {
+		powers[i] *= 1 + float64(i%3)/4
+	}
+	out := map[string]*Channel{}
+	add := func(name string, c *Channel, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[name] = c
-		r, err := NewRayleigh(p, d.Points, 5, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["rayleigh/"+name] = r
 	}
+	c, err := New(p, d.Points)
+	add("uniform", c, err)
+	c, err = NewWithPowers(p, d.Points, powers)
+	add("per-node", c, err)
+	c, err = NewRayleigh(p, d.Points, 5)
+	add("rayleigh", c, err)
+	c, err = NewRayleigh(p, d.Points, 5, WithDeliverParallelism(1))
+	add("rayleigh/substream", c, err)
 	return out
 }
 

@@ -4,7 +4,7 @@ import "sync"
 
 // Intra-round parallel delivery.
 //
-// Pass one of every engine accumulates per-listener state over fixed
+// Pass one of Deliver accumulates per-listener state over fixed
 // deliverTile-wide listener tiles; tiles touch disjoint slices of the
 // scratch arrays, so they can run concurrently with no synchronisation
 // beyond the final join. The partition shape is fixed by deliverTile alone —

@@ -7,12 +7,12 @@ import (
 	"fadingcr/internal/xrand"
 )
 
-// deliverer is the common Deliver surface of the three engines.
+// deliverer is the Deliver surface the byte-identity cases compare.
 type deliverer interface {
 	Deliver(tx []bool, recv []int)
 }
 
-// TestParallelDeliverByteIdentical: for every engine and every mode, the
+// TestParallelDeliverByteIdentical: for every channel variant and mode, the
 // parallel option must produce receptions byte-identical at workers 1, 3,
 // and 8 — and, for the unfaded channels, identical to the sequential
 // default with no parallel option at all. n exceeds deliverTile so the
@@ -37,17 +37,10 @@ func TestParallelDeliverByteIdentical(t *testing.T) {
 		build    func(workers int) (deliverer, error)
 	}{
 		{
-			name:     "plain-cached",
-			baseline: func() (deliverer, error) { return New(p, pts, WithGainCacheCap(0)) },
-			build: func(w int) (deliverer, error) {
-				return New(p, pts, WithGainCacheCap(0), WithDeliverParallelism(w))
-			},
-		},
-		{
 			name:     "plain-fly",
-			baseline: func() (deliverer, error) { return New(p, pts, WithGainCache(false)) },
+			baseline: func() (deliverer, error) { return New(p, pts) },
 			build: func(w int) (deliverer, error) {
-				return New(p, pts, WithGainCache(false), WithDeliverParallelism(w))
+				return New(p, pts, WithDeliverParallelism(w))
 			},
 		},
 		{

@@ -110,7 +110,7 @@ func TestPowerChannelPowersCopied(t *testing.T) {
 }
 
 func TestPowerChannelImplementsSimChannel(t *testing.T) {
-	var _ sim.Channel = (*PowerChannel)(nil)
+	var _ sim.Channel = (*Channel)(nil)
 }
 
 // TestFixedProbabilitySurvivesPowerHeterogeneity: the algorithm still solves

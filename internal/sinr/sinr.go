@@ -8,17 +8,20 @@
 // where P is the fixed transmission power, α > 2 the path-loss exponent,
 // N ≥ 0 the ambient noise, and β the decoding threshold.
 //
-// The package provides the deterministic geometric-fading channel of the
-// paper plus an optional Rayleigh-faded extension (per-round exponential
-// signal scaling) used by robustness experiments.
+// One Channel type evaluates the equation for every variant the repository
+// uses: the paper's uniform-power channel (New), per-node powers
+// (NewWithPowers), and an optional Rayleigh-faded extension (per-round
+// exponential signal scaling, NewRayleigh) used by robustness experiments.
 package sinr
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"fadingcr/internal/geom"
+	"fadingcr/internal/xrand"
 )
 
 // DefaultSingleHopMargin is the paper's constant c in the single-hop
@@ -59,11 +62,6 @@ func (p Params) Validate() error {
 // distance d > 0.
 func (p Params) Signal(d float64) float64 {
 	return p.Power * math.Pow(d, -p.Alpha)
-}
-
-// signalFromDist2 is Signal computed from a squared distance, saving a sqrt.
-func (p Params) signalFromDist2(d2 float64) float64 {
-	return p.Power * attenuation(d2, p.Alpha)
 }
 
 // attenuation returns d2^{-α/2} = d^{-α} with fast paths for the common
@@ -120,9 +118,8 @@ func (p Params) SingleHopFeasible(maxDist, margin float64) bool {
 // A ReceptionObserver sees every decoded reception at the moment the
 // delivery engine commits it: listener v decodes the message of transmitter
 // u with the achieved ratio sinr ≥ β and margin = sinr − β. Within a round,
-// observers are invoked in ascending listener order by every engine (the
-// cached, on-the-fly, and Rayleigh delivery loops all finalise listeners in
-// index order), so the call sequence is deterministic and engine-independent.
+// observers are invoked in ascending listener order (the threshold pass is
+// always sequential), so the call sequence is deterministic in every mode.
 //
 // The hook exists for tracing and never feeds back into delivery: observers
 // must not call back into the channel, and a nil observer (the default)
@@ -131,31 +128,95 @@ type ReceptionObserver interface {
 	OnReception(listener, from int, sinr, margin float64)
 }
 
-// Channel is the deterministic SINR channel over a fixed deployment. It is
-// not safe for concurrent use (it owns reusable delivery scratch buffers);
-// create one channel per goroutine.
+// Channel is the SINR channel over a fixed deployment: every node u
+// transmits at its own fixed power powers[u] (all equal to Params.Power for
+// the paper's channel), and an optional Rayleigh fade source scales each
+// signal per round. It is not safe for concurrent use (it owns reusable
+// delivery scratch buffers); create one channel per goroutine.
 type Channel struct {
 	params   Params
 	pts      []geom.Point
-	gains    *gainCache // nil: compute attenuations on the fly
-	ff       *farField  // nil: exact delivery (the default)
-	par      int        // ≥ 2: intra-round parallel workers
+	powers   []float64
+	fade     *fadeSource // nil: the paper's deterministic channel
+	ff       *farField   // nil: exact delivery (the default)
+	par      int         // ≥ 2: intra-round parallel workers
 	scratch  deliverScratch
 	observer ReceptionObserver
 }
 
-// New builds a channel for the given parameters and node positions. It
-// returns an error if the parameters are invalid or fewer than one node is
-// given. By default the channel precomputes the pairwise gain matrix (see
-// the gain-cache notes in this package) up to DefaultGainCacheCap; options
-// adjust that policy without ever changing delivery results. The
-// WithFarFieldEps option selects the approximate ε far-field engine (see
-// farfield.go), the only option that can change receptions — within its
-// documented error bound.
+// New builds the paper's uniform-power channel for the given parameters
+// and node positions. It returns an error if the parameters are invalid or
+// fewer than one node is given. WithFarFieldEps selects the approximate ε
+// far-field engine (see farfield.go), the only option that can change
+// receptions — within its documented error bound.
 func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	return newChannel(params, pts, UniformPowers(len(pts), params.Power), opts)
+}
+
+// NewWithPowers builds a per-node-power channel. powers[u] is node u's
+// transmission power; all must be positive and finite. The Power field of
+// params is ignored. The paper's results are for the uniform-power model;
+// this variant lets the repository exercise the power-control regime the
+// related work ([11]) discusses and probe how sensitive the algorithm is to
+// power heterogeneity (e.g. hardware spread).
+func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Option) (*Channel, error) {
+	probe := params
+	probe.Power = 1 // validate the shared constants independently of Power
+	if err := probe.Validate(); err != nil {
+		return nil, err
+	}
+	if len(pts) == 0 {
+		return nil, errors.New("sinr: channel needs at least one node")
+	}
+	if len(powers) != len(pts) {
+		return nil, fmt.Errorf("sinr: %d powers for %d nodes", len(powers), len(pts))
+	}
+	for u, p := range powers {
+		if !(p > 0) || math.IsInf(p, 1) {
+			return nil, fmt.Errorf("sinr: node %d power %v must be positive and finite", u, p)
+		}
+	}
+	return newChannel(params, pts, append([]float64(nil), powers...), opts)
+}
+
+// NewRayleigh builds a Rayleigh-faded channel over the deployment: in every
+// round, each transmitter→listener signal is scaled by an independent
+// exponential random variable with mean 1 (the power fade of a
+// Rayleigh-distributed amplitude). This is a robustness extension beyond
+// the paper's model — the paper's "fading" refers to the geometric path
+// loss of the SINR equation.
+//
+// The channel is deterministic given its seed and call sequence. Without
+// options it draws every fade of round r from one stream,
+// Split(seed, r), in ascending listener-then-transmitter order. The ε
+// far-field option or any parallel option (an explicit worker count of 1
+// included) instead draws listener v's fades from its own substream,
+// Split(Split(seed, r), v), in ascending transmitter order — deterministic
+// at any worker count, but a different (equally distributed) stream.
+func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
+	c, err := New(params, pts, opts...)
+	if err != nil {
+		return nil, err
+	}
+	ec, _ := resolveEngine(opts) // New has validated the options
+	c.fade = &fadeSource{
+		seed:        seed,
+		perListener: c.ff != nil || ec.parallel >= 1,
+		rngs:        make([]*xrand.Reseedable, c.par),
+	}
+	for w := range c.fade.rngs {
+		// Reseeded before every use; the construction seed is never consumed.
+		c.fade.rngs[w] = xrand.NewReseedable(xrand.Split(seed, uint64(w)))
+	}
+	return c, nil
+}
+
+// newChannel is the constructor body shared by New and NewWithPowers; it
+// takes ownership of powers.
+func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option) (*Channel, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("sinr: channel needs at least one node")
 	}
@@ -163,22 +224,35 @@ func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := make([]geom.Point, len(pts))
-	copy(cp, pts)
 	c := &Channel{
 		params:  params,
-		pts:     cp,
-		gains:   newGainCache(cp, params.Alpha, ec),
+		pts:     append([]geom.Point(nil), pts...),
+		powers:  powers,
 		par:     ec.workers(),
-		scratch: newDeliverScratch(len(cp)),
+		scratch: newDeliverScratch(len(pts)),
 	}
 	if ec.farFieldEps > 0 {
-		c.ff, err = newFarField(cp, params.Alpha, params.Noise, params.Power, params.Power, ec.farFieldEps, c.par)
+		minP, maxP := powers[0], powers[0]
+		for _, p := range powers[1:] {
+			minP = math.Min(minP, p)
+			maxP = math.Max(maxP, p)
+		}
+		c.ff, err = newFarField(c.pts, params.Alpha, params.Noise, minP, maxP, ec.farFieldEps, c.par)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// fadeSource is a faded channel's per-round fade state: one reusable rng
+// per worker, reseeded per round (the single-stream rule, worker 0 only) or
+// per listener (the substream rule).
+type fadeSource struct {
+	seed        uint64
+	round       uint64
+	perListener bool
+	rngs        []*xrand.Reseedable
 }
 
 // N returns the number of nodes on the channel.
@@ -187,30 +261,24 @@ func (c *Channel) N() int { return len(c.pts) }
 // Params returns the channel's physical-layer parameters.
 func (c *Channel) Params() Params { return c.params }
 
-// GainCacheBytes returns the footprint of the channel's precomputed gain
-// matrix, or 0 when the channel computes attenuations on the fly.
-func (c *Channel) GainCacheBytes() int64 {
-	if c.gains == nil {
-		return 0
-	}
-	return c.gains.bytes()
+// Powers returns a copy of the per-node power assignment.
+func (c *Channel) Powers() []float64 {
+	return append([]float64(nil), c.powers...)
 }
+
+// Faded reports whether the channel applies Rayleigh fades (NewRayleigh).
+func (c *Channel) Faded() bool { return c.fade != nil }
 
 // SetObserver installs (or, with nil, removes) the reception observer.
 // Observation never changes delivery results — the engine computes the
-// identical float sequence with or without an observer.
+// identical float sequence with or without an observer. Observed SINR
+// values include the round's fades.
 func (c *Channel) SetObserver(o ReceptionObserver) { c.observer = o }
 
-// signal returns the received signal strength of transmitter u at listener
-// v, from the cached gain row when available. Both branches evaluate the
-// identical expression Power·d(u,v)^{-α}, so results are bit-equal.
-//
-//crlint:hotpath
+// signal returns the unfaded received signal strength powers[u]·d(u,v)^{-α}
+// of transmitter u at listener v.
 func (c *Channel) signal(u, v int) float64 {
-	if c.gains != nil {
-		return c.params.Power * c.gains.at(u, v)
-	}
-	return c.params.signalFromDist2(c.pts[u].Dist2(c.pts[v]))
+	return c.powers[u] * attenuation(c.pts[u].Dist2(c.pts[v]), c.params.Alpha)
 }
 
 // Deliver computes one round of reception. tx[u] reports whether node u
@@ -227,13 +295,17 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 		panic(fmt.Sprintf("sinr: Deliver slice lengths tx=%d recv=%d, want %d", len(tx), len(recv), len(c.pts)))
 	}
 	mDeliveries.Inc()
-	switch {
-	case c.ff != nil:
+	if c.ff != nil {
 		mDeliveriesFarField.Inc()
-	case c.gains != nil:
-		mDeliveriesCached.Inc()
-	default:
-		mDeliveriesFallback.Inc()
+	}
+	var roundSeed uint64
+	if c.fade != nil {
+		// Every Deliver is a round of the fade stream, even a silent one.
+		roundSeed = xrand.Split(c.fade.seed, c.fade.round)
+		c.fade.round++
+		if !c.fade.perListener {
+			c.fade.rngs[0].Reseed(roundSeed)
+		}
 	}
 	txList := c.scratch.indices(tx)
 	if len(txList) == 0 {
@@ -245,132 +317,114 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 	if c.ff != nil {
 		c.ff.prepareRound(txList)
 	}
-	n := len(c.pts)
+	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList), seed: roundSeed}
 	if c.par > 1 {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
-		c.deliverParallel(txList, tx)
+		c.deliverParallel(r)
 	} else {
-		switch {
-		case c.ff != nil:
-			for lo := 0; lo < n; lo += deliverTile {
-				c.accumulateFarTile(0, lo, min(lo+deliverTile, n), tx, txList)
-			}
-		case c.gains != nil:
-			for lo := 0; lo < n; lo += deliverTile {
-				c.accumulateCachedTile(lo, min(lo+deliverTile, n), txList)
-			}
-		default:
-			for lo := 0; lo < n; lo += deliverTile {
-				c.accumulateFlyTile(lo, min(lo+deliverTile, n), txList, tx)
-			}
+		n := len(c.pts)
+		for lo := 0; lo < n; lo += deliverTile {
+			c.accumulateTile(0, lo, min(lo+deliverTile, n), r)
 		}
 	}
 	finalizeReceptions(c.params, &c.scratch, c.observer, tx, recv)
 }
 
+// deliverRound is one round's read-only input to the tile kernel.
+type deliverRound struct {
+	tx     []bool
+	txList []int    // the transmitters, ascending
+	nodes  []txNode // txList's positions and powers, gathered
+	seed   uint64   // the round's fade seed (faded channels)
+}
+
+// txNode is one transmitter as the pair loop reads it. Gathering the
+// round's transmitters into one contiguous array lets the loop range over
+// it without an index indirection or bounds checks per pair.
+type txNode struct {
+	pt    geom.Point
+	power float64
+}
+
+// gather fills buf with the positions and powers of the nodes in idx, in
+// order; buf must have capacity len(idx).
+//
+//crlint:hotpath
+func (c *Channel) gather(buf []txNode, idx []int) []txNode {
+	buf = buf[:len(idx)]
+	for i, u := range idx {
+		buf[i] = txNode{c.pts[u], c.powers[u]}
+	}
+	return buf
+}
+
 // deliverParallel fans pass one out over runTiles. It is deliberately not
-// hotpath-annotated: the kernel closures and goroutines allocate O(workers)
+// hotpath-annotated: the kernel closure and goroutines allocate O(workers)
 // per round, the documented cost of the parallel option.
-func (c *Channel) deliverParallel(txList []int, tx []bool) {
+func (c *Channel) deliverParallel(r deliverRound) {
 	mDeliveriesParallel.Inc()
-	n := len(c.pts)
-	switch {
-	case c.ff != nil:
-		runTiles(n, c.par, func(w, lo, hi int) { c.accumulateFarTile(w, lo, hi, tx, txList) })
-	case c.gains != nil:
-		runTiles(n, c.par, func(_, lo, hi int) { c.accumulateCachedTile(lo, hi, txList) })
-	default:
-		runTiles(n, c.par, func(_, lo, hi int) { c.accumulateFlyTile(lo, hi, txList, tx) })
-	}
+	runTiles(len(c.pts), c.par, func(w, lo, hi int) { c.accumulateTile(w, lo, hi, r) })
 }
 
-// accumulateCachedTile is pass one of the transmitter-major cached engine
-// over listeners [lo, hi): it streams each transmitter's cached gain-row
-// tile through the per-listener accumulators (running interference total,
-// strongest signal and its sender). Each listener sees its signals in
-// ascending transmitter order with the first strict maximum winning — the
-// exact per-listener float operations of the on-the-fly loop — so both
-// engines produce bit-identical receptions; the tile width only reorders
-// work *across* listeners, never within one. Diagonal gains are +Inf but
-// only reach accumulators of transmitting listeners, which the finalize
-// pass masks to −1.
+// accumulateTile is pass one of Deliver over listeners [lo, hi), the one
+// kernel of every mode: per non-transmitting listener, sum the signals of
+// its transmitter set — all transmitters, or the ε engine's near set — in
+// ascending transmitter index, tracking the first strict maximum, and park
+// the total, the strongest signal and its sender in the scratch arrays for
+// the sequential threshold pass. A faded channel multiplies each signal by
+// its next fade draw, from the round's single stream (sequential only, so
+// the draws run listener-then-transmitter) or from the listener's own
+// substream. The worker index selects per-worker scratch, so concurrent
+// tiles never share a buffer.
 //
 //crlint:hotpath
-func (c *Channel) accumulateCachedTile(lo, hi int, txList []int) {
+func (c *Channel) accumulateTile(worker, lo, hi int, r deliverRound) {
 	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
-	for v := lo; v < hi; v++ {
-		totals[v], best[v], bestU[v] = 0, -1, -1
+	alpha := c.params.Alpha
+	var rng *rand.Rand
+	if c.fade != nil {
+		rng = c.fade.rngs[worker].Rand
 	}
-	power := c.params.Power
-	for _, u := range txList {
-		row := c.gains.row(u)
-		for v := lo; v < hi; v++ {
-			s := power * row[v]
-			totals[v] += s
-			if s > best[v] {
-				best[v], bestU[v] = s, u
-			}
-		}
-	}
-}
-
-// accumulateFlyTile is pass one of the on-the-fly engine over listeners
-// [lo, hi): the classic listener-major scalar loop, restricted to one tile
-// and parked in the shared accumulator arrays for the sequential finalize
-// pass. The per-listener float sequence is exactly the pre-tiling code's.
-//
-//crlint:hotpath
-func (c *Channel) accumulateFlyTile(lo, hi int, txList []int, tx []bool) {
-	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
-	for v := lo; v < hi; v++ {
-		totals[v], best[v], bestU[v] = 0, -1, -1
-		if tx[v] {
-			continue
-		}
-		b, bu, t := -1.0, -1, 0.0
-		for _, u := range txList {
-			s := c.params.signalFromDist2(c.pts[u].Dist2(c.pts[v]))
-			t += s
-			if s > b {
-				b, bu = s, u
-			}
-		}
-		totals[v], best[v], bestU[v] = t, b, bu
-	}
-}
-
-// accumulateFarTile is pass one of the ε far-field engine over listeners
-// [lo, hi): per listener, collect the near transmitter set from the spatial
-// index (exact below farFieldSmallTx transmitters), then sum it exactly in
-// ascending transmitter index. The worker index selects the near-set
-// scratch buffer, so concurrent tiles never share one.
-//
-//crlint:hotpath
-func (c *Channel) accumulateFarTile(worker, lo, hi int, tx []bool, txList []int) {
-	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	pruned := int64(0)
 	for v := lo; v < hi; v++ {
 		totals[v], best[v], bestU[v] = 0, -1, -1
-		if tx[v] {
+		if r.tx[v] {
 			continue
 		}
-		near := c.ff.nearSet(worker, v, tx, txList)
-		pruned += int64(len(txList) - len(near))
-		b, bu, t := -1.0, -1, 0.0
-		for _, u := range near {
-			s := c.signal(u, v)
-			t += s
-			if s > b {
-				b, bu = s, u
+		near, nodes := r.txList, r.nodes
+		if c.ff != nil {
+			if near = c.ff.nearSet(worker, v, r.tx, r.txList); len(near) < len(r.txList) {
+				pruned += int64(len(r.txList) - len(near))
+				nodes = c.gather(c.ff.nodes[worker], near)
 			}
 		}
-		totals[v], best[v], bestU[v] = t, b, bu
+		if rng != nil && c.fade.perListener {
+			c.fade.rngs[worker].Reseed(xrand.Split(r.seed, uint64(v)))
+		}
+		pv := c.pts[v]
+		b, bi, t := -1.0, -1, 0.0
+		for i, nd := range nodes {
+			s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
+			if rng != nil {
+				s *= expFade(rng)
+			}
+			t += s
+			if s > b {
+				b, bi = s, i
+			}
+		}
+		totals[v], best[v] = t, b
+		if bi >= 0 {
+			bestU[v] = near[bi]
+		}
 	}
-	mFarFieldPrunedTx.Add(pruned)
+	if pruned > 0 {
+		mFarFieldPrunedTx.Add(pruned)
+	}
 }
 
-// finalizeReceptions is pass two of every engine: apply the SINR threshold
-// per listener in ascending index order, writing receptions and invoking the
+// finalizeReceptions is pass two of Deliver: apply the SINR threshold per
+// listener in ascending index order, writing receptions and invoking the
 // observer. It is always sequential — the observer-ordering contract and
 // byte-identical parallel delivery both depend on that.
 //
@@ -392,22 +446,28 @@ func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver,
 	}
 }
 
-// Receivable returns every transmitter whose SINR at listener v clears the
-// threshold (useful with Beta < 1, where more than one can). It returns nil
-// when v itself transmits.
+// expFade draws a unit-mean exponential fade.
+//
+//crlint:hotpath
+func expFade(rng *rand.Rand) float64 {
+	// Inverse-CDF sampling; 1−U avoids log(0).
+	return -math.Log(1 - rng.Float64())
+}
+
+// Receivable returns every transmitter whose unfaded SINR at listener v
+// clears the threshold (useful with Beta < 1, where more than one can). It
+// returns nil when v itself transmits.
 func (c *Channel) Receivable(tx []bool, v int) []int {
 	if tx[v] {
 		return nil
 	}
 	txList := c.scratch.indices(tx)
-	signals := c.scratch.signals[:0]
+	signals := make([]float64, len(txList))
 	total := 0.0
-	for _, u := range txList {
-		s := c.signal(u, v)
-		signals = append(signals, s)
-		total += s
+	for i, u := range txList {
+		signals[i] = c.signal(u, v)
+		total += signals[i]
 	}
-	c.scratch.signals = signals
 	var out []int
 	for i, u := range txList {
 		if c.params.SINR(signals[i], total-signals[i]) >= c.params.Beta {
@@ -417,9 +477,8 @@ func (c *Channel) Receivable(tx []bool, v int) []int {
 	return out
 }
 
-// InterferenceAt returns Σ_{u ∈ tx} P/d(u,v)^α, the total signal energy
-// arriving at node v from the given transmitter set (including v's own
-// signal if v transmits).
+// InterferenceAt returns Σ_{u ∈ tx, u ≠ v} powers[u]/d(u,v)^α, the total
+// unfaded signal energy arriving at node v from the given transmitter set.
 func (c *Channel) InterferenceAt(tx []bool, v int) float64 {
 	total := 0.0
 	for u := range c.pts {
@@ -429,4 +488,15 @@ func (c *Channel) InterferenceAt(tx []bool, v int) float64 {
 		total += c.signal(u, v)
 	}
 	return total
+}
+
+// UniformPowers returns a power vector assigning the same power to all n
+// nodes — NewWithPowers(params, pts, UniformPowers(n, P)) behaves exactly
+// like New(params with Power P, pts).
+func UniformPowers(n int, power float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = power
+	}
+	return out
 }

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"fadingcr/internal/geom"
+	"fadingcr/internal/obs"
+	"fadingcr/internal/xrand"
 )
 
 func validParams() Params {
@@ -411,5 +413,83 @@ func TestRayleighValidation(t *testing.T) {
 	}
 	if _, err := NewRayleigh(validParams(), nil, 1); err == nil {
 		t.Error("empty deployment accepted")
+	}
+}
+
+// randomGeometry returns a uniform-disk deployment, single-hop parameters
+// derived from its radius, and a transmit vector with roughly the given
+// density.
+func randomGeometry(t *testing.T, seed uint64, n int, density float64) (*geom.Deployment, Params, []bool) {
+	t.Helper()
+	d, err := geom.UniformDisk(seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Alpha: 3, Beta: 1.5, Noise: 1}
+	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
+	return d, p, randomTx(xrand.New(seed+1), n, density)
+}
+
+// TestDeliverZeroAllocsSteadyState: after the first call, sequential
+// Deliver allocates nothing for uniform powers, per-node powers, and both
+// fade-stream rules.
+func TestDeliverZeroAllocsSteadyState(t *testing.T) {
+	// Recording is on by default; assert it so the zero-alloc bound below
+	// covers the metric increments on the hot path, not just the engine.
+	if !obs.Enabled() {
+		t.Fatal("metrics recording unexpectedly disabled; this test must measure the instrumented path")
+	}
+	const n = 96
+	d, p, tx := randomGeometry(t, 21, n, 0.25)
+	powers := UniformPowers(n, p.Power)
+	powers[0] *= 2
+	recv := make([]int, n)
+
+	uniform, err := New(p, d.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode, err := NewWithPowers(p, d.Points, powers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faded, err := NewRayleigh(p, d.Points, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	substream, err := NewRayleigh(p, d.Points, 7, WithDeliverParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/substream": substream} {
+		c.Deliver(tx, recv) // warm the scratch buffers
+		if allocs := testing.AllocsPerRun(50, func() { c.Deliver(tx, recv) }); allocs != 0 {
+			t.Errorf("%s: steady-state Deliver allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestDeliveryCounters: every Deliver moves the sinr.deliveries metric, and
+// the ε engine's calls are attributed to sinr.deliveries_farfield.
+func TestDeliveryCounters(t *testing.T) {
+	d, p, tx := randomGeometry(t, 41, 24, 0.3)
+	recv := make([]int, 24)
+	exact, err := New(p, d.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := New(p, d.Points, WithFarFieldEps(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total0, far0 := mDeliveries.Load(), mDeliveriesFarField.Load()
+	exact.Deliver(tx, recv)
+	exact.Deliver(tx, recv)
+	approx.Deliver(tx, recv)
+	if got := mDeliveries.Load() - total0; got != 3 {
+		t.Errorf("sinr.deliveries delta = %d, want 3", got)
+	}
+	if got := mDeliveriesFarField.Load() - far0; got != 1 {
+		t.Errorf("sinr.deliveries_farfield delta = %d, want 1", got)
 	}
 }

@@ -113,6 +113,11 @@ func (r *Recorder) WriteBinary(w io.Writer) error {
 	return nil
 }
 
+// maxBinaryHeaderSize bounds the declared JSON header length of a binary
+// trace the way maxBundleFileSize bounds bundle payloads: a header is part
+// of a trace file, so it can be no larger than one.
+const maxBinaryHeaderSize = maxBundleFileSize
+
 // readBinary parses a binary trace stream positioned after format sniffing
 // (br still holds the full stream including the magic).
 func readBinary(br *bufio.Reader) (*Trace, error) {
@@ -132,8 +137,16 @@ func readBinary(br *bufio.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: read binary header: %w", err)
 	}
 	hlen := le.Uint32(scratch[:4])
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if hlen > maxBinaryHeaderSize {
+		return nil, fmt.Errorf("trace: binary header declares %d bytes (max %d)", hlen, maxBinaryHeaderSize)
+	}
+	// Read what is there rather than allocating the declared length up
+	// front, so a truncated stream costs memory in proportion to its size.
+	hdr, err := io.ReadAll(io.LimitReader(br, int64(hlen)))
+	if err == nil && len(hdr) < int(hlen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: read binary header: %w", err)
 	}
 	var l jsonLine

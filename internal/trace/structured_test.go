@@ -18,7 +18,7 @@ import (
 
 // runStructured executes one fully traced run: per-node records, link-class
 // censuses, and SINR annotations via the channel observer hook.
-func runStructured(t *testing.T, deploySeed, protoSeed uint64, n int) (*Recorder, sim.Result) {
+func runStructured(t testing.TB, deploySeed, protoSeed uint64, n int) (*Recorder, sim.Result) {
 	t.Helper()
 	d, err := geom.UniformDisk(deploySeed, n)
 	if err != nil {
