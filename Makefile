@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short vet lint bench results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
+.PHONY: all build test test-short vet lint bench bench-e2e results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
 
 all: build vet lint test
 
@@ -33,6 +33,17 @@ test-short:
 
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
+
+# The repository's end-to-end benchmark (perfbench/, BENCHMARK.json) at the
+# settings BENCH_e2e.json records: each workload untraced for 30 s, seed 7.
+# Metrics print to stdout; each run's full report is kept as
+# bin/e2e-<workload>.json, and `bash perfbench/run.sh compare A.json B.json`
+# compares two reports taken on one machine.
+bench-e2e:
+	mkdir -p bin
+	for w in e1 solve-large fleet-mix; do \
+		bash perfbench/run.sh --workload $$w --trace 0 --seconds 30 --seed 7 --out bin/e2e-$$w.json || exit 1; \
+	done
 
 # Regenerate every reproduction experiment at full scale (minutes).
 results:

@@ -292,42 +292,61 @@ func BenchmarkSINRDeliverScale(b *testing.B) {
 }
 
 // BenchmarkSINRDeliverMetrics measures the observability overhead on the
-// delivery hot path: the identical Deliver call with metrics
-// recording enabled (the process default; BenchmarkSINRDeliver above runs
-// this way) versus disabled via obs.SetEnabled(false). The delta is the
-// cost of the per-call atomic counter increments — BENCH_obs.json records
-// both sides, and the acceptance bar is overhead within run-to-run noise.
+// delivery hot path: the identical call with metrics recording enabled (the
+// process default; BenchmarkSINRDeliver above runs this way) versus
+// disabled via obs.SetEnabled(false). The delta is the cost of the per-call
+// atomic counter increments. Two round shapes: a dense full Deliver (n/5
+// transmitters), and a late round of the paper's algorithm — DeliverTo over
+// a 5% live list with two transmitters — where the pair work is smallest
+// and a counter weighs most. BENCH_obs.json records both sides; the
+// acceptance bar is overhead within run-to-run noise.
 func BenchmarkSINRDeliverMetrics(b *testing.B) {
 	const n = 512
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"on", true}, {"off", false}} {
-		b.Run("metrics="+mode.name, func(b *testing.B) {
-			d, err := geom.UniformDisk(1, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
-			params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
-			ch, err := sinr.New(params, d.Points)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tx := make([]bool, n)
-			for i := 0; i < n; i += 5 {
-				tx[i] = true
-			}
-			recv := make([]int, n)
-			ch.Deliver(tx, recv) // warm the scratch buffers
-			obs.SetEnabled(mode.enabled)
-			defer obs.SetEnabled(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ch.Deliver(tx, recv)
-			}
-		})
+	d, err := geom.UniformDisk(1, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
+	params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
+	dense := make([]bool, n)
+	for i := 0; i < n; i += 5 {
+		dense[i] = true
+	}
+	late := make([]bool, n)
+	var live []int
+	for v := 0; v < n; v += 20 {
+		live = append(live, v)
+	}
+	late[live[3]], late[live[17]] = true, true
+	for _, shape := range []struct {
+		prefix    string
+		tx        []bool
+		listeners []int // nil: a full Deliver
+	}{{"", dense, nil}, {"late/", late, live}} {
+		for _, mode := range []struct {
+			name    string
+			enabled bool
+		}{{"on", true}, {"off", false}} {
+			b.Run(shape.prefix+"metrics="+mode.name, func(b *testing.B) {
+				ch, err := sinr.New(params, d.Points)
+				if err != nil {
+					b.Fatal(err)
+				}
+				recv := make([]int, n)
+				deliver := func() { ch.Deliver(shape.tx, recv) }
+				if shape.listeners != nil {
+					deliver = func() { ch.DeliverTo(shape.tx, shape.listeners, recv) }
+				}
+				deliver() // warm the scratch buffers
+				obs.SetEnabled(mode.enabled)
+				defer obs.SetEnabled(true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					deliver()
+				}
+			})
+		}
 	}
 }
 

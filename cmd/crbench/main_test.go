@@ -76,10 +76,10 @@ func TestRunMultipleIDsWithSpaces(t *testing.T) {
 
 func TestRunShardedMatchesUnsharded(t *testing.T) {
 	var plain, sharded strings.Builder
-	if err := run([]string{"-ids", "E5", "-quick", "-trials", "2", "-seed", "9"}, &plain); err != nil {
+	if err := run([]string{"-ids", "E2,E5", "-quick", "-trials", "2", "-seed", "9"}, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-ids", "E5", "-quick", "-trials", "2", "-seed", "9", "-shards", "3"}, &sharded); err != nil {
+	if err := run([]string{"-ids", "E2,E5", "-quick", "-trials", "2", "-seed", "9", "-shards", "3"}, &sharded); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != sharded.String() {

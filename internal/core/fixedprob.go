@@ -94,6 +94,11 @@ func (u *fpNode) Hear(round int, from int, detect sim.Feedback) {
 	}
 }
 
+// Retired implements sim.Retirer: a knocked-out node never transmits
+// again, ignores Hear, and draws no randomness (Act tests the active bit
+// first).
+func (u *fpNode) Retired() bool { return !u.active }
+
 // Active reports whether the node is still contending. It implements the
 // Activeness interface used by tracers.
 func (u *fpNode) Active() bool { return u.active }

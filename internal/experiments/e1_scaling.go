@@ -6,6 +6,7 @@ import (
 
 	"fadingcr/internal/core"
 	"fadingcr/internal/geom"
+	"fadingcr/internal/runner"
 	"fadingcr/internal/sim"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
@@ -109,15 +110,10 @@ func e2() Experiment {
 			var xs, medians []float64
 			for _, m := range classes {
 				n := 2 * m * pairsPerClass
-				var logR float64
-				rounds, unsolved, err := trialRounds(cfg, trials,
-					func(seed uint64) (*geom.Deployment, error) {
-						d, err := geom.ExponentialChain(seed, m, pairsPerClass)
-						if err == nil {
-							logR = math.Log2(d.R)
-						}
-						return d, err
-					},
+				deploy := func(seed uint64) (*geom.Deployment, error) {
+					return geom.ExponentialChain(seed, m, pairsPerClass)
+				}
+				rounds, unsolved, err := trialRounds(cfg, trials, deploy,
 					func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
 					core.FixedProbability{},
 					sim.Config{MaxRounds: e1Budget(n) + 40*m},
@@ -125,6 +121,14 @@ func e2() Experiment {
 				if err != nil {
 					return nil, fmt.Errorf("E2 m=%d: %w", m, err)
 				}
+				// The table shows the last trial's log₂ R, rebuilt here so
+				// no trial writes shared state and sharded runs agree.
+				dseed, _ := runner.TrialSeeds(cfg.Seed, trials-1)
+				last, err := deploy(dseed)
+				if err != nil {
+					return nil, fmt.Errorf("E2 m=%d: %w", m, err)
+				}
+				logR := math.Log2(last.R)
 				s, err := stats.Summarize(rounds)
 				if err != nil {
 					return nil, err

@@ -1,9 +1,11 @@
 package geom
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fadingcr/internal/xrand"
 )
@@ -39,26 +41,116 @@ var errTooFewPoints = errors.New("geom: deployment needs at least 2 points")
 // NewDeployment normalises the given raw positions into a Deployment: all
 // coordinates are scaled so that the minimum pairwise distance becomes 1.
 // It returns an error if fewer than two points are supplied or if two points
-// coincide (R would be infinite).
+// coincide (R would be infinite). The extremes are found in sub-quadratic
+// time on the generators' deployments yet equal MinPairwiseDist's and
+// MaxPairwiseDist's bit for bit.
 func NewDeployment(raw []Point) (*Deployment, error) {
 	if len(raw) < 2 {
 		return nil, errTooFewPoints
 	}
-	minD, _, _ := MinPairwiseDist(raw)
+	// The sweep sorts its input; the buffer then receives the scaled points.
+	pts := slices.Clone(raw)
+	minD := closestPairDist(pts)
 	if minD == 0 {
 		return nil, errors.New("geom: coincident points; cannot normalise shortest link to 1")
 	}
-	pts := make([]Point, len(raw))
 	inv := 1 / minD
 	for i, p := range raw {
 		pts[i] = p.Scale(inv)
 	}
-	maxD, _, _ := MaxPairwiseDist(pts)
-	r := maxD
+	r := farthestPairDist(pts)
 	if r < 1 {
 		r = 1
 	}
 	return &Deployment{Points: pts, R: r}, nil
+}
+
+// closestPairDist returns the distance MinPairwiseDist returns, by a sweep
+// over the points sorted by x; it sorts pts in place. Once the x gap dx
+// from the sweep point reaches the best squared distance, no later point
+// can beat it: Dist2 = dx² + dy² ≥ dx² holds in floating point too, and the
+// computed gap only grows along the order. Every pair left is evaluated
+// with the same Dist2, so the minimum is the same float. NaN coordinates
+// sort first and never end a sweep.
+func closestPairDist(pts []Point) float64 {
+	slices.SortFunc(pts, func(a, b Point) int { return cmp.Compare(a.X, b.X) })
+	best := math.Inf(1)
+	for i, p := range pts {
+		for _, q := range pts[i+1:] {
+			if dx := q.X - p.X; dx*dx >= best {
+				break
+			}
+			if d2 := p.Dist2(q); d2 < best {
+				best = d2
+			}
+		}
+	}
+	return math.Sqrt(best)
+}
+
+// farthestPairDist returns the distance MaxPairwiseDist returns, pruning
+// with the triangle inequality d(p, q) ≤ r_p + r_q, r the distance from the
+// centre c of the bounding box. The point a farthest from c and the point
+// farthest from a give a first pair. Only points p with r_p + r_max at
+// least that pair's distance can beat it; they are visited by decreasing
+// r, along which the bound only shrinks, so once it falls below the best
+// squared distance no later pair can beat it. The pairs left are evaluated
+// with the same Dist2, so the maximum is the same float. Non-finite
+// coordinates make every r NaN or +Inf, which never prunes. Points on a
+// common circle about c leave little to prune; the generators' deployments
+// are not of that kind.
+func farthestPairDist(pts []Point) float64 {
+	lo, hi := pts[0], pts[0]
+	for _, p := range pts[1:] {
+		lo = Point{math.Min(lo.X, p.X), math.Min(lo.Y, p.Y)}
+		hi = Point{math.Max(hi.X, p.X), math.Max(hi.Y, p.Y)}
+	}
+	c := lo.Add(hi).Scale(0.5)
+	a, rMax := 0, math.Inf(-1)
+	for i, p := range pts {
+		if r := p.Sub(c).Norm(); r > rMax {
+			a, rMax = i, r
+		}
+	}
+	best := 0.0
+	for _, p := range pts {
+		if d2 := pts[a].Dist2(p); d2 > best {
+			best = d2
+		}
+	}
+	type ranked struct {
+		r float64
+		p Point
+	}
+	var cand []ranked
+	for _, p := range pts {
+		if r := p.Sub(c).Norm(); !(reach2(r+rMax) < best) {
+			cand = append(cand, ranked{r, p})
+		}
+	}
+	slices.SortFunc(cand, func(a, b ranked) int { return cmp.Compare(b.r, a.r) })
+	for i, a := range cand {
+		if reach2(a.r+a.r) < best {
+			break
+		}
+		for _, b := range cand[i+1:] {
+			if reach2(a.r+b.r) < best {
+				break
+			}
+			if d2 := a.p.Dist2(b.p); d2 > best {
+				best = d2
+			}
+		}
+	}
+	return math.Sqrt(best)
+}
+
+// reach2 bounds the Dist2 of a pair whose distances from the centre add up
+// to s: s² padded by a relative 1e-9 and an absolute 1e-300, far beyond the
+// rounding of Hypot, the sum, Dist2 and subnormal underflow (a few ulp, and
+// a few multiples of the smallest subnormal).
+func reach2(s float64) float64 {
+	return s*s*(1+1e-9) + 1e-300
 }
 
 // UniformDisk places n nodes uniformly at random inside a disk whose radius

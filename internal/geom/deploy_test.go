@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -249,5 +250,23 @@ func TestLinkClassCount(t *testing.T) {
 	d.Points = d.Points[:1]
 	if got := d.LinkClassCount(); got != 0 {
 		t.Errorf("single node: LinkClassCount = %d, want 0", got)
+	}
+}
+
+// BenchmarkNewDeployment normalises uniform-disk point sets of the sizes
+// the scaling experiments reach; the two extent scans dominate.
+func BenchmarkNewDeployment(b *testing.B) {
+	for _, n := range []int{4096, 16384, 65536} {
+		d, err := UniformDisk(1, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := NewDeployment(d.Points); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

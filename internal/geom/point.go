@@ -48,7 +48,8 @@ func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 
 // MinPairwiseDist returns the smallest distance between any two distinct
 // points, and the indices achieving it. It returns +Inf and (-1, -1) when
-// fewer than two points are given.
+// fewer than two points are given. The scan visits all O(n²) pairs; it is
+// the reference NewDeployment's faster sweep is tested against.
 func MinPairwiseDist(pts []Point) (d float64, i, j int) {
 	d, i, j = math.Inf(1), -1, -1
 	best := math.Inf(1)
@@ -67,7 +68,8 @@ func MinPairwiseDist(pts []Point) (d float64, i, j int) {
 
 // MaxPairwiseDist returns the largest distance between any two distinct
 // points, and the indices achieving it. It returns 0 and (-1, -1) when fewer
-// than two points are given.
+// than two points are given. Like MinPairwiseDist it is the O(n²)
+// reference for NewDeployment's pruned scan.
 func MaxPairwiseDist(pts []Point) (d float64, i, j int) {
 	i, j = -1, -1
 	best := -1.0

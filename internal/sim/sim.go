@@ -29,6 +29,18 @@ type Channel interface {
 	Deliver(tx []bool, recv []int)
 }
 
+// ListenerChannel is an optional extension of Channel for channels that can
+// compute receptions at a subset of the listeners. Run hands it the live
+// nodes (see Retirer) whenever no Tracer is installed, so a round costs work
+// in proportion to the nodes still contending rather than to n.
+type ListenerChannel interface {
+	Channel
+	// DeliverTo is Deliver restricted to listeners, an ascending list of
+	// distinct node indices: it fills recv[v] for every listed v exactly as
+	// Deliver would, and may leave every other entry of recv untouched.
+	DeliverTo(tx []bool, listeners []int, recv []int)
+}
+
 // Action is a node's choice for a round.
 type Action int
 
@@ -68,6 +80,17 @@ type Node interface {
 	// the oracle terminates the run only after feedback is delivered, so a
 	// listener can observe Message on the final round.
 	Hear(round int, from int, detect Feedback)
+}
+
+// Retirer is an optional extension of Node. Once Retired reports true it
+// must keep doing so, and the node must be permanently silent and deaf: Act
+// would return Listen and neither Act nor Hear would draw randomness or
+// change its state. Run then stops calling the node and stops computing its
+// receptions (unless a Tracer is installed), so retiring never changes a
+// Result. A node that wraps another and keeps forwarding Hear to it must
+// not implement Retirer.
+type Retirer interface {
+	Retired() bool
 }
 
 // Builder constructs the per-node state machines for a run. Build must
@@ -140,6 +163,17 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 	}
 	tx := make([]bool, n)
 	recv := make([]int, n)
+	// live lists, ascending, the nodes that have not retired; only they act,
+	// hear and count receptions. A Tracer observes every listener, so it
+	// keeps the channel's full Deliver.
+	live := make([]int, n)
+	for u := range live {
+		live[u] = u
+	}
+	lc, _ := ch.(ListenerChannel)
+	if cfg.Tracer != nil {
+		lc = nil
+	}
 	var transmissions int64
 	var rounds, receptions int64
 	mRuns.Inc()
@@ -150,8 +184,8 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 	}()
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		count, solo := 0, -1
-		for u, node := range nodes {
-			switch a := node.Act(round); a {
+		for _, u := range live {
+			switch a := nodes[u].Act(round); a {
 			case Transmit:
 				tx[u] = true
 				count++
@@ -163,13 +197,17 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 			}
 		}
 		transmissions += int64(count)
-		ch.Deliver(tx, recv)
+		if lc != nil {
+			lc.DeliverTo(tx, live, recv)
+		} else {
+			ch.Deliver(tx, recv)
+		}
 		rounds++
 		if obs.Enabled() {
 			// The reception scan exists only to feed the metric; skip the
 			// pass entirely when recording is off.
-			for _, from := range recv {
-				if from >= 0 {
+			for _, u := range live {
+				if recv[u] >= 0 {
 					receptions++
 				}
 			}
@@ -193,9 +231,18 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		// distinguish the final round locally, and with CollisionDetection on
 		// a listener's only way to ever observe Message is the solo round
 		// itself.
-		for u, node := range nodes {
+		k := 0
+		for _, u := range live {
+			node := nodes[u]
 			node.Hear(round, recv[u], detect)
+			if r, ok := node.(Retirer); ok && r.Retired() {
+				tx[u] = false
+				continue
+			}
+			live[k] = u
+			k++
 		}
+		live = live[:k]
 		if count == 1 {
 			return finish(cfg, Result{Solved: true, Rounds: round, Winner: solo, Transmissions: transmissions}), nil
 		}

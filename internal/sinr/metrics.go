@@ -8,6 +8,7 @@ import "fadingcr/internal/obs"
 // the simulated-randomness path (DESIGN.md §8).
 var (
 	mDeliveries         = obs.Default.Counter("sinr.deliveries")
+	mListeners          = obs.Default.Counter("sinr.listeners")
 	mDeliveriesFarField = obs.Default.Counter("sinr.deliveries_farfield")
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
 	mFarFieldPrunedTx   = obs.Default.Counter("sinr.farfield_pruned_tx")

@@ -2,9 +2,10 @@ package sinr
 
 import "fmt"
 
-// deliverTile is the fixed listener-tile width of Deliver's accumulation
-// pass: listeners are processed in [t·deliverTile, (t+1)·deliverTile)
-// blocks, and the parallel option assigns tile t to worker t mod workers.
+// deliverTile is the fixed listener-tile width of the parallel
+// accumulation pass: tile t covers positions [t·deliverTile,
+// (t+1)·deliverTile) of the round's listener list, and the parallel option
+// assigns it to worker t mod workers.
 // The value is part of the determinism contract (DESIGN.md §8): the tile
 // partition fixes the parallel work shape, and because every per-listener
 // float sequence is confined to one tile, receptions are byte-identical at

@@ -4,14 +4,15 @@ import "sync"
 
 // Intra-round parallel delivery.
 //
-// Pass one of Deliver accumulates per-listener state over fixed
-// deliverTile-wide listener tiles; tiles touch disjoint slices of the
-// scratch arrays, so they can run concurrently with no synchronisation
-// beyond the final join. The partition shape is fixed by deliverTile alone —
-// tile t always covers listeners [t·deliverTile, min((t+1)·deliverTile, n))
-// and is processed by worker t mod workers — so the float operations
-// performed for any given listener are identical at every worker count, and
-// receptions are byte-identical from workers=1 to MaxDeliverParallelism.
+// Pass one of DeliverTo accumulates per-listener state over fixed
+// deliverTile-wide tiles of the listener list; the list holds distinct
+// listeners, so tiles touch disjoint entries of the scratch arrays and can
+// run concurrently with no synchronisation beyond the final join. The
+// partition shape is fixed by deliverTile alone — tile t always covers list
+// positions [t·deliverTile, min((t+1)·deliverTile, len)) and is processed
+// by worker t mod workers — and no listener's float operations depend on
+// its tile, so receptions are byte-identical from workers=1 to
+// MaxDeliverParallelism and for any listener list.
 // Pass two (threshold + observer) always runs sequentially in ascending
 // listener order, preserving the ReceptionObserver ordering contract.
 //

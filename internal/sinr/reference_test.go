@@ -3,6 +3,7 @@ package sinr
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"fadingcr/internal/geom"
@@ -206,6 +207,51 @@ func compareExact(t *testing.T, label string, recv []int, ref []refOutcome) int 
 	return exempt
 }
 
+// compareListed is compareExact over the listed listeners only; every
+// other entry of recv must still hold untouched.
+func compareListed(t *testing.T, label string, recv []int, ref []refOutcome, listeners []int, untouched int) int {
+	t.Helper()
+	listed := make([]bool, len(recv))
+	for _, v := range listeners {
+		listed[v] = true
+	}
+	exempt := 0
+	for v, o := range ref {
+		switch {
+		case !listed[v]:
+			if recv[v] != untouched {
+				t.Fatalf("%s: unlisted listener %d was overwritten with %d", label, v, recv[v])
+			}
+		case o.exempt:
+			exempt++
+		case recv[v] != o.from:
+			t.Fatalf("%s listener %d: engine decoded %d, Eq. (1) reference %d (reference SINR %v)",
+				label, v, recv[v], o.from, o.sinr)
+		}
+	}
+	return exempt
+}
+
+// randomListeners returns an ascending listener list over n nodes: kind 0
+// lists none, 1 a single random node, 2 every node, 3 and 4 each node with
+// probability 0.1 and 0.6.
+func randomListeners(rng *rand.Rand, n, kind int) []int {
+	switch kind {
+	case 0:
+		return []int{}
+	case 1:
+		return []int{rng.IntN(n)}
+	}
+	density := map[int]float64{2: 1, 3: 0.1, 4: 0.6}[kind]
+	var out []int
+	for v := 0; v < n; v++ {
+		if density == 1 || rng.Float64() < density {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // refFadeSeed seeds every faded channel of the differential tests.
 const refFadeSeed = 77
 
@@ -308,6 +354,59 @@ func TestDeliverMatchesReferenceFaded(t *testing.T) {
 	matchReference(t, false, fadedVariants)
 }
 
+// TestDeliverToMatchesReference: DeliverTo over ascending listener lists —
+// empty, a single node, every node, sparse and dense random ones — decodes
+// at every listed listener what the literal Eq. (1) reference decodes and
+// leaves every other entry of recv untouched, for uniform and per-node
+// powers and for per-listener fade substreams, sequential and tiled over 3
+// workers. The n > 2·deliverTile case spans several tiles of list
+// positions.
+func TestDeliverToMatchesReference(t *testing.T) {
+	const untouched = -7
+	listeners, exempt := 0, 0
+	rng := xrand.New(6)
+	sub := func(r uint64) refFades { return substreamFades(refFadeSeed, r) }
+	run := func(rc refCase, densities []float64, kinds []int) {
+		n := len(rc.pts)
+		var variants []refVariant
+		for _, w := range []int{1, 3} {
+			variants = append(variants, refVariant{fmt.Sprintf("workers=%d", w), rc.build(t, WithDeliverParallelism(w)), nil})
+			if !rc.hetero {
+				variants = append(variants, refVariant{fmt.Sprintf("faded workers=%d", w),
+					rc.buildFaded(t, refFadeSeed, WithDeliverParallelism(w)), sub})
+			}
+		}
+		recv := make([]int, n)
+		for round, density := range densities {
+			tx := randomTx(rng, n, density)
+			list := randomListeners(rng, n, kinds[round%len(kinds)])
+			unfaded := referenceDeliver(rc.p, rc.pts, rc.powers, tx, nil)
+			for _, vt := range variants {
+				ref := unfaded
+				if vt.fade != nil {
+					ref = referenceDeliver(rc.p, rc.pts, rc.powers, tx, vt.fade(uint64(round)))
+				}
+				for v := range recv {
+					recv[v] = untouched
+				}
+				vt.ch.DeliverTo(tx, list, recv)
+				listeners += len(list)
+				label := fmt.Sprintf("%s %s round %d (%d listeners)", rc.label, vt.name, round, len(list))
+				exempt += compareListed(t, label, recv, ref, list, untouched)
+			}
+		}
+	}
+	for i, n := range []int{2, 17, 90} {
+		for _, rc := range refCases(t, uint64(200+i), n) {
+			run(rc, []float64{0.05, 0.2, 0.5, 0.2, 0.2}, []int{0, 1, 2, 3, 4})
+		}
+	}
+	for _, rc := range newRefCases(t, 10, 2*deliverTile+400, 3, 1.5, 1) {
+		run(rc, []float64{0.01, 0.03}, []int{2, 4})
+	}
+	t.Logf("%d listed listener-rounds compared, %d exempt (within %g of β or tied)", listeners, exempt, refBand)
+}
+
 // TestFarFieldMatchesReferenceOneSided: the ε engine disagrees with the
 // literal reference only one-sidedly — it never loses or redirects a
 // reference reception — and only where the reference SINR of its decoded
@@ -337,30 +436,46 @@ func TestFarFieldMatchesReferenceOneSided(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			tx := randomTx(rng, n, 0.3)
 			ref := referenceDeliver(rc.p, rc.pts, rc.powers, tx, nil)
+			// Every listener through Deliver, then a random half through
+			// DeliverTo: the listed ones must stay one-sided too.
+			all := randomListeners(rng, n, 2)
+			half := all[:0:0]
+			for _, v := range all {
+				if rng.IntN(2) == 0 {
+					half = append(half, v)
+				}
+			}
 			for _, e := range engines {
-				name, eps := e.name, e.eps
-				e.ch.Deliver(tx, recv)
-				for v, o := range ref {
-					listeners++
-					if o.exempt {
-						exempt++
-						continue
+				for _, list := range [][]int{all, half} {
+					name, eps := fmt.Sprintf("%s (%d listeners)", e.name, len(list)), e.eps
+					if len(list) == n {
+						e.ch.Deliver(tx, recv)
+					} else {
+						e.ch.DeliverTo(tx, list, recv)
 					}
-					if recv[v] == o.from {
-						continue
-					}
-					disagreements++
-					if o.from != -1 {
-						t.Fatalf("%s %s listener %d: reference decodes %d, ε engine %d — not one-sided",
-							rc.label, name, v, o.from, recv[v])
-					}
-					u := recv[v]
-					s := refSignal(rc.p, rc.pts, rc.powers, u, v)
-					ratio := s / (rc.p.Noise + o.total - s)
-					floor := rc.p.Beta / (1 + rc.p.Beta*eps*(rc.p.Noise+o.total)/s)
-					if ratio < floor*(1-refBand) {
-						t.Fatalf("%s %s listener %d: decoded %d at reference SINR %v, below the ε window floor %v",
-							rc.label, name, v, u, ratio, floor)
+					for _, v := range list {
+						o := ref[v]
+						listeners++
+						if o.exempt {
+							exempt++
+							continue
+						}
+						if recv[v] == o.from {
+							continue
+						}
+						disagreements++
+						if o.from != -1 {
+							t.Fatalf("%s %s listener %d: reference decodes %d, ε engine %d — not one-sided",
+								rc.label, name, v, o.from, recv[v])
+						}
+						u := recv[v]
+						s := refSignal(rc.p, rc.pts, rc.powers, u, v)
+						ratio := s / (rc.p.Noise + o.total - s)
+						floor := rc.p.Beta / (1 + rc.p.Beta*eps*(rc.p.Noise+o.total)/s)
+						if ratio < floor*(1-refBand) {
+							t.Fatalf("%s %s listener %d: decoded %d at reference SINR %v, below the ε window floor %v",
+								rc.label, name, v, u, ratio, floor)
+						}
 					}
 				}
 			}

@@ -120,6 +120,7 @@ func (p Params) SingleHopFeasible(maxDist, margin float64) bool {
 // u with the achieved ratio sinr ≥ β and margin = sinr − β. Within a round,
 // observers are invoked in ascending listener order (the threshold pass is
 // always sequential), so the call sequence is deterministic in every mode.
+// DeliverTo commits receptions at its listed listeners only.
 //
 // The hook exists for tracing and never feeds back into delivery: observers
 // must not call back into the channel, and a nil observer (the default)
@@ -140,6 +141,7 @@ type Channel struct {
 	fade     *fadeSource // nil: the paper's deterministic channel
 	ff       *farField   // nil: exact delivery (the default)
 	par      int         // ≥ 2: intra-round parallel workers
+	all      []int       // 0, 1, …, n−1 (built on first use): every listener
 	scratch  deliverScratch
 	observer ReceptionObserver
 }
@@ -291,6 +293,35 @@ func (c *Channel) signal(u, v int) float64 {
 //
 //crlint:hotpath
 func (c *Channel) Deliver(tx []bool, recv []int) {
+	c.DeliverTo(tx, c.allListeners(), recv)
+}
+
+// allListeners returns the list 0, 1, …, n−1, building it on the first
+// call: a channel that only ever delivers to live listeners never needs
+// it.
+//
+//crlint:hotpath
+func (c *Channel) allListeners() []int {
+	if c.all == nil {
+		//crlint:allow hotalloc built once per channel, on its first full-listener round
+		c.all = make([]int, len(c.pts))
+		for v := range c.all {
+			c.all[v] = v
+		}
+	}
+	return c.all
+}
+
+// DeliverTo is Deliver restricted to listeners, an ascending list of
+// distinct node indices (it implements sim.ListenerChannel): recv[v] is
+// computed for every listed v, bit for bit as Deliver computes it, and
+// every other entry of recv is left untouched. The one exception is a
+// faded channel on the single fade stream (NewRayleigh without options),
+// which draws the round's fades listener by listener: it evaluates every
+// listener, as Deliver does, so the stream cannot shift.
+//
+//crlint:hotpath
+func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 	if len(tx) != len(c.pts) || len(recv) != len(c.pts) {
 		panic(fmt.Sprintf("sinr: Deliver slice lengths tx=%d recv=%d, want %d", len(tx), len(recv), len(c.pts)))
 	}
@@ -305,11 +336,13 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 		c.fade.round++
 		if !c.fade.perListener {
 			c.fade.rngs[0].Reseed(roundSeed)
+			listeners = c.allListeners()
 		}
 	}
+	mListeners.Add(int64(len(listeners)))
 	txList := c.scratch.indices(tx)
 	if len(txList) == 0 {
-		for v := range recv {
+		for _, v := range listeners {
 			recv[v] = -1
 		}
 		return
@@ -320,14 +353,11 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList), seed: roundSeed}
 	if c.par > 1 {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
-		c.deliverParallel(r)
+		c.deliverParallel(listeners, r)
 	} else {
-		n := len(c.pts)
-		for lo := 0; lo < n; lo += deliverTile {
-			c.accumulateTile(0, lo, min(lo+deliverTile, n), r)
-		}
+		c.accumulateTile(0, listeners, r)
 	}
-	finalizeReceptions(c.params, &c.scratch, c.observer, tx, recv)
+	finalizeReceptions(c.params, &c.scratch, c.observer, tx, listeners, recv)
 }
 
 // deliverRound is one round's read-only input to the tile kernel.
@@ -358,15 +388,16 @@ func (c *Channel) gather(buf []txNode, idx []int) []txNode {
 	return buf
 }
 
-// deliverParallel fans pass one out over runTiles. It is deliberately not
+// deliverParallel fans pass one out over runTiles, whose tiles partition
+// the positions of the listener list. It is deliberately not
 // hotpath-annotated: the kernel closure and goroutines allocate O(workers)
 // per round, the documented cost of the parallel option.
-func (c *Channel) deliverParallel(r deliverRound) {
+func (c *Channel) deliverParallel(listeners []int, r deliverRound) {
 	mDeliveriesParallel.Inc()
-	runTiles(len(c.pts), c.par, func(w, lo, hi int) { c.accumulateTile(w, lo, hi, r) })
+	runTiles(len(listeners), c.par, func(w, lo, hi int) { c.accumulateTile(w, listeners[lo:hi], r) })
 }
 
-// accumulateTile is pass one of Deliver over listeners [lo, hi), the one
+// accumulateTile is pass one of Deliver over the listeners in vs, the one
 // kernel of every mode: per non-transmitting listener, sum the signals of
 // its transmitter set — all transmitters, or the ε engine's near set — in
 // ascending transmitter index, tracking the first strict maximum, and park
@@ -378,7 +409,7 @@ func (c *Channel) deliverParallel(r deliverRound) {
 // tiles never share a buffer.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(worker, lo, hi int, r deliverRound) {
+func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) {
 	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	alpha := c.params.Alpha
 	var rng *rand.Rand
@@ -386,7 +417,7 @@ func (c *Channel) accumulateTile(worker, lo, hi int, r deliverRound) {
 		rng = c.fade.rngs[worker].Rand
 	}
 	pruned := int64(0)
-	for v := lo; v < hi; v++ {
+	for _, v := range vs {
 		totals[v], best[v], bestU[v] = 0, -1, -1
 		if r.tx[v] {
 			continue
@@ -429,9 +460,9 @@ func (c *Channel) accumulateTile(worker, lo, hi int, r deliverRound) {
 // byte-identical parallel delivery both depend on that.
 //
 //crlint:hotpath
-func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver, tx []bool, recv []int) {
+func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver, tx []bool, listeners, recv []int) {
 	totals, best, bestU := s.totals, s.best, s.bestU
-	for v := range recv {
+	for _, v := range listeners {
 		recv[v] = -1
 		if tx[v] || bestU[v] < 0 {
 			continue

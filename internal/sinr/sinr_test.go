@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -461,16 +462,49 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	listeners := []int{0, 3, 4, 40, n - 1}
 	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/substream": substream} {
 		c.Deliver(tx, recv) // warm the scratch buffers
 		if allocs := testing.AllocsPerRun(50, func() { c.Deliver(tx, recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state Deliver allocates %.1f times per call, want 0", name, allocs)
 		}
+		if allocs := testing.AllocsPerRun(50, func() { c.DeliverTo(tx, listeners, recv) }); allocs != 0 {
+			t.Errorf("%s: steady-state DeliverTo allocates %.1f times per call, want 0", name, allocs)
+		}
 	}
 }
 
-// TestDeliveryCounters: every Deliver moves the sinr.deliveries metric, and
-// the ε engine's calls are attributed to sinr.deliveries_farfield.
+// TestSingleStreamFadeIgnoresListenerSubset: the single fade stream draws
+// the round's fades listener by listener, so a faded channel without
+// options evaluates every listener even when DeliverTo lists a few — round
+// after round its receptions, and so its fade stream, stay those of
+// Deliver.
+func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
+	const n = 120
+	d, p, _ := randomGeometry(t, 13, n, 0)
+	full, err := NewRayleigh(p, d.Points, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset, err := NewRayleigh(p, d.Points, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(14)
+	want, got := make([]int, n), make([]int, n)
+	for round := 0; round < 8; round++ {
+		tx := randomTx(rng, n, 0.15)
+		full.Deliver(tx, want)
+		subset.DeliverTo(tx, randomListeners(rng, n, round%5), got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: DeliverTo receptions %v, Deliver %v", round, got, want)
+		}
+	}
+}
+
+// TestDeliveryCounters: every Deliver moves the sinr.deliveries metric, the
+// ε engine's calls are attributed to sinr.deliveries_farfield, and
+// sinr.listeners sums the listeners each call evaluated.
 func TestDeliveryCounters(t *testing.T) {
 	d, p, tx := randomGeometry(t, 41, 24, 0.3)
 	recv := make([]int, 24)
@@ -482,14 +516,23 @@ func TestDeliveryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total0, far0 := mDeliveries.Load(), mDeliveriesFarField.Load()
+	faded, err := NewRayleigh(p, d.Points, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total0, far0, listeners0 := mDeliveries.Load(), mDeliveriesFarField.Load(), mListeners.Load()
 	exact.Deliver(tx, recv)
 	exact.Deliver(tx, recv)
 	approx.Deliver(tx, recv)
-	if got := mDeliveries.Load() - total0; got != 3 {
-		t.Errorf("sinr.deliveries delta = %d, want 3", got)
+	exact.DeliverTo(tx, []int{1, 5, 9}, recv)
+	faded.DeliverTo(tx, []int{2}, recv) // the single fade stream evaluates all 24
+	if got := mDeliveries.Load() - total0; got != 5 {
+		t.Errorf("sinr.deliveries delta = %d, want 5", got)
 	}
 	if got := mDeliveriesFarField.Load() - far0; got != 1 {
 		t.Errorf("sinr.deliveries_farfield delta = %d, want 1", got)
+	}
+	if got := mListeners.Load() - listeners0; got != 4*24+3 {
+		t.Errorf("sinr.listeners delta = %d, want %d", got, 4*24+3)
 	}
 }
