@@ -104,9 +104,12 @@ func BenchmarkE17Mechanism(b *testing.B) { benchExperiment(b, "E17") }
 func BenchmarkE18Capacity(b *testing.B) { benchExperiment(b, "E18") }
 
 // BenchmarkSolve measures one full contention resolution on the fading
-// channel at several n — the end-to-end hot path.
+// channel at several n — the end-to-end hot path, with the active set
+// decaying round by round as the algorithm knocks nodes out. n = 16384 is
+// the size of perfbench's solve-large trials, where certified delivery
+// decides most listeners without the full Eq. (1) sum.
 func BenchmarkSolve(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
+	for _, n := range []int{64, 256, 1024, 16384} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			d, err := fadingcr.UniformDisk(1, n)
 			if err != nil {
@@ -238,17 +241,18 @@ func benchGridPoints(n int) []geom.Point {
 }
 
 // BenchmarkSINRDeliverScale measures one Deliver round at simulation-farm
-// scale, isolating the ε far-field and parallel engines of DESIGN.md §8:
-// the exact/eps ratio is pure pruning and eps/eps-parallel pure intra-round
-// parallelism. α=4 (the regime the pruning
-// radius (~1/ε)^{1/α} is designed for), dense transmit set (n/5, the
-// early-round default p = 0.2), ε=1e-2 — the pruning radius scales like
-// (1/ε)^{1/α}, and the cross-check test bounds the resulting one-sided
-// disagreement rate. Sizes above 16384 need FADINGCR_BENCH_LARGE=1: one
-// exact n=100 000 round alone costs seconds, so CI runs the large sizes at
-// -benchtime=1x only. Workers are floored at 2 so the parallel engine is
-// exercised even on single-core boxes (where it honestly reports its
-// coordination overhead rather than silently degenerating to sequential).
+// scale for the engines of DESIGN.md §8: 'exact' is the default engine,
+// which certifies most listeners from a few grid rings and sums Eq. (1) in
+// full only where its bounds cannot decide; 'eps' is the ε far-field
+// engine and eps/eps-parallel isolates intra-round parallelism. The round
+// is a fixed 20% transmit set (every fifth node of a unit lattice, the
+// early-round default p = 0.2) at α=4 (the regime the pruning radius
+// (~1/ε)^{1/α} is designed for), ε=1e-2; the cross-check test bounds the
+// resulting one-sided disagreement rate. Sizes above 16384 need
+// FADINGCR_BENCH_LARGE=1, so CI runs the large sizes at -benchtime=1x only.
+// Workers are floored at 2 so the parallel engine is exercised even on
+// single-core boxes (where it honestly reports its coordination overhead
+// rather than silently degenerating to sequential).
 func BenchmarkSINRDeliverScale(b *testing.B) {
 	const eps = 1e-2
 	workers := min(max(2, runtime.GOMAXPROCS(0)), sinr.MaxDeliverParallelism)

@@ -5,58 +5,40 @@ import (
 	"math"
 )
 
-// Index is a uniform-grid spatial index over a fixed point set. It
-// accelerates nearest-active-neighbour queries from O(k) to (near) O(1) for
-// bounded-density deployments, which makes per-round link class tracking
-// affordable on large networks.
-//
-// The index is immutable over positions; the active set is passed per query
-// so one index serves a whole execution.
-type Index struct {
-	pts        []Point
+// Grid is a uniform grid over a fixed point set: the origin at the point
+// set's lower-left bounding-box corner, a cell size, and enough columns and
+// rows to cover the points. It maps points to cells without holding any
+// per-cell storage; Index adds the buckets.
+type Grid struct {
 	cell       float64
 	minX, minY float64
 	cols, rows int
-	// buckets[row*cols+col] lists the indices of the points in that cell.
-	buckets [][]int
 }
 
-// NewIndex builds an index with the given cell size (> 0). Deployments are
-// normalised to shortest link 1, so a cell size around 2 keeps buckets small
-// on constant-density deployments.
-func NewIndex(pts []Point, cell float64) (*Index, error) {
+// NewGrid builds the grid over pts with the given cell size (> 0).
+func NewGrid(pts []Point, cell float64) (*Grid, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("geom: index needs at least one point")
 	}
 	if !(cell > 0) || math.IsInf(cell, 1) {
 		return nil, errors.New("geom: cell size must be positive and finite")
 	}
-	ix := &Index{pts: pts, cell: cell, minX: math.Inf(1), minY: math.Inf(1)}
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range pts {
-		ix.minX = math.Min(ix.minX, p.X)
-		ix.minY = math.Min(ix.minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
-	}
-	ix.cols = int((maxX-ix.minX)/cell) + 1
-	ix.rows = int((maxY-ix.minY)/cell) + 1
-	ix.buckets = make([][]int, ix.cols*ix.rows)
-	for i, p := range pts {
-		c := ix.cellOf(p)
-		ix.buckets[c] = append(ix.buckets[c], i)
-	}
-	return ix, nil
+	g := &Grid{cell: cell}
+	minX, minY, maxX, maxY := bounds(pts)
+	g.minX, g.minY = minX, minY
+	g.cols = int((maxX-minX)/cell) + 1
+	g.rows = int((maxY-minY)/cell) + 1
+	return g, nil
 }
 
-// NewIndexCapped builds an index whose grid never exceeds maxCells cells,
-// doubling the cell size from the given starting value until the grid fits.
+// NewGridCapped builds a grid that never exceeds maxCells cells, doubling
+// the cell size from the given starting value until the grid fits.
 // Sparse-but-spread deployments (e.g. exponential chains, whose extent grows
-// geometrically in n) would otherwise demand a bucket array proportional to
-// their area rather than their population. The resulting cell size is a pure
+// geometrically in n) would otherwise demand a grid proportional to their
+// area rather than their population. The resulting cell size is a pure
 // function of (pts, cell, maxCells), so callers building deterministic
-// engines on top of the index keep their determinism. maxCells must be ≥ 1.
-func NewIndexCapped(pts []Point, cell float64, maxCells int) (*Index, error) {
+// engines on top of the grid keep their determinism. maxCells must be ≥ 1.
+func NewGridCapped(pts []Point, cell float64, maxCells int) (*Grid, error) {
 	if maxCells < 1 {
 		return nil, errors.New("geom: maxCells must be ≥ 1")
 	}
@@ -66,19 +48,12 @@ func NewIndexCapped(pts []Point, cell float64, maxCells int) (*Index, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("geom: index needs at least one point")
 	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range pts {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
-	}
+	minX, minY, maxX, maxY := bounds(pts)
 	for {
 		cols := int((maxX-minX)/cell) + 1
 		rows := int((maxY-minY)/cell) + 1
 		if cols > 0 && rows > 0 && cols <= maxCells && rows <= maxCells/cols {
-			return NewIndex(pts, cell)
+			return NewGrid(pts, cell)
 		}
 		cell *= 2
 		if math.IsInf(cell, 1) {
@@ -87,30 +62,86 @@ func NewIndexCapped(pts []Point, cell float64, maxCells int) (*Index, error) {
 	}
 }
 
-// Grid returns the index's grid shape: column count, row count, and cell
-// size. Cells are addressed as (col, row) with col in [0, cols) and row in
-// [0, rows).
-func (ix *Index) Grid() (cols, rows int, cell float64) {
-	return ix.cols, ix.rows, ix.cell
+// bounds returns the bounding box of pts.
+func bounds(pts []Point) (minX, minY, maxX, maxY float64) {
+	minX, minY = math.Inf(1), math.Inf(1)
+	maxX, maxY = math.Inf(-1), math.Inf(-1)
+	for _, p := range pts {
+		minX = math.Min(minX, p.X)
+		minY = math.Min(minY, p.Y)
+		maxX = math.Max(maxX, p.X)
+		maxY = math.Max(maxY, p.Y)
+	}
+	return minX, minY, maxX, maxY
+}
+
+// Shape returns the grid's column count, row count, and cell size. Cells
+// are addressed as (col, row) with col in [0, cols) and row in [0, rows).
+func (g *Grid) Shape() (cols, rows int, cell float64) {
+	return g.cols, g.rows, g.cell
 }
 
 // CellAt returns the (col, row) coordinates of the grid cell containing p,
 // clamped to the grid like every internal lookup (points on the max edge
 // land in the last cell).
-func (ix *Index) CellAt(p Point) (col, row int) {
-	col = int((p.X - ix.minX) / ix.cell)
-	row = int((p.Y - ix.minY) / ix.cell)
+func (g *Grid) CellAt(p Point) (col, row int) {
+	col = int((p.X - g.minX) / g.cell)
+	row = int((p.Y - g.minY) / g.cell)
 	if col < 0 {
 		col = 0
-	} else if col >= ix.cols {
-		col = ix.cols - 1
+	} else if col >= g.cols {
+		col = g.cols - 1
 	}
 	if row < 0 {
 		row = 0
-	} else if row >= ix.rows {
-		row = ix.rows - 1
+	} else if row >= g.rows {
+		row = g.rows - 1
 	}
 	return col, row
+}
+
+// Index is a uniform-grid spatial index over a fixed point set. It
+// accelerates nearest-active-neighbour queries from O(k) to (near) O(1) for
+// bounded-density deployments, which makes per-round link class tracking
+// affordable on large networks.
+//
+// The index is immutable over positions; the active set is passed per query
+// so one index serves a whole execution.
+type Index struct {
+	Grid
+	pts []Point
+	// buckets[row*cols+col] lists the indices of the points in that cell.
+	buckets [][]int
+}
+
+// NewIndex builds an index with the given cell size (> 0). Deployments are
+// normalised to shortest link 1, so a cell size around 2 keeps buckets small
+// on constant-density deployments.
+func NewIndex(pts []Point, cell float64) (*Index, error) {
+	g, err := NewGrid(pts, cell)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(pts, g), nil
+}
+
+// NewIndexCapped builds an index over NewGridCapped's grid.
+func NewIndexCapped(pts []Point, cell float64, maxCells int) (*Index, error) {
+	g, err := NewGridCapped(pts, cell, maxCells)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(pts, g), nil
+}
+
+// newIndex buckets pts into the grid g.
+func newIndex(pts []Point, g *Grid) *Index {
+	ix := &Index{Grid: *g, pts: pts, buckets: make([][]int, g.cols*g.rows)}
+	for i, p := range pts {
+		c := ix.cellOf(p)
+		ix.buckets[c] = append(ix.buckets[c], i)
+	}
+	return ix
 }
 
 // CellPoints returns the indices of the points in cell (col, row), in
@@ -146,16 +177,16 @@ func (ix *Index) CellMaxDist2(col, row int, p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-func (ix *Index) cellOf(p Point) int {
-	col := int((p.X - ix.minX) / ix.cell)
-	row := int((p.Y - ix.minY) / ix.cell)
-	if col >= ix.cols {
-		col = ix.cols - 1
+func (g *Grid) cellOf(p Point) int {
+	col := int((p.X - g.minX) / g.cell)
+	row := int((p.Y - g.minY) / g.cell)
+	if col >= g.cols {
+		col = g.cols - 1
 	}
-	if row >= ix.rows {
-		row = ix.rows - 1
+	if row >= g.rows {
+		row = g.rows - 1
 	}
-	return row*ix.cols + col
+	return row*g.cols + col
 }
 
 // Nearest returns the index of the nearest active point to pts[u]

@@ -177,9 +177,9 @@ func TestIndexDegenerateOneCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, cell := ix.Grid()
+	cols, rows, cell := ix.Shape()
 	if cols != 1 || rows != 1 || cell != 100 {
-		t.Fatalf("Grid() = (%d, %d, %v), want (1, 1, 100)", cols, rows, cell)
+		t.Fatalf("Shape() = (%d, %d, %v), want (1, 1, 100)", cols, rows, cell)
 	}
 	got := ix.CellPoints(0, 0)
 	if len(got) != len(pts) {
@@ -234,7 +234,7 @@ func TestIndexDegenerateCollinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rows, _ := ix.Grid(); rows != 1 {
+	if _, rows, _ := ix.Shape(); rows != 1 {
 		t.Fatalf("collinear grid rows = %d, want 1", rows)
 	}
 	active := allActive(len(pts))
@@ -274,7 +274,7 @@ func TestNewIndexCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, cell := ix.Grid()
+	cols, rows, cell := ix.Shape()
 	if cols*rows > 4096 {
 		t.Fatalf("capped grid has %d×%d = %d cells, want ≤ 4096", cols, rows, cols*rows)
 	}
@@ -296,8 +296,8 @@ func TestNewIndexCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, cr, ccell := capped.Grid()
-	pc, pr, pcell := plain.Grid()
+	cc, cr, ccell := capped.Shape()
+	pc, pr, pcell := plain.Shape()
 	if cc != pc || cr != pr || ccell != pcell {
 		t.Errorf("capped grid (%d, %d, %v) != plain grid (%d, %d, %v)", cc, cr, ccell, pc, pr, pcell)
 	}
@@ -309,7 +309,7 @@ func TestIndexCellMaxDist2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, _ := ix.Grid()
+	cols, rows, _ := ix.Shape()
 	// Every point in every cell must be within the bound from every probe.
 	probes := []Point{{X: 0, Y: 0}, {X: 3.5, Y: 3.5}, {X: 7, Y: 7}, {X: -1, Y: 9}}
 	extra := []Point{{X: 1.9, Y: 0.1}, {X: 4.2, Y: 6.6}, {X: 6.99, Y: 0}}
@@ -318,7 +318,7 @@ func TestIndexCellMaxDist2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols2, rows2, _ := ix2.Grid()
+	cols2, rows2, _ := ix2.Shape()
 	if cols2 != cols || rows2 != rows {
 		t.Fatalf("grid changed: (%d, %d) vs (%d, %d)", cols2, rows2, cols, rows)
 	}
@@ -350,7 +350,7 @@ func BenchmarkIndexCellIteration(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cols, rows, _ := ix.Grid()
+			cols, rows, _ := ix.Shape()
 			b.ReportAllocs()
 			b.ResetTimer()
 			sink := 0
@@ -387,5 +387,35 @@ func TestComputeLinkClassesIndexedSingleActive(t *testing.T) {
 	lc := ComputeLinkClassesIndexed(pts, []bool{true, false}, ix)
 	if lc.Class[0] != -1 || len(lc.Sizes) != 0 {
 		t.Errorf("sole active: class=%d sizes=%v", lc.Class[0], lc.Sizes)
+	}
+}
+
+// TestGridMatchesIndex: a bare Grid has the shape and cell map of the Index
+// built over the same points, capped or not.
+func TestGridMatchesIndex(t *testing.T) {
+	pts := []Point{{X: 0, Y: 0}, {X: 1 << 21, Y: 3}, {X: 3, Y: 0}, {X: 17.5, Y: -4}}
+	for _, maxCells := range []int{4, 4096, 1 << 30} {
+		g, err := NewGridCapped(pts, 2, maxCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndexCapped(pts, 2, maxCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, gr, gcell := g.Shape()
+		ic, ir, icell := ix.Shape()
+		if gc != ic || gr != ir || gcell != icell {
+			t.Fatalf("maxCells %d: grid shape (%d, %d, %v), index (%d, %d, %v)", maxCells, gc, gr, gcell, ic, ir, icell)
+		}
+		for _, p := range pts {
+			c, r := g.CellAt(p)
+			if len(ix.CellPoints(c, r)) == 0 {
+				t.Errorf("maxCells %d: point %v maps to cell (%d, %d), which the index leaves empty", maxCells, p, c, r)
+			}
+		}
+	}
+	if _, err := NewGrid(nil, 2); err == nil {
+		t.Error("empty point set accepted")
 	}
 }

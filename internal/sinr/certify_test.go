@@ -1,0 +1,525 @@
+package sinr
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"fadingcr/internal/geom"
+	"fadingcr/internal/xrand"
+)
+
+// fullSum is a no-op reception observer. Installing it keeps every listener
+// on the full ascending sum, by SetObserver's contract, so a channel with
+// it is the certificate's yardstick without a knob.
+type fullSum struct{}
+
+func (fullSum) OnReception(int, int, float64, float64) {}
+
+// certDeployment is one deployment shape of the certificate tests.
+type certDeployment struct {
+	name string
+	d    *geom.Deployment
+}
+
+// certDeployments returns n-node deployments of the shapes the certificate
+// must handle: a uniform disk; a lattice, where many distances are equal
+// and signals tie exactly; clusters, dense pockets far apart; and an
+// exponential chain, one grid row of pairs at separations 1, 2, 4, ….
+func certDeployments(t *testing.T, seed uint64, n int) []certDeployment {
+	t.Helper()
+	disk, err := geom.UniformDisk(seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice, err := geom.PerturbedGrid(seed, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, err := geom.Clusters(seed, n, 5, 3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := geom.ExponentialChain(seed, 5, n/10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []certDeployment{{"disk", disk}, {"lattice", lattice}, {"clusters", clusters}, {"chain", chain}}
+}
+
+// certCases sweeps the certificate's parameter grid over a deployment:
+// α ∈ {2, 2.5, 3, 4, 6}, β ∈ {0.5, 1, 1.5, 4}, N ∈ {0, 1, 10⁶}, with the
+// power that makes N = 1 single-hop feasible (so N = 0 is interference
+// only and N = 10⁶ noise-bound), each with uniform powers and with per-node
+// powers spread log-uniformly over [P/10, 10·P].
+func certCases(cd certDeployment, seed uint64) []refCase {
+	var out []refCase
+	rng := xrand.New(seed)
+	n := cd.d.N()
+	for _, alpha := range []float64{2, 2.5, 3, 4, 6} {
+		for _, beta := range []float64{0.5, 1, 1.5, 4} {
+			for _, noise := range []float64{0, 1, 1e6} {
+				p := Params{Alpha: alpha, Beta: beta, Noise: noise}
+				p.Power = MinSingleHopPower(alpha, beta, 1, cd.d.R, DefaultSingleHopMargin)
+				hetero := make([]float64, n)
+				for i := range hetero {
+					hetero[i] = p.Power * math.Pow(10, 2*rng.Float64()-1)
+				}
+				label := fmt.Sprintf("%s n=%d α=%v β=%v N=%v", cd.name, n, alpha, beta, noise)
+				out = append(out,
+					refCase{label + " uniform", p, cd.d.Points, UniformPowers(n, p.Power), false},
+					refCase{label + " per-node", p, cd.d.Points, hetero, true})
+			}
+		}
+	}
+	return out
+}
+
+// countTx returns the number of transmitters in tx.
+func countTx(tx []bool) int {
+	m := 0
+	for _, t := range tx {
+		if t {
+			m++
+		}
+	}
+	return m
+}
+
+// denseTx returns a transmit mask with more than farFieldSmallTx
+// transmitters — a round the certificate runs in — at the given density.
+func denseTx(t *testing.T, rng *rand.Rand, n int, density float64) []bool {
+	t.Helper()
+	for try := 0; try < 100; try++ {
+		if tx := randomTx(rng, n, density); countTx(tx) > farFieldSmallTx {
+			return tx
+		}
+	}
+	t.Fatalf("no transmit mask with more than %d of %d nodes at density %v", farFieldSmallTx, n, density)
+	return nil
+}
+
+// TestCertifiedMatchesFullSum: in rounds with more than farFieldSmallTx
+// transmitters, the certified engine — sequential and over 3 workers,
+// through Deliver and through DeliverTo over ascending subsets — decodes at
+// every listener exactly what the full ascending sum decodes (a channel with
+// a no-op observer), bit for bit with no exemption, across lattice ties,
+// clusters, exponential chains, the α/β/N grid and per-node powers. Every
+// deployment shape must actually be certified, or the comparison proves
+// nothing.
+func TestCertifiedMatchesFullSum(t *testing.T) {
+	const n = 400
+	const untouched = -7
+	rng := xrand.New(12)
+	for i, cd := range certDeployments(t, 30, n) {
+		compared, certified0 := 0, mCertifiedListeners.Load()
+		for _, rc := range certCases(cd, uint64(40+i)) {
+			full := rc.build(t)
+			full.SetObserver(fullSum{})
+			certs := []*Channel{rc.build(t), rc.build(t, WithDeliverParallelism(3))}
+			want, got := make([]int, n), make([]int, n)
+			for round, density := range []float64{0.2, 0.5} {
+				tx := denseTx(t, rng, n, density)
+				full.Deliver(tx, want)
+				for w, c := range certs {
+					c.Deliver(tx, got)
+					for v := range got {
+						if got[v] != want[v] {
+							t.Fatalf("%s round %d engine %d listener %d: certified %d, full sum %d",
+								rc.label, round, w, v, got[v], want[v])
+						}
+					}
+					compared += n
+				}
+				list := randomListeners(rng, n, 4)
+				full.DeliverTo(tx, list, want)
+				for w, c := range certs {
+					for v := range got {
+						got[v] = untouched
+					}
+					c.DeliverTo(tx, list, got)
+					listed := 0
+					for v := range got {
+						switch {
+						case listed < len(list) && list[listed] == v:
+							listed++
+							if got[v] != want[v] {
+								t.Fatalf("%s round %d engine %d DeliverTo listener %d: certified %d, full sum %d",
+									rc.label, round, w, v, got[v], want[v])
+							}
+						case got[v] != untouched:
+							t.Fatalf("%s round %d engine %d: unlisted listener %d overwritten with %d",
+								rc.label, round, w, v, got[v])
+						}
+					}
+					compared += len(list)
+				}
+			}
+		}
+		certified := mCertifiedListeners.Load() - certified0
+		if certified == 0 {
+			t.Errorf("%s: the certificate decided no listener; the cases do not exercise it", cd.name)
+		}
+		t.Logf("%s: %d listener decisions compared, %d certified", cd.name, compared, certified)
+	}
+}
+
+// TestCertificateAtThreshold puts listeners exactly on the SINR threshold:
+// β is set to the full sum's own ratio at a listener, or to a float
+// neighbour of it, so the reception turns on the last bit of the kernel's
+// arithmetic. The ring walk sums in another order and tests β·(…) against b
+// rather than dividing; only the margin η keeps its verdicts on the full
+// sum's side of the threshold. 400 transmitters fill a 3×3-cell square and
+// the listeners sit in its centre cell, so each walk sees every transmitter
+// within its budget and would otherwise decide.
+func TestCertificateAtThreshold(t *testing.T) {
+	const m, listeners = 400, 40
+	const n = m + listeners
+	rng := xrand.New(14)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		if i < m {
+			pts[i] = geom.Point{X: 6 * rng.Float64(), Y: 6 * rng.Float64()}
+		} else {
+			pts[i] = geom.Point{X: 2.1 + 1.8*rng.Float64(), Y: 2.1 + 1.8*rng.Float64()}
+		}
+	}
+	tx := make([]bool, n)
+	for u := 0; u < m; u++ {
+		tx[u] = true
+	}
+	certified0, decisions := mCertifiedListeners.Load(), 0
+	for _, alpha := range []float64{2, 3, 4} {
+		for _, noise := range []float64{0, 1} {
+			p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
+			probe, err := New(p, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := m; v < n; v++ {
+				// The kernel's own ratio at v: the ascending sum, the
+				// strongest signal, and finalizeReceptions' expression.
+				total, best := 0.0, -1.0
+				for u := 0; u < m; u++ {
+					s := probe.signal(u, v)
+					total += s
+					best = math.Max(best, s)
+				}
+				ratio := p.SINR(best, total-best)
+				for _, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
+					q := p
+					q.Beta = beta
+					cert, err := New(q, pts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, err := New(q, pts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full.SetObserver(fullSum{})
+					got, want := make([]int, n), make([]int, n)
+					cert.Deliver(tx, got)
+					full.Deliver(tx, want)
+					for w := m; w < n; w++ {
+						if got[w] != want[w] {
+							t.Fatalf("α=%v N=%v β=%v (listener %d's ratio or a neighbour) listener %d: certified %d, full sum %d",
+								alpha, noise, beta, v, w, got[w], want[w])
+						}
+					}
+					decisions += listeners
+				}
+			}
+		}
+	}
+	certified := mCertifiedListeners.Load() - certified0
+	if certified == 0 {
+		t.Error("the certificate decided no listener; the threshold cases do not exercise it")
+	}
+	t.Logf("%d listener decisions compared, %d certified", decisions, certified)
+}
+
+// TestCertifiedDeliverZeroAllocs: a certified round allocates nothing once
+// the channel has built its grid, sequential Deliver and DeliverTo alike.
+func TestCertifiedDeliverZeroAllocs(t *testing.T) {
+	const n = 600
+	d, err := geom.UniformDisk(8, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
+	c, err := New(p, d.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := denseTx(t, xrand.New(3), n, 0.25)
+	recv := make([]int, n)
+	listeners := randomListeners(xrand.New(4), n, 4)
+	certified0 := mCertifiedListeners.Load()
+	c.Deliver(tx, recv) // builds the grid
+	if mCertifiedListeners.Load() == certified0 {
+		t.Fatal("the warm-up round certified no listener")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.Deliver(tx, recv) }); allocs != 0 {
+		t.Errorf("certified Deliver allocates %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.DeliverTo(tx, listeners, recv) }); allocs != 0 {
+		t.Errorf("certified DeliverTo allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestCertificateScope: the certificate never runs where it must not — on a
+// faded channel, in the ε engine, with an observer installed, in a round
+// with at most farFieldSmallTx transmitters, or outside the ranges where
+// its rounding argument holds (β below 1/certRange, a grid extent whose
+// square overflows certRange, a non-finite position) — and runs otherwise.
+// Where it does not run, the full sum's receptions stand.
+func TestCertificateScope(t *testing.T) {
+	const n = 600
+	d, err := geom.UniformDisk(9, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
+	build := func(faded bool, opts ...Option) *Channel {
+		t.Helper()
+		var c *Channel
+		var err error
+		if faded {
+			c, err = NewRayleigh(p, d.Points, 1, opts...)
+		} else {
+			c, err = New(p, d.Points, opts...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	observed := build(false)
+	observed.SetObserver(fullSum{})
+	rng := xrand.New(5)
+	dense := denseTx(t, rng, n, 0.25)
+	sparse := make([]bool, n)
+	for v := 0; v < farFieldSmallTx; v++ {
+		sparse[v*7] = true
+	}
+	// Channels outside the certificate's ranges, each with a full-sum twin.
+	tinyBeta := p
+	tinyBeta.Beta = 1e-300
+	far := make([]geom.Point, n)
+	for i, q := range d.Points {
+		far[i] = q.Scale(0x1p460)
+	}
+	farP := Params{Alpha: 2, Beta: p.Beta, Noise: p.Noise}
+	farP.Power = MinSingleHopPower(farP.Alpha, farP.Beta, farP.Noise, d.R*0x1p460, DefaultSingleHopMargin)
+	nan := append([]geom.Point(nil), d.Points...)
+	nan[n-1] = geom.Point{X: math.NaN(), Y: 0}
+	outside := map[string]func() (*Channel, error){
+		"β below 1/certRange":     func() (*Channel, error) { return New(tinyBeta, d.Points) },
+		"extent beyond certRange": func() (*Channel, error) { return New(farP, far) },
+		"non-finite position":     func() (*Channel, error) { return New(p, nan) },
+	}
+	recv, want := make([]int, n), make([]int, n)
+	type scopeCase struct {
+		name string
+		c    *Channel
+		tx   []bool
+		want bool
+	}
+	cases := []scopeCase{
+		{"exact", build(false), dense, true},
+		{"exact, 3 workers", build(false, WithDeliverParallelism(3)), dense, true},
+		{"exact, sparse round", build(false), sparse, false},
+		{"observed", observed, dense, false},
+		{"faded", build(true), dense, false},
+		{"faded substreams", build(true, WithDeliverParallelism(1)), dense, false},
+		{"ε engine", build(false, WithFarFieldEps(0.01)), dense, false},
+	}
+	for name, mk := range outside {
+		c, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, scopeCase{name, c, dense, false})
+	}
+	for _, tc := range cases {
+		before := mCertifiedListeners.Load()
+		tc.c.Deliver(tc.tx, recv)
+		if got := mCertifiedListeners.Load() > before; got != tc.want {
+			t.Errorf("%s: certified listeners: %v, want %v", tc.name, got, tc.want)
+		}
+		if mk, ok := outside[tc.name]; ok {
+			full, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			full.SetObserver(fullSum{})
+			full.Deliver(tc.tx, want)
+			for v := range recv {
+				if recv[v] != want[v] {
+					t.Fatalf("%s listener %d: decoded %d, full sum %d", tc.name, v, recv[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// TestCertificateFallsBackOnCoincidentPoints: a listener that coincides
+// with a transmitter sees an infinite signal; the certificate leaves it —
+// and any listener whose walk meets an infinite signal — to the full sum,
+// whose verdict (no reception, as the ratio is NaN) stands.
+func TestCertificateFallsBackOnCoincidentPoints(t *testing.T) {
+	const side = 20
+	pts := gridPoints(side)
+	pts = append(pts, pts[:side]...) // the first row twice over
+	n := len(pts)
+	p := gridParams(3, 1.5, 1, side)
+	cert, err := New(p, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New(p, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.SetObserver(fullSum{})
+	rng := xrand.New(6)
+	got, want := make([]int, n), make([]int, n)
+	for round := 0; round < 4; round++ {
+		tx := denseTx(t, rng, n, 0.3)
+		cert.Deliver(tx, got)
+		full.Deliver(tx, want)
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("round %d listener %d: certified %d, full sum %d", round, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// FuzzCertifiedDelivery: on fuzzer-built point sets — coordinates read from
+// the input on a 1/256 grid (so coincident and collinear points come
+// easily), or a uniform square, a lattice, a line, or clusters with
+// duplicated points — with fuzzed transmit densities and α, β, N and power
+// assignments, the certified engine decodes at every listener what the
+// full sum decodes, through Deliver and through DeliverTo, sequential and
+// over 3 workers.
+func FuzzCertifiedDelivery(f *testing.F) {
+	f.Add(uint64(1), uint16(300), uint8(0), uint8(2), uint8(2), uint8(1), uint8(100), []byte{})
+	f.Add(uint64(2), uint16(500), uint8(1), uint8(0), uint8(0), uint8(0), uint8(200), []byte{})
+	f.Add(uint64(3), uint16(250), uint8(2), uint8(4), uint8(3), uint8(2), uint8(255), []byte{})
+	f.Add(uint64(4), uint16(400), uint8(7), uint8(9), uint8(6), uint8(3), uint8(150), []byte{})
+	f.Add(uint64(5), uint16(120), uint8(4), uint8(1), uint8(1), uint8(1), uint8(220),
+		[]byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 128, 0, 0, 1, 0, 1, 0})
+	alphas := []float64{2, 2.5, 3, 4, 6}
+	betas := []float64{0.5, 1, 1.5, 4}
+	noises := []float64{0, 1, 1e6, 1e-3}
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, layout, alphaSel, betaSel, noiseSel, density uint8, raw []byte) {
+		n := farFieldSmallTx + 1 + int(size)%700
+		rng := xrand.New(seed)
+		side := int(math.Ceil(math.Sqrt(float64(n))))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			switch {
+			case 4*i+4 <= len(raw):
+				b := raw[4*i : 4*i+4]
+				pts[i] = geom.Point{X: float64(int8(b[0])) + float64(b[1])/256, Y: float64(int8(b[2])) + float64(b[3])/256}
+			case layout%4 == 0:
+				pts[i] = geom.Point{X: 40 * rng.Float64(), Y: 40 * rng.Float64()}
+			case layout%4 == 1:
+				pts[i] = geom.Point{X: float64(i % side), Y: float64(i / side)}
+			case layout%4 == 2:
+				pts[i] = geom.Point{X: float64(i) * 0.75, Y: float64(i) * 0.25}
+			default:
+				if i > 0 && rng.IntN(8) == 0 {
+					pts[i] = pts[rng.IntN(i)] // a coincident point
+				} else {
+					c := float64(rng.IntN(4)) * 30
+					pts[i] = geom.Point{X: c + 3*rng.Float64(), Y: c + 3*rng.Float64()}
+				}
+			}
+		}
+		p := Params{Alpha: alphas[int(alphaSel)%len(alphas)], Beta: betas[int(betaSel)%len(betas)],
+			Noise: noises[int(noiseSel)%len(noises)], Power: 1}
+		if alphaSel >= 128 {
+			p.Alpha = 1 + float64(alphaSel-128)/16 // α ∈ [1, 9), off the fast paths
+		}
+		if betaSel >= 128 {
+			p.Beta = float64(betaSel-127) / 16
+		}
+		powers := UniformPowers(n, 1)
+		if layout&4 != 0 {
+			for i := range powers {
+				powers[i] = math.Pow(10, 3*rng.Float64()-1)
+			}
+		}
+		var opts []Option
+		if layout&8 != 0 {
+			opts = append(opts, WithDeliverParallelism(3))
+		}
+		cert, err := NewWithPowers(p, pts, powers, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := NewWithPowers(p, pts, powers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.SetObserver(fullSum{})
+		tx := randomTx(rng, n, float64(density)/255)
+		got, want := make([]int, n), make([]int, n)
+		cert.Deliver(tx, got)
+		full.Deliver(tx, want)
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("listener %d (%d transmitters): certified %d, full sum %d", v, countTx(tx), got[v], want[v])
+			}
+		}
+		list := randomListeners(rng, n, 3)
+		cert.DeliverTo(tx, list, got)
+		full.DeliverTo(tx, list, want)
+		for _, v := range list {
+			if got[v] != want[v] {
+				t.Fatalf("DeliverTo listener %d (%d transmitters): certified %d, full sum %d", v, countTx(tx), got[v], want[v])
+			}
+		}
+	})
+}
+
+// TestRingWalkCoversSquares: walking rings 0 through k around any cell
+// visits exactly the round's transmitters within Chebyshev distance k —
+// the count the summed-area table gives, which the far bound F starts
+// from — on square, wide and tall grids.
+func TestRingWalkCoversSquares(t *testing.T) {
+	rng := xrand.New(15)
+	for _, shape := range [][2]float64{{40, 40}, {400, 3}, {3, 400}} {
+		pts := make([]geom.Point, 500)
+		for i := range pts {
+			pts[i] = geom.Point{X: shape[0] * rng.Float64(), Y: shape[1] * rng.Float64()}
+		}
+		c, err := New(Params{Alpha: 3, Beta: 1, Noise: 1, Power: 1}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.certGrid()
+		txList := c.scratch.indices(denseTx(t, rng, len(pts), 0.3))
+		g.bucket(txList)
+		for v := range pts {
+			col, row := g.cellCoords(v)
+			w := certWalk{c: c, g: g, pv: pts[v], b: -1, bu: -1}
+			for k := 0; k < g.maxRing(); k++ {
+				w.ring(col, row, k)
+				if want := g.squareCount(col, row, k); w.seen != want {
+					t.Fatalf("grid %d×%d, cell (%d, %d), rings 0..%d: walk saw %d transmitters, table counts %d",
+						g.cols, g.rows, col, row, k, w.seen, want)
+				}
+			}
+			if w.seen != len(txList) {
+				t.Fatalf("grid %d×%d: the walk over every ring saw %d of %d transmitters", g.cols, g.rows, w.seen, len(txList))
+			}
+		}
+	}
+}

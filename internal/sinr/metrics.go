@@ -12,4 +12,7 @@ var (
 	mDeliveriesFarField = obs.Default.Counter("sinr.deliveries_farfield")
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
 	mFarFieldPrunedTx   = obs.Default.Counter("sinr.farfield_pruned_tx")
+	// mCertifiedListeners counts the listeners the exact engine decided from
+	// its certificate, without the full sum: one add per Deliver.
+	mCertifiedListeners = obs.Default.Counter("sinr.certified_listeners")
 )

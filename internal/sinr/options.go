@@ -102,25 +102,28 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 // deliverScratch holds the channel-owned buffers a steady-state Deliver
 // reuses so it performs zero allocations: the transmitter index list and
 // its gathered positions and powers, the per-listener running interference
-// totals, and the per-listener strongest signal and its sender. Sharing the
-// scratch is why channels are not safe for concurrent use.
+// totals, the per-listener strongest signal and its sender, and each
+// worker's count of certified listeners. Sharing the scratch is why channels
+// are not safe for concurrent use.
 type deliverScratch struct {
-	txList  []int
-	txNodes []txNode
-	totals  []float64
-	best    []float64
-	bestU   []int
+	txList    []int
+	txNodes   []txNode
+	totals    []float64
+	best      []float64
+	bestU     []int
+	certified []int
 }
 
 // newDeliverScratch preallocates every buffer at channel-construction time:
-// 56 bytes per node.
-func newDeliverScratch(n int) deliverScratch {
+// 56 bytes per node, and a count per worker.
+func newDeliverScratch(n, workers int) deliverScratch {
 	return deliverScratch{
-		txList:  make([]int, 0, n),
-		txNodes: make([]txNode, n),
-		totals:  make([]float64, n),
-		best:    make([]float64, n),
-		bestU:   make([]int, n),
+		txList:    make([]int, 0, n),
+		txNodes:   make([]txNode, n),
+		totals:    make([]float64, n),
+		best:      make([]float64, n),
+		bestU:     make([]int, n),
+		certified: make([]int, workers),
 	}
 }
 

@@ -140,6 +140,8 @@ type Channel struct {
 	powers   []float64
 	fade     *fadeSource // nil: the paper's deterministic channel
 	ff       *farField   // nil: exact delivery (the default)
+	grid     *txGrid     // the ε engine's, or the certificate's once built
+	noCert   bool        // the certificate cannot run on this channel
 	par      int         // ≥ 2: intra-round parallel workers
 	all      []int       // 0, 1, …, n−1 (built on first use): every listener
 	scratch  deliverScratch
@@ -231,7 +233,7 @@ func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option
 		pts:     append([]geom.Point(nil), pts...),
 		powers:  powers,
 		par:     ec.workers(),
-		scratch: newDeliverScratch(len(pts)),
+		scratch: newDeliverScratch(len(pts), ec.workers()),
 	}
 	if ec.farFieldEps > 0 {
 		minP, maxP := powers[0], powers[0]
@@ -239,10 +241,10 @@ func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option
 			minP = math.Min(minP, p)
 			maxP = math.Max(maxP, p)
 		}
-		c.ff, err = newFarField(c.pts, params.Alpha, params.Noise, minP, maxP, ec.farFieldEps, c.par)
-		if err != nil {
+		if c.grid, err = newTxGrid(c.pts); err != nil {
 			return nil, err
 		}
+		c.ff = newFarField(c.grid, params.Alpha, params.Noise, minP, maxP, ec.farFieldEps, c.par)
 	}
 	return c, nil
 }
@@ -272,9 +274,10 @@ func (c *Channel) Powers() []float64 {
 func (c *Channel) Faded() bool { return c.fade != nil }
 
 // SetObserver installs (or, with nil, removes) the reception observer.
-// Observation never changes delivery results — the engine computes the
-// identical float sequence with or without an observer. Observed SINR
-// values include the round's fades.
+// Observation never changes delivery results: with an observer installed
+// every listener takes the full sum, whose exact ratio the observer sees,
+// and the certified verdicts of an unobserved round equal the full sum's
+// (DESIGN.md §8). Observed SINR values include the round's fades.
 func (c *Channel) SetObserver(o ReceptionObserver) { c.observer = o }
 
 // signal returns the unfaded received signal strength powers[u]·d(u,v)^{-α}
@@ -320,6 +323,11 @@ func (c *Channel) allListeners() []int {
 // which draws the round's fades listener by listener: it evaluates every
 // listener, as Deliver does, so the stream cannot shift.
 //
+// In exact mode, on an unfaded channel with no observer, a round with more
+// than farFieldSmallTx transmitters certifies each listener from a few
+// grid rings around it where it can (certify.go) and sums Eq. (1) in full
+// only where the bounds cannot decide; the receptions are the full sum's.
+//
 //crlint:hotpath
 func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 	if len(tx) != len(c.pts) || len(recv) != len(c.pts) {
@@ -347,15 +355,24 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		}
 		return
 	}
-	if c.ff != nil {
-		c.ff.prepareRound(txList)
-	}
 	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList), seed: roundSeed}
+	if len(txList) > farFieldSmallTx {
+		if c.ff == nil && c.fade == nil && c.observer == nil {
+			r.cert = c.certGrid()
+		}
+		if c.ff != nil || r.cert != nil {
+			c.grid.bucket(txList)
+		}
+	}
+	var certified int
 	if c.par > 1 {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
-		c.deliverParallel(listeners, r)
+		certified = c.deliverParallel(listeners, r)
 	} else {
-		c.accumulateTile(0, listeners, r)
+		certified = c.accumulateTile(0, listeners, r)
+	}
+	if certified > 0 {
+		mCertifiedListeners.Add(int64(certified))
 	}
 	finalizeReceptions(c.params, &c.scratch, c.observer, tx, listeners, recv)
 }
@@ -366,6 +383,7 @@ type deliverRound struct {
 	txList []int    // the transmitters, ascending
 	nodes  []txNode // txList's positions and powers, gathered
 	seed   uint64   // the round's fade seed (faded channels)
+	cert   *txGrid  // non-nil: certify listeners over this bucketed grid
 }
 
 // txNode is one transmitter as the pair loop reads it. Gathering the
@@ -389,12 +407,20 @@ func (c *Channel) gather(buf []txNode, idx []int) []txNode {
 }
 
 // deliverParallel fans pass one out over runTiles, whose tiles partition
-// the positions of the listener list. It is deliberately not
-// hotpath-annotated: the kernel closure and goroutines allocate O(workers)
-// per round, the documented cost of the parallel option.
-func (c *Channel) deliverParallel(listeners []int, r deliverRound) {
+// the positions of the listener list, and returns the number of certified
+// listeners. It is deliberately not hotpath-annotated: the kernel closure
+// and goroutines allocate O(workers) per round, the documented cost of the
+// parallel option.
+func (c *Channel) deliverParallel(listeners []int, r deliverRound) int {
 	mDeliveriesParallel.Inc()
-	runTiles(len(listeners), c.par, func(w, lo, hi int) { c.accumulateTile(w, listeners[lo:hi], r) })
+	certified := c.scratch.certified
+	clear(certified)
+	runTiles(len(listeners), c.par, func(w, lo, hi int) { certified[w] += c.accumulateTile(w, listeners[lo:hi], r) })
+	sum := 0
+	for _, n := range certified {
+		sum += n
+	}
+	return sum
 }
 
 // accumulateTile is pass one of Deliver over the listeners in vs, the one
@@ -402,14 +428,17 @@ func (c *Channel) deliverParallel(listeners []int, r deliverRound) {
 // its transmitter set — all transmitters, or the ε engine's near set — in
 // ascending transmitter index, tracking the first strict maximum, and park
 // the total, the strongest signal and its sender in the scratch arrays for
-// the sequential threshold pass. A faded channel multiplies each signal by
-// its next fade draw, from the round's single stream (sequential only, so
-// the draws run listener-then-transmitter) or from the listener's own
+// the sequential threshold pass. In a certified round a listener whose
+// certificate holds parks its verdict instead: no sender, or its sender
+// with the certifiedReception total. A faded channel multiplies each signal
+// by its next fade draw, from the round's single stream (sequential only,
+// so the draws run listener-then-transmitter) or from the listener's own
 // substream. The worker index selects per-worker scratch, so concurrent
-// tiles never share a buffer.
+// tiles never share a buffer. It returns the number of certified
+// listeners.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) {
+func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) int {
 	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	alpha := c.params.Alpha
 	var rng *rand.Rand
@@ -417,10 +446,20 @@ func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) {
 		rng = c.fade.rngs[worker].Rand
 	}
 	pruned := int64(0)
+	certified := 0
 	for _, v := range vs {
 		totals[v], best[v], bestU[v] = 0, -1, -1
 		if r.tx[v] {
 			continue
+		}
+		if r.cert != nil {
+			if u, ok := c.certify(v, r); ok {
+				certified++
+				if u >= 0 {
+					totals[v], bestU[v] = certifiedReception, u
+				}
+				continue
+			}
 		}
 		near, nodes := r.txList, r.nodes
 		if c.ff != nil {
@@ -452,12 +491,18 @@ func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) {
 	if pruned > 0 {
 		mFarFieldPrunedTx.Add(pruned)
 	}
+	return certified
 }
+
+// certifiedReception is the total accumulateTile parks for a certified
+// reception; a full sum is never negative.
+const certifiedReception = -1.0
 
 // finalizeReceptions is pass two of Deliver: apply the SINR threshold per
 // listener in ascending index order, writing receptions and invoking the
 // observer. It is always sequential — the observer-ordering contract and
-// byte-identical parallel delivery both depend on that.
+// byte-identical parallel delivery both depend on that. Certified verdicts
+// pass through (certified rounds have no observer).
 //
 //crlint:hotpath
 func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver, tx []bool, listeners, recv []int) {
@@ -465,6 +510,10 @@ func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver,
 	for _, v := range listeners {
 		recv[v] = -1
 		if tx[v] || bestU[v] < 0 {
+			continue
+		}
+		if totals[v] == certifiedReception {
+			recv[v] = bestU[v]
 			continue
 		}
 		// Interference for the strongest candidate excludes its own signal.

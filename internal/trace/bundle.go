@@ -119,13 +119,7 @@ func (c *Capture) Bundle() (*Bundle, error) {
 // streams.
 func (b *Bundle) Encode(w io.Writer) error {
 	enc := obs.NewLineEncoder(w)
-	enc.Begin("trace-bundle")
-	enc.Int("schema", BundleSchemaVersion)
-	enc.Str("format", b.Policy.Format.String())
-	enc.Int("every", int64(b.Policy.EveryK))
-	enc.Bool("failures", b.Policy.FailuresOnly)
-	enc.Bool("classes", b.Policy.Classes)
-	if err := enc.End(); err != nil {
+	if err := headerLine(enc, b.Policy); err != nil {
 		return err
 	}
 	total := int64(0)
@@ -134,13 +128,7 @@ func (b *Bundle) Encode(w io.Writer) error {
 			return fmt.Errorf("trace: bundle entry name %q is not a bare file name", f.Name)
 		}
 		sum := sha256.Sum256(f.Data)
-		enc.Begin("trace-file")
-		enc.Int("loop", int64(f.Loop))
-		enc.Int("trial", int64(f.Trial))
-		enc.Str("name", f.Name)
-		enc.Int("size", int64(len(f.Data)))
-		enc.Str("sha256", hex.EncodeToString(sum[:]))
-		if err := enc.End(); err != nil {
+		if err := fileLine(enc, f.Loop, f.Trial, f.Name, int64(len(f.Data)), hex.EncodeToString(sum[:])); err != nil {
 			return err
 		}
 		if _, err := w.Write(f.Data); err != nil {
@@ -148,10 +136,49 @@ func (b *Bundle) Encode(w io.Writer) error {
 		}
 		total += int64(len(f.Data))
 	}
+	return endLine(enc, len(b.Files), total)
+}
+
+// headerLine, fileLine and endLine write the three manifest line shapes.
+// Encode writes every line through them, and ReadBundle re-encodes every
+// line it accepts through them, so only canonical bytes decode.
+func headerLine(enc *obs.LineEncoder, p Policy) error {
+	enc.Begin("trace-bundle")
+	enc.Int("schema", BundleSchemaVersion)
+	enc.Str("format", p.Format.String())
+	enc.Int("every", int64(p.EveryK))
+	enc.Bool("failures", p.FailuresOnly)
+	enc.Bool("classes", p.Classes)
+	return enc.End()
+}
+
+func fileLine(enc *obs.LineEncoder, loop, trial int, name string, size int64, sha string) error {
+	enc.Begin("trace-file")
+	enc.Int("loop", int64(loop))
+	enc.Int("trial", int64(trial))
+	enc.Str("name", name)
+	enc.Int("size", size)
+	enc.Str("sha256", sha)
+	return enc.End()
+}
+
+func endLine(enc *obs.LineEncoder, files int, total int64) error {
 	enc.Begin("trace-end")
-	enc.Int("files", int64(len(b.Files)))
+	enc.Int("files", int64(files))
 	enc.Int("bytes", total)
 	return enc.End()
+}
+
+// canonical reports an error unless raw is exactly the line write encodes.
+func canonical(raw []byte, write func(*obs.LineEncoder) error) error {
+	var buf bytes.Buffer
+	if err := write(obs.NewLineEncoder(&buf)); err != nil {
+		return err
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		return fmt.Errorf("trace: bundle line %q is not in canonical form", bytes.TrimSpace(raw))
+	}
+	return nil
 }
 
 // bundleLine is the union of the manifest line shapes; Event discriminates.
@@ -180,9 +207,12 @@ const maxBundleFileSize = 256 << 20
 // positioned at the header line. It consumes through the trace-end line and
 // leaves anything after it unread (the shard decoder owns trailing-data
 // policy). Size, hash, count, or ordering violations are errors — a
-// truncated or tampered stream never decodes.
+// truncated or tampered stream never decodes — and so is any manifest line
+// that is not byte for byte the line Encode writes, so an accepted stream
+// re-encodes to exactly the bytes read. Memory grows with the bytes
+// actually present, never with a declared size.
 func ReadBundle(br *bufio.Reader) (*Bundle, error) {
-	readLine := func() (*bundleLine, error) {
+	readLine := func() (*bundleLine, []byte, error) {
 		raw, err := br.ReadBytes('\n')
 		if len(bytes.TrimSpace(raw)) == 0 {
 			if err == nil {
@@ -190,16 +220,16 @@ func ReadBundle(br *bufio.Reader) (*Bundle, error) {
 			} else if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, fmt.Errorf("trace: truncated bundle: %w", err)
+			return nil, nil, fmt.Errorf("trace: truncated bundle: %w", err)
 		}
 		var l bundleLine
 		if uerr := json.Unmarshal(bytes.TrimSpace(raw), &l); uerr != nil {
-			return nil, fmt.Errorf("trace: parse bundle line: %w", uerr)
+			return nil, nil, fmt.Errorf("trace: parse bundle line: %w", uerr)
 		}
-		return &l, nil
+		return &l, raw, nil
 	}
 
-	head, err := readLine()
+	head, raw, err := readLine()
 	if err != nil {
 		return nil, err
 	}
@@ -217,9 +247,12 @@ func ReadBundle(br *bufio.Reader) (*Bundle, error) {
 		Format: format, EveryK: head.Every,
 		FailuresOnly: head.Failures, Classes: head.Classes,
 	}}
+	if err := canonical(raw, func(enc *obs.LineEncoder) error { return headerLine(enc, b.Policy) }); err != nil {
+		return nil, err
+	}
 	total := int64(0)
 	for {
-		l, err := readLine()
+		l, raw, err := readLine()
 		if err != nil {
 			return nil, err
 		}
@@ -237,8 +270,19 @@ func ReadBundle(br *bufio.Reader) (*Bundle, error) {
 					return nil, fmt.Errorf("trace: bundle entry (%d,%q) out of order after (%d,%q)", l.Loop, l.Name, prev.Loop, prev.Name)
 				}
 			}
-			data := make([]byte, l.Size)
-			if _, err := io.ReadFull(br, data); err != nil {
+			if err := canonical(raw, func(enc *obs.LineEncoder) error {
+				return fileLine(enc, l.Loop, l.Trial, l.Name, l.Size, l.SHA256)
+			}); err != nil {
+				return nil, err
+			}
+			// Read what is there rather than allocating the declared size up
+			// front, so a truncated stream costs memory in proportion to its
+			// length.
+			data, err := io.ReadAll(io.LimitReader(br, l.Size))
+			if err == nil && int64(len(data)) < l.Size {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
 				return nil, fmt.Errorf("trace: truncated bundle payload %q: %w", l.Name, err)
 			}
 			sum := sha256.Sum256(data)
@@ -248,6 +292,9 @@ func ReadBundle(br *bufio.Reader) (*Bundle, error) {
 			b.Files = append(b.Files, BundleFile{Loop: l.Loop, Trial: l.Trial, Name: l.Name, Data: data})
 			total += l.Size
 		case "trace-end":
+			if err := canonical(raw, func(enc *obs.LineEncoder) error { return endLine(enc, l.Files, l.Bytes) }); err != nil {
+				return nil, err
+			}
 			if l.Files != len(b.Files) {
 				return nil, fmt.Errorf("trace: bundle end counts %d files, stream has %d", l.Files, len(b.Files))
 			}
