@@ -51,11 +51,14 @@ results:
 
 # Mirror of CI's results-check job: regenerate E1–E18 at full scale into a
 # temporary file and require it to be byte-identical to results_full.txt,
-# so every experiment's full-scale bytes stay pinned.
+# so every experiment's full-scale bytes stay pinned; then again with
+# intra-round Deliver workers, since no option may change a result.
 results-check:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 		go run ./cmd/crbench -seed 7 -o "$$tmp" && \
-		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte"
+		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte" && \
+		go run ./cmd/crbench -seed 7 -sinr-parallel 2 -o "$$tmp" && \
+		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte with -sinr-parallel 2"
 
 # Mirror of CI's obs-smoke job: exercise the -metrics/-cpuprofile/-memprofile
 # flags end to end and validate the NDJSON report (jq when installed).

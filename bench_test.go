@@ -241,20 +241,17 @@ func benchGridPoints(n int) []geom.Point {
 }
 
 // BenchmarkSINRDeliverScale measures one Deliver round at simulation-farm
-// scale for the engines of DESIGN.md §8: 'exact' is the default engine,
-// which certifies most listeners from a few grid rings and sums Eq. (1) in
-// full only where its bounds cannot decide; 'eps' is the ε far-field
-// engine and eps/eps-parallel isolates intra-round parallelism. The round
-// is a fixed 20% transmit set (every fifth node of a unit lattice, the
-// early-round default p = 0.2) at α=4 (the regime the pruning radius
-// (~1/ε)^{1/α} is designed for), ε=1e-2; the cross-check test bounds the
-// resulting one-sided disagreement rate. Sizes above 16384 need
-// FADINGCR_BENCH_LARGE=1, so CI runs the large sizes at -benchtime=1x only.
-// Workers are floored at 2 so the parallel engine is exercised even on
-// single-core boxes (where it honestly reports its coordination overhead
-// rather than silently degenerating to sequential).
+// scale for the exact engine of DESIGN.md §8, which certifies most
+// listeners from a few grid rings and sums Eq. (1) in full only where its
+// bounds cannot decide: 'exact' is the sequential default and
+// 'exact-parallel' the same engine over intra-round workers, the one
+// remaining engine option. The round is a fixed 20% transmit set (every
+// fifth node of a unit lattice, the early-round default p = 0.2) at α=4.
+// Sizes above 16384 need FADINGCR_BENCH_LARGE=1, so CI runs the large sizes
+// at -benchtime=1x only. Workers are floored at 2 so the parallel engine is
+// exercised even on single-core boxes (where it honestly reports its
+// coordination overhead rather than silently degenerating to sequential).
 func BenchmarkSINRDeliverScale(b *testing.B) {
-	const eps = 1e-2
 	workers := min(max(2, runtime.GOMAXPROCS(0)), sinr.MaxDeliverParallelism)
 	for _, n := range []int{4096, 16384, 65536, 100000} {
 		engines := []struct {
@@ -262,8 +259,7 @@ func BenchmarkSINRDeliverScale(b *testing.B) {
 			opts []fadingcr.ChannelOption
 		}{
 			{"exact", nil},
-			{"eps", []fadingcr.ChannelOption{fadingcr.WithFarFieldEps(eps)}},
-			{"eps-parallel", []fadingcr.ChannelOption{fadingcr.WithFarFieldEps(eps), fadingcr.WithDeliverParallelism(workers)}},
+			{"exact-parallel", []fadingcr.ChannelOption{fadingcr.WithDeliverParallelism(workers)}},
 		}
 		for _, eng := range engines {
 			b.Run("n="+strconv.Itoa(n)+"/"+eng.name, func(b *testing.B) {

@@ -55,8 +55,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		parallel     = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per trial loop (results are identical at any value)")
 		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 		shards       = fs.Int("shards", 1, "split every trial loop into this many shards and run them through the shard coordinator (output is byte-identical at any count)")
-		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
+		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
 
 		spanLog       = fs.String("span-log", "", "write coordinator scheduling spans (NDJSON) to this file; requires -shards > 1 (analyse with crtrace spans)")
 		traceDir      = fs.String("trace-dir", "", "write per-trial structured traces into this directory (analyse with crtrace)")
@@ -76,7 +75,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		Seed:         *seed,
 		Trials:       *trials,
 		Quick:        *quick,
-		FarFieldEps:  *farfieldEps,
 		SINRParallel: *sinrParallel,
 	}
 	selected, cfg, err := experiments.ConfigFromSpec(spec)

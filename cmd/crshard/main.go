@@ -57,8 +57,7 @@ func run(args []string, stdout io.Writer) error {
 		trials       = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
 		format       = fs.String("format", "text", "output format: text|markdown")
 		out          = fs.String("o", "", "write output to this file instead of stdout")
-		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact)")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential)")
+		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
 
 		shards    = fs.Int("shards", 2, "number of contiguous trial-range shards per trial loop")
 		workers   = fs.Int("workers", 0, "local worker executors (0 = 1 when no endpoints are given, else 0)")
@@ -127,7 +126,6 @@ func run(args []string, stdout io.Writer) error {
 			Seed:         *seed,
 			Trials:       *trials,
 			Quick:        *quick,
-			FarFieldEps:  *farfieldEps,
 			SINRParallel: *sinrParallel,
 		},
 		Shards: *shards,

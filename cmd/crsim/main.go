@@ -63,8 +63,7 @@ func run(args []string) (err error) {
 		plot         = fs.Bool("plot", false, "render an ASCII scatter of the deployment and activity sparklines")
 		deployFile   = fs.String("deploy-file", "", "load node positions from this CSV (x,y per line) instead of -deploy")
 		trials       = fs.Int("trials", 1, "number of independent runs; > 1 prints summary statistics")
-		farfieldEps  = fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
+		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
 
 		traceOut      = fs.String("trace-out", "", "write a structured event trace of the run to this file (analyse with crtrace)")
 		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
@@ -77,7 +76,7 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
-	sinrOpts, err := sinr.EngineOptions(*farfieldEps, *sinrParallel)
+	sinrOpts, err := sinr.EngineOptions(*sinrParallel)
 	if err != nil {
 		return cli.Usage(err)
 	}

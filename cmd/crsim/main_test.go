@@ -131,7 +131,7 @@ func TestMainExitCodes(t *testing.T) {
 		{"bad deploy", []string{"-deploy", "nope"}, 2},
 		{"bad algo", []string{"-algo", "nope"}, 2},
 		{"bad channel", []string{"-channel", "nope"}, 2},
-		{"bad farfield-eps", []string{"-farfield-eps", "0.7"}, 2},
+		{"bad sinr-parallel", []string{"-sinr-parallel", "-1"}, 2},
 		{"missing deploy file", []string{"-deploy-file", "/no/such/file.csv"}, 1},
 	}
 	for _, tc := range cases {

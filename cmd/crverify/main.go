@@ -44,8 +44,7 @@ func run(args []string) (code int) {
 	seed := fs.Uint64("seed", 7, "master seed")
 	trials := fs.Int("trials", 15, "trials per estimated quantity")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines (results are identical at any value)")
-	farfieldEps := fs.Float64("farfield-eps", 0, "ε far-field pruning for SINR delivery (0 = exact; ε > 0 trades a bounded one-sided reception error for speed)")
-	sinrParallel := fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers (0/1 sequential; deterministic channels are identical at any value)")
+	sinrParallel := fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if cli.IsHelp(err) {
@@ -54,7 +53,7 @@ func run(args []string) (code int) {
 		}
 		return 2
 	}
-	sinrOpts, err := sinr.EngineOptions(*farfieldEps, *sinrParallel)
+	sinrOpts, err := sinr.EngineOptions(*sinrParallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crverify:", err)
 		return 2

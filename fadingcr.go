@@ -108,17 +108,15 @@ const MaxDeliverParallelism = sinr.MaxDeliverParallelism
 
 // SINR delivery engine controls. Every SINR channel evaluates Eq. (1)
 // exactly and delivers rounds allocation-free by default.
-// WithFarFieldEps and WithDeliverParallelism select the scaling engines of
-// DESIGN.md §8: ε pruning changes receptions within a documented one-sided
-// bound, and the parallel option is byte-identical at any worker count
-// (the Rayleigh channel switches its fade stream).
+// WithDeliverParallelism spreads an unfaded channel's rounds over
+// intra-round workers (DESIGN.md §8); receptions are byte-identical at any
+// worker count, and faded channels, whose one fade stream runs listener by
+// listener, always deliver sequentially.
 var (
-	// WithFarFieldEps enables ε far-field pruning (0 < ε < 0.5).
-	WithFarFieldEps = sinr.WithFarFieldEps
 	// WithDeliverParallelism runs Deliver across intra-round workers.
 	WithDeliverParallelism = sinr.WithDeliverParallelism
-	// EngineOptions validates the ε and parallelism knobs into options —
-	// the shared flag-parsing path of every CLI.
+	// EngineOptions validates the parallelism knob into options — the
+	// shared flag-parsing path of every CLI.
 	EngineOptions = sinr.EngineOptions
 )
 

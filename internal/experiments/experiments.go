@@ -36,21 +36,10 @@ type Config struct {
 	// Context, when non-nil, cancels in-flight trial loops (deadline or
 	// interrupt); a canceled experiment returns the context's error.
 	Context context.Context
-	// FarFieldEps, when > 0, enables the ε far-field pruning engine on
-	// every SINR channel the experiment builds: per listener, transmitters
-	// whose aggregate contribution is provably ≤ ε·(noise + near
-	// interference) are skipped. Unlike every other knob this one is
-	// approximate — receptions may differ from the exact engine within the
-	// documented one-sided bound (DESIGN.md §8) — so it is part of the
-	// result identity and must hash differently in the serve layer.
-	FarFieldEps float64
-	// SINRParallel, when ≥ 2, runs each Deliver round across that many
-	// intra-round workers over a fixed-shape listener-tile partition.
-	// Deterministic channels are byte-identical at any worker count; the
-	// Rayleigh channel switches to the per-listener fade-substream engine
-	// (also worker-count independent, but a different stream from the
-	// sequential default, so the option is part of the result identity for
-	// faded runs).
+	// SINRParallel, when ≥ 2, runs each Deliver round of the unfaded SINR
+	// channels across that many intra-round workers over a fixed-shape
+	// listener-tile partition; faded channels deliver sequentially. Results
+	// are byte-identical at any value.
 	SINRParallel int
 	// Trace, when non-nil, captures structured per-trial event traces of
 	// the experiment's trial loops under the capture's retention policy.
@@ -74,7 +63,7 @@ type Config struct {
 
 // sinrOptions translates the engine knobs into channel options.
 func (c Config) sinrOptions() ([]sinr.Option, error) {
-	return sinr.EngineOptions(c.FarFieldEps, c.SINRParallel)
+	return sinr.EngineOptions(c.SINRParallel)
 }
 
 // ctx returns the configured context, defaulting to context.Background.

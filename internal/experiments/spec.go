@@ -24,10 +24,6 @@ type Spec struct {
 	Trials int
 	// Quick shrinks sweeps for fast smoke runs.
 	Quick bool
-	// FarFieldEps enables ε far-field pruning when > 0 (see
-	// Config.FarFieldEps); it changes results within the documented bound
-	// and therefore the run's identity.
-	FarFieldEps float64
 	// SINRParallel is the intra-round Deliver worker count (see
 	// Config.SINRParallel); 0 keeps the sequential default.
 	SINRParallel int
@@ -42,7 +38,7 @@ func ConfigFromSpec(s Spec) ([]Experiment, Config, error) {
 	if s.Trials < 0 {
 		return nil, Config{}, fmt.Errorf("trials must be ≥ 0 (0 selects the experiment default), got %d", s.Trials)
 	}
-	if _, err := sinr.EngineOptions(s.FarFieldEps, s.SINRParallel); err != nil {
+	if _, err := sinr.EngineOptions(s.SINRParallel); err != nil {
 		return nil, Config{}, err
 	}
 	selected, err := selectIDs(s.IDs)
@@ -53,7 +49,6 @@ func ConfigFromSpec(s Spec) ([]Experiment, Config, error) {
 		Seed:         s.Seed,
 		Trials:       s.Trials,
 		Quick:        s.Quick,
-		FarFieldEps:  s.FarFieldEps,
 		SINRParallel: s.SINRParallel,
 	}, nil
 }

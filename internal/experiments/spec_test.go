@@ -38,7 +38,7 @@ func TestConfigFromSpecRejections(t *testing.T) {
 	}{
 		{"unknown id", Spec{IDs: "E999"}, "unknown experiment id"},
 		{"empty id in list", Spec{IDs: "E1,,E2"}, "unknown experiment id"},
-		{"bad eps", Spec{IDs: "E1", FarFieldEps: 0.5}, "epsilon"},
+		{"bad parallelism", Spec{IDs: "E1", SINRParallel: -1}, "parallelism"},
 		{"negative trials", Spec{IDs: "E1", Trials: -1}, "trials"},
 	}
 	for _, tc := range cases {

@@ -8,9 +8,10 @@ import (
 
 // FloatOrder generalizes maporder's floating-point sink to sort-free
 // reductions: float addition is not associative, so the repository fixes
-// ascending-index summation as the canonical order (DESIGN.md §8 — the
-// far-field pruning path re-sorts its survivor set to restore exactly this
-// order). Two accumulation shapes violate it:
+// ascending-index summation as the canonical order (DESIGN.md §8 — the SINR
+// engine's full sum visits every listener's transmitters in ascending index,
+// and the certificate, which sums in ring order, decides a listener only by
+// a margin that exceeds the difference). Two accumulation shapes violate it:
 //
 //   - a compound float accumulation inside a descending for loop, driven by
 //     the descending variable: the sum visits values in reverse index

@@ -40,15 +40,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are byte-identical at every value —
 	// it only trades per-job latency against cross-job throughput.
 	JobParallelism int
-	// FarFieldEps, when > 0, is a server-side default: submitted specs
-	// that leave farfield_eps unset get this ε injected *before*
-	// normalization, so the job's canonical hash reflects the effective
-	// engine — ε results differ from exact ones within the documented
-	// bound and must never share a cache entry with them.
-	FarFieldEps float64
 	// SINRParallel, when > 0, is the server-side default intra-round
-	// Deliver worker count, injected into unset specs like FarFieldEps
-	// (hash-relevant for Rayleigh jobs, which switch fade streams).
+	// Deliver worker count, injected into specs that leave sinr_parallel
+	// unset before normalization. It never changes a result.
 	SINRParallel int
 
 	// run substitutes the job body in tests; nil selects runSpec.
@@ -123,9 +117,6 @@ func (e *Executor) Cache() *Cache { return e.cache }
 // Otherwise the job is enqueued; ErrQueueFull reports a full queue and
 // ErrDraining a stopping executor. Validation errors are returned as-is.
 func (e *Executor) Submit(spec Spec) (*Job, error) {
-	if spec.FarFieldEps == 0 && e.opts.FarFieldEps > 0 {
-		spec.FarFieldEps = e.opts.FarFieldEps
-	}
 	if spec.SINRParallel == 0 && e.opts.SINRParallel > 0 {
 		spec.SINRParallel = e.opts.SINRParallel
 	}

@@ -157,7 +157,7 @@ func (t *traceTap) OnRound(round int, _ []sim.Node, tx []bool, recv []int) {
 // runner.TrialSeeds contract (exactly the harness crsim -trials uses).
 func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(Progress)) (*Result, error) {
 	ss := spec.Sim
-	sinrOpts, err := sinr.EngineOptions(spec.FarFieldEps, spec.SINRParallel)
+	sinrOpts, err := sinr.EngineOptions(spec.SINRParallel)
 	if err != nil {
 		return nil, err
 	}

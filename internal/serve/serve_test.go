@@ -322,6 +322,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"invalid spec", `{"sim":{"n":0,"deploy":"disk","algo":"fixed"}}`, http.StatusBadRequest},
 		{"unknown algo", `{"sim":{"n":8,"deploy":"disk","algo":"magic"}}`, http.StatusBadRequest},
 		{"bad gaincache", `{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"gaincache":"maybe"}`, http.StatusBadRequest},
+		{"bad farfield_eps", `{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"farfield_eps":0.7}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, resp := postJob(t, ts, tc.body)

@@ -49,17 +49,11 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// Quick shrinks experiment sweeps for smoke runs (experiment jobs).
 	Quick bool `json:"quick,omitempty"`
-	// FarFieldEps enables ε far-field pruning when > 0 (valid range
-	// (0, 0.5)). It is approximate — receptions may differ from the exact
-	// engine within the documented one-sided bound — so it is part of the
-	// result identity: the omitempty tag keeps exact-job hashes unchanged
-	// while every ε job hashes differently from its exact counterpart.
-	FarFieldEps float64 `json:"farfield_eps,omitempty"`
 	// SINRParallel is the intra-round Deliver worker count (0 or 1 keeps
-	// the sequential engine; max sinr.MaxDeliverParallelism). Deterministic
-	// channels are byte-identical at any worker count, but the Rayleigh
-	// channel switches to the fade-substream engine, so the knob is kept in
-	// the canonical form (omitempty preserves legacy hashes).
+	// the sequential engine; max sinr.MaxDeliverParallelism). Results are
+	// byte-identical at any worker count. The field stays in the canonical
+	// form so that no existing job hash moves; omitempty keeps it out of
+	// every hash that never set it.
 	SINRParallel int `json:"sinr_parallel,omitempty"`
 	// Format renders experiment tables: "text" (default) or "markdown".
 	Format string `json:"format,omitempty"`
@@ -146,7 +140,7 @@ type SimSpec struct {
 var (
 	specHashFields = []string{
 		"kind", "experiment", "sim", "seed", "trials", "quick",
-		"farfield_eps", "sinr_parallel", "format", "trace", "shard",
+		"sinr_parallel", "format", "trace", "shard",
 	}
 	simSpecHashFields = []string{
 		"n", "deploy", "algo", "channel", "p", "max_rounds",
@@ -160,14 +154,21 @@ var (
 )
 
 // DecodeSpec reads one JSON job spec, rejecting unknown fields. Older
-// clients may still send the retired "gaincache" field (auto|on|off): it
-// selected an engine that never changed results, so it is accepted and
-// dropped, and never reaches the canonical hash. Any other value is an
-// error, as it always was.
+// clients may still send two retired fields, which are accepted and
+// dropped and never reach the canonical hash:
+//   - "gaincache" (auto|on|off) selected an engine that never changed
+//     results;
+//   - "farfield_eps" in [0, 0.5) selected the deleted ε far-field engine.
+//     Its receptions could differ from the exact ones only within a
+//     one-sided bound that exact receptions meet at every ε, so the exact
+//     job answers the request.
+//
+// Any other value of either field is an error, as it always was.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var legacy struct {
 		Spec
-		GainCache *string `json:"gaincache"`
+		GainCache   *string  `json:"gaincache"`
+		FarFieldEps *float64 `json:"farfield_eps"`
 	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -176,6 +177,9 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	}
 	if g := legacy.GainCache; g != nil && !slices.Contains([]string{"", "auto", "on", "off"}, *g) {
 		return Spec{}, fmt.Errorf("unknown gain-cache mode %q (want auto|on|off)", *g)
+	}
+	if e := legacy.FarFieldEps; e != nil && !(*e >= 0 && *e < 0.5) {
+		return Spec{}, fmt.Errorf("farfield_eps %v must be in [0, 0.5)", *e)
 	}
 	return legacy.Spec, nil
 }
@@ -326,7 +330,7 @@ func (s Spec) Validate() error {
 		if s.Sim.MaxRounds < 0 {
 			return fmt.Errorf("sim.max_rounds must be ≥ 0 (0 selects the default), got %d", s.Sim.MaxRounds)
 		}
-		if _, err := sinr.EngineOptions(s.FarFieldEps, s.SINRParallel); err != nil {
+		if _, err := sinr.EngineOptions(s.SINRParallel); err != nil {
 			return err
 		}
 		if s.Trace && s.Trials != 1 {
@@ -346,7 +350,6 @@ func (s Spec) experimentSpec() experiments.Spec {
 		Seed:         s.Seed,
 		Trials:       s.Trials,
 		Quick:        s.Quick,
-		FarFieldEps:  s.FarFieldEps,
 		SINRParallel: s.SINRParallel,
 	}
 }

@@ -284,6 +284,29 @@ func TestSpecHashFieldManifest(t *testing.T) {
 	}
 }
 
+// TestDecodeSpecLegacyFarFieldEps: the retired farfield_eps field is
+// accepted anywhere in [0, 0.5), the range the deleted ε engine took, and
+// dropped, so the job is the exact one and hashes like it; values outside
+// that range are rejected.
+func TestDecodeSpecLegacyFarFieldEps(t *testing.T) {
+	const job = `{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2%s}`
+	exact := simSpec().Hash()
+	for _, eps := range []string{"0", "0.01", "0.49"} {
+		got, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, `,"farfield_eps":`+eps)))
+		if err != nil {
+			t.Fatalf("farfield_eps %s rejected: %v", eps, err)
+		}
+		if got.Hash() != exact {
+			t.Errorf("farfield_eps %s hashes as %s, want the exact job's %s", eps, got.Hash(), exact)
+		}
+	}
+	for _, eps := range []string{"-0.1", "0.5", "0.7"} {
+		if _, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, `,"farfield_eps":`+eps))); err == nil || !strings.Contains(err.Error(), "farfield_eps") {
+			t.Errorf("farfield_eps %s: error %v, want a range rejection", eps, err)
+		}
+	}
+}
+
 // TestDecodeSpecLegacyGainCache: the retired gaincache field is accepted
 // with each of its old values and dropped; any other value, like any
 // unknown field, is still rejected.

@@ -27,6 +27,19 @@ type Endpoint struct {
 	Client *http.Client
 }
 
+// Bounds on what the coordinator reads from a daemon, so that one broken or
+// hostile daemon streaming an endless body cannot exhaust its memory.
+const (
+	// maxSubmitResponseBytes bounds the job status a submit returns, a few
+	// dozen bytes of JSON.
+	maxSubmitResponseBytes = 1 << 20
+	// maxResultBytes bounds a shard's result: its wire stream and, on a
+	// traced run, its trace bundle, whose payloads may reach 256 MiB each.
+	// The cap stops an endless body; it is not a size any real shard
+	// approaches.
+	maxResultBytes = 1 << 30
+)
+
 // Name implements Executor.
 func (e *Endpoint) Name() string { return e.URL }
 
@@ -47,7 +60,6 @@ type shardJobSpec struct {
 	Seed         uint64      `json:"seed"`
 	Trials       int         `json:"trials,omitempty"`
 	Quick        bool        `json:"quick,omitempty"`
-	FarFieldEps  float64     `json:"farfield_eps,omitempty"`
 	SINRParallel int         `json:"sinr_parallel,omitempty"`
 	Shard        shardJobRef `json:"shard"`
 }
@@ -96,7 +108,6 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 		Seed:         req.Spec.Seed,
 		Trials:       req.Spec.Trials,
 		Quick:        req.Spec.Quick,
-		FarFieldEps:  req.Spec.FarFieldEps,
 		SINRParallel: req.Spec.SINRParallel,
 		Shard:        ref,
 	})
@@ -110,7 +121,7 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 	if err := e.follow(ctx, st.ID); err != nil {
 		return nil, err
 	}
-	return e.result(ctx, st.ID)
+	return e.result(ctx, st.ID, maxResultBytes)
 }
 
 // submit POSTs the job, absorbing the daemon's 429 backpressure (bounded
@@ -147,10 +158,13 @@ func (e *Endpoint) submit(ctx context.Context, body []byte) (*jobStatus, error) 
 			defer resp.Body.Close()
 			return nil, fmt.Errorf("%s: submit: %s", e.URL, httpErrorString(resp))
 		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
+		raw, err := readCapped(resp.Body, maxSubmitResponseBytes)
 		resp.Body.Close()
 		if err != nil {
+			return nil, fmt.Errorf("%s: submit response: %w", e.URL, err)
+		}
+		var st jobStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
 			return nil, fmt.Errorf("%s: decode submit response: %w", e.URL, err)
 		}
 		if st.ID == "" {
@@ -184,8 +198,9 @@ func (e *Endpoint) follow(ctx context.Context, id string) error {
 	return err
 }
 
-// result fetches the terminal job's result body.
-func (e *Endpoint) result(ctx context.Context, id string) ([]byte, error) {
+// result fetches the terminal job's result body, failing once it exceeds
+// limit bytes.
+func (e *Endpoint) result(ctx context.Context, id string, limit int64) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.URL+"/v1/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err
@@ -198,7 +213,21 @@ func (e *Endpoint) result(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: result: %s", e.URL, httpErrorString(resp))
 	}
-	return io.ReadAll(resp.Body)
+	raw, err := readCapped(resp.Body, limit)
+	if err != nil {
+		return nil, fmt.Errorf("%s: result: %w", e.URL, err)
+	}
+	return raw, nil
+}
+
+// readCapped reads r to its end, failing as soon as it has read more than
+// limit bytes.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(raw)) > limit {
+		err = fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return raw, err
 }
 
 // httpErrorString renders a non-2xx response compactly, preferring the

@@ -121,20 +121,19 @@ func (r Request) Validate() error {
 // Merge and the checkpoint loader validate the coordinates structurally.
 // The trace spec is absent for the same reason — tracing is observational —
 // and bundle presence/policy is validated structurally instead (see
-// Request.traceMatches).
+// Request.traceMatches). So is the intra-round Deliver worker count, which
+// never changes a value either.
 func RequestHash(r Request) string {
 	spec := r.Spec
 	if spec.IDs == "" {
 		spec.IDs = "all"
 	}
 	canonical, err := json.Marshal(struct {
-		IDs          string  `json:"ids"`
-		Seed         uint64  `json:"seed"`
-		Trials       int     `json:"trials"`
-		Quick        bool    `json:"quick"`
-		FarFieldEps  float64 `json:"farfield_eps"`
-		SINRParallel int     `json:"sinr_parallel"`
-	}{spec.IDs, spec.Seed, spec.Trials, spec.Quick, spec.FarFieldEps, spec.SINRParallel})
+		IDs    string `json:"ids"`
+		Seed   uint64 `json:"seed"`
+		Trials int    `json:"trials"`
+		Quick  bool   `json:"quick"`
+	}{spec.IDs, spec.Seed, spec.Trials, spec.Quick})
 	if err != nil {
 		// Plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("shard: canonical request encoding: %v", err))

@@ -72,11 +72,10 @@ func liveChannels(t *testing.T, d *geom.Deployment) map[string]func() sim.Channe
 	p.Power = sinr.MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, sinr.DefaultSingleHopMargin)
 	return map[string]func() sim.Channel{
 		"uniform":  build(func() (*sinr.Channel, error) { return sinr.New(p, d.Points) }),
-		"eps":      build(func() (*sinr.Channel, error) { return sinr.New(p, d.Points, sinr.WithFarFieldEps(0.05)) }),
 		"parallel": build(func() (*sinr.Channel, error) { return sinr.New(p, d.Points, sinr.WithDeliverParallelism(2)) }),
 		"rayleigh": build(func() (*sinr.Channel, error) { return sinr.NewRayleigh(p, d.Points, 5) }),
-		"rayleigh/substream": build(func() (*sinr.Channel, error) {
-			return sinr.NewRayleigh(p, d.Points, 5, sinr.WithDeliverParallelism(1))
+		"rayleigh/parallel": build(func() (*sinr.Channel, error) {
+			return sinr.NewRayleigh(p, d.Points, 5, sinr.WithDeliverParallelism(2))
 		}),
 	}
 }
@@ -87,7 +86,7 @@ func liveChannels(t *testing.T, d *geom.Deployment) map[string]func() sim.Channe
 // those of the full Deliver — the channel wrapped to hide DeliverTo, or a
 // Tracer installed — and the live list must be exactly the active set.
 func TestLiveListenersMatchFullDelivery(t *testing.T) {
-	const n = 600 // p·n = 120 round-one transmitters: the ε engine prunes
+	const n = 600 // p·n = 120 round-one transmitters: the certificate runs
 	d, err := geom.UniformDisk(11, n)
 	if err != nil {
 		t.Fatal(err)

@@ -51,54 +51,20 @@ func certifiable(p Params, n int) bool {
 	return n <= certMaxNodes && p.Beta >= 1/certRange
 }
 
-// enableCertificate allocates the grid's certificate state: the
-// summed-area table bucket refills each round, and ringCap. A transmitter
-// in ring k ≥ 2 around a listener's cell is at distance at least
-// (k−1)·cell from it, so its signal is at most maxPower·((k−1)·cell)^−α;
-// ringCap[k] is that bound with the floor shrunk and the bound grown by
-// certEps, which covers the rounding of cell assignment, of Dist2 and of the
-// attenuation. Rings 0 and 1 have no floor (+Inf).
-func (g *txGrid) enableCertificate(alpha, maxPower float64) {
-	g.sat = make([]int32, (g.rows+1)*(g.cols+1))
-	g.ringCap = make([]float64, g.maxRing()+1)
-	for k := range g.ringCap {
-		if k < 2 {
-			g.ringCap[k] = math.Inf(1)
-			continue
-		}
-		d := float64(k-1) * g.cell * (1 - certEps)
-		g.ringCap[k] = maxPower * attenuation(d*d, alpha) * (1 + certEps)
-	}
-}
-
-// certGrid returns the grid the certificate walks, building it with its
-// certificate state on the first call; nil when the channel cannot
-// certify (certifiable, or a grid that cannot be built).
+// certGrid returns the grid the certificate walks, building it on the
+// first call; nil when the channel cannot certify (certifiable, or
+// newTxGrid).
 //
 //crlint:hotpath
 func (c *Channel) certGrid() *txGrid {
-	if c.grid == nil && !c.noCert {
-		c.noCert = true
-		if !certifiable(c.params, len(c.pts)) {
-			return nil
-		}
-		//crlint:allow hotalloc built once per channel, on its first round with more than farFieldSmallTx transmitters
-		g, err := newTxGrid(c.pts)
-		if err != nil {
-			return nil
-		}
-		// Squared distances across the grid, the ring caps' among them,
-		// must stay finite.
-		if extent := float64(g.maxRing()) * g.cell; !(extent*extent <= certRange) {
-			return nil
-		}
+	if c.grid == nil && !c.noCert && certifiable(c.params, len(c.pts)) {
 		maxP := 0.0
 		for _, p := range c.powers {
 			maxP = math.Max(maxP, p)
 		}
-		//crlint:allow hotalloc built once per channel, with the grid
-		g.enableCertificate(c.params.Alpha, maxP)
-		c.grid, c.noCert = g, false
+		//crlint:allow hotalloc built once per channel, on its first round with more than certSmallTx transmitters
+		c.grid = newTxGrid(c.pts, c.params.Alpha, maxP)
+		c.noCert = c.grid == nil
 	}
 	return c.grid
 }

@@ -87,20 +87,20 @@ func countTx(tx []bool) int {
 	return m
 }
 
-// denseTx returns a transmit mask with more than farFieldSmallTx
+// denseTx returns a transmit mask with more than certSmallTx
 // transmitters — a round the certificate runs in — at the given density.
 func denseTx(t *testing.T, rng *rand.Rand, n int, density float64) []bool {
 	t.Helper()
 	for try := 0; try < 100; try++ {
-		if tx := randomTx(rng, n, density); countTx(tx) > farFieldSmallTx {
+		if tx := randomTx(rng, n, density); countTx(tx) > certSmallTx {
 			return tx
 		}
 	}
-	t.Fatalf("no transmit mask with more than %d of %d nodes at density %v", farFieldSmallTx, n, density)
+	t.Fatalf("no transmit mask with more than %d of %d nodes at density %v", certSmallTx, n, density)
 	return nil
 }
 
-// TestCertifiedMatchesFullSum: in rounds with more than farFieldSmallTx
+// TestCertifiedMatchesFullSum: in rounds with more than certSmallTx
 // transmitters, the certified engine — sequential and over 3 workers,
 // through Deliver and through DeliverTo over ascending subsets — decodes at
 // every listener exactly what the full ascending sum decodes (a channel with
@@ -271,8 +271,8 @@ func TestCertifiedDeliverZeroAllocs(t *testing.T) {
 }
 
 // TestCertificateScope: the certificate never runs where it must not — on a
-// faded channel, in the ε engine, with an observer installed, in a round
-// with at most farFieldSmallTx transmitters, or outside the ranges where
+// faded channel, with an observer installed, in a round
+// with at most certSmallTx transmitters, or outside the ranges where
 // its rounding argument holds (β below 1/certRange, a grid extent whose
 // square overflows certRange, a non-finite position) — and runs otherwise.
 // Where it does not run, the full sum's receptions stand.
@@ -303,7 +303,7 @@ func TestCertificateScope(t *testing.T) {
 	rng := xrand.New(5)
 	dense := denseTx(t, rng, n, 0.25)
 	sparse := make([]bool, n)
-	for v := 0; v < farFieldSmallTx; v++ {
+	for v := 0; v < certSmallTx; v++ {
 		sparse[v*7] = true
 	}
 	// Channels outside the certificate's ranges, each with a full-sum twin.
@@ -335,8 +335,7 @@ func TestCertificateScope(t *testing.T) {
 		{"exact, sparse round", build(false), sparse, false},
 		{"observed", observed, dense, false},
 		{"faded", build(true), dense, false},
-		{"faded substreams", build(true, WithDeliverParallelism(1)), dense, false},
-		{"ε engine", build(false, WithFarFieldEps(0.01)), dense, false},
+		{"faded, 3 workers", build(true, WithDeliverParallelism(3)), dense, false},
 	}
 	for name, mk := range outside {
 		c, err := mk()
@@ -418,7 +417,7 @@ func FuzzCertifiedDelivery(f *testing.F) {
 	betas := []float64{0.5, 1, 1.5, 4}
 	noises := []float64{0, 1, 1e6, 1e-3}
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, layout, alphaSel, betaSel, noiseSel, density uint8, raw []byte) {
-		n := farFieldSmallTx + 1 + int(size)%700
+		n := certSmallTx + 1 + int(size)%700
 		rng := xrand.New(seed)
 		side := int(math.Ceil(math.Sqrt(float64(n))))
 		pts := make([]geom.Point, n)
@@ -510,7 +509,7 @@ func TestRingWalkCoversSquares(t *testing.T) {
 		for v := range pts {
 			col, row := g.cellCoords(v)
 			w := certWalk{c: c, g: g, pv: pts[v], b: -1, bu: -1}
-			for k := 0; k < g.maxRing(); k++ {
+			for k := 0; k < max(g.cols, g.rows); k++ {
 				w.ring(col, row, k)
 				if want := g.squareCount(col, row, k); w.seen != want {
 					t.Fatalf("grid %d×%d, cell (%d, %d), rings 0..%d: walk saw %d transmitters, table counts %d",

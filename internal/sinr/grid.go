@@ -1,26 +1,25 @@
 package sinr
 
 import (
-	"fmt"
 	"math"
 
 	"fadingcr/internal/geom"
 )
 
-// The shared transmitter grid.
+// The certificate's transmitter grid.
 //
-// Both delivery shortcuts — the ε engine's near sets (farfield.go) and the
-// exact engine's certificate (certify.go) — walk square rings of grid cells
-// outward from a listener over the round's transmitters. They share one
-// index: the uniform grid over the deployment, every node's cell, and once
-// per round the transmitters bucketed by cell in CSR form.
+// The certificate (certify.go) walks square rings of grid cells outward
+// from a listener over the round's transmitters. Its index is the uniform
+// grid over the deployment, every node's cell, and once per round the
+// transmitters bucketed by cell in CSR form with a summed-area table of
+// their per-cell counts.
 const (
-	// farFieldSmallTx: with at most this many transmitters neither shortcut
-	// runs and every listener sums the transmitter list directly. Bucketing a
-	// grid to find two transmitters would invert the asymptotics (sparse
-	// transmitter sets are precisely the regime contention resolution
-	// converges to).
-	farFieldSmallTx = 64
+	// certSmallTx: in a round with at most this many transmitters the
+	// certificate does not run and every listener sums the transmitter list
+	// directly. Bucketing a grid to find two transmitters would invert the
+	// asymptotics (sparse transmitter sets are precisely the regime
+	// contention resolution converges to).
+	certSmallTx = 64
 	// gridCellSize is the initial grid cell size; deployments are normalised
 	// to shortest link 1, so 2.0 keeps buckets small on constant-density
 	// deployments.
@@ -31,14 +30,13 @@ const (
 	// gridPointsPerCell is the coarsening target: a ring walk pays a fixed
 	// overhead per visited cell, so on large deployments cells are doubled
 	// until they hold several points each, amortising that overhead against
-	// the per-transmitter work. The resulting cell count — and with it every
-	// ε near/far partition — is a pure function of n.
+	// the per-transmitter work.
 	gridPointsPerCell = 8
 )
 
 // txGrid is the spatial index over a channel's deployment plus the current
-// round's transmitter buckets. Only bucket writes it, once per round before
-// the tile pass; tiles only read it.
+// round's transmitter buckets and their summed-area table. Only bucket
+// writes it, once per round before the tile pass; tiles only read it.
 type txGrid struct {
 	geom.Grid  // maps a node's position to its cell
 	pts        []geom.Point
@@ -52,42 +50,64 @@ type txGrid struct {
 	start []int32
 	idx   []int32
 
-	// Certificate state, nil until enableCertificate (the ε engine never
-	// builds it). sat is the round's summed-area table of per-cell
-	// transmitter counts: sat[r·(cols+1) + c] counts the transmitters in rows
-	// < r and columns < c. ringCap[k] bounds the signal of any transmitter in
-	// ring k (see enableCertificate).
+	// sat is the round's summed-area table of per-cell transmitter counts:
+	// sat[r·(cols+1) + c] counts the transmitters in rows < r and columns
+	// < c. ringCap[k] bounds the signal of any transmitter in ring k (see
+	// newTxGrid).
 	sat     []int32
 	ringCap []float64
 }
 
-// newTxGrid builds the grid over pts. The grid is capped at
+// newTxGrid builds the certificate's grid over pts, or returns nil when
+// the certificate cannot run on it: a non-finite position, or a grid
+// extent whose square exceeds certRange. The grid is capped at
 // max(gridMinCells, n/gridPointsPerCell) cells, which both coarsens cells
 // to several points each on large deployments and keeps huge-spread
-// deployments (exponential chains) from exhausting memory; the cap is a pure
-// function of n, so the grid — and every ε near/far partition — is
-// reproducible. Non-finite coordinates are rejected.
-func newTxGrid(pts []geom.Point) (*txGrid, error) {
-	for i, p := range pts {
+// deployments (exponential chains) from exhausting memory.
+//
+// A transmitter in ring k ≥ 2 around a listener's cell is at distance at
+// least (k−1)·cell from it, so its signal is at most
+// maxPower·((k−1)·cell)^−α; ringCap[k] is that bound with the floor shrunk
+// and the bound grown by certEps, which covers the rounding of cell
+// assignment, of Dist2 and of the attenuation. Rings 0 and 1 have no floor
+// (+Inf).
+func newTxGrid(pts []geom.Point, alpha, maxPower float64) *txGrid {
+	for _, p := range pts {
 		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
-			return nil, fmt.Errorf("sinr: grid: node %d has non-finite position %v", i, p)
+			return nil
 		}
 	}
 	maxCells := max(len(pts)/gridPointsPerCell, gridMinCells)
 	gg, err := geom.NewGridCapped(pts, gridCellSize, maxCells)
 	if err != nil {
-		return nil, fmt.Errorf("sinr: grid: %w", err)
+		return nil
 	}
 	cols, rows, cell := gg.Shape()
-	return &txGrid{
-		Grid:  *gg,
-		pts:   pts,
-		cols:  cols,
-		rows:  rows,
-		cell:  cell,
-		start: make([]int32, cols*rows+1),
-		idx:   make([]int32, len(pts)),
-	}, nil
+	// Squared distances across the grid, the ring caps' among them, must
+	// stay finite.
+	if extent := float64(max(cols, rows)) * cell; !(extent*extent <= certRange) {
+		return nil
+	}
+	g := &txGrid{
+		Grid:    *gg,
+		pts:     pts,
+		cols:    cols,
+		rows:    rows,
+		cell:    cell,
+		start:   make([]int32, cols*rows+1),
+		idx:     make([]int32, len(pts)),
+		sat:     make([]int32, (rows+1)*(cols+1)),
+		ringCap: make([]float64, max(cols, rows)+1),
+	}
+	for k := range g.ringCap {
+		if k < 2 {
+			g.ringCap[k] = math.Inf(1)
+			continue
+		}
+		d := float64(k-1) * cell * (1 - certEps)
+		g.ringCap[k] = maxPower * attenuation(d*d, alpha) * (1 + certEps)
+	}
+	return g
 }
 
 // cellCoords returns node v's (col, row).
@@ -105,14 +125,10 @@ func (g *txGrid) cellOf(u int) int {
 	return row*g.cols + col
 }
 
-// maxRing is the largest ring index any walk can reach: ring max(cols,
-// rows)−1 around any cell covers the whole grid.
-func (g *txGrid) maxRing() int { return max(g.cols, g.rows) }
-
 // bucket sorts the round's transmitters by grid cell — a counting sort into
-// the CSR arrays — once per Deliver, before the tile pass. The buckets
-// inherit txList's ascending order within each cell. With a summed-area
-// table allocated (the certificate's), it is refilled from the buckets.
+// the CSR arrays — once per Deliver, before the tile pass, and refills the
+// summed-area table from the buckets. The buckets inherit txList's
+// ascending order within each cell.
 //
 //crlint:hotpath
 func (g *txGrid) bucket(txList []int) {
@@ -137,9 +153,6 @@ func (g *txGrid) bucket(txList []int) {
 		start[i] = start[i-1]
 	}
 	start[0] = 0
-	if g.sat == nil {
-		return
-	}
 	// Row 0 and column 0 of the table stay zero. start[base+c+1] −
 	// start[base] counts row r's transmitters in columns ≤ c.
 	w := g.cols + 1

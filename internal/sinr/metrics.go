@@ -7,11 +7,11 @@ import "fadingcr/internal/obs"
 // //crlint:hotpath contract of Deliver is preserved, and they never touch
 // the simulated-randomness path (DESIGN.md §8).
 var (
-	mDeliveries         = obs.Default.Counter("sinr.deliveries")
-	mListeners          = obs.Default.Counter("sinr.listeners")
-	mDeliveriesFarField = obs.Default.Counter("sinr.deliveries_farfield")
+	mDeliveries = obs.Default.Counter("sinr.deliveries")
+	mListeners  = obs.Default.Counter("sinr.listeners")
+	// mDeliveriesParallel counts the Delivers the parallel engine ran; a
+	// faded channel delivers sequentially at any worker count.
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
-	mFarFieldPrunedTx   = obs.Default.Counter("sinr.farfield_pruned_tx")
 	// mCertifiedListeners counts the listeners the exact engine decided from
 	// its certificate, without the full sum: one add per Deliver.
 	mCertifiedListeners = obs.Default.Counter("sinr.certified_listeners")

@@ -25,7 +25,7 @@ func (o *recordingObserver) OnReception(listener, from int, sinr, margin float64
 }
 
 // observerChannels builds one channel per variant: uniform and per-node
-// powers, and both fade-stream rules.
+// powers, and faded with and without a parallel option.
 func observerChannels(t *testing.T) map[string]*Channel {
 	t.Helper()
 	d, err := geom.UniformDisk(11, 48)
@@ -51,8 +51,8 @@ func observerChannels(t *testing.T) map[string]*Channel {
 	add("per-node", c, err)
 	c, err = NewRayleigh(p, d.Points, 5)
 	add("rayleigh", c, err)
-	c, err = NewRayleigh(p, d.Points, 5, WithDeliverParallelism(1))
-	add("rayleigh/substream", c, err)
+	c, err = NewRayleigh(p, d.Points, 5, WithDeliverParallelism(3))
+	add("rayleigh/3 workers", c, err)
 	return out
 }
 

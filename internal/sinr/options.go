@@ -19,15 +19,11 @@ const MaxDeliverParallelism = 256
 
 // engineConfig is the resolved delivery-engine configuration of a channel.
 type engineConfig struct {
-	farFieldEps float64 // > 0: ε far-field pruning mode
-	parallel    int     // ≥ 2: intra-round parallel Deliver workers
+	parallel int // ≥ 2: intra-round parallel Deliver workers
 }
 
 // validate rejects resolved configurations outside the supported envelope.
 func (ec engineConfig) validate() error {
-	if ec.farFieldEps != 0 && (!(ec.farFieldEps > 0) || ec.farFieldEps >= 0.5) {
-		return fmt.Errorf("sinr: far-field epsilon %v must be in (0, 0.5)", ec.farFieldEps)
-	}
 	if ec.parallel < 0 || ec.parallel > MaxDeliverParallelism {
 		return fmt.Errorf("sinr: deliver parallelism %d must be in [0, %d]", ec.parallel, MaxDeliverParallelism)
 	}
@@ -45,46 +41,31 @@ func (ec engineConfig) workers() int {
 // Option configures a channel's delivery engine.
 type Option func(*engineConfig)
 
-// WithFarFieldEps enables the ε far-field pruning engine: per listener, only
-// transmitters in nearby spatial-index cells are summed exactly (in ascending
-// transmitter index, like the exact engine), and the remaining far
-// transmitters are dropped once a conservative upper bound proves their
-// aggregate contribution is at most eps·(Noise + near interference). The
-// pruning decision uses distance bounds only — never accumulated floats — so
-// it is deterministic. eps must be in (0, 0.5); 0 restores the exact
-// engine. See DESIGN.md §8 for the precise error bound.
-func WithFarFieldEps(eps float64) Option {
-	return func(ec *engineConfig) { ec.farFieldEps = eps }
-}
-
 // WithDeliverParallelism sets the intra-round worker count of Deliver.
 // Workers process disjoint fixed-shape listener tiles (tile t → worker
 // t mod workers) and the threshold/observer pass stays sequential in
 // ascending listener order, so receptions are byte-identical at any worker
-// count. 0 and 1 both select the sequential engine; parallel delivery
-// allocates O(workers) per round, so the zero-allocation hot-path guarantee
-// applies to the sequential default only.
+// count. 0 and 1 both select the sequential engine, and faded channels
+// always use it (NewRayleigh); parallel delivery allocates O(workers) per
+// round, so the zero-allocation hot-path guarantee applies to the
+// sequential engine only.
 func WithDeliverParallelism(workers int) Option {
 	return func(ec *engineConfig) { ec.parallel = workers }
 }
 
 // EngineOptions translates the CLI-style engine configuration — the
-// -farfield-eps and -sinr-parallel knobs — into channel options, validating
-// ranges up front so flag errors surface before a channel is half-built.
-// farfieldEps 0 and parallel 0 leave the defaults.
-func EngineOptions(farfieldEps float64, parallel int) ([]Option, error) {
-	ec := engineConfig{farFieldEps: farfieldEps, parallel: parallel}
+// -sinr-parallel knob — into channel options, validating its range up
+// front so flag errors surface before a channel is half-built. parallel 0
+// leaves the default.
+func EngineOptions(parallel int) ([]Option, error) {
+	ec := engineConfig{parallel: parallel}
 	if err := ec.validate(); err != nil {
 		return nil, err
 	}
-	var opts []Option
-	if farfieldEps != 0 {
-		opts = append(opts, WithFarFieldEps(farfieldEps))
+	if parallel == 0 {
+		return nil, nil
 	}
-	if parallel != 0 {
-		opts = append(opts, WithDeliverParallelism(parallel))
-	}
-	return opts, nil
+	return []Option{WithDeliverParallelism(parallel)}, nil
 }
 
 // resolveEngine applies options over the defaults and validates the result.

@@ -12,11 +12,11 @@ type deliverer interface {
 	Deliver(tx []bool, recv []int)
 }
 
-// TestParallelDeliverByteIdentical: for every channel variant and mode, the
-// parallel option must produce receptions byte-identical at workers 1, 3,
-// and 8 — and, for the unfaded channels, identical to the sequential
-// default with no parallel option at all. n exceeds deliverTile so the
-// partition genuinely has multiple tiles to distribute.
+// TestParallelDeliverByteIdentical: for every channel variant, the parallel
+// option must produce receptions byte-identical at workers 1, 3, and 8 and
+// identical to the sequential default with no parallel option at all —
+// faded channels included, which stay on their one fade stream. n exceeds
+// deliverTile so the partition genuinely has multiple tiles to distribute.
 func TestParallelDeliverByteIdentical(t *testing.T) {
 	const side = 50 // n = 2500 > deliverTile
 	n := side * side
@@ -33,7 +33,7 @@ func TestParallelDeliverByteIdentical(t *testing.T) {
 	// baseline channel with no parallel option; all must agree bytewise.
 	cases := []struct {
 		name     string
-		baseline func() (deliverer, error) // nil: no sequential baseline (Rayleigh default stream differs by design)
+		baseline func() (deliverer, error)
 		build    func(workers int) (deliverer, error)
 	}{
 		{
@@ -44,13 +44,6 @@ func TestParallelDeliverByteIdentical(t *testing.T) {
 			},
 		},
 		{
-			name:     "plain-farfield",
-			baseline: func() (deliverer, error) { return New(p, pts, WithFarFieldEps(0.01)) },
-			build: func(w int) (deliverer, error) {
-				return New(p, pts, WithFarFieldEps(0.01), WithDeliverParallelism(w))
-			},
-		},
-		{
 			name:     "power",
 			baseline: func() (deliverer, error) { return NewWithPowers(p, pts, powers) },
 			build: func(w int) (deliverer, error) {
@@ -58,37 +51,21 @@ func TestParallelDeliverByteIdentical(t *testing.T) {
 			},
 		},
 		{
-			// The substream fade engine is selected by the parallel option
-			// itself (workers=1 included), so all worker counts share one
-			// stream; the optionless default engine is a different stream
-			// by documented design and is not compared here.
-			name:     "rayleigh-substream",
-			baseline: nil,
+			name:     "rayleigh",
+			baseline: func() (deliverer, error) { return NewRayleigh(p, pts, 42) },
 			build: func(w int) (deliverer, error) {
 				return NewRayleigh(p, pts, 42, WithDeliverParallelism(w))
-			},
-		},
-		{
-			name:     "rayleigh-farfield",
-			baseline: func() (deliverer, error) { return NewRayleigh(p, pts, 42, WithFarFieldEps(0.01)) },
-			build: func(w int) (deliverer, error) {
-				return NewRayleigh(p, pts, 42, WithFarFieldEps(0.01), WithDeliverParallelism(w))
 			},
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chans := make([]deliverer, 0, len(workerCounts)+1)
-			labels := make([]string, 0, len(workerCounts)+1)
-			if tc.baseline != nil {
-				c, err := tc.baseline()
-				if err != nil {
-					t.Fatal(err)
-				}
-				chans = append(chans, c)
-				labels = append(labels, "sequential")
+			c, err := tc.baseline()
+			if err != nil {
+				t.Fatal(err)
 			}
+			chans, labels := []deliverer{c}, []string{"sequential"}
 			for _, w := range workerCounts {
 				c, err := tc.build(w)
 				if err != nil {

@@ -139,8 +139,7 @@ type Channel struct {
 	pts      []geom.Point
 	powers   []float64
 	fade     *fadeSource // nil: the paper's deterministic channel
-	ff       *farField   // nil: exact delivery (the default)
-	grid     *txGrid     // the ε engine's, or the certificate's once built
+	grid     *txGrid     // the certificate's, once built
 	noCert   bool        // the certificate cannot run on this channel
 	par      int         // ≥ 2: intra-round parallel workers
 	all      []int       // 0, 1, …, n−1 (built on first use): every listener
@@ -150,9 +149,7 @@ type Channel struct {
 
 // New builds the paper's uniform-power channel for the given parameters
 // and node positions. It returns an error if the parameters are invalid or
-// fewer than one node is given. WithFarFieldEps selects the approximate ε
-// far-field engine (see farfield.go), the only option that can change
-// receptions — within its documented error bound.
+// fewer than one node is given. No option changes a reception.
 func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -193,28 +190,19 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // the paper's model — the paper's "fading" refers to the geometric path
 // loss of the SINR equation.
 //
-// The channel is deterministic given its seed and call sequence. Without
-// options it draws every fade of round r from one stream,
-// Split(seed, r), in ascending listener-then-transmitter order. The ε
-// far-field option or any parallel option (an explicit worker count of 1
-// included) instead draws listener v's fades from its own substream,
-// Split(Split(seed, r), v), in ascending transmitter order — deterministic
-// at any worker count, but a different (equally distributed) stream.
+// The channel is deterministic given its seed and call sequence: it draws
+// every fade of round r from one stream, Split(seed, r), in ascending
+// listener-then-transmitter order. That order is a sequential one, so a
+// faded channel delivers sequentially whatever worker count its options
+// ask for, and its receptions are the same with or without them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
 	c, err := New(params, pts, opts...)
 	if err != nil {
 		return nil, err
 	}
-	ec, _ := resolveEngine(opts) // New has validated the options
-	c.fade = &fadeSource{
-		seed:        seed,
-		perListener: c.ff != nil || ec.parallel >= 1,
-		rngs:        make([]*xrand.Reseedable, c.par),
-	}
-	for w := range c.fade.rngs {
-		// Reseeded before every use; the construction seed is never consumed.
-		c.fade.rngs[w] = xrand.NewReseedable(xrand.Split(seed, uint64(w)))
-	}
+	c.par = 1
+	// Reseeded every round; the construction seed is never consumed.
+	c.fade = &fadeSource{seed: seed, rng: xrand.NewReseedable(seed)}
 	return c, nil
 }
 
@@ -228,35 +216,21 @@ func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option
 	if err != nil {
 		return nil, err
 	}
-	c := &Channel{
+	return &Channel{
 		params:  params,
 		pts:     append([]geom.Point(nil), pts...),
 		powers:  powers,
 		par:     ec.workers(),
 		scratch: newDeliverScratch(len(pts), ec.workers()),
-	}
-	if ec.farFieldEps > 0 {
-		minP, maxP := powers[0], powers[0]
-		for _, p := range powers[1:] {
-			minP = math.Min(minP, p)
-			maxP = math.Max(maxP, p)
-		}
-		if c.grid, err = newTxGrid(c.pts); err != nil {
-			return nil, err
-		}
-		c.ff = newFarField(c.grid, params.Alpha, params.Noise, minP, maxP, ec.farFieldEps, c.par)
-	}
-	return c, nil
+	}, nil
 }
 
-// fadeSource is a faded channel's per-round fade state: one reusable rng
-// per worker, reseeded per round (the single-stream rule, worker 0 only) or
-// per listener (the substream rule).
+// fadeSource is a faded channel's fade stream: the round count and one
+// reusable rng, reseeded at the start of every round.
 type fadeSource struct {
-	seed        uint64
-	round       uint64
-	perListener bool
-	rngs        []*xrand.Reseedable
+	seed  uint64
+	round uint64
+	rng   *xrand.Reseedable
 }
 
 // N returns the number of nodes on the channel.
@@ -319,14 +293,14 @@ func (c *Channel) allListeners() []int {
 // distinct node indices (it implements sim.ListenerChannel): recv[v] is
 // computed for every listed v, bit for bit as Deliver computes it, and
 // every other entry of recv is left untouched. The one exception is a
-// faded channel on the single fade stream (NewRayleigh without options),
-// which draws the round's fades listener by listener: it evaluates every
-// listener, as Deliver does, so the stream cannot shift.
+// faded channel, which draws the round's fades listener by listener from
+// one stream: it evaluates every listener, as Deliver does, so the stream
+// cannot shift.
 //
-// In exact mode, on an unfaded channel with no observer, a round with more
-// than farFieldSmallTx transmitters certifies each listener from a few
-// grid rings around it where it can (certify.go) and sums Eq. (1) in full
-// only where the bounds cannot decide; the receptions are the full sum's.
+// On an unfaded channel with no observer, a round with more than
+// certSmallTx transmitters certifies each listener from a few grid rings
+// around it where it can (certify.go) and sums Eq. (1) in full only where
+// the bounds cannot decide; the receptions are the full sum's.
 //
 //crlint:hotpath
 func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
@@ -334,18 +308,11 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		panic(fmt.Sprintf("sinr: Deliver slice lengths tx=%d recv=%d, want %d", len(tx), len(recv), len(c.pts)))
 	}
 	mDeliveries.Inc()
-	if c.ff != nil {
-		mDeliveriesFarField.Inc()
-	}
-	var roundSeed uint64
 	if c.fade != nil {
 		// Every Deliver is a round of the fade stream, even a silent one.
-		roundSeed = xrand.Split(c.fade.seed, c.fade.round)
+		c.fade.rng.Reseed(xrand.Split(c.fade.seed, c.fade.round))
 		c.fade.round++
-		if !c.fade.perListener {
-			c.fade.rngs[0].Reseed(roundSeed)
-			listeners = c.allListeners()
-		}
+		listeners = c.allListeners()
 	}
 	mListeners.Add(int64(len(listeners)))
 	txList := c.scratch.indices(tx)
@@ -355,13 +322,10 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		}
 		return
 	}
-	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList), seed: roundSeed}
-	if len(txList) > farFieldSmallTx {
-		if c.ff == nil && c.fade == nil && c.observer == nil {
-			r.cert = c.certGrid()
-		}
-		if c.ff != nil || r.cert != nil {
-			c.grid.bucket(txList)
+	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList)}
+	if len(txList) > certSmallTx && c.fade == nil && c.observer == nil {
+		if r.cert = c.certGrid(); r.cert != nil {
+			r.cert.bucket(txList)
 		}
 	}
 	var certified int
@@ -369,7 +333,7 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
 		certified = c.deliverParallel(listeners, r)
 	} else {
-		certified = c.accumulateTile(0, listeners, r)
+		certified = c.accumulateTile(listeners, r)
 	}
 	if certified > 0 {
 		mCertifiedListeners.Add(int64(certified))
@@ -382,7 +346,6 @@ type deliverRound struct {
 	tx     []bool
 	txList []int    // the transmitters, ascending
 	nodes  []txNode // txList's positions and powers, gathered
-	seed   uint64   // the round's fade seed (faded channels)
 	cert   *txGrid  // non-nil: certify listeners over this bucketed grid
 }
 
@@ -415,7 +378,7 @@ func (c *Channel) deliverParallel(listeners []int, r deliverRound) int {
 	mDeliveriesParallel.Inc()
 	certified := c.scratch.certified
 	clear(certified)
-	runTiles(len(listeners), c.par, func(w, lo, hi int) { certified[w] += c.accumulateTile(w, listeners[lo:hi], r) })
+	runTiles(len(listeners), c.par, func(w, lo, hi int) { certified[w] += c.accumulateTile(listeners[lo:hi], r) })
 	sum := 0
 	for _, n := range certified {
 		sum += n
@@ -425,27 +388,25 @@ func (c *Channel) deliverParallel(listeners []int, r deliverRound) int {
 
 // accumulateTile is pass one of Deliver over the listeners in vs, the one
 // kernel of every mode: per non-transmitting listener, sum the signals of
-// its transmitter set — all transmitters, or the ε engine's near set — in
-// ascending transmitter index, tracking the first strict maximum, and park
-// the total, the strongest signal and its sender in the scratch arrays for
-// the sequential threshold pass. In a certified round a listener whose
-// certificate holds parks its verdict instead: no sender, or its sender
-// with the certifiedReception total. A faded channel multiplies each signal
-// by its next fade draw, from the round's single stream (sequential only,
-// so the draws run listener-then-transmitter) or from the listener's own
-// substream. The worker index selects per-worker scratch, so concurrent
-// tiles never share a buffer. It returns the number of certified
-// listeners.
+// every transmitter in ascending transmitter index, tracking the first
+// strict maximum, and park the total, the strongest signal and its sender
+// in the scratch arrays for the sequential threshold pass. In a certified
+// round a listener whose certificate holds parks its verdict instead: no
+// sender, or its sender with the certifiedReception total. A faded channel
+// multiplies each signal by its next fade draw from the round's one stream;
+// faded channels deliver sequentially, so the draws run
+// listener-then-transmitter. Concurrent tiles write disjoint listeners'
+// entries, so they never share a buffer. It returns the number of
+// certified listeners.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) int {
+func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	alpha := c.params.Alpha
 	var rng *rand.Rand
 	if c.fade != nil {
-		rng = c.fade.rngs[worker].Rand
+		rng = c.fade.rng.Rand
 	}
-	pruned := int64(0)
 	certified := 0
 	for _, v := range vs {
 		totals[v], best[v], bestU[v] = 0, -1, -1
@@ -461,19 +422,9 @@ func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) int {
 				continue
 			}
 		}
-		near, nodes := r.txList, r.nodes
-		if c.ff != nil {
-			if near = c.ff.nearSet(worker, v, r.tx, r.txList); len(near) < len(r.txList) {
-				pruned += int64(len(r.txList) - len(near))
-				nodes = c.gather(c.ff.nodes[worker], near)
-			}
-		}
-		if rng != nil && c.fade.perListener {
-			c.fade.rngs[worker].Reseed(xrand.Split(r.seed, uint64(v)))
-		}
 		pv := c.pts[v]
 		b, bi, t := -1.0, -1, 0.0
-		for i, nd := range nodes {
+		for i, nd := range r.nodes {
 			s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
 			if rng != nil {
 				s *= expFade(rng)
@@ -485,11 +436,8 @@ func (c *Channel) accumulateTile(worker int, vs []int, r deliverRound) int {
 		}
 		totals[v], best[v] = t, b
 		if bi >= 0 {
-			bestU[v] = near[bi]
+			bestU[v] = r.txList[bi]
 		}
-	}
-	if pruned > 0 {
-		mFarFieldPrunedTx.Add(pruned)
 	}
 	return certified
 }

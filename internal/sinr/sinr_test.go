@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -431,9 +432,41 @@ func randomGeometry(t *testing.T, seed uint64, n int, density float64) (*geom.De
 	return d, p, randomTx(xrand.New(seed+1), n, density)
 }
 
+// gridPoints builds a side×side unit grid — a constant-density deployment
+// with shortest link 1, constructed directly so large-n tests skip the
+// O(n²) deployment normalisation.
+func gridPoints(side int) []geom.Point {
+	pts := make([]geom.Point, 0, side*side)
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	return pts
+}
+
+// gridParams derives single-hop-feasible parameters for a side×side grid.
+func gridParams(alpha, beta, noise float64, side int) Params {
+	maxDist := float64(side-1) * math.Sqrt2
+	return Params{
+		Alpha: alpha,
+		Beta:  beta,
+		Noise: noise,
+		Power: MinSingleHopPower(alpha, beta, noise, maxDist, DefaultSingleHopMargin),
+	}
+}
+
+func randomTx(rng *rand.Rand, n int, density float64) []bool {
+	tx := make([]bool, n)
+	for i := range tx {
+		tx[i] = rng.Float64() < density
+	}
+	return tx
+}
+
 // TestDeliverZeroAllocsSteadyState: after the first call, sequential
-// Deliver allocates nothing for uniform powers, per-node powers, and both
-// fade-stream rules.
+// Deliver allocates nothing for uniform powers, per-node powers, and faded
+// channels, which deliver sequentially under a parallel option too.
 func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	// Recording is on by default; assert it so the zero-alloc bound below
 	// covers the metric increments on the hot path, not just the engine.
@@ -458,12 +491,12 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	substream, err := NewRayleigh(p, d.Points, 7, WithDeliverParallelism(1))
+	fadedPar, err := NewRayleigh(p, d.Points, 7, WithDeliverParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	listeners := []int{0, 3, 4, 40, n - 1}
-	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/substream": substream} {
+	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/3 workers": fadedPar} {
 		c.Deliver(tx, recv) // warm the scratch buffers
 		if allocs := testing.AllocsPerRun(50, func() { c.Deliver(tx, recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state Deliver allocates %.1f times per call, want 0", name, allocs)
@@ -475,10 +508,10 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestSingleStreamFadeIgnoresListenerSubset: the single fade stream draws
-// the round's fades listener by listener, so a faded channel without
-// options evaluates every listener even when DeliverTo lists a few — round
-// after round its receptions, and so its fade stream, stay those of
-// Deliver.
+// the round's fades listener by listener, so a faded channel evaluates
+// every listener even when DeliverTo lists a few, with or without a
+// parallel option — round after round its receptions, and so its fade
+// stream, stay those of Deliver.
 func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
 	const n = 120
 	d, p, _ := randomGeometry(t, 13, n, 0)
@@ -486,7 +519,7 @@ func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subset, err := NewRayleigh(p, d.Points, 3)
+	subset, err := NewRayleigh(p, d.Points, 3, WithDeliverParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,9 +535,10 @@ func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
 	}
 }
 
-// TestDeliveryCounters: every Deliver moves the sinr.deliveries metric, the
-// ε engine's calls are attributed to sinr.deliveries_farfield, and
-// sinr.listeners sums the listeners each call evaluated.
+// TestDeliveryCounters: every Deliver moves the sinr.deliveries metric,
+// sinr.deliveries_parallel counts the calls the parallel engine ran — a
+// faded channel at 3 workers runs the sequential one — and sinr.listeners
+// sums the listeners each call evaluated.
 func TestDeliveryCounters(t *testing.T) {
 	d, p, tx := randomGeometry(t, 41, 24, 0.3)
 	recv := make([]int, 24)
@@ -512,25 +546,25 @@ func TestDeliveryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := New(p, d.Points, WithFarFieldEps(0.1))
+	parallel, err := New(p, d.Points, WithDeliverParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	faded, err := NewRayleigh(p, d.Points, 2)
+	faded, err := NewRayleigh(p, d.Points, 2, WithDeliverParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	total0, far0, listeners0 := mDeliveries.Load(), mDeliveriesFarField.Load(), mListeners.Load()
+	total0, par0, listeners0 := mDeliveries.Load(), mDeliveriesParallel.Load(), mListeners.Load()
 	exact.Deliver(tx, recv)
 	exact.Deliver(tx, recv)
-	approx.Deliver(tx, recv)
+	parallel.Deliver(tx, recv)
 	exact.DeliverTo(tx, []int{1, 5, 9}, recv)
 	faded.DeliverTo(tx, []int{2}, recv) // the single fade stream evaluates all 24
 	if got := mDeliveries.Load() - total0; got != 5 {
 		t.Errorf("sinr.deliveries delta = %d, want 5", got)
 	}
-	if got := mDeliveriesFarField.Load() - far0; got != 1 {
-		t.Errorf("sinr.deliveries_farfield delta = %d, want 1", got)
+	if got := mDeliveriesParallel.Load() - par0; got != 1 {
+		t.Errorf("sinr.deliveries_parallel delta = %d, want 1 (the unfaded 3-worker channel only)", got)
 	}
 	if got := mListeners.Load() - listeners0; got != 4*24+3 {
 		t.Errorf("sinr.listeners delta = %d, want %d", got, 4*24+3)
