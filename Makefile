@@ -51,14 +51,20 @@ results:
 
 # Mirror of CI's results-check job: regenerate E1–E18 at full scale into a
 # temporary file and require it to be byte-identical to results_full.txt,
-# so every experiment's full-scale bytes stay pinned; then again with
-# intra-round Deliver workers, since no option may change a result.
+# so every experiment's full-scale bytes stay pinned; then run crsim, the
+# front end whose SINR rounds take the intra-round parallel engine, at
+# GOMAXPROCS 1, 2 and 4 and require identical output, since the worker
+# count it picks from the cores must never change a result.
 results-check:
-	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
-		go run ./cmd/crbench -seed 7 -o "$$tmp" && \
-		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte" && \
-		go run ./cmd/crbench -seed 7 -sinr-parallel 2 -o "$$tmp" && \
-		cmp "$$tmp" results_full.txt && echo "results_full.txt reproduced byte for byte with -sinr-parallel 2"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		go run ./cmd/crbench -seed 7 -o "$$tmp/results.txt" && \
+		cmp "$$tmp/results.txt" results_full.txt && echo "results_full.txt reproduced byte for byte" && \
+		go build -o "$$tmp/crsim" ./cmd/crsim && \
+		for p in 1 2 4; do \
+			GOMAXPROCS=$$p "$$tmp/crsim" -n 16384 -trials 3 -seed 3 > "$$tmp/crsim-$$p.txt" || exit 1; \
+		done && \
+		cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-2.txt" && cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-4.txt" && \
+		echo "crsim -n 16384 -trials 3 -seed 3 identical at GOMAXPROCS 1, 2 and 4"
 
 # Mirror of CI's obs-smoke job: exercise the -metrics/-cpuprofile/-memprofile
 # flags end to end and validate the NDJSON report (jq when installed).
@@ -92,9 +98,9 @@ trace-smoke:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# Mirror of CI's shard-smoke job: sharded runs (crbench -shards, crshard over
-# two crserve daemons, and a run that loses a daemon and re-dispatches) must
-# all be byte-identical to the unsharded run.
+# Mirror of CI's shard-smoke job: sharded runs (crshard over a local worker,
+# crshard over two crserve daemons, and a run that loses a daemon and
+# re-dispatches) must all be byte-identical to the unsharded crbench run.
 shard-smoke:
 	./scripts/shard-smoke.sh
 

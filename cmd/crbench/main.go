@@ -9,7 +9,8 @@
 //	crbench -parallel 4 -timeout 10m
 //
 // Trial loops run on the parallel Monte Carlo engine (internal/runner);
-// -parallel never changes results, only wall-clock time.
+// -parallel never changes results, only wall-clock time. crshard runs the
+// same experiments split into shards, locally or over crserve daemons.
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fadingcr/internal/cli"
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/obs"
-	"fadingcr/internal/shard"
 	"fadingcr/internal/trace"
 )
 
@@ -45,19 +45,16 @@ func mainExitCode(args []string) int {
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("crbench", flag.ContinueOnError)
 	var (
-		list         = fs.Bool("list", false, "list the registered experiments and exit")
-		ids          = fs.String("ids", "all", "comma-separated experiment ids (e.g. E1,E3) or 'all'")
-		quick        = fs.Bool("quick", false, "small sweeps for a fast smoke run")
-		seed         = fs.Uint64("seed", 1, "master seed")
-		trials       = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
-		format       = fs.String("format", "text", "output format: text|markdown")
-		out          = fs.String("o", "", "write output to this file instead of stdout")
-		parallel     = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per trial loop (results are identical at any value)")
-		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-		shards       = fs.Int("shards", 1, "split every trial loop into this many shards and run them through the shard coordinator (output is byte-identical at any count)")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
+		list     = fs.Bool("list", false, "list the registered experiments and exit")
+		ids      = fs.String("ids", "all", "comma-separated experiment ids (e.g. E1,E3) or 'all'")
+		quick    = fs.Bool("quick", false, "small sweeps for a fast smoke run")
+		seed     = fs.Uint64("seed", 1, "master seed")
+		trials   = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
+		format   = fs.String("format", "text", "output format: text|markdown")
+		out      = fs.String("o", "", "write output to this file instead of stdout")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per trial loop (results are identical at any value)")
+		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 
-		spanLog       = fs.String("span-log", "", "write coordinator scheduling spans (NDJSON) to this file; requires -shards > 1 (analyse with crtrace spans)")
 		traceDir      = fs.String("trace-dir", "", "write per-trial structured traces into this directory (analyse with crtrace)")
 		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
 		traceEvery    = fs.Int("trace-every", 100, "trace every Kth trial of each trial loop")
@@ -68,16 +65,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
-	// One shared parsing/validation path with crserve: the spec resolves
-	// ids, the engine knobs, and the trial count in one place.
-	spec := experiments.Spec{
-		IDs:          *ids,
-		Seed:         *seed,
-		Trials:       *trials,
-		Quick:        *quick,
-		SINRParallel: *sinrParallel,
-	}
-	selected, cfg, err := experiments.ConfigFromSpec(spec)
+	// One shared parsing/validation path with crserve and crshard: the spec
+	// resolves ids and the trial count in one place.
+	selected, cfg, err := experiments.ConfigFromSpec(experiments.Spec{IDs: *ids, Seed: *seed, Trials: *trials, Quick: *quick})
 	if err != nil {
 		return cli.Usage(err)
 	}
@@ -128,76 +118,16 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err != nil {
 			return cli.Usage(err)
 		}
-		if *shards <= 1 {
-			cfg.Trace, err = trace.NewCapture("crbench", trace.Policy{
-				Dir:          *traceDir,
-				Format:       traceFormat,
-				EveryK:       *traceEvery,
-				FailuresOnly: *traceFailures,
-				Classes:      *traceClasses,
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if *spanLog != "" && *shards <= 1 {
-		return cli.Usagef("-span-log records coordinator scheduling spans and requires -shards > 1")
-	}
-	if *shards > 1 {
-		// Sharded run: the coordinator executes every trial-loop shard
-		// through local workers and the assembler re-renders the tables.
-		// Byte-identical to the unsharded path at any shard count (timing
-		// lines go to stderr in both paths for exactly this reason). With
-		// -trace-dir the workers capture under global trial indices and ship
-		// bundles back; the federated directory is byte-identical to an
-		// unsharded capture.
-		req := shard.Request{Spec: spec, Shards: *shards}
-		if *traceDir != "" {
-			req.Trace = &shard.TraceSpec{
-				Format:   *traceFmt,
-				EveryK:   *traceEvery,
-				Failures: *traceFailures,
-				Classes:  *traceClasses,
-			}
-		}
-		coord := shard.Coordinator{
-			Executors: []shard.Executor{&shard.Local{Parallelism: *parallel}},
-			Log:       os.Stderr,
-		}
-		if *spanLog != "" {
-			f, err := os.Create(*spanLog)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			coord.Spans = obs.NewSpanLog(f)
-		}
-		runStart := time.Now() //crlint:allow nowallclock CLI elapsed-time summary
-		merged, err := coord.Run(ctx, req)
+		cfg.Trace, err = trace.NewCapture("crbench", trace.Policy{
+			Dir:          *traceDir,
+			Format:       traceFormat,
+			EveryK:       *traceEvery,
+			FailuresOnly: *traceFailures,
+			Classes:      *traceClasses,
+		})
 		if err != nil {
 			return err
 		}
-		if err := shard.Assemble(ctx, w, req, merged, *format == "markdown"); err != nil {
-			return err
-		}
-		if *traceDir != "" {
-			n, err := merged.WriteTraceDir(*traceDir)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "crbench: %d trace files federated from %d shard(s) into %s\n", n, *shards, *traceDir)
-		}
-		if coord.Spans != nil {
-			if serr := coord.Spans.Err(); serr != nil {
-				return fmt.Errorf("span log: %w", serr)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "crbench: %d experiment(s), %d shard(s) in %v (parallelism %d)\n",
-			len(selected), *shards, time.Since(runStart).Round(time.Millisecond), effective) //crlint:allow nowallclock CLI elapsed-time summary
-		return nil
-	} else if *shards < 1 {
-		return cli.Usagef("-shards must be >= 1 (got %d)", *shards)
 	}
 	runStart := time.Now() //crlint:allow nowallclock CLI elapsed-time summary
 	for _, e := range selected {
@@ -210,7 +140,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		// Timing goes to stderr so table output is byte-identical run to
-		// run and across shard counts.
+		// run and to crshard's assembled tables.
 		//crlint:allow nowallclock per-experiment elapsed-time line
 		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}

@@ -74,19 +74,6 @@ func TestRunMultipleIDsWithSpaces(t *testing.T) {
 	}
 }
 
-func TestRunShardedMatchesUnsharded(t *testing.T) {
-	var plain, sharded strings.Builder
-	if err := run([]string{"-ids", "E2,E5", "-quick", "-trials", "2", "-seed", "9"}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-ids", "E2,E5", "-quick", "-trials", "2", "-seed", "9", "-shards", "3"}, &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != sharded.String() {
-		t.Errorf("-shards 3 output differs from unsharded:\n--- unsharded ---\n%s\n--- sharded ---\n%s", plain.String(), sharded.String())
-	}
-}
-
 func TestRunList(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-list"}, &out); err != nil {
@@ -114,7 +101,6 @@ func TestMainExitCodes(t *testing.T) {
 		{"bad id", []string{"-ids", "E999"}, 2},
 		{"bad format", []string{"-format", "pdf"}, 2},
 		{"negative trials", []string{"-ids", "E5", "-trials", "-3"}, 2},
-		{"zero shards", []string{"-ids", "E5", "-quick", "-trials", "2", "-shards", "0"}, 2},
 	}
 	for _, tc := range cases {
 		if got := mainExitCode(tc.args); got != tc.want {

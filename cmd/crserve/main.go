@@ -38,7 +38,6 @@ import (
 	"fadingcr/internal/cli"
 	"fadingcr/internal/obs"
 	"fadingcr/internal/serve"
-	"fadingcr/internal/sinr"
 )
 
 func main() {
@@ -68,7 +67,6 @@ func run(args []string, ready chan<- string, shutdown <-chan struct{}) (err erro
 		jobParallel  = fs.Int("job-parallel", runtime.GOMAXPROCS(0), "worker goroutines per job's trial loop (results are identical at any value)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 		pprofFlag    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		sinrParallel = fs.Int("sinr-parallel", 0, "server default intra-round SINR Deliver workers for specs that leave it unset (0 keeps the sequential engine; results are identical at any value)")
 	)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -85,9 +83,6 @@ func run(args []string, ready chan<- string, shutdown <-chan struct{}) (err erro
 	}
 	if *drainTimeout <= 0 {
 		return cli.Usagef("-drain-timeout must be positive, got %v", *drainTimeout)
-	}
-	if _, err := sinr.EngineOptions(*sinrParallel); err != nil {
-		return cli.Usage(err)
 	}
 	finish, err := obsFlags.Start("crserve")
 	if err != nil {
@@ -106,7 +101,6 @@ func run(args []string, ready chan<- string, shutdown <-chan struct{}) (err erro
 			QueueDepth:     *queueDepth,
 			CacheEntries:   *cacheEntries,
 			JobParallelism: *jobParallel,
-			SINRParallel:   *sinrParallel,
 		},
 		LogWriter:   os.Stderr,
 		EnablePprof: *pprofFlag,

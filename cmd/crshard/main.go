@@ -51,13 +51,12 @@ func mainExitCode(args []string) int {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("crshard", flag.ContinueOnError)
 	var (
-		ids          = fs.String("ids", "all", "comma-separated experiment ids (e.g. E1,E3) or 'all'")
-		quick        = fs.Bool("quick", false, "small sweeps for a fast smoke run")
-		seed         = fs.Uint64("seed", 1, "master seed")
-		trials       = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
-		format       = fs.String("format", "text", "output format: text|markdown")
-		out          = fs.String("o", "", "write output to this file instead of stdout")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
+		ids    = fs.String("ids", "all", "comma-separated experiment ids (e.g. E1,E3) or 'all'")
+		quick  = fs.Bool("quick", false, "small sweeps for a fast smoke run")
+		seed   = fs.Uint64("seed", 1, "master seed")
+		trials = fs.Int("trials", 0, "trials per data point (0 = experiment default)")
+		format = fs.String("format", "text", "output format: text|markdown")
+		out    = fs.String("o", "", "write output to this file instead of stdout")
 
 		shards    = fs.Int("shards", 2, "number of contiguous trial-range shards per trial loop")
 		workers   = fs.Int("workers", 0, "local worker executors (0 = 1 when no endpoints are given, else 0)")
@@ -121,13 +120,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	req := shard.Request{
-		Spec: experiments.Spec{
-			IDs:          *ids,
-			Seed:         *seed,
-			Trials:       *trials,
-			Quick:        *quick,
-			SINRParallel: *sinrParallel,
-		},
+		Spec:   experiments.Spec{IDs: *ids, Seed: *seed, Trials: *trials, Quick: *quick},
 		Shards: *shards,
 	}
 	if *traceDir != "" {

@@ -5,7 +5,38 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fadingcr/internal/experiments"
 )
+
+// TestRunShardedMatchesUnsharded: crshard's tables are byte for byte the
+// unsharded render crbench prints, at any shard and local worker count.
+func TestRunShardedMatchesUnsharded(t *testing.T) {
+	spec := []string{"-ids", "E2,E5", "-quick", "-trials", "2", "-seed", "9"}
+	selected, cfg, err := experiments.ConfigFromSpec(experiments.Spec{IDs: "E2,E5", Quick: true, Trials: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, e := range selected {
+		tables, err := e.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := experiments.RenderTables(&want, e, tables, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, extra := range [][]string{{"-shards", "1"}, {"-shards", "3"}, {"-shards", "3", "-workers", "2"}} {
+		var got strings.Builder
+		if err := run(append(append([]string(nil), spec...), extra...), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("crshard %v output differs from the unsharded render:\n--- unsharded ---\n%s\n--- crshard ---\n%s", extra, want.String(), got.String())
+		}
+	}
+}
 
 func TestRunLocalWorkers(t *testing.T) {
 	var out strings.Builder

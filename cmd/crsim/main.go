@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"fadingcr/internal/catalog"
 	"fadingcr/internal/cli"
@@ -48,22 +49,21 @@ func mainExitCode(args []string) int {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("crsim", flag.ContinueOnError)
 	var (
-		n            = fs.Int("n", 128, "number of participating nodes")
-		deploy       = fs.String("deploy", "disk", "deployment: disk|square|grid|clusters|chain|pairs")
-		algo         = fs.String("algo", "fixed", "algorithm: fixed|sweep|decay|backoff|dampened|cdhalving|estimate|interleaved|knockout-sweep|staggered")
-		channel      = fs.String("channel", "sinr", "channel: sinr|rayleigh|radio|radio-cd")
-		seed         = fs.Uint64("seed", 1, "master seed (deployment and protocol)")
-		p            = fs.Float64("p", core.DefaultP, "broadcast probability for -algo fixed")
-		alpha        = fs.Float64("alpha", 3, "path-loss exponent α > 2")
-		beta         = fs.Float64("beta", 1.5, "SINR threshold β")
-		noise        = fs.Float64("noise", 1, "ambient noise N")
-		maxRounds    = fs.Int("max-rounds", 0, "round budget (0 = auto)")
-		showTrace    = fs.Bool("trace", false, "print per-round transmitter/reception counts")
-		csvPath      = fs.String("csv", "", "write the per-round trace as CSV to this file")
-		plot         = fs.Bool("plot", false, "render an ASCII scatter of the deployment and activity sparklines")
-		deployFile   = fs.String("deploy-file", "", "load node positions from this CSV (x,y per line) instead of -deploy")
-		trials       = fs.Int("trials", 1, "number of independent runs; > 1 prints summary statistics")
-		sinrParallel = fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
+		n          = fs.Int("n", 128, "number of participating nodes")
+		deploy     = fs.String("deploy", "disk", "deployment: disk|square|grid|clusters|chain|pairs")
+		algo       = fs.String("algo", "fixed", "algorithm: fixed|sweep|decay|backoff|dampened|cdhalving|estimate|interleaved|knockout-sweep|staggered")
+		channel    = fs.String("channel", "sinr", "channel: sinr|rayleigh|radio|radio-cd")
+		seed       = fs.Uint64("seed", 1, "master seed (deployment and protocol)")
+		p          = fs.Float64("p", core.DefaultP, "broadcast probability for -algo fixed")
+		alpha      = fs.Float64("alpha", 3, "path-loss exponent α > 2")
+		beta       = fs.Float64("beta", 1.5, "SINR threshold β")
+		noise      = fs.Float64("noise", 1, "ambient noise N")
+		maxRounds  = fs.Int("max-rounds", 0, "round budget (0 = auto)")
+		showTrace  = fs.Bool("trace", false, "print per-round transmitter/reception counts")
+		csvPath    = fs.String("csv", "", "write the per-round trace as CSV to this file")
+		plot       = fs.Bool("plot", false, "render an ASCII scatter of the deployment and activity sparklines")
+		deployFile = fs.String("deploy-file", "", "load node positions from this CSV (x,y per line) instead of -deploy")
+		trials     = fs.Int("trials", 1, "number of independent runs; > 1 prints summary statistics")
 
 		traceOut      = fs.String("trace-out", "", "write a structured event trace of the run to this file (analyse with crtrace)")
 		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
@@ -74,10 +74,6 @@ func run(args []string) (err error) {
 	)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return cli.Usage(err)
-	}
-	sinrOpts, err := sinr.EngineOptions(*sinrParallel)
-	if err != nil {
 		return cli.Usage(err)
 	}
 	traceFormat, err := trace.ParseFormat(*traceFmt)
@@ -124,7 +120,10 @@ func run(args []string) (err error) {
 	params := sinr.Params{Alpha: *alpha, Beta: *beta, Noise: *noise}
 	params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
 
-	built, err := catalog.Channel(*channel, params, d, *seed+1, sinrOpts...)
+	// Trials run one at a time on this one channel, so its rounds take
+	// every core; receptions are byte-identical at any worker count.
+	workers := min(runtime.GOMAXPROCS(0), sinr.MaxDeliverParallelism)
+	built, err := catalog.Channel(*channel, params, d, *seed+1, sinr.WithDeliverParallelism(workers))
 	if err != nil {
 		return cli.Usage(err)
 	}

@@ -4,13 +4,35 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"fadingcr/internal/obs"
 )
 
 func TestRunDefaults(t *testing.T) {
 	if err := run([]string{"-n", "32", "-seed", "3"}); err != nil {
 		t.Fatalf("default run: %v", err)
+	}
+}
+
+// TestRunSpreadsRoundsOverCores: crsim runs its trials one at a time on one
+// channel, so at GOMAXPROCS ≥ 2 its SINR rounds take the parallel engine.
+func TestRunSpreadsRoundsOverCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	parallelRounds := obs.Default.Counter("sinr.deliveries_parallel")
+	for _, args := range [][]string{
+		{"-n", "64", "-seed", "3"},
+		{"-n", "64", "-seed", "3", "-trials", "2"},
+	} {
+		before := parallelRounds.Load()
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+		if parallelRounds.Load() == before {
+			t.Errorf("crsim %v at GOMAXPROCS 2 ran no parallel SINR rounds", args)
+		}
 	}
 }
 
@@ -131,7 +153,6 @@ func TestMainExitCodes(t *testing.T) {
 		{"bad deploy", []string{"-deploy", "nope"}, 2},
 		{"bad algo", []string{"-algo", "nope"}, 2},
 		{"bad channel", []string{"-channel", "nope"}, 2},
-		{"bad sinr-parallel", []string{"-sinr-parallel", "-1"}, 2},
 		{"missing deploy file", []string{"-deploy-file", "/no/such/file.csv"}, 1},
 	}
 	for _, tc := range cases {

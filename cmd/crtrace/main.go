@@ -42,7 +42,7 @@ commands:
             and exits 1, or exits 0 when byte-equivalent
   render    visualise one trace: deployment scatter plus per-round
             transmitter/reception sparklines
-  spans     summarise a coordinator span log (crshard/crbench -span-log):
+  spans     summarise a coordinator span log (crshard -span-log):
             per-shard timelines, retry counts, straggler attribution
 
 Trace files may be NDJSON or binary (the format is sniffed per file).`)

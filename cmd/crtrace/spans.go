@@ -1,4 +1,4 @@
-// The spans subcommand analyses coordinator span logs (crshard/crbench
+// The spans subcommand analyses coordinator span logs (crshard
 // -span-log): NDJSON streams of begin/event/end lines recording the
 // dispatch → execute → retry → merge lifecycle of a sharded run.
 package main

@@ -44,18 +44,12 @@ func run(args []string) (code int) {
 	seed := fs.Uint64("seed", 7, "master seed")
 	trials := fs.Int("trials", 15, "trials per estimated quantity")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines (results are identical at any value)")
-	sinrParallel := fs.Int("sinr-parallel", 0, "intra-round SINR Deliver workers for unfaded channels (0/1 sequential; results are identical at any value)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if cli.IsHelp(err) {
 			// -h/-help is a successful request for usage, not a parse error.
 			return 0
 		}
-		return 2
-	}
-	sinrOpts, err := sinr.EngineOptions(*sinrParallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crverify:", err)
 		return 2
 	}
 	finish, err := obsFlags.Start("crverify")
@@ -75,7 +69,7 @@ func run(args []string) (code int) {
 	}()
 
 	start := time.Now() //crlint:allow nowallclock CLI elapsed-time summary
-	v := &verifier{seed: *seed, trials: *trials, parallel: *parallel, sinrOpts: sinrOpts}
+	v := &verifier{seed: *seed, trials: *trials, parallel: *parallel}
 	checks := []struct {
 		id    string
 		claim string
@@ -114,17 +108,12 @@ func run(args []string) (code int) {
 	return 0
 }
 
+// verifier carries the run's settings. Its checks spread trials over
+// parallel goroutines, so every channel keeps the sequential SINR engine.
 type verifier struct {
 	seed     uint64
 	trials   int
 	parallel int
-	sinrOpts []sinr.Option // engine options for every SINR channel
-}
-
-// channelFor builds the default single-hop channel with the verifier's
-// engine options applied.
-func (v *verifier) channelFor(p sinr.Params, d *geom.Deployment) (*sinr.Channel, error) {
-	return sinr.ChannelFor(p, d, v.sinrOpts...)
 }
 
 func (v *verifier) effectiveParallelism() int {
@@ -172,7 +161,7 @@ func (v *verifier) medianRounds(n int, b sim.Builder, budget int) (float64, int)
 		if err != nil {
 			return verifyOutcome{}, err
 		}
-		ch, err := v.channelFor(sinr.DefaultParams(), d)
+		ch, err := sinr.ChannelFor(sinr.DefaultParams(), d)
 		if err != nil {
 			return verifyOutcome{}, err
 		}
@@ -312,7 +301,7 @@ func checkEmbedding(v *verifier) (bool, string) {
 		if err != nil {
 			return paired{}, err
 		}
-		ch, err := v.channelFor(sinr.DefaultParams(), pair)
+		ch, err := sinr.ChannelFor(sinr.DefaultParams(), pair)
 		if err != nil {
 			return paired{}, err
 		}
@@ -354,7 +343,7 @@ func checkWhp(v *verifier) (bool, string) {
 		if err != nil {
 			return verifyOutcome{}, err
 		}
-		ch, err := v.channelFor(sinr.DefaultParams(), d)
+		ch, err := sinr.ChannelFor(sinr.DefaultParams(), d)
 		if err != nil {
 			return verifyOutcome{}, err
 		}
@@ -394,7 +383,7 @@ func checkEnergy(v *verifier) (bool, string) {
 		if err != nil {
 			return verifyOutcome{}, err
 		}
-		ch, err := v.channelFor(sinr.DefaultParams(), d)
+		ch, err := sinr.ChannelFor(sinr.DefaultParams(), d)
 		if err != nil {
 			return verifyOutcome{}, err
 		}

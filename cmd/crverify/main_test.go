@@ -34,7 +34,6 @@ func TestRunExitCodes(t *testing.T) {
 		{"help short", []string{"-h"}, 0},
 		{"help long", []string{"-help"}, 0},
 		{"bad flag", []string{"-nope"}, 2},
-		{"bad sinr-parallel", []string{"-sinr-parallel", "-1"}, 2},
 	}
 	for _, tc := range cases {
 		if got := run(tc.args); got != tc.want {

@@ -106,19 +106,15 @@ const DefaultSingleHopMargin = sinr.DefaultSingleHopMargin
 // MaxDeliverParallelism bounds WithDeliverParallelism worker counts.
 const MaxDeliverParallelism = sinr.MaxDeliverParallelism
 
-// SINR delivery engine controls. Every SINR channel evaluates Eq. (1)
-// exactly and delivers rounds allocation-free by default.
-// WithDeliverParallelism spreads an unfaded channel's rounds over
-// intra-round workers (DESIGN.md §8); receptions are byte-identical at any
-// worker count, and faded channels, whose one fade stream runs listener by
-// listener, always deliver sequentially.
-var (
-	// WithDeliverParallelism runs Deliver across intra-round workers.
-	WithDeliverParallelism = sinr.WithDeliverParallelism
-	// EngineOptions validates the parallelism knob into options — the
-	// shared flag-parsing path of every CLI.
-	EngineOptions = sinr.EngineOptions
-)
+// WithDeliverParallelism spreads an unfaded SINR channel's rounds over
+// intra-round workers (DESIGN.md §8). Every SINR channel evaluates Eq. (1)
+// exactly and, without this option, delivers rounds allocation-free;
+// receptions are byte-identical at any worker count, and faded channels,
+// whose one fade stream runs listener by listener, always deliver
+// sequentially. It pays only where one trial runs at a time: the CLIs pick
+// the count themselves (crsim uses GOMAXPROCS, trial-parallel front ends
+// keep the sequential engine), so none of them exposes it as a flag.
+var WithDeliverParallelism = sinr.WithDeliverParallelism
 
 // Deployment generators.
 var (

@@ -49,42 +49,6 @@ func TestParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestDeliverEngineInvariance: the intra-round parallel Deliver option must
-// never leak into results. E1's deterministic channels and E12's faded ones
-// render byte-identical tables with 3 workers and with no option at all.
-func TestDeliverEngineInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	for _, c := range []struct {
-		id  string
-		cfg Config
-	}{
-		{"E1", Config{Seed: 42, Quick: true, Trials: 6}},
-		{"E12", Config{Seed: 7, Quick: true, Trials: 3}},
-	} {
-		base := renderAll(t, c.id, c.cfg)
-		c.cfg.SINRParallel = 3
-		if got := renderAll(t, c.id, c.cfg); got != base {
-			t.Errorf("%s tables differ between no option and 3 Deliver workers", c.id)
-		}
-	}
-}
-
-// TestEngineKnobsRejected: out-of-range engine knobs surface as an
-// experiment error rather than being silently clamped.
-func TestEngineKnobsRejected(t *testing.T) {
-	e, ok := ByID("E1")
-	if !ok {
-		t.Fatal("E1 missing")
-	}
-	for _, parallel := range []int{-1, 1 << 20} {
-		if _, err := e.Run(Config{Seed: 1, Quick: true, Trials: 2, SINRParallel: parallel}); err == nil {
-			t.Errorf("parallel %d accepted", parallel)
-		}
-	}
-}
-
 // TestParallelismInvarianceAcrossSuite spot-checks the converted
 // per-experiment loops (analyzer traces, hitting games, paired embeddings,
 // energy medians, capacity sweeps) at a second parallelism.

@@ -30,19 +30,15 @@ func e12() Experiment {
 
 			result := table.New("E12 — median rounds: deterministic SINR vs Rayleigh-faded SINR",
 				append([]string{"channel"}, nCols(ns)...)...)
-			opts, err := cfg.sinrOptions()
-			if err != nil {
-				return nil, err
-			}
 			channels := []struct {
 				label string
 				make  func(p sinr.Params, d *geom.Deployment, seed uint64) (sim.Channel, error)
 			}{
 				{"deterministic SINR", func(p sinr.Params, d *geom.Deployment, _ uint64) (sim.Channel, error) {
-					return sinr.New(p, d.Points, opts...)
+					return sinr.New(p, d.Points)
 				}},
 				{"Rayleigh-faded SINR", func(p sinr.Params, d *geom.Deployment, seed uint64) (sim.Channel, error) {
-					return sinr.NewRayleigh(p, d.Points, seed, opts...)
+					return sinr.NewRayleigh(p, d.Points, seed)
 				}},
 			}
 			for _, chn := range channels {
@@ -121,7 +117,7 @@ func e13() Experiment {
 				row := []string{a.label}
 				for _, w := range workloads {
 					rounds, unsolved, err := trialRounds(cfg, trials, w.deploy,
-						func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+						func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 						a.builder, sim.Config{MaxRounds: 20000})
 					if err != nil {
 						return nil, fmt.Errorf("E13 %s / %s: %w", a.label, w.label, err)

@@ -8,6 +8,7 @@ import (
 	"fadingcr/internal/geom"
 	"fadingcr/internal/hitting"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
 	"fadingcr/internal/xrand"
@@ -46,7 +47,7 @@ func e15() Experiment {
 						}
 						return d.Subset(idx)
 					},
-					func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+					func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 					core.FixedProbability{},
 					sim.Config{MaxRounds: 4 * e1Budget(n)},
 				)
@@ -99,7 +100,7 @@ func e15Embedding(cfg Config) (*table.Table, error) {
 		if err != nil {
 			return paired{}, err
 		}
-		ch, err := channelFor(cfg, DefaultParams(), pair)
+		ch, err := sinr.ChannelFor(DefaultParams(), pair)
 		if err != nil {
 			return paired{}, err
 		}

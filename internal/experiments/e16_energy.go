@@ -10,6 +10,7 @@ import (
 	"fadingcr/internal/radio"
 	"fadingcr/internal/runner"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/table"
 )
 
@@ -81,7 +82,7 @@ func e16Median(cfg Config, trials, n int, builder sim.Builder, channel string) (
 			var d *geom.Deployment
 			d, err = geom.UniformDisk(dseed, n)
 			if err == nil {
-				ch, err = channelFor(cfg, DefaultParams(), d)
+				ch, err = sinr.ChannelFor(DefaultParams(), d)
 			}
 		case "radio":
 			ch, err = radio.New(n, false)

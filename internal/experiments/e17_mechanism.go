@@ -7,6 +7,7 @@ import (
 	"fadingcr/internal/core"
 	"fadingcr/internal/geom"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
 )
@@ -44,7 +45,7 @@ func e17() Experiment {
 				for _, n := range ns {
 					rounds, unsolved, err := trialRounds(cfg, trials,
 						func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
-						func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+						func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 						a.builder, sim.Config{MaxRounds: 40 * e1Budget(n)})
 					if err != nil {
 						return nil, fmt.Errorf("E17 %s n=%d: %w", a.label, n, err)

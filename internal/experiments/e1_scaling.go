@@ -8,6 +8,7 @@ import (
 	"fadingcr/internal/geom"
 	"fadingcr/internal/runner"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
 )
@@ -114,7 +115,7 @@ func e2() Experiment {
 					return geom.ExponentialChain(seed, m, pairsPerClass)
 				}
 				rounds, unsolved, err := trialRounds(cfg, trials, deploy,
-					func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+					func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 					core.FixedProbability{},
 					sim.Config{MaxRounds: e1Budget(n) + 40*m},
 				)

@@ -7,6 +7,7 @@ import (
 	"fadingcr/internal/core"
 	"fadingcr/internal/geom"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/table"
 	"fadingcr/internal/xrand"
 )
@@ -44,7 +45,7 @@ func e4() Experiment {
 				if err != nil {
 					return traced{}, err
 				}
-				ch, err := channelFor(cfg, DefaultParams(), d)
+				ch, err := sinr.ChannelFor(DefaultParams(), d)
 				if err != nil {
 					return traced{}, err
 				}

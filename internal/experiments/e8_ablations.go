@@ -9,6 +9,7 @@ import (
 	"fadingcr/internal/geom"
 	"fadingcr/internal/radio"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/sinr"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
 )
@@ -154,7 +155,7 @@ func e9() Experiment {
 				params.Alpha = alpha
 				rounds, unsolved, err := trialRounds(cfg, trials,
 					func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
-					func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, params, d) },
+					func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(params, d) },
 					core.FixedProbability{},
 					sim.Config{MaxRounds: 2000},
 				)

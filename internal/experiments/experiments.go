@@ -31,16 +31,13 @@ type Config struct {
 	// Parallelism is the number of worker goroutines trial loops run
 	// across; 0 selects runtime.GOMAXPROCS(0). Results are bit-identical
 	// at every parallelism: trials derive their seeds from (Seed, trial
-	// index) alone and are reassembled in trial order.
+	// index) alone and are reassembled in trial order. With trials already
+	// spread over the cores, every channel keeps the sequential,
+	// allocation-free SINR engine.
 	Parallelism int
 	// Context, when non-nil, cancels in-flight trial loops (deadline or
 	// interrupt); a canceled experiment returns the context's error.
 	Context context.Context
-	// SINRParallel, when ≥ 2, runs each Deliver round of the unfaded SINR
-	// channels across that many intra-round workers over a fixed-shape
-	// listener-tile partition; faded channels deliver sequentially. Results
-	// are byte-identical at any value.
-	SINRParallel int
 	// Trace, when non-nil, captures structured per-trial event traces of
 	// the experiment's trial loops under the capture's retention policy.
 	// Tracing is observational: experiment results and rendered tables are
@@ -59,11 +56,6 @@ type Config struct {
 	// executed, and in assemble mode trial values are decoded from merged
 	// shard results instead of being computed. See ShardScope.
 	Shard *ShardScope
-}
-
-// sinrOptions translates the engine knobs into channel options.
-func (c Config) sinrOptions() ([]sinr.Option, error) {
-	return sinr.EngineOptions(c.SINRParallel)
 }
 
 // ctx returns the configured context, defaulting to context.Background.
@@ -146,21 +138,10 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // DefaultParams returns the repository-standard physical-layer constants
-// (sinr.DefaultParams), with power derived per deployment by channelFor.
+// (sinr.DefaultParams), with power derived per deployment by
+// sinr.ChannelFor.
 func DefaultParams() sinr.Params {
 	return sinr.DefaultParams()
-}
-
-// channelFor builds a single-hop SINR channel over the deployment with the
-// given parameters, deriving the minimum feasible power when p.Power is 0.
-// It is sinr.ChannelFor, the one shared definition of the derivation, with
-// the Config's engine options applied.
-func channelFor(cfg Config, p sinr.Params, d *geom.Deployment) (*sinr.Channel, error) {
-	opts, err := cfg.sinrOptions()
-	if err != nil {
-		return nil, err
-	}
-	return sinr.ChannelFor(p, d, opts...)
 }
 
 // trialOutcome is one execution's contribution to a trial loop. The fields
@@ -291,7 +272,7 @@ func trialStats(
 func sinrTrialRounds(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) ([]float64, int, error) {
 	return trialRounds(cfg, trials,
 		func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
-		func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+		func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 		builder,
 		sim.Config{MaxRounds: maxRounds},
 	)
@@ -302,7 +283,7 @@ func sinrTrialRounds(cfg Config, trials int, n int, builder sim.Builder, maxRoun
 func sinrTrialStats(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) (*runner.Aggregator, error) {
 	return trialStats(cfg, trials,
 		func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
-		func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
+		func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 		builder,
 		sim.Config{MaxRounds: maxRounds},
 	)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/bits"
 
 	"fadingcr/internal/runner"
 )
@@ -23,10 +21,10 @@ import (
 //     indices, so the runner.TrialSeeds contract makes every executed
 //     trial identical to its unsharded counterpart. The executed values
 //     are JSON-encoded (losslessly: encoding/json round-trips float64
-//     exactly) and handed to Worker along with an exact summary; the
-//     loop then returns a full-length slice padded with a donor value so
-//     the experiment's post-loop aggregation code runs without crashing —
-//     worker-mode tables are garbage and must be discarded.
+//     exactly) and handed to Worker; the loop then returns a full-length
+//     slice padded with a donor value so the experiment's post-loop
+//     aggregation code runs without crashing — worker-mode tables are
+//     garbage and must be discarded.
 //
 //   - Assemble mode (Values set): no trials execute. Each loop's complete
 //     value set, reassembled from all shards in global trial order, is
@@ -69,81 +67,6 @@ type LoopRecord struct {
 	// Values holds the executed trials' JSON-encoded values, local index
 	// local holding global trial Lo+local.
 	Values []json.RawMessage
-	// Summary carries exact summary statistics when the loop's value type
-	// supports them (trial outcomes and plain numeric loops), nil
-	// otherwise.
-	Summary *LoopSummary
-}
-
-// LoopSummary is a mergeable summary of a loop's executed trials: the
-// runner aggregator state plus a solved count and a log₂ histogram of the
-// observed magnitudes. Histogram, counts, min and max merge exactly
-// (integer addition / order comparisons), so the merged values are
-// identical at every shard count; mean and M2 merge by Chan et al. and are
-// shard-count-dependent in their last bits, which is why the shard wire
-// hash covers only the exact fields.
-type LoopSummary struct {
-	Agg    runner.AggregatorState `json:"agg"`
-	Solved int                    `json:"solved"`
-	Hist   [32]int64              `json:"hist"`
-}
-
-// observe folds one observation into the summary.
-func (s *LoopSummary) observe(agg *runner.Aggregator, x float64, solved bool) {
-	agg.Observe(x, solved)
-	if solved {
-		s.Solved++
-	}
-	b := 0
-	if x >= 1 {
-		if x > math.MaxInt64 {
-			b = len(s.Hist) - 1
-		} else {
-			b = bits.Len64(uint64(x))
-		}
-		if b >= len(s.Hist) {
-			b = len(s.Hist) - 1
-		}
-	}
-	s.Hist[b]++
-}
-
-// Merge folds another loop summary into this one (shard reassembly calls it
-// in ascending shard order; empty shards merge as no-ops).
-func (s *LoopSummary) Merge(o *LoopSummary) {
-	a := runner.AggregatorFromState(s.Agg)
-	a.Merge(runner.AggregatorFromState(o.Agg))
-	s.Agg = a.State()
-	s.Solved += o.Solved
-	for i := range s.Hist {
-		s.Hist[i] += o.Hist[i]
-	}
-}
-
-// summarizeLoop builds the loop summary for value types with a canonical
-// numeric reading: trialOutcome (rounds, solved), float64 and int (value,
-// always solved). Other loop types carry values only.
-func summarizeLoop[T any](values []T) *LoopSummary {
-	var zero T
-	switch any(zero).(type) {
-	case trialOutcome, float64, int:
-	default:
-		return nil
-	}
-	s := &LoopSummary{}
-	agg := &runner.Aggregator{}
-	for _, v := range values {
-		switch o := any(v).(type) {
-		case trialOutcome:
-			s.observe(agg, o.Rounds, o.Solved)
-		case float64:
-			s.observe(agg, o, true)
-		case int:
-			s.observe(agg, float64(o), true)
-		}
-	}
-	s.Agg = agg.State()
-	return s
 }
 
 // runTrialsSharded is runTrials with Config.Shard set; see ShardScope.
@@ -191,7 +114,7 @@ func runTrialsSharded[T any](cfg Config, trials int, fn func(trial int) (T, erro
 		}
 		raws[i] = raw
 	}
-	rec := LoopRecord{Loop: loop, Total: trials, Lo: lo, Hi: hi, Values: raws, Summary: summarizeLoop(res.Values)}
+	rec := LoopRecord{Loop: loop, Total: trials, Lo: lo, Hi: hi, Values: raws}
 	if err := sc.Worker(rec); err != nil {
 		return nil, fmt.Errorf("loop %d: %w", loop, err)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"fadingcr/internal/sinr"
 )
 
 // Spec is a transport-agnostic request for an experiment run: the flag
@@ -24,33 +22,22 @@ type Spec struct {
 	Trials int
 	// Quick shrinks sweeps for fast smoke runs.
 	Quick bool
-	// SINRParallel is the intra-round Deliver worker count (see
-	// Config.SINRParallel); 0 keeps the sequential default.
-	SINRParallel int
 }
 
 // ConfigFromSpec validates a Spec and resolves it into the selected
 // experiments plus a ready Config. All validation lives here: unknown
-// experiment ids, out-of-range engine knobs, and negative trial counts
-// (which the old crbench flag path silently treated as "default") are
-// rejected with descriptive errors.
+// experiment ids and negative trial counts (which the old crbench flag
+// path silently treated as "default") are rejected with descriptive
+// errors.
 func ConfigFromSpec(s Spec) ([]Experiment, Config, error) {
 	if s.Trials < 0 {
 		return nil, Config{}, fmt.Errorf("trials must be ≥ 0 (0 selects the experiment default), got %d", s.Trials)
-	}
-	if _, err := sinr.EngineOptions(s.SINRParallel); err != nil {
-		return nil, Config{}, err
 	}
 	selected, err := selectIDs(s.IDs)
 	if err != nil {
 		return nil, Config{}, err
 	}
-	return selected, Config{
-		Seed:         s.Seed,
-		Trials:       s.Trials,
-		Quick:        s.Quick,
-		SINRParallel: s.SINRParallel,
-	}, nil
+	return selected, Config{Seed: s.Seed, Trials: s.Trials, Quick: s.Quick}, nil
 }
 
 // selectIDs resolves the IDs field against the registry.

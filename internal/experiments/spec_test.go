@@ -38,7 +38,6 @@ func TestConfigFromSpecRejections(t *testing.T) {
 	}{
 		{"unknown id", Spec{IDs: "E999"}, "unknown experiment id"},
 		{"empty id in list", Spec{IDs: "E1,,E2"}, "unknown experiment id"},
-		{"bad parallelism", Spec{IDs: "E1", SINRParallel: -1}, "parallelism"},
 		{"negative trials", Spec{IDs: "E1", Trials: -1}, "trials"},
 	}
 	for _, tc := range cases {
@@ -53,12 +52,12 @@ func TestConfigFromSpecRejections(t *testing.T) {
 func TestConfigFromSpecMatchesDirectConfig(t *testing.T) {
 	// The spec path must produce the same Config a caller would build by
 	// hand, so crbench's migration to it cannot change results.
-	_, cfg, err := ConfigFromSpec(Spec{IDs: "E5", Seed: 9, Trials: 2, Quick: true, SINRParallel: 2})
+	_, cfg, err := ConfigFromSpec(Spec{IDs: "E5", Seed: 9, Trials: 2, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Seed: 9, Trials: 2, Quick: true, SINRParallel: 2}
-	if cfg.Seed != want.Seed || cfg.Trials != want.Trials || cfg.Quick != want.Quick || cfg.SINRParallel != want.SINRParallel {
+	want := Config{Seed: 9, Trials: 2, Quick: true}
+	if cfg.Seed != want.Seed || cfg.Trials != want.Trials || cfg.Quick != want.Quick {
 		t.Errorf("Config = %+v, want %+v", cfg, want)
 	}
 }

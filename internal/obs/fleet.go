@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -131,8 +132,24 @@ func MergeSnapshots(sources ...[]MetricSnapshot) ([]MetricSnapshot, error) {
 	return out, nil
 }
 
+// maxMetricsBodyBytes bounds a scraped /metrics body, so that one broken or
+// hostile daemon streaming endless metric lines cannot exhaust the
+// scraper's memory. A real export is tens of kilobytes.
+const maxMetricsBodyBytes = 16 << 20
+
+// ReadCapped reads r to its end, failing as soon as it has read more than
+// limit bytes: the bound on every body read from a daemon.
+func ReadCapped(r io.Reader, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(raw)) > limit {
+		err = fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return raw, err
+}
+
 // ScrapeMetrics fetches and parses one process' /metrics endpoint. baseURL
-// is the daemon's root URL, as given to crshard -endpoints.
+// is the daemon's root URL, as given to crshard -endpoints. A body over
+// maxMetricsBodyBytes is an error.
 func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) ([]MetricSnapshot, error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -150,7 +167,11 @@ func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) ([]
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("obs: scrape %s: unexpected status %s", url, resp.Status)
 	}
-	snaps, err := ParseMetricsNDJSON(resp.Body)
+	body, err := ReadCapped(resp.Body, maxMetricsBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("obs: scrape %s: %w", url, err)
+	}
+	snaps, err := ParseMetricsNDJSON(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("obs: scrape %s: %w", url, err)
 	}

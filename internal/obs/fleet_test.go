@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -152,4 +155,74 @@ func TestScrapeMetrics(t *testing.T) {
 	if _, err := ScrapeMetrics(t.Context(), nil, "http://127.0.0.1:1/"); err == nil {
 		t.Error("unreachable endpoint scraped without error")
 	}
+}
+
+// TestScrapeMetricsBoundsBody: a daemon that streams metric lines without
+// end fails the scrape once the body passes maxMetricsBodyBytes, instead of
+// growing the scraper's memory with it. The server stops at twice the cap,
+// so a scraper without the bound returns snapshots rather than hanging.
+func TestScrapeMetricsBoundsBody(t *testing.T) {
+	line := []byte(`{"event":"counter","name":"` + strings.Repeat("x", 1000) + `","value":1}` + "\n")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for sent := 0; sent <= 2*maxMetricsBodyBytes && r.Context().Err() == nil; sent += len(line) {
+			if _, err := w.Write(line); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	snaps, err := ScrapeMetrics(t.Context(), nil, ts.URL)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless metrics body: %d snapshots, error %v; want the exceeded cap", len(snaps), err)
+	}
+}
+
+// metricsAllocBudget is the most ParseMetricsNDJSON may allocate for an
+// input of n bytes: a fixed allowance (the scanner's 64 KiB buffer,
+// decoder state) plus a constant factor of the input.
+func metricsAllocBudget(n int) uint64 { return 1<<20 + 64*uint64(n) }
+
+// FuzzParseMetricsNDJSON: the scrape parser must accept or reject any body
+// without panicking and within metricsAllocBudget, and the snapshots it
+// accepts must re-emit through EmitSnapshots and parse back equal. The
+// corpus is seeded with a registry export, the report and fleet headers,
+// and truncated lines.
+func FuzzParseMetricsNDJSON(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("jobs.done").Add(12)
+	r.Gauge("queue.depth").Set(4)
+	h := r.Histogram("job.seconds", 0.5, 4)
+	h.Observe(0.2)
+	h.Observe(9)
+	var export bytes.Buffer
+	if err := r.EmitTo(NewSink(&export)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(export.Bytes())
+	f.Add(export.Bytes()[:export.Len()/2])
+	f.Add([]byte(`{"event":"run","cmd":"crsim"}` + "\n" + `{"event":"fleet","schema":1,"sources":2}` + "\n\n" + `{"event":"gauge","name":"a","value":-3}`))
+	f.Add([]byte("{truncated"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snaps, err := ParseMetricsNDJSON(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > metricsAllocBudget(len(data)) {
+			t.Fatalf("ParseMetricsNDJSON allocated %d bytes for a %d-byte input", alloc, len(data))
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := EmitSnapshots(NewSink(&again), snaps); err != nil {
+			t.Fatalf("accepted snapshots do not emit: %v", err)
+		}
+		back, err := ParseMetricsNDJSON(&again)
+		if err != nil {
+			t.Fatalf("re-emitted snapshots do not parse: %v\n%s", err, again.Bytes())
+		}
+		if !reflect.DeepEqual(back, snaps) {
+			t.Fatalf("snapshots changed through EmitSnapshots:\n got %+v\nwant %+v", back, snaps)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"strconv"
@@ -164,3 +165,12 @@ func (e *LineEncoder) End() error {
 
 // Err returns the sticky write error, if any.
 func (e *LineEncoder) Err() error { return e.err }
+
+// Canonical reports whether raw is exactly the line write produces on a
+// fresh encoder. A wire reader re-encodes every line it accepts through
+// the writer that emits it, so only canonical bytes decode and an accepted
+// stream re-encodes byte for byte.
+func Canonical(raw []byte, write func(*LineEncoder) error) bool {
+	var buf bytes.Buffer
+	return write(NewLineEncoder(&buf)) == nil && bytes.Equal(buf.Bytes(), raw)
+}

@@ -43,30 +43,6 @@ func (a *Aggregator) Observe(x float64, solved bool) {
 	}
 }
 
-// Merge folds another aggregator into this one (Chan et al. parallel
-// update), as if every observation of b had been observed by a.
-func (a *Aggregator) Merge(b *Aggregator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.mean += delta * float64(b.n) / float64(n)
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.n = n
-	a.unsolved += b.unsolved
-}
-
 // N returns the number of observations.
 func (a *Aggregator) N() int { return a.n }
 

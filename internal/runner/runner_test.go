@@ -258,39 +258,6 @@ func TestAggregatorMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestAggregatorMerge(t *testing.T) {
-	xs := []float64{2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9}
-	var whole, left, right Aggregator
-	for i, x := range xs {
-		whole.Observe(x, true)
-		if i < 5 {
-			left.Observe(x, true)
-		} else {
-			right.Observe(x, i%2 == 0)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() || left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Fatalf("merged N/Min/Max = %d/%v/%v, want %d/%v/%v",
-			left.N(), left.Min(), left.Max(), whole.N(), whole.Min(), whole.Max())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-12 {
-		t.Errorf("merged Mean = %v, want %v", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Variance()-whole.Variance()) > 1e-12 {
-		t.Errorf("merged Variance = %v, want %v", left.Variance(), whole.Variance())
-	}
-	if left.Unsolved() != 4 {
-		t.Errorf("merged Unsolved = %d, want 4", left.Unsolved())
-	}
-	// Merging into an empty aggregator copies.
-	var empty Aggregator
-	empty.Merge(&whole)
-	if empty.N() != whole.N() || empty.Mean() != whole.Mean() {
-		t.Error("merge into empty aggregator must copy")
-	}
-}
-
 func TestPreCanceledContextRunsNothing(t *testing.T) {
 	// Regression: the feeder used to race a dead ctx.Done() against the
 	// index send in one select, so an already-canceled context could still

@@ -19,41 +19,3 @@ package runner
 func ShardRange(total, shards, index int) (lo, hi int) {
 	return index * total / shards, (index + 1) * total / shards
 }
-
-// ShardTrialSeeds derives the canonical seed pair of a shard's local trial:
-// shard index of shards owns the global range ShardRange(total, shards,
-// index), and its local trial t is the global trial lo+t, so
-//
-//	ShardTrialSeeds(master, total, shards, index, t) = TrialSeeds(master, lo+t)
-//
-// for every shard count — the identity that makes sharded runs reproduce a
-// single-process run's randomness exactly (and therefore its bytes).
-func ShardTrialSeeds(master uint64, total, shards, index, local int) (deploySeed, protoSeed uint64) {
-	lo, _ := ShardRange(total, shards, index)
-	return TrialSeeds(master, lo+local)
-}
-
-// AggregatorState is the serializable snapshot of an Aggregator, used by
-// the shard wire format (internal/shard) to carry per-shard summary
-// statistics across the process boundary. encoding/json round-trips
-// float64 exactly (shortest-representation encode, exact decode), so
-// State → JSON → AggregatorFromState loses no precision.
-type AggregatorState struct {
-	N        int     `json:"n"`
-	Mean     float64 `json:"mean"`
-	M2       float64 `json:"m2"`
-	Min      float64 `json:"min"`
-	Max      float64 `json:"max"`
-	Unsolved int     `json:"unsolved"`
-}
-
-// State snapshots the aggregator.
-func (a *Aggregator) State() AggregatorState {
-	return AggregatorState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max, Unsolved: a.unsolved}
-}
-
-// AggregatorFromState reconstructs the aggregator a State call snapshotted;
-// Observe and Merge continue from the restored statistics.
-func AggregatorFromState(s AggregatorState) *Aggregator {
-	return &Aggregator{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max, unsolved: s.Unsolved}
-}

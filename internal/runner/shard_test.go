@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"encoding/json"
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestShardRangePartitions(t *testing.T) {
 	for _, total := range []int{0, 1, 2, 7, 8, 100, 1000} {
@@ -42,161 +38,5 @@ func TestShardRangeSingleShardIsWholeRange(t *testing.T) {
 	lo, hi := ShardRange(42, 1, 0)
 	if lo != 0 || hi != 42 {
 		t.Errorf("ShardRange(42, 1, 0) = [%d, %d), want [0, 42)", lo, hi)
-	}
-}
-
-// TestShardTrialSeedsMatchUnsharded is the (master, shard, trial) contract:
-// at any shard count, the multiset of seed pairs executed across all shards
-// equals the sequence TrialSeeds(master, 0..total) of a single-process run,
-// in global trial order.
-func TestShardTrialSeedsMatchUnsharded(t *testing.T) {
-	const master, total = 7, 23
-	type pair struct{ d, p uint64 }
-	want := make([]pair, total)
-	for trial := range want {
-		d, p := TrialSeeds(master, trial)
-		want[trial] = pair{d, p}
-	}
-	for _, shards := range []int{1, 2, 3, 8, 23, 40} {
-		var got []pair
-		for i := 0; i < shards; i++ {
-			lo, hi := ShardRange(total, shards, i)
-			for local := 0; local < hi-lo; local++ {
-				d, p := ShardTrialSeeds(master, total, shards, i, local)
-				got = append(got, pair{d, p})
-			}
-		}
-		if len(got) != total {
-			t.Fatalf("shards=%d: %d seed pairs, want %d", shards, len(got), total)
-		}
-		for trial := range got {
-			if got[trial] != want[trial] {
-				t.Errorf("shards=%d: trial %d seeds %v, want %v", shards, trial, got[trial], want[trial])
-			}
-		}
-	}
-}
-
-func TestAggregatorStateRoundTrip(t *testing.T) {
-	a := &Aggregator{}
-	for i := 0; i < 17; i++ {
-		a.Observe(math.Sqrt(float64(i))*3.7, i%5 != 0)
-	}
-	raw, err := json.Marshal(a.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st AggregatorState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	b := AggregatorFromState(st)
-	if *a != *b {
-		t.Errorf("state round-trip: got %+v, want %+v", *b, *a)
-	}
-	// The restored aggregator must keep accumulating identically.
-	a.Observe(9.25, true)
-	b.Observe(9.25, true)
-	if *a != *b {
-		t.Errorf("post-restore Observe diverges: got %+v, want %+v", *b, *a)
-	}
-}
-
-// TestAggregatorMergeEmptyShard pins the b.n == 0 case: shard reassembly
-// merges aggregates in shard order and must tolerate empty shards (a shard
-// count above the trial count produces them) as exact no-ops.
-func TestAggregatorMergeEmptyShard(t *testing.T) {
-	a := &Aggregator{}
-	a.Observe(2, true)
-	a.Observe(4, false)
-	before := *a
-	a.Merge(&Aggregator{})
-	if *a != before {
-		t.Errorf("merging an empty aggregator changed the state: got %+v, want %+v", *a, before)
-	}
-	if v := a.Variance(); math.IsNaN(v) {
-		t.Error("variance is NaN after empty merge")
-	}
-
-	// Both empty: still a no-op, and the zero value stays usable.
-	z := &Aggregator{}
-	z.Merge(&Aggregator{})
-	if z.N() != 0 || z.Mean() != 0 || math.IsNaN(z.Variance()) {
-		t.Errorf("empty.Merge(empty) = %+v, want zero", *z)
-	}
-	z.Observe(1, true)
-	if z.N() != 1 || z.Mean() != 1 {
-		t.Errorf("zero value unusable after empty merge: %+v", *z)
-	}
-}
-
-// TestAggregatorMergeSelf pins a.Merge(a): aliasing must behave exactly like
-// merging a snapshot copy — the dataset doubles (every observation counted
-// twice) with no NaN and no corruption from the aliased reads.
-func TestAggregatorMergeSelf(t *testing.T) {
-	a := &Aggregator{}
-	for i := 0; i < 9; i++ {
-		a.Observe(float64(i*i), i%2 == 0)
-	}
-	snapshot := *a
-	want := snapshot
-	want.Merge(&snapshot) // merge with a true copy: the reference semantics
-
-	a.Merge(a)
-	if *a != want {
-		t.Errorf("a.Merge(a) = %+v, want snapshot-merge %+v", *a, want)
-	}
-	if a.N() != 2*snapshot.N() || a.Unsolved() != 2*snapshot.Unsolved() {
-		t.Errorf("self-merge counts: n=%d unsolved=%d, want doubled %d/%d", a.N(), a.Unsolved(), 2*snapshot.N(), 2*snapshot.Unsolved())
-	}
-	if a.Mean() != snapshot.Mean() {
-		t.Errorf("self-merge mean = %v, want unchanged %v", a.Mean(), snapshot.Mean())
-	}
-	if math.IsNaN(a.Variance()) || math.IsNaN(a.Std()) {
-		t.Error("self-merge produced NaN statistics")
-	}
-
-	// Self-merge of the zero value: no-op, no NaN.
-	z := &Aggregator{}
-	z.Merge(z)
-	if z.N() != 0 || math.IsNaN(z.Variance()) {
-		t.Errorf("zero self-merge = %+v", *z)
-	}
-}
-
-// TestAggregatorMergeMatchesSequentialAcrossShardCounts ties the merge to
-// the sharding use: merging per-shard aggregates in shard order yields the
-// same counts/min/max for any shard count, and mean/variance within float
-// tolerance of the sequential fold.
-func TestAggregatorMergeMatchesSequentialAcrossShardCounts(t *testing.T) {
-	const total = 29
-	xs := make([]float64, total)
-	for i := range xs {
-		xs[i] = math.Sin(float64(i)) * 100
-	}
-	seq := &Aggregator{}
-	for i, x := range xs {
-		seq.Observe(x, i%7 != 0)
-	}
-	for _, shards := range []int{1, 3, 8, 40} {
-		merged := &Aggregator{}
-		for s := 0; s < shards; s++ {
-			lo, hi := ShardRange(total, shards, s)
-			part := &Aggregator{}
-			for i := lo; i < hi; i++ {
-				part.Observe(xs[i], i%7 != 0)
-			}
-			merged.Merge(part)
-		}
-		if merged.N() != seq.N() || merged.Unsolved() != seq.Unsolved() ||
-			merged.Min() != seq.Min() || merged.Max() != seq.Max() {
-			t.Errorf("shards=%d: exact fields diverge: %+v vs %+v", shards, merged.State(), seq.State())
-		}
-		if d := math.Abs(merged.Mean() - seq.Mean()); d > 1e-9 {
-			t.Errorf("shards=%d: mean off by %g", shards, d)
-		}
-		if d := math.Abs(merged.Variance() - seq.Variance()); d > 1e-6 {
-			t.Errorf("shards=%d: variance off by %g", shards, d)
-		}
 	}
 }

@@ -40,10 +40,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are byte-identical at every value —
 	// it only trades per-job latency against cross-job throughput.
 	JobParallelism int
-	// SINRParallel, when > 0, is the server-side default intra-round
-	// Deliver worker count, injected into specs that leave sinr_parallel
-	// unset before normalization. It never changes a result.
-	SINRParallel int
 
 	// run substitutes the job body in tests; nil selects runSpec.
 	run func(ctx context.Context, spec Spec, parallelism int, progress func(Progress)) (*Result, error)
@@ -110,16 +106,12 @@ func NewExecutor(opts Options) *Executor {
 // Cache exposes the result cache (for tests and stats).
 func (e *Executor) Cache() *Cache { return e.cache }
 
-// Submit injects the executor's engine defaults into unset spec fields,
-// then normalizes, validates, and accepts the job. A result-cache hit
+// Submit normalizes, validates, and accepts the job. A result-cache hit
 // returns a job already in the done state, its result served from the
 // cache (byte-identical to recomputation, by the determinism contract).
 // Otherwise the job is enqueued; ErrQueueFull reports a full queue and
 // ErrDraining a stopping executor. Validation errors are returned as-is.
 func (e *Executor) Submit(spec Spec) (*Job, error) {
-	if spec.SINRParallel == 0 && e.opts.SINRParallel > 0 {
-		spec.SINRParallel = e.opts.SINRParallel
-	}
 	norm := spec.Normalized()
 	if err := norm.Validate(); err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ func specAllocBudget(n int) uint64 { return 1<<20 + 64*uint64(n) }
 // Hash — must accept or reject any byte stream without panicking and
 // within specAllocBudget, and a spec it accepts must keep its hash after
 // its CanonicalJSON goes through DecodeSpec again. The corpus is seeded
-// with sim, experiment and shard jobs, and with the retired gaincache and
-// farfield_eps fields older clients may still send.
+// with sim, experiment and shard jobs, and with the retired gaincache,
+// farfield_eps and sinr_parallel fields older clients may still send.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2}`,
@@ -28,6 +28,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"experiment":"all","farfield_eps":0,"gaincache":"off"}`,
 		`{"experiment":"E1","farfield_eps":0.7}`,
 		`{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"gaincache":"maybe"}`,
+		`{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"trials":1,"sinr_parallel":257}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -49,12 +49,6 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// Quick shrinks experiment sweeps for smoke runs (experiment jobs).
 	Quick bool `json:"quick,omitempty"`
-	// SINRParallel is the intra-round Deliver worker count (0 or 1 keeps
-	// the sequential engine; max sinr.MaxDeliverParallelism). Results are
-	// byte-identical at any worker count. The field stays in the canonical
-	// form so that no existing job hash moves; omitempty keeps it out of
-	// every hash that never set it.
-	SINRParallel int `json:"sinr_parallel,omitempty"`
 	// Format renders experiment tables: "text" (default) or "markdown".
 	Format string `json:"format,omitempty"`
 	// Trace, on a single-trial sim job, includes the per-round event
@@ -140,7 +134,7 @@ type SimSpec struct {
 var (
 	specHashFields = []string{
 		"kind", "experiment", "sim", "seed", "trials", "quick",
-		"sinr_parallel", "format", "trace", "shard",
+		"format", "trace", "shard",
 	}
 	simSpecHashFields = []string{
 		"n", "deploy", "algo", "channel", "p", "max_rounds",
@@ -154,21 +148,26 @@ var (
 )
 
 // DecodeSpec reads one JSON job spec, rejecting unknown fields. Older
-// clients may still send two retired fields, which are accepted and
+// clients may still send three retired fields, which are accepted and
 // dropped and never reach the canonical hash:
 //   - "gaincache" (auto|on|off) selected an engine that never changed
 //     results;
 //   - "farfield_eps" in [0, 0.5) selected the deleted ε far-field engine.
 //     Its receptions could differ from the exact ones only within a
 //     one-sided bound that exact receptions meet at every ε, so the exact
-//     job answers the request.
+//     job answers the request;
+//   - "sinr_parallel" in [0, sinr.MaxDeliverParallelism] set the
+//     intra-round Deliver workers, which never changed a result. The job
+//     now picks them itself (see runSimSpec), so a spec that set the field
+//     hashes as the same job without it.
 //
-// Any other value of either field is an error, as it always was.
+// Any other value of these fields is an error, as it always was.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var legacy struct {
 		Spec
-		GainCache   *string  `json:"gaincache"`
-		FarFieldEps *float64 `json:"farfield_eps"`
+		GainCache    *string  `json:"gaincache"`
+		FarFieldEps  *float64 `json:"farfield_eps"`
+		SINRParallel *int     `json:"sinr_parallel"`
 	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -180,6 +179,9 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	}
 	if e := legacy.FarFieldEps; e != nil && !(*e >= 0 && *e < 0.5) {
 		return Spec{}, fmt.Errorf("farfield_eps %v must be in [0, 0.5)", *e)
+	}
+	if p := legacy.SINRParallel; p != nil && (*p < 0 || *p > sinr.MaxDeliverParallelism) {
+		return Spec{}, fmt.Errorf("sinr_parallel %d must be in [0, %d]", *p, sinr.MaxDeliverParallelism)
 	}
 	return legacy.Spec, nil
 }
@@ -330,9 +332,6 @@ func (s Spec) Validate() error {
 		if s.Sim.MaxRounds < 0 {
 			return fmt.Errorf("sim.max_rounds must be ≥ 0 (0 selects the default), got %d", s.Sim.MaxRounds)
 		}
-		if _, err := sinr.EngineOptions(s.SINRParallel); err != nil {
-			return err
-		}
 		if s.Trace && s.Trials != 1 {
 			return fmt.Errorf("trace needs trials=1, got %d", s.Trials)
 		}
@@ -345,13 +344,7 @@ func (s Spec) Validate() error {
 // experimentSpec maps an experiment job onto the shared crbench/crserve
 // parsing path.
 func (s Spec) experimentSpec() experiments.Spec {
-	return experiments.Spec{
-		IDs:          s.Experiment,
-		Seed:         s.Seed,
-		Trials:       s.Trials,
-		Quick:        s.Quick,
-		SINRParallel: s.SINRParallel,
-	}
+	return experiments.Spec{IDs: s.Experiment, Seed: s.Seed, Trials: s.Trials, Quick: s.Quick}
 }
 
 // CanonicalJSON renders the normalized spec as canonical bytes: struct

@@ -336,3 +336,34 @@ func TestDecodeSpecLegacyGainCache(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSpecLegacySINRParallel: the retired sinr_parallel field is
+// accepted anywhere in [0, sinr.MaxDeliverParallelism], the range the
+// removed knob took, and dropped, so the spec hashes as the job without
+// it, for sim and experiment jobs alike; values outside that range are
+// rejected.
+func TestDecodeSpecLegacySINRParallel(t *testing.T) {
+	for _, job := range []string{
+		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2%s}`,
+		`{"experiment":"E5","seed":3,"quick":true%s}`,
+	} {
+		plain, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"0", "2", "256"} {
+			got, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, `,"sinr_parallel":`+p)))
+			if err != nil {
+				t.Fatalf("sinr_parallel %s rejected: %v", p, err)
+			}
+			if got.Hash() != plain.Hash() {
+				t.Errorf("sinr_parallel %s hashes as %s, want the plain job's %s", p, got.Hash(), plain.Hash())
+			}
+		}
+		for _, p := range []string{"-1", "257"} {
+			if _, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, `,"sinr_parallel":`+p))); err == nil || !strings.Contains(err.Error(), "sinr_parallel") {
+				t.Errorf("sinr_parallel %s: error %v, want a range rejection", p, err)
+			}
+		}
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"fadingcr/internal/obs"
 )
 
 // Endpoint is the remote executor: it runs shards on a crserve daemon via
@@ -56,12 +58,11 @@ func (e *Endpoint) client() *http.Client {
 // DisallowUnknownFields); the cross-package test in internal/serve pins
 // the compatibility.
 type shardJobSpec struct {
-	Experiment   string      `json:"experiment"`
-	Seed         uint64      `json:"seed"`
-	Trials       int         `json:"trials,omitempty"`
-	Quick        bool        `json:"quick,omitempty"`
-	SINRParallel int         `json:"sinr_parallel,omitempty"`
-	Shard        shardJobRef `json:"shard"`
+	Experiment string      `json:"experiment"`
+	Seed       uint64      `json:"seed"`
+	Trials     int         `json:"trials,omitempty"`
+	Quick      bool        `json:"quick,omitempty"`
+	Shard      shardJobRef `json:"shard"`
 }
 
 type shardJobRef struct {
@@ -104,12 +105,11 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 		}
 	}
 	body, err := json.Marshal(shardJobSpec{
-		Experiment:   ids,
-		Seed:         req.Spec.Seed,
-		Trials:       req.Spec.Trials,
-		Quick:        req.Spec.Quick,
-		SINRParallel: req.Spec.SINRParallel,
-		Shard:        ref,
+		Experiment: ids,
+		Seed:       req.Spec.Seed,
+		Trials:     req.Spec.Trials,
+		Quick:      req.Spec.Quick,
+		Shard:      ref,
 	})
 	if err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func (e *Endpoint) submit(ctx context.Context, body []byte) (*jobStatus, error) 
 			defer resp.Body.Close()
 			return nil, fmt.Errorf("%s: submit: %s", e.URL, httpErrorString(resp))
 		}
-		raw, err := readCapped(resp.Body, maxSubmitResponseBytes)
+		raw, err := obs.ReadCapped(resp.Body, maxSubmitResponseBytes)
 		resp.Body.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: submit response: %w", e.URL, err)
@@ -213,21 +213,11 @@ func (e *Endpoint) result(ctx context.Context, id string, limit int64) ([]byte, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: result: %s", e.URL, httpErrorString(resp))
 	}
-	raw, err := readCapped(resp.Body, limit)
+	raw, err := obs.ReadCapped(resp.Body, limit)
 	if err != nil {
 		return nil, fmt.Errorf("%s: result: %w", e.URL, err)
 	}
 	return raw, nil
-}
-
-// readCapped reads r to its end, failing as soon as it has read more than
-// limit bytes.
-func readCapped(r io.Reader, limit int64) ([]byte, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err == nil && int64(len(raw)) > limit {
-		err = fmt.Errorf("body exceeds %d bytes", limit)
-	}
-	return raw, err
 }
 
 // httpErrorString renders a non-2xx response compactly, preferring the

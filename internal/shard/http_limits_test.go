@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"fadingcr/internal/obs"
 )
 
 // streamEndless writes prefix, then zeros until the client goes away: a
@@ -61,13 +63,13 @@ func TestEndpointBoundsResult(t *testing.T) {
 	}
 }
 
-// TestReadCapped: a body of exactly the cap is read whole; one byte more
-// is an error.
+// TestReadCapped: obs.ReadCapped, the read behind both bounds, reads a body
+// of exactly the cap whole; one byte more is an error.
 func TestReadCapped(t *testing.T) {
-	if raw, err := readCapped(strings.NewReader("abcd"), 4); err != nil || string(raw) != "abcd" {
+	if raw, err := obs.ReadCapped(strings.NewReader("abcd"), 4); err != nil || string(raw) != "abcd" {
 		t.Errorf("body at the cap: %q, %v", raw, err)
 	}
-	if _, err := readCapped(strings.NewReader("abcde"), 4); err == nil {
+	if _, err := obs.ReadCapped(strings.NewReader("abcde"), 4); err == nil {
 		t.Error("body over the cap accepted")
 	}
 }

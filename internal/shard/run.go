@@ -121,8 +121,7 @@ func (r Request) Validate() error {
 // Merge and the checkpoint loader validate the coordinates structurally.
 // The trace spec is absent for the same reason — tracing is observational —
 // and bundle presence/policy is validated structurally instead (see
-// Request.traceMatches). So is the intra-round Deliver worker count, which
-// never changes a value either.
+// Request.traceMatches).
 func RequestHash(r Request) string {
 	spec := r.Spec
 	if spec.IDs == "" {

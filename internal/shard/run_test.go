@@ -54,17 +54,6 @@ func TestRequestHashIsShardCountInvariant(t *testing.T) {
 	}
 }
 
-// TestRequestHashIgnoresDeliverParallelism: the intra-round Deliver worker
-// count never changes a value, so runs at any count share one identity and
-// one set of checkpoints.
-func TestRequestHashIgnoresDeliverParallelism(t *testing.T) {
-	par := quickRequest(2)
-	par.Spec.SINRParallel = 2
-	if RequestHash(par) != RequestHash(quickRequest(2)) {
-		t.Error("request hash depends on the Deliver worker count")
-	}
-}
-
 func TestRequestValidate(t *testing.T) {
 	if err := quickRequest(2).Validate(); err != nil {
 		t.Errorf("good request rejected: %v", err)

@@ -3,18 +3,19 @@
 // executes the shards locally or on remote crserve daemons, and reassembles
 // their results into output byte-identical to an unsharded run.
 //
-// Determinism is inherited, not re-established: the (master, shard, trial)
-// seed contract (runner.ShardTrialSeeds, DESIGN.md §8) makes every sharded
-// trial execute with exactly the seeds its unsharded counterpart uses, and
-// the experiments.ShardScope hook feeds trial values back into the
-// unmodified aggregation/rendering code in global trial order — so the
-// assembler's stdout equals the unsharded run's stdout at any shard count,
-// worker count, endpoint mix, and across checkpoint kill-and-resume.
+// Determinism is inherited, not re-established: a shard runs each trial of
+// its runner.ShardRange slice under the trial's *global* index, so the
+// runner.TrialSeeds contract (DESIGN.md §8) gives every sharded trial
+// exactly the seeds its unsharded counterpart uses, and the
+// experiments.ShardScope hook feeds trial values back into the unmodified
+// aggregation/rendering code in global trial order — so the assembler's
+// stdout equals the unsharded run's stdout at any shard count, worker
+// count, endpoint mix, and across checkpoint kill-and-resume.
 //
 // The wire format is NDJSON (one shard result per stream): a header line
 // binding the result to its request hash and shard coordinates, one line
-// per trial loop carrying the executed values and an exact mergeable
-// summary, and an end line whose loop count makes truncation detectable.
+// per trial loop carrying the executed values, and an end line whose loop
+// count makes truncation detectable.
 package shard
 
 import (
@@ -35,7 +36,7 @@ import (
 )
 
 // schemaVersion identifies the wire layout; bump on incompatible change.
-const schemaVersion = 1
+const schemaVersion = 2
 
 // Result is one shard's contribution to a sharded run: the decoded form of
 // the wire stream.
@@ -61,44 +62,60 @@ type Result struct {
 // the result: field order is fixed and values JSON-encode deterministically.
 func (r *Result) Encode(w io.Writer) error {
 	enc := obs.NewLineEncoder(w)
+	if err := headerLine(enc, r); err != nil {
+		return err
+	}
+	for _, lr := range r.Loops {
+		if err := loopLine(enc, lr); err != nil {
+			return err
+		}
+	}
+	if err := endLine(enc, len(r.Loops)); err != nil {
+		return err
+	}
+	if r.Bundle != nil {
+		return r.Bundle.Encode(w)
+	}
+	return nil
+}
+
+// headerLine, loopLine and endLine write the three wire line shapes.
+// Encode writes every line through them, and Decode re-encodes every line
+// it accepts through them, so only canonical bytes decode.
+func headerLine(enc *obs.LineEncoder, r *Result) error {
 	enc.Begin("shard")
 	enc.Int("schema", schemaVersion)
 	enc.Str("spec", r.SpecHash)
 	enc.Int("shard", int64(r.Index))
 	enc.Int("shards", int64(r.Shards))
 	enc.Uint("seed", r.Seed)
-	if err := enc.End(); err != nil {
-		return err
+	return enc.End()
+}
+
+func loopLine(enc *obs.LineEncoder, lr experiments.LoopRecord) error {
+	enc.Begin("loop")
+	enc.Int("loop", int64(lr.Loop))
+	enc.Int("total", int64(lr.Total))
+	enc.Int("lo", int64(lr.Lo))
+	enc.Int("hi", int64(lr.Hi))
+	enc.Arr("values")
+	for _, v := range lr.Values {
+		enc.ElemRaw(v)
 	}
-	for _, lr := range r.Loops {
-		enc.Begin("loop")
-		enc.Int("loop", int64(lr.Loop))
-		enc.Int("total", int64(lr.Total))
-		enc.Int("lo", int64(lr.Lo))
-		enc.Int("hi", int64(lr.Hi))
-		enc.Arr("values")
-		for _, v := range lr.Values {
-			enc.ElemRaw(v)
-		}
-		enc.ArrEnd()
-		if lr.Summary != nil {
-			raw, err := json.Marshal(lr.Summary)
-			if err != nil {
-				return fmt.Errorf("shard: encode loop %d summary: %w", lr.Loop, err)
-			}
-			enc.Raw("summary", raw)
-		}
-		if err := enc.End(); err != nil {
-			return err
-		}
-	}
+	enc.ArrEnd()
+	return enc.End()
+}
+
+func endLine(enc *obs.LineEncoder, loops int) error {
 	enc.Begin("end")
-	enc.Int("loops", int64(len(r.Loops)))
-	if err := enc.End(); err != nil {
-		return err
-	}
-	if r.Bundle != nil {
-		return r.Bundle.Encode(w)
+	enc.Int("loops", int64(loops))
+	return enc.End()
+}
+
+// canonical reports an error unless raw is exactly the line write encodes.
+func canonical(raw []byte, write func(*obs.LineEncoder) error) error {
+	if !obs.Canonical(raw, write) {
+		return fmt.Errorf("shard: wire line %.120q is not in canonical form", raw)
 	}
 	return nil
 }
@@ -114,55 +131,44 @@ func (r *Result) Bytes() ([]byte, error) {
 
 // wireLine is the union of all wire line shapes; Event discriminates.
 type wireLine struct {
-	Event   string                   `json:"event"`
-	Schema  int                      `json:"schema"`
-	Spec    string                   `json:"spec"`
-	Shard   int                      `json:"shard"`
-	Shards  int                      `json:"shards"`
-	Seed    uint64                   `json:"seed"`
-	Loop    int                      `json:"loop"`
-	Total   int                      `json:"total"`
-	Lo      int                      `json:"lo"`
-	Hi      int                      `json:"hi"`
-	Values  []json.RawMessage        `json:"values"`
-	Summary *experiments.LoopSummary `json:"summary"`
-	Loops   int                      `json:"loops"`
+	Event  string            `json:"event"`
+	Schema int               `json:"schema"`
+	Spec   string            `json:"spec"`
+	Shard  int               `json:"shard"`
+	Shards int               `json:"shards"`
+	Seed   uint64            `json:"seed"`
+	Loop   int               `json:"loop"`
+	Total  int               `json:"total"`
+	Lo     int               `json:"lo"`
+	Hi     int               `json:"hi"`
+	Values []json.RawMessage `json:"values"`
+	Loops  int               `json:"loops"`
 }
 
 // Decode parses and validates one wire stream: header first, loop lines in
 // strictly sequential loop order with range-consistent value counts, and a
 // loop-count-matching end line at EOF. A truncated or reordered stream is
 // an error, which is what makes half-written checkpoints safe to discard.
+// So is any line that is not byte for byte the line Encode writes — blank
+// lines, spacing, reordered or unknown fields — so an accepted stream
+// re-encodes to exactly the bytes read.
 func Decode(r io.Reader) (*Result, error) {
 	br := bufio.NewReader(r)
-	readLine := func() (*wireLine, error) {
-		for {
-			raw, err := br.ReadBytes('\n')
-			if len(raw) == 0 && err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil, io.EOF
-				}
-				return nil, err
-			}
-			if err != nil && !errors.Is(err, io.EOF) {
-				return nil, err
-			}
-			trimmed := bytes.TrimSpace(raw)
-			if len(trimmed) == 0 {
-				if err != nil {
-					return nil, io.EOF
-				}
-				continue
-			}
-			var l wireLine
-			if uerr := json.Unmarshal(trimmed, &l); uerr != nil {
-				return nil, fmt.Errorf("shard: parse wire line: %w", uerr)
-			}
-			return &l, nil
+	// readLine returns the next line, newline included, and io.EOF once
+	// the stream holds no more bytes.
+	readLine := func() (*wireLine, []byte, error) {
+		raw, err := br.ReadBytes('\n')
+		if err != nil && (len(raw) == 0 || !errors.Is(err, io.EOF)) {
+			return nil, nil, err
 		}
+		var l wireLine
+		if uerr := json.Unmarshal(raw, &l); uerr != nil {
+			return nil, nil, fmt.Errorf("shard: parse wire line: %w", uerr)
+		}
+		return &l, raw, nil
 	}
 
-	head, err := readLine()
+	head, raw, err := readLine()
 	if err != nil {
 		return nil, fmt.Errorf("shard: missing header: %w", err)
 	}
@@ -176,8 +182,11 @@ func Decode(r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("shard: invalid coordinates %d/%d", head.Shard, head.Shards)
 	}
 	res := &Result{SpecHash: head.Spec, Shards: head.Shards, Index: head.Shard, Seed: head.Seed}
+	if err := canonical(raw, func(enc *obs.LineEncoder) error { return headerLine(enc, res) }); err != nil {
+		return nil, err
+	}
 	for {
-		l, err := readLine()
+		l, raw, err := readLine()
 		if errors.Is(err, io.EOF) {
 			return nil, errors.New("shard: truncated stream (no end line)")
 		}
@@ -197,13 +206,17 @@ func Decode(r io.Reader) (*Result, error) {
 			if len(l.Values) != l.Hi-l.Lo {
 				return nil, fmt.Errorf("shard: loop %d carries %d values for range [%d,%d)", l.Loop, len(l.Values), l.Lo, l.Hi)
 			}
-			res.Loops = append(res.Loops, experiments.LoopRecord{
-				Loop: l.Loop, Total: l.Total, Lo: l.Lo, Hi: l.Hi,
-				Values: l.Values, Summary: l.Summary,
-			})
+			lr := experiments.LoopRecord{Loop: l.Loop, Total: l.Total, Lo: l.Lo, Hi: l.Hi, Values: l.Values}
+			if err := canonical(raw, func(enc *obs.LineEncoder) error { return loopLine(enc, lr) }); err != nil {
+				return nil, err
+			}
+			res.Loops = append(res.Loops, lr)
 		case "end":
 			if l.Loops != len(res.Loops) {
 				return nil, fmt.Errorf("shard: end line counts %d loops, stream has %d", l.Loops, len(res.Loops))
+			}
+			if err := canonical(raw, func(enc *obs.LineEncoder) error { return endLine(enc, l.Loops) }); err != nil {
+				return nil, err
 			}
 			// An optional trace bundle may ride after the end line; anything
 			// else trailing is still an error.
@@ -214,8 +227,10 @@ func Decode(r io.Reader) (*Result, error) {
 				}
 				res.Bundle = bundle
 			}
-			if _, err := readLine(); !errors.Is(err, io.EOF) {
+			if _, err := br.Peek(1); err == nil {
 				return nil, errors.New("shard: trailing data after end line")
+			} else if !errors.Is(err, io.EOF) {
+				return nil, err
 			}
 			return res, nil
 		default:
@@ -230,9 +245,6 @@ type MergedLoop struct {
 	Total int
 	// Values holds every trial's JSON value in global trial order.
 	Values []json.RawMessage
-	// Summary is the shard summaries merged in ascending shard order, nil
-	// when the loop's value type carries none.
-	Summary *experiments.LoopSummary
 }
 
 // Merged is a full sharded run reassembled from all of its shards.
@@ -312,14 +324,6 @@ func Merge(parts []*Result) (*Merged, error) {
 			}
 			next = lr.Hi
 			ml.Values = append(ml.Values, lr.Values...)
-			if lr.Summary != nil {
-				if ml.Summary == nil {
-					ml.Summary = &experiments.LoopSummary{}
-				}
-				// Ascending shard order = ascending global trial order:
-				// the deterministic fold direction (DESIGN.md §8).
-				ml.Summary.Merge(lr.Summary)
-			}
 		}
 		if next != ml.Total {
 			return nil, fmt.Errorf("shard: loop %d shards cover [0,%d) of %d trials", li, next, ml.Total)
@@ -384,10 +388,9 @@ func mergeTraces(m *Merged, byIndex []*Result) error {
 
 // Hash is the canonical identity of a merged run: the hex SHA-256 of a
 // canonical encoding covering the request hash, seed, and every loop's
-// trial values plus the *exact* summary fields (counts, min/max,
-// histogram). The floating-point mean/M2 of a merged summary depend on the
-// merge tree and are deliberately excluded — Hash is therefore identical
-// for the same run at any shard count, which the golden tests assert.
+// trial values in global trial order. None of these depend on how the run
+// was cut, so Hash is identical for the same run at any shard count, which
+// the golden tests assert.
 func (m *Merged) Hash() string {
 	h := sha256.New()
 	enc := obs.NewLineEncoder(h)
@@ -406,18 +409,6 @@ func (m *Merged) Hash() string {
 			enc.ElemRaw(v)
 		}
 		enc.ArrEnd()
-		if ml.Summary != nil {
-			enc.Int("n", int64(ml.Summary.Agg.N))
-			enc.Int("unsolved", int64(ml.Summary.Agg.Unsolved))
-			enc.Float("min", ml.Summary.Agg.Min)
-			enc.Float("max", ml.Summary.Agg.Max)
-			enc.Int("solved", int64(ml.Summary.Solved))
-			enc.Arr("hist")
-			for _, c := range ml.Summary.Hist {
-				enc.ElemInt(c)
-			}
-			enc.ArrEnd()
-		}
 		_ = enc.End()
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -53,21 +53,6 @@ func WithDeliverParallelism(workers int) Option {
 	return func(ec *engineConfig) { ec.parallel = workers }
 }
 
-// EngineOptions translates the CLI-style engine configuration — the
-// -sinr-parallel knob — into channel options, validating its range up
-// front so flag errors surface before a channel is half-built. parallel 0
-// leaves the default.
-func EngineOptions(parallel int) ([]Option, error) {
-	ec := engineConfig{parallel: parallel}
-	if err := ec.validate(); err != nil {
-		return nil, err
-	}
-	if parallel == 0 {
-		return nil, nil
-	}
-	return []Option{WithDeliverParallelism(parallel)}, nil
-}
-
 // resolveEngine applies options over the defaults and validates the result.
 func resolveEngine(opts []Option) (engineConfig, error) {
 	var ec engineConfig

@@ -171,11 +171,7 @@ func endLine(enc *obs.LineEncoder, files int, total int64) error {
 
 // canonical reports an error unless raw is exactly the line write encodes.
 func canonical(raw []byte, write func(*obs.LineEncoder) error) error {
-	var buf bytes.Buffer
-	if err := write(obs.NewLineEncoder(&buf)); err != nil {
-		return err
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
+	if !obs.Canonical(raw, write) {
 		return fmt.Errorf("trace: bundle line %q is not in canonical form", bytes.TrimSpace(raw))
 	}
 	return nil

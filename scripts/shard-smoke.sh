@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # shard-smoke: end-to-end exercise of the distributed sharding stack. Proves
 # the tentpole invariant on real binaries: a sharded run's stdout is
-# byte-identical to the unsharded run — through `crbench -shards`, through
-# `crshard` over two live crserve daemons, and through a run that loses one
-# daemon midway and recovers by re-dispatching its shards to the survivor.
+# byte-identical to the unsharded crbench run — through `crshard` over its
+# local worker, through `crshard` over two live crserve daemons, and through
+# a run that loses one daemon midway and recovers by re-dispatching its
+# shards to the survivor.
 # Shared by `make shard-smoke` and CI's shard-smoke job.
 set -euo pipefail
 
@@ -19,9 +20,10 @@ go build -o "$OUT/crserve" ./cmd/crserve
 
 SPEC_ARGS=(-ids E1,E12 -quick -trials 2 -seed 7)
 
-# 1. crbench -shards N is byte-identical to plain crbench.
+# 1. crshard -shards N over its local worker is byte-identical to plain
+# crbench.
 "$OUT/crbench" "${SPEC_ARGS[@]}" -o "$OUT/shard-unsharded.txt" 2>/dev/null
-"$OUT/crbench" "${SPEC_ARGS[@]}" -shards 3 -o "$OUT/shard-local3.txt" 2>/dev/null
+"$OUT/crshard" "${SPEC_ARGS[@]}" -shards 3 -o "$OUT/shard-local3.txt" 2>/dev/null
 cmp "$OUT/shard-unsharded.txt" "$OUT/shard-local3.txt"
 
 # 2. crshard over two crserve daemons is byte-identical too.
