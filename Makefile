@@ -77,7 +77,8 @@ obs-smoke:
 
 # Mirror of CI's trace-smoke job: traced and untraced runs must have
 # identical stdout, same-seed traces must be byte-identical (crtrace diff
-# exits 0), and bounded Monte Carlo capture must sample deterministically.
+# exits 0), the NDJSON and binary traces of one run must hold the same
+# trace, and bounded Monte Carlo capture must sample deterministically.
 trace-smoke:
 	mkdir -p bin
 	go run ./cmd/crsim -n 64 -seed 7 -trace-out bin/trace-a.ndjson -trace-classes > bin/out-traced.txt
@@ -86,6 +87,8 @@ trace-smoke:
 	go run ./cmd/crsim -n 64 -seed 7 -trace-out bin/trace-b.ndjson -trace-classes > /dev/null
 	cmp bin/trace-a.ndjson bin/trace-b.ndjson
 	go run ./cmd/crtrace diff bin/trace-a.ndjson bin/trace-b.ndjson
+	go run ./cmd/crsim -n 64 -seed 7 -trace-out bin/trace-a.crtrace -trace-format binary -trace-classes > /dev/null
+	go run ./cmd/crtrace diff bin/trace-a.ndjson bin/trace-a.crtrace
 	rm -rf bin/traces
 	go run ./cmd/crsim -n 64 -trials 6 -seed 7 -trace-dir bin/traces -trace-every 2 > /dev/null
 	go run ./cmd/crtrace summary bin/traces/*.ndjson

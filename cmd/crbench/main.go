@@ -54,13 +54,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		out      = fs.String("o", "", "write output to this file instead of stdout")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per trial loop (results are identical at any value)")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-
-		traceDir      = fs.String("trace-dir", "", "write per-trial structured traces into this directory (analyse with crtrace)")
-		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
-		traceEvery    = fs.Int("trace-every", 100, "trace every Kth trial of each trial loop")
-		traceFailures = fs.Bool("trace-failures", false, "keep only unsolved trials' traces")
-		traceClasses  = fs.Bool("trace-classes", false, "include per-round link-class censuses in traces")
 	)
+	tracePolicy := trace.AddFlags(fs, 100)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
@@ -113,18 +108,8 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	cfg.Parallelism = *parallel
 	cfg.Context = ctx
-	if *traceDir != "" {
-		traceFormat, err := trace.ParseFormat(*traceFmt)
-		if err != nil {
-			return cli.Usage(err)
-		}
-		cfg.Trace, err = trace.NewCapture("crbench", trace.Policy{
-			Dir:          *traceDir,
-			Format:       traceFormat,
-			EveryK:       *traceEvery,
-			FailuresOnly: *traceFailures,
-			Classes:      *traceClasses,
-		})
+	if tracePolicy.Dir != "" {
+		cfg.Trace, err = trace.NewCapture("crbench", *tracePolicy)
 		if err != nil {
 			return err
 		}
@@ -149,7 +134,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if cfg.Trace != nil {
 		// Stderr, so table output stays byte-identical with tracing on or off.
 		fmt.Fprintf(os.Stderr, "crbench: %d trace files written to %s (%d dropped by retention)\n",
-			len(cfg.Trace.Written()), *traceDir, cfg.Trace.Dropped())
+			len(cfg.Trace.Written()), tracePolicy.Dir, cfg.Trace.Dropped())
 	}
 	return nil
 }

@@ -101,6 +101,8 @@ func TestMainExitCodes(t *testing.T) {
 		{"bad id", []string{"-ids", "E999"}, 2},
 		{"bad format", []string{"-format", "pdf"}, 2},
 		{"negative trials", []string{"-ids", "E5", "-trials", "-3"}, 2},
+		{"bad trace format", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml"}, 2},
+		{"bad trace format with dir", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml", "-trace-dir", t.TempDir()}, 2},
 	}
 	for _, tc := range cases {
 		if got := mainExitCode(tc.args); got != tc.want {

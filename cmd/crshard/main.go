@@ -32,6 +32,7 @@ import (
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/obs"
 	"fadingcr/internal/shard"
+	"fadingcr/internal/trace"
 )
 
 func main() {
@@ -71,14 +72,12 @@ func run(args []string, stdout io.Writer) error {
 		backoff      = fs.Duration("backoff", 200*time.Millisecond, "base delay between a shard's retry attempts (doubles per attempt)")
 		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 
-		spanLog       = fs.String("span-log", "", "write coordinator scheduling spans (NDJSON) to this file (analyse with crtrace spans)")
-		metricsFleet  = fs.Bool("metrics-fleet", false, "scrape every -endpoints daemon's /metrics, print one merged NDJSON snapshot, and exit (no experiments run)")
-		traceDir      = fs.String("trace-dir", "", "federate the shards' per-trial structured traces into this directory (byte-identical to an unsharded crbench -trace-dir capture)")
-		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
-		traceEvery    = fs.Int("trace-every", 100, "trace every Kth trial of each trial loop (global trial indices)")
-		traceFailures = fs.Bool("trace-failures", false, "keep only unsolved trials' traces")
-		traceClasses  = fs.Bool("trace-classes", false, "include per-round link-class censuses in traces")
+		spanLog      = fs.String("span-log", "", "write coordinator scheduling spans (NDJSON) to this file (analyse with crtrace spans)")
+		metricsFleet = fs.Bool("metrics-fleet", false, "scrape every -endpoints daemon's /metrics, print one merged NDJSON snapshot, and exit (no experiments run)")
 	)
+	// -trace-dir federates the shards' traces (global trial indices) into
+	// one directory, byte-identical to an unsharded crbench capture.
+	tracePolicy := trace.AddFlags(fs, 100)
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
@@ -123,13 +122,8 @@ func run(args []string, stdout io.Writer) error {
 		Spec:   experiments.Spec{IDs: *ids, Seed: *seed, Trials: *trials, Quick: *quick},
 		Shards: *shards,
 	}
-	if *traceDir != "" {
-		req.Trace = &shard.TraceSpec{
-			Format:   *traceFmt,
-			EveryK:   *traceEvery,
-			Failures: *traceFailures,
-			Classes:  *traceClasses,
-		}
+	if tracePolicy.Dir != "" {
+		req.Trace = tracePolicy
 	}
 	if err := req.Validate(); err != nil {
 		return cli.Usage(err)
@@ -198,12 +192,12 @@ func run(args []string, stdout io.Writer) error {
 	if err := shard.Assemble(ctx, w, req, merged, *format == "markdown"); err != nil {
 		return err
 	}
-	if *traceDir != "" {
-		n, err := merged.WriteTraceDir(*traceDir)
+	if req.Trace != nil {
+		n, err := merged.WriteTraceDir(tracePolicy.Dir)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "crshard: %d trace files federated from %d shard(s) into %s\n", n, *shards, *traceDir)
+		fmt.Fprintf(os.Stderr, "crshard: %d trace files federated from %d shard(s) into %s\n", n, *shards, tracePolicy.Dir)
 	}
 	if coord.Spans != nil {
 		if serr := coord.Spans.Err(); serr != nil {

@@ -106,6 +106,8 @@ func TestMainExitCodes(t *testing.T) {
 		{"zero shards", []string{"-ids", "E5", "-shards", "0"}, 2},
 		{"resume without dir", []string{"-ids", "E5", "-resume"}, 2},
 		{"negative workers", []string{"-ids", "E5", "-shards", "2", "-workers", "-1"}, 2},
+		{"bad trace format", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml"}, 2},
+		{"bad trace format with dir", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml", "-trace-dir", t.TempDir()}, 2},
 		{"unreachable endpoint", []string{"-ids", "E5", "-quick", "-trials", "2", "-shards", "2",
 			"-endpoints", "http://127.0.0.1:1", "-retries", "0", "-backoff", "1ms"}, 1},
 	}

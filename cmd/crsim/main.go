@@ -64,20 +64,13 @@ func run(args []string) (err error) {
 		plot       = fs.Bool("plot", false, "render an ASCII scatter of the deployment and activity sparklines")
 		deployFile = fs.String("deploy-file", "", "load node positions from this CSV (x,y per line) instead of -deploy")
 		trials     = fs.Int("trials", 1, "number of independent runs; > 1 prints summary statistics")
-
-		traceOut      = fs.String("trace-out", "", "write a structured event trace of the run to this file (analyse with crtrace)")
-		traceFmt      = fs.String("trace-format", "ndjson", "structured trace format: ndjson|binary")
-		traceClasses  = fs.Bool("trace-classes", false, "include per-round link-class censuses in structured traces")
-		traceDir      = fs.String("trace-dir", "", "with -trials: write per-trial structured traces into this directory")
-		traceEvery    = fs.Int("trace-every", 1, "with -trace-dir: trace every Kth trial")
-		traceFailures = fs.Bool("trace-failures", false, "with -trace-dir: keep only unsolved trials' traces")
+		traceOut   = fs.String("trace-out", "", "write a structured event trace of the run to this file (analyse with crtrace)")
 	)
+	// -trace-format and -trace-classes also apply to -trace-out; -trace-dir
+	// applies with -trials > 1.
+	tracePolicy := trace.AddFlags(fs, 1)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return cli.Usage(err)
-	}
-	traceFormat, err := trace.ParseFormat(*traceFmt)
-	if err != nil {
 		return cli.Usage(err)
 	}
 	finish, err := obsFlags.Start("crsim")
@@ -153,7 +146,7 @@ func run(args []string) (err error) {
 	}
 	if *traceOut != "" && *trials == 1 {
 		rec.PerNode = true
-		rec.Classes = *traceClasses
+		rec.Classes = tracePolicy.Classes
 		rec.Header = hdr
 		rec.Header.Seed = *seed + 2
 		cfg.Tracer = rec
@@ -166,14 +159,8 @@ func run(args []string) (err error) {
 
 	if *trials > 1 {
 		var capture *trace.Capture
-		if *traceDir != "" {
-			capture, err = trace.NewCapture("crsim", trace.Policy{
-				Dir:          *traceDir,
-				Format:       traceFormat,
-				EveryK:       *traceEvery,
-				FailuresOnly: *traceFailures,
-				Classes:      *traceClasses,
-			})
+		if tracePolicy.Dir != "" {
+			capture, err = trace.NewCapture("crsim", *tracePolicy)
 			if err != nil {
 				return err
 			}
@@ -194,16 +181,20 @@ func run(args []string) (err error) {
 	if *plot {
 		fmt.Printf("\ndeployment (x-y plane, %d nodes):\n%s\n", d.N(), viz.Scatter(d.Points, nil, 64, 18))
 		var actives, txs []int
-		for _, e := range rec.Events {
-			actives = append(actives, e.Active)
-			txs = append(txs, e.Transmitters)
+		for _, r := range rec.Records {
+			if r.Kind == trace.KindRound {
+				actives = append(actives, int(r.Active))
+				txs = append(txs, int(r.Tx))
+			}
 		}
 		fmt.Printf("active nodes per round:  %s\n", viz.Sparkline(actives))
 		fmt.Printf("transmitters per round:  %s\n", viz.Sparkline(txs))
 	}
 	if *showTrace {
-		for _, e := range rec.Events {
-			fmt.Printf("  round %4d: tx=%4d recv=%4d active=%4d\n", e.Round, e.Transmitters, e.Receptions, e.Active)
+		for _, r := range rec.Records {
+			if r.Kind == trace.KindRound {
+				fmt.Printf("  round %4d: tx=%4d recv=%4d active=%4d\n", r.Round, r.Tx, r.Recv, r.Active)
+			}
 		}
 	}
 	if *csvPath != "" {
@@ -218,21 +209,21 @@ func run(args []string) (err error) {
 		fmt.Printf("trace written to %s\n", *csvPath)
 	}
 	if *traceOut != "" {
-		if err := writeStructuredTrace(rec, *traceOut, traceFormat); err != nil {
+		if err := writeStructuredTrace(&rec.Trace, *traceOut, tracePolicy.Format); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeStructuredTrace serialises a structured recorder to path. The status
-// line goes to stderr: stdout stays byte-identical with tracing on or off.
-func writeStructuredTrace(rec *trace.Recorder, path string, f trace.Format) error {
+// writeStructuredTrace serialises a trace to path. The status line goes to
+// stderr: stdout stays byte-identical with tracing on or off.
+func writeStructuredTrace(t *trace.Trace, path string, f trace.Format) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = f.Write(rec, out)
+	err = f.Write(t, out)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}

@@ -154,6 +154,8 @@ func TestMainExitCodes(t *testing.T) {
 		{"bad algo", []string{"-algo", "nope"}, 2},
 		{"bad channel", []string{"-channel", "nope"}, 2},
 		{"missing deploy file", []string{"-deploy-file", "/no/such/file.csv"}, 1},
+		{"bad trace format", []string{"-n", "16", "-trace-format", "xml"}, 2},
+		{"bad trace format with dir", []string{"-n", "16", "-trials", "2", "-trace-format", "xml", "-trace-dir", t.TempDir()}, 2},
 	}
 	for _, tc := range cases {
 		if got := mainExitCode(tc.args); got != tc.want {

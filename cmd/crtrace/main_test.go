@@ -42,7 +42,7 @@ func writeTrace(t *testing.T, dir, name string, f trace.Format, deploySeed, prot
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write(rec, out); err != nil {
+	if err := f.Write(&rec.Trace, out); err != nil {
 		t.Fatal(err)
 	}
 	if err := out.Close(); err != nil {

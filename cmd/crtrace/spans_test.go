@@ -113,3 +113,27 @@ func TestSpansRejectsNonSpanLogs(t *testing.T) {
 		t.Errorf("unhelpful error: %s", errw.String())
 	}
 }
+
+// TestSpansReadsHostileErrorText: a retry event's error text carries a
+// daemon's or proxy's raw response body, invalid UTF-8 and control bytes
+// included, and the span log holding it still reads.
+func TestSpansReadsHostileErrorText(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.ndjson")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := obs.NewSpanLog(f)
+	run0 := log.Begin("run", obs.F("shards", 1), obs.F("executors", 1), obs.F("spec", "0011aabbccdd"))
+	d := run0.Child("dispatch", obs.F("shard", 0), obs.F("executor", "http://a:1"), obs.F("straggler", false))
+	d.Event("retry", obs.F("attempt", 2), obs.F("error", "502 Bad Gateway: caf\xe9 upstream\x01\a\v\x7f"))
+	d.End(obs.F("ok", true))
+	run0.End(obs.F("failed", 0))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{"spans", path}, &out, &errw); code != 0 {
+		t.Fatalf("spans exited %d: %s", code, errw.String())
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // LineEncoder streams NDJSON event lines through one reused buffer. It
@@ -41,7 +43,7 @@ func NewLineEncoder(w io.Writer) *LineEncoder { return &LineEncoder{w: w} }
 // must have been finished with End.
 func (e *LineEncoder) Begin(event string) {
 	e.buf = append(e.buf[:0], `{"event":`...)
-	e.buf = strconv.AppendQuote(e.buf, event)
+	e.buf = appendQuoted(e.buf, event)
 	e.comma = true
 }
 
@@ -50,7 +52,7 @@ func (e *LineEncoder) key(k string) {
 	if e.comma {
 		e.buf = append(e.buf, ',')
 	}
-	e.buf = strconv.AppendQuote(e.buf, k)
+	e.buf = appendQuoted(e.buf, k)
 	e.buf = append(e.buf, ':')
 	e.comma = true
 }
@@ -91,7 +93,45 @@ func (e *LineEncoder) Bool(key string, v bool) {
 // Str appends "key":"v" with JSON string quoting.
 func (e *LineEncoder) Str(key string, v string) {
 	e.key(key)
-	e.buf = strconv.AppendQuote(e.buf, v)
+	e.buf = appendQuoted(e.buf, v)
+}
+
+// appendQuoted appends s as a JSON string. It writes what strconv.Quote
+// writes wherever that is valid JSON, so existing lines keep their bytes,
+// and JSON escapes where Go's are not: \u00XX for control bytes and DEL,
+// \ufffd for each invalid UTF-8 byte, and a surrogate pair for a
+// non-printable rune above U+FFFF. Like strconv, and unlike encoding/json,
+// it does not escape <, > or &.
+func appendQuoted(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		switch {
+		case r == utf8.RuneError && width == 1:
+			buf = append(buf, `\ufffd`...)
+		case r < utf8.RuneSelf && shortEscape[r] != 0:
+			buf = append(buf, '\\', shortEscape[r])
+		case strconv.IsPrint(r):
+			buf = utf8.AppendRune(buf, r)
+		case r < 0x10000:
+			buf = appendEscape(buf, r)
+		default:
+			r1, r2 := utf16.EncodeRune(r)
+			buf = appendEscape(appendEscape(buf, r1), r2)
+		}
+	}
+	return append(buf, '"')
+}
+
+// shortEscape maps each ASCII character with a two-character escape, in
+// Go and JSON alike, to the letter after its backslash.
+var shortEscape = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// appendEscape appends the \uXXXX escape of a UTF-16 code unit.
+func appendEscape(buf []byte, r rune) []byte {
+	const hex = "0123456789abcdef"
+	return append(buf, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
 }
 
 // Arr opens an array-valued field: "key":[.

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestLineEncoderShapes(t *testing.T) {
@@ -136,4 +138,68 @@ func TestLineEncoderSteadyStateAllocs(t *testing.T) {
 		// growth); the encoder itself must not allocate per line.
 		t.Errorf("steady-state line emit allocates %.1f times, want ≤ 1", allocs)
 	}
+}
+
+// strLine encodes one line holding v as a Str field and returns the quoted
+// value as written.
+func strLine(v string) string {
+	var b strings.Builder
+	e := NewLineEncoder(&b)
+	e.Begin("x")
+	e.Str("s", v)
+	_ = e.End()
+	line := b.String()
+	return line[len(`{"event":"x","s":`) : len(line)-len("}\n")]
+}
+
+// TestLineEncoderStrJSONEscapes: Str writes JSON escapes where Go quoting
+// would write \x, \a, \v or \U, which JSON has not, and Go's own bytes
+// everywhere else.
+func TestLineEncoderStrJSONEscapes(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"plain", `"plain"`},
+		{`quote " and \ backslash`, `"quote \" and \\ backslash"`},
+		{"\b\f\n\r\t", `"\b\f\n\r\t"`},
+		{"bell\a tab\v", `"bell\u0007 tab\u000b"`},
+		{"\x00\x01\x1f", `"\u0000\u0001\u001f"`},
+		{"del\x7f", `"del\u007f"`},
+		{"502 Bad Gateway: caf\xe9 upstream", `"502 Bad Gateway: caf\ufffd upstream"`},
+		{"\xff\xfe", `"\ufffd\ufffd"`},
+		{"café ✓ 𝄞", `"café ✓ 𝄞"`},
+		{"\u00ad\u2028", `"\u00ad\u2028"`},
+		{"tag \U000e0001", `"tag \udb40\udc01"`},
+		{"<a href=\"x\">&</a>", `"<a href=\"x\">&</a>"`},
+	} {
+		got := strLine(tc.in)
+		if got != tc.want {
+			t.Errorf("Str(%q) = %s, want %s", tc.in, got, tc.want)
+		}
+		if !json.Valid([]byte(got)) {
+			t.Errorf("Str(%q) = %s is not valid JSON", tc.in, got)
+		}
+	}
+}
+
+// FuzzLineEncoderStr: Str always writes valid JSON, valid UTF-8 decodes
+// back to itself, and the bytes are strconv.Quote's wherever those are
+// valid JSON, so no line that was valid before changes.
+func FuzzLineEncoderStr(f *testing.F) {
+	for _, s := range []string{"", "plain", "caf\xe9", "\a\v\x7f", "\U000e0001", "\u2028", `"\`} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := strLine(s)
+		if !json.Valid([]byte(got)) {
+			t.Fatalf("Str(%q) = %s is not valid JSON", s, got)
+		}
+		if utf8.ValidString(s) {
+			var back string
+			if err := json.Unmarshal([]byte(got), &back); err != nil || back != s {
+				t.Fatalf("Str(%q) = %s decodes to %q (%v)", s, got, back, err)
+			}
+		}
+		if q := strconv.Quote(s); json.Valid([]byte(q)) && got != q {
+			t.Fatalf("Str(%q) = %s, strconv.Quote writes the valid JSON %s", s, got, q)
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"fadingcr/internal/shard"
 	"fadingcr/internal/sim"
 	"fadingcr/internal/sinr"
+	"fadingcr/internal/trace"
 	"fadingcr/internal/xrand"
 )
 
@@ -82,13 +83,7 @@ func runShardSpec(ctx context.Context, spec Spec, parallelism int, progress func
 			progress(Progress{Done: p.Done, Total: p.Total, Solved: p.Solved, Errors: p.Errors})
 		}
 	}
-	req := shard.Request{Spec: spec.experimentSpec(), Shards: spec.Shard.Count}
-	if tr := spec.Shard.Trace; tr != nil {
-		req.Trace = &shard.TraceSpec{
-			Format: tr.Format, EveryK: tr.Every,
-			Failures: tr.Failures, Classes: tr.Classes,
-		}
-	}
+	req := shard.Request{Spec: spec.experimentSpec(), Shards: spec.Shard.Count, Trace: spec.Shard.Trace}
 	body, err := shard.RunWorker(ctx, req, spec.Shard.Index, parallelism, rp)
 	if err != nil {
 		return nil, err
@@ -130,28 +125,6 @@ type simResult struct {
 	Trace       []simTraceEvent `json:"trace,omitempty"`
 }
 
-// traceTap records per-round transmitter/reception counts of one
-// execution. It only ever observes the single trial of a trace-enabled
-// job, so it needs no synchronization.
-type traceTap struct {
-	events []simTraceEvent
-}
-
-func (t *traceTap) OnRound(round int, _ []sim.Node, tx []bool, recv []int) {
-	ev := simTraceEvent{Round: round}
-	for _, b := range tx {
-		if b {
-			ev.Transmitters++
-		}
-	}
-	for _, r := range recv {
-		if r >= 0 {
-			ev.Receptions++
-		}
-	}
-	t.events = append(t.events, ev)
-}
-
 // runSimSpec executes a sim job: Trials independent executions of the
 // scenario, each on a fresh deployment and channel, per the
 // runner.TrialSeeds contract (exactly the harness crsim -trials uses).
@@ -169,9 +142,9 @@ func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(P
 	if maxRounds == 0 {
 		maxRounds = catalog.DefaultMaxRounds(ss.N)
 	}
-	var tap *traceTap
+	var rec *trace.Recorder
 	if spec.Trace {
-		tap = &traceTap{} // Validate guarantees Trials == 1
+		rec = &trace.Recorder{} // Validate guarantees Trials == 1
 	}
 	res, err := runner.Run(ctx, spec.Trials, func(_ context.Context, trial int) (simTrial, error) {
 		dseed, pseed := runner.TrialSeeds(spec.Seed, trial)
@@ -190,8 +163,8 @@ func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(P
 			return simTrial{}, fmt.Errorf("trial %d builder: %w", trial, err)
 		}
 		cfg := sim.Config{MaxRounds: maxRounds, CollisionDetection: built.CollisionDetection}
-		if tap != nil {
-			cfg.Tracer = tap
+		if rec != nil {
+			cfg.Tracer = rec
 		}
 		r, err := sim.Run(built.Channel, builder, pseed, cfg)
 		if err != nil {
@@ -240,10 +213,12 @@ func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(P
 	out.RoundsMean = meanInt(rounds)
 	out.RoundsP50 = percentileInt(rounds, 0.50)
 	out.RoundsP95 = percentileInt(rounds, 0.95)
-	if tap != nil {
-		out.Trace = tap.events
-		if out.Trace == nil {
-			out.Trace = []simTraceEvent{}
+	if rec != nil {
+		out.Trace = []simTraceEvent{}
+		for _, r := range rec.Records {
+			if r.Kind == trace.KindRound {
+				out.Trace = append(out.Trace, simTraceEvent{Round: int(r.Round), Transmitters: int(r.Tx), Receptions: int(r.Recv)})
+			}
 		}
 	}
 	body, err := json.MarshalIndent(&out, "", "  ")
@@ -276,6 +251,3 @@ func percentileInt(xs []int, q float64) float64 {
 	idx := int(q * float64(len(sorted)-1))
 	return float64(sorted[idx])
 }
-
-// The tracer must satisfy sim.Tracer.
-var _ sim.Tracer = (*traceTap)(nil)

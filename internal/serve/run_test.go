@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"fadingcr/internal/obs"
@@ -42,5 +45,29 @@ func TestJobsPickTheirRoundWorkers(t *testing.T) {
 		if !bytes.Equal(res.Body, sequential.Body) {
 			t.Errorf("%s: body differs between parallelism 1 and 2", c.name)
 		}
+	}
+}
+
+// TestSimJobTraceBodyGolden pins the body of a traced sim job byte for
+// byte (testdata/sim-trace.json).
+func TestSimJobTraceBodyGolden(t *testing.T) {
+	spec, err := DecodeSpec(strings.NewReader(`{"sim":{"n":64,"deploy":"disk","algo":"fixed"},"seed":7,"trace":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.Normalized()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := runSpec(context.Background(), spec, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "sim-trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Body, want) {
+		t.Errorf("traced sim job body differs from testdata/sim-trace.json:\n%s", res.Body)
 	}
 }

@@ -81,25 +81,9 @@ type ShardRef struct {
 	// part of the canonical form deliberately even though tracing never
 	// changes the computed values: the cached result BODY differs (bundle
 	// appended), so traced and untraced runs must occupy distinct cache
-	// slots. The omitempty tag keeps every untraced legacy hash stable.
-	Trace *ShardTraceRef `json:"trace,omitempty"`
-}
-
-// ShardTraceRef is the capture policy of a traced shard job, mirroring
-// shard.TraceSpec. It feeds the canonical hash, so it follows the same
-// field discipline.
-//
-//crlint:spechash
-type ShardTraceRef struct {
-	// Format is the per-trial file encoding: "" ≡ "ndjson", or "binary".
-	Format string `json:"format,omitempty"`
-	// Every samples every Kth trial on global indices; 0 and 1 both trace
-	// every trial.
-	Every int `json:"every,omitempty"`
-	// Failures keeps only unsolved trials' traces.
-	Failures bool `json:"failures,omitempty"`
-	// Classes additionally records per-round link-class censuses.
-	Classes bool `json:"classes,omitempty"`
+	// slots. The omitempty tag keeps every untraced legacy hash stable, and
+	// trace.Policy follows the same field discipline.
+	Trace *trace.Policy `json:"trace,omitempty"`
 }
 
 // SimSpec is the scenario of a sim job, mirroring crsim's flags. It feeds
@@ -141,9 +125,6 @@ var (
 	}
 	shardRefHashFields = []string{
 		"index", "count", "trace",
-	}
-	shardTraceRefHashFields = []string{
-		"format", "every", "failures", "classes",
 	}
 )
 
@@ -217,16 +198,8 @@ func (s Spec) Normalized() Spec {
 	if n.Shard != nil {
 		shard := *n.Shard
 		if shard.Trace != nil {
-			// Equivalent trace spellings must share a cache slot: "ndjson"
-			// is the default format and every∈{0,1} both mean "every trial",
-			// so both normalize to the omitted form.
-			tr := *shard.Trace
-			if tr.Format == "ndjson" {
-				tr.Format = ""
-			}
-			if tr.Every == 1 {
-				tr.Every = 0
-			}
+			// Equivalent trace spellings must share a cache slot.
+			tr := shard.Trace.Normalized()
 			shard.Trace = &tr
 		}
 		n.Shard = &shard
@@ -287,12 +260,9 @@ func (s Spec) Validate() error {
 			if s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {
 				return fmt.Errorf("shard.index must be in [0, %d), got %d", s.Shard.Count, s.Shard.Index)
 			}
-			if tr := s.Shard.Trace; tr != nil {
-				if _, err := trace.ParseFormat(tr.Format); err != nil {
+			if s.Shard.Trace != nil {
+				if err := s.Shard.Trace.Validate(); err != nil {
 					return err
-				}
-				if tr.Every < 0 {
-					return fmt.Errorf("shard.trace.every must be ≥ 0, got %d", tr.Every)
 				}
 			}
 		} else if s.Format != "text" && s.Format != "markdown" {

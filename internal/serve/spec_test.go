@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"fadingcr/internal/trace"
 )
 
 func simSpec() Spec {
@@ -80,7 +82,7 @@ func TestHashDistinguishesShardCoordinates(t *testing.T) {
 // policy hashes differently, and equivalent policy spellings hash the same.
 func TestShardTraceHashing(t *testing.T) {
 	base := Spec{Experiment: "E5", Quick: true, Trials: 2, Seed: 7, Shard: &ShardRef{Index: 0, Count: 2}}
-	withTrace := func(tr ShardTraceRef) Spec {
+	withTrace := func(tr trace.Policy) Spec {
 		s := base
 		ref := *base.Shard
 		ref.Trace = &tr
@@ -89,7 +91,7 @@ func TestShardTraceHashing(t *testing.T) {
 	}
 
 	seen := map[string]string{base.Hash(): "untraced"}
-	for _, tr := range []ShardTraceRef{{}, {Format: "binary"}, {Every: 5}, {Failures: true}, {Classes: true}} {
+	for _, tr := range []trace.Policy{{}, {Format: trace.FormatBinary}, {EveryK: 5}, {FailuresOnly: true}, {Classes: true}} {
 		s := withTrace(tr)
 		if err := s.Normalized().Validate(); err != nil {
 			t.Fatalf("traced shard job %+v rejected: %v", tr, err)
@@ -101,25 +103,27 @@ func TestShardTraceHashing(t *testing.T) {
 		seen[s.Hash()] = name
 	}
 
-	// "" ≡ "ndjson" and every 0 ≡ 1: same policy, same cache slot.
-	if a, b := withTrace(ShardTraceRef{}).Hash(), withTrace(ShardTraceRef{Format: "ndjson", Every: 1}).Hash(); a != b {
+	// every 0 ≡ 1, and a directory never travels: same policy, same cache
+	// slot.
+	if a, b := withTrace(trace.Policy{}).Hash(), withTrace(trace.Policy{EveryK: 1, Dir: "out"}).Hash(); a != b {
 		t.Error("equivalent trace policy spellings hash differently")
 	}
 
-	// Bad policies never reach the executor.
-	if err := withTrace(ShardTraceRef{Format: "xml"}).Normalized().Validate(); err == nil {
-		t.Error("unknown trace format validated")
+	// Bad policies never reach the executor: an unknown format does not
+	// decode, and a negative interval does not validate.
+	if _, err := DecodeSpec(strings.NewReader(`{"experiment":"E5","shard":{"index":0,"count":2,"trace":{"format":"xml"}}}`)); err == nil {
+		t.Error("unknown trace format decoded")
 	}
-	if err := withTrace(ShardTraceRef{Every: -1}).Normalized().Validate(); err == nil {
+	if err := withTrace(trace.Policy{EveryK: -1}).Normalized().Validate(); err == nil {
 		t.Error("negative trace sampling interval validated")
 	}
 
-	// The clone must not alias the caller's ShardTraceRef.
-	s := withTrace(ShardTraceRef{Every: 4})
+	// The clone must not alias the caller's policy.
+	s := withTrace(trace.Policy{EveryK: 4})
 	n := s.Normalized()
-	n.Shard.Trace.Every = 9
-	if s.Shard.Trace.Every != 4 {
-		t.Error("Normalized aliased the caller's ShardTraceRef")
+	n.Shard.Trace.EveryK = 9
+	if s.Shard.Trace.EveryK != 4 {
+		t.Error("Normalized aliased the caller's trace policy")
 	}
 }
 
@@ -275,7 +279,6 @@ func TestSpecHashFieldManifest(t *testing.T) {
 		{reflect.TypeOf(Spec{}), specHashFields},
 		{reflect.TypeOf(SimSpec{}), simSpecHashFields},
 		{reflect.TypeOf(ShardRef{}), shardRefHashFields},
-		{reflect.TypeOf(ShardTraceRef{}), shardTraceRefHashFields},
 	}
 	for _, tc := range cases {
 		if got := serializedJSONNames(t, tc.typ); !slices.Equal(got, tc.list) {
@@ -364,6 +367,56 @@ func TestDecodeSpecLegacySINRParallel(t *testing.T) {
 			if _, err := DecodeSpec(strings.NewReader(fmt.Sprintf(job, `,"sinr_parallel":`+p))); err == nil || !strings.Contains(err.Error(), "sinr_parallel") {
 				t.Errorf("sinr_parallel %s: error %v, want a range rejection", p, err)
 			}
+		}
+	}
+}
+
+// TestShardJobGoldens pins the canonical JSON and hash of shard jobs with
+// and without a trace block, so a change to the policy type cannot move a
+// cache key, and the rejections of malformed policies.
+func TestShardJobGoldens(t *testing.T) {
+	const e5 = `{"experiment":"E5","quick":true,"trials":2,"seed":7,"shard":{"index":%d,"count":2%s}}`
+	for _, tc := range []struct {
+		name, job, canonical, hash string
+	}{
+		{"untraced", fmt.Sprintf(e5, 0, ""),
+			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2}}`,
+			"2e2350445f9d062d677a37fefcd591456267b5455078eb61c6f1cf62bd06812e"},
+		{"empty trace", fmt.Sprintf(e5, 0, `,"trace":{}`),
+			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2,"trace":{}}}`,
+			"cfeb8bce1c740e7f7c9f3c1a99dfea0afb423fef6405f4ed5141648ff2bfca23"},
+		{"explicit defaults", fmt.Sprintf(e5, 0, `,"trace":{"format":"ndjson","every":1}`),
+			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2,"trace":{}}}`,
+			"cfeb8bce1c740e7f7c9f3c1a99dfea0afb423fef6405f4ed5141648ff2bfca23"},
+		{"every field", fmt.Sprintf(e5, 1, `,"trace":{"format":"binary","every":5,"failures":true,"classes":true}`),
+			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":1,"count":2,"trace":{"format":"binary","every":5,"failures":true,"classes":true}}}`,
+			"76b9c733a5e73c13f7678616a24967bb98a67daf4da7ca59f31c3760a61f774e"},
+		{"all experiments", `{"experiment":"all","seed":7,"shard":{"index":0,"count":3,"trace":{"every":100}}}`,
+			`{"kind":"experiment","experiment":"all","seed":7,"shard":{"index":0,"count":3,"trace":{"every":100}}}`,
+			"40d25603706e205892d406b4a45cc901b388a463124f1c16f85a0fecd5d10b54"},
+	} {
+		s, err := DecodeSpec(strings.NewReader(tc.job))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := s.Normalized().Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := string(s.CanonicalJSON()); got != tc.canonical {
+			t.Errorf("%s: canonical JSON\n got %s\nwant %s", tc.name, got, tc.canonical)
+		}
+		if got := s.Hash(); got != tc.hash {
+			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.hash)
+		}
+	}
+	for _, trace := range []string{`{"format":"xml"}`, `{"every":-1}`, `{"format":1}`} {
+		job := fmt.Sprintf(e5, 0, `,"trace":`+trace)
+		s, err := DecodeSpec(strings.NewReader(job))
+		if err == nil {
+			err = s.Normalized().Validate()
+		}
+		if err == nil {
+			t.Errorf("trace %s accepted", trace)
 		}
 	}
 }

@@ -44,26 +44,26 @@ func (c CheckpointDir) Store(shards, index int, raw []byte) error {
 
 // Load returns a shard's checkpointed result if a valid one exists for
 // exactly this (request hash, shard count, index). A missing file is not
-// an error; a corrupt, truncated, or mismatched checkpoint (different
-// run, stale shard count) is reported so the caller can surface it and
-// recompute.
-func (c CheckpointDir) Load(specHash string, shards, index int) (*Result, []byte, error) {
+// an error (the result is nil); a corrupt, truncated, or mismatched
+// checkpoint (different run, stale shard count) is reported so the caller
+// can surface it and recompute.
+func (c CheckpointDir) Load(specHash string, shards, index int) (*Result, error) {
 	raw, err := os.ReadFile(c.path(shards, index))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := Decode(bytes.NewReader(raw))
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint %s: %w", c.path(shards, index), err)
+		return nil, fmt.Errorf("checkpoint %s: %w", c.path(shards, index), err)
 	}
 	if res.SpecHash != specHash {
-		return nil, nil, fmt.Errorf("checkpoint %s belongs to run %.12s…, want %.12s…", c.path(shards, index), res.SpecHash, specHash)
+		return nil, fmt.Errorf("checkpoint %s belongs to run %.12s…, want %.12s…", c.path(shards, index), res.SpecHash, specHash)
 	}
 	if res.Shards != shards || res.Index != index {
-		return nil, nil, fmt.Errorf("checkpoint %s is shard %d/%d, want %d/%d", c.path(shards, index), res.Index, res.Shards, index, shards)
+		return nil, fmt.Errorf("checkpoint %s is shard %d/%d, want %d/%d", c.path(shards, index), res.Index, res.Shards, index, shards)
 	}
-	return res, raw, nil
+	return res, nil
 }

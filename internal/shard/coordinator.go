@@ -77,7 +77,7 @@ const (
 type coordState struct {
 	mu       sync.Mutex
 	done     []bool
-	results  [][]byte
+	results  []*Result
 	inflight []int
 	// failing[shard] marks a running shard one of whose attempts has
 	// failed since it was last claimed fresh; only such a shard is
@@ -151,7 +151,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 	specHash := RequestHash(req)
 	st := &coordState{
 		done:     make([]bool, req.Shards),
-		results:  make([][]byte, req.Shards),
+		results:  make([]*Result, req.Shards),
 		inflight: make([]int, req.Shards),
 		failing:  make([]bool, req.Shards),
 		changed:  make(chan struct{}),
@@ -170,8 +170,8 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 	resumed := 0
 	if c.Checkpoints != nil && c.Resume {
 		for i := 0; i < req.Shards; i++ {
-			res, raw, err := c.Checkpoints.Load(specHash, req.Shards, i)
-			if err == nil && raw != nil {
+			res, err := c.Checkpoints.Load(specHash, req.Shards, i)
+			if err == nil && res != nil {
 				// RequestHash ignores the trace spec, so a checkpoint of the
 				// same spec captured under a different (or no) trace policy
 				// loads cleanly — reject it structurally here.
@@ -181,9 +181,9 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 				st.log.Log("ignoring checkpoint", obs.F("shard", i), obs.F("error", err.Error()))
 				continue
 			}
-			if raw != nil {
+			if res != nil {
 				st.done[i] = true
-				st.results[i] = raw
+				st.results[i] = res
 				resumed++
 			}
 		}
@@ -234,17 +234,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 	}
 
 	ms := st.run.Child("merge", obs.F("shards", req.Shards))
-	parts := make([]*Result, req.Shards)
-	for i, raw := range st.results {
-		res, err := Decode(bytes.NewReader(raw))
-		if err != nil {
-			ms.End(obs.F("ok", false))
-			st.run.End(obs.F("failed", 1))
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		parts[i] = res
-	}
-	m, err := Merge(parts)
+	m, err := Merge(st.results)
 	ms.End(obs.F("ok", err == nil))
 	st.run.End(obs.F("failed", 0))
 	return m, err
@@ -271,7 +261,7 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 		}
 		sp := st.run.Child("dispatch",
 			obs.F("shard", index), obs.F("executor", ex.Name()), obs.F("straggler", straggler))
-		raw, err := c.attemptShard(ctx, req, specHash, st, sp, ex, index, retries, backoff)
+		res, raw, err := c.attemptShard(ctx, req, specHash, st, sp, ex, index, retries, backoff)
 		sp.End(obs.F("ok", err == nil))
 		st.mu.Lock()
 		st.inflight[index]--
@@ -282,7 +272,7 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 				obs.F("shard", index), obs.F("executor", ex.Name()), obs.F("error", err.Error()))
 		} else if !st.done[index] {
 			st.done[index] = true
-			st.results[index] = raw
+			st.results[index] = res
 			st.log.Log("shard done",
 				obs.F("shard", index), obs.F("shards", req.Shards), obs.F("executor", ex.Name()))
 			if c.Checkpoints != nil {
@@ -297,9 +287,11 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 }
 
 // attemptShard runs one (executor, shard) pair with the retry policy and
-// validates the returned wire bytes before accepting them. sp is the
-// dispatch span the attempts nest under (nil-safe).
-func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash string, st *coordState, sp *obs.Span, ex Executor, index, retries int, backoff time.Duration) ([]byte, error) {
+// decodes and validates the returned wire bytes before accepting them; it
+// returns the decoded result and the bytes, which the caller keeps only to
+// checkpoint them. sp is the dispatch span the attempts nest under
+// (nil-safe).
+func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash string, st *coordState, sp *obs.Span, ex Executor, index, retries int, backoff time.Duration) (*Result, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
@@ -309,7 +301,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			if already {
 				// Another executor finished the shard while this one was
 				// failing; stop burning attempts on it.
-				return nil, lastErr
+				return nil, nil, lastErr
 			}
 			st.log.Log("retrying shard",
 				obs.F("shard", index), obs.F("executor", ex.Name()),
@@ -318,7 +310,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			wait := backoff << (attempt - 1)
 			sp.Event("backoff", obs.F("ms", wait.Milliseconds()))
 			if err := sleepCtx(ctx, wait); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		attemptCtx := ctx
@@ -346,13 +338,13 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			}
 			if err == nil {
 				es.End(obs.F("ok", true))
-				return raw, nil
+				return res, raw, nil
 			}
 		}
 		es.End(obs.F("ok", false))
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return nil, nil, lastErr
 		}
 		// The shard is failing here: an idle executor may now duplicate it
 		// while this one backs off and retries.
@@ -361,7 +353,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 		st.signal()
 		st.mu.Unlock()
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
 // sleepCtx waits d or until the context ends.

@@ -23,7 +23,7 @@ func tracedRequest(shards int) shard.Request {
 	return shard.Request{
 		Spec:   experiments.Spec{IDs: "E1", Quick: true, Trials: 2, Seed: 7},
 		Shards: shards,
-		Trace:  &shard.TraceSpec{},
+		Trace:  &trace.Policy{},
 	}
 }
 

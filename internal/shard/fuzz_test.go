@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fadingcr/internal/experiments"
+	"fadingcr/internal/trace"
 )
 
 // decodeAllocBudget is the most Decode may allocate for an input of n
@@ -24,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 	traced := Request{
 		Spec:   experiments.Spec{IDs: "E3", Quick: true, Trials: 1, Seed: 7},
 		Shards: 1,
-		Trace:  &TraceSpec{Format: "binary"},
+		Trace:  &trace.Policy{Format: trace.FormatBinary},
 	}
 	for _, req := range []Request{quickRequest(2), traced} {
 		raw, err := RunWorker(context.Background(), req, req.Shards-1, 1, nil)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fadingcr/internal/obs"
+	"fadingcr/internal/trace"
 )
 
 // Endpoint is the remote executor: it runs shards on a crserve daemon via
@@ -68,18 +69,10 @@ type shardJobSpec struct {
 type shardJobRef struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// Trace mirrors Request.Trace; absent for untraced runs so traced and
+	// Trace is Request.Trace; absent for untraced runs so traced and
 	// untraced submissions of one spec stay distinct cache keys on the
 	// daemon (the bundle rides inside the cached result bytes).
-	Trace *shardJobTrace `json:"trace,omitempty"`
-}
-
-// shardJobTrace is the wire form of TraceSpec in a job submission.
-type shardJobTrace struct {
-	Format   string `json:"format,omitempty"`
-	Every    int    `json:"every,omitempty"`
-	Failures bool   `json:"failures,omitempty"`
-	Classes  bool   `json:"classes,omitempty"`
+	Trace *trace.Policy `json:"trace,omitempty"`
 }
 
 // jobStatus is the slice of serve's job Status the client reads.
@@ -95,21 +88,12 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 	if ids == "" {
 		ids = "all"
 	}
-	ref := shardJobRef{Index: index, Count: req.Shards}
-	if req.Trace != nil {
-		ref.Trace = &shardJobTrace{
-			Format:   req.Trace.Format,
-			Every:    req.Trace.EveryK,
-			Failures: req.Trace.Failures,
-			Classes:  req.Trace.Classes,
-		}
-	}
 	body, err := json.Marshal(shardJobSpec{
 		Experiment: ids,
 		Seed:       req.Spec.Seed,
 		Trials:     req.Spec.Trials,
 		Quick:      req.Spec.Quick,
-		Shard:      ref,
+		Shard:      shardJobRef{Index: index, Count: req.Shards, Trace: req.Trace},
 	})
 	if err != nil {
 		return nil, err

@@ -23,51 +23,12 @@ type Request struct {
 	Shards int
 	// Trace, when non-nil, asks every worker to capture per-trial structured
 	// traces under its global trial indices and ship them back in the
-	// result's trace bundle. Tracing is observational: it never changes the
+	// result's trace bundle. Workers capture into a private temp dir, so
+	// Dir is never read. Tracing is observational: it never changes the
 	// computed values, so it is excluded from RequestHash — but results and
 	// checkpoints echo the capture policy in their bundle header, and the
 	// coordinator rejects a result whose policy does not match the request.
-	Trace *TraceSpec
-}
-
-// TraceSpec mirrors trace.Policy minus the output directory (workers
-// capture into a private temp dir; only the coordinator materializes a
-// directory). The zero of each field is the trace subsystem's default.
-type TraceSpec struct {
-	// Format is the per-trial file encoding: "ndjson" (also ""), "binary".
-	Format string
-	// EveryK samples every Kth trial (trial % K == 0 on global indices);
-	// values ≤ 1 trace every trial.
-	EveryK int
-	// Failures keeps only unsolved trials' traces.
-	Failures bool
-	// Classes additionally records per-round link-class censuses.
-	Classes bool
-}
-
-// tracePolicy resolves the request's trace spec into the canonical capture
-// policy (Dir unset). Equivalent spellings normalize to one policy —
-// "" and "ndjson", EveryK 0 and 1 — so a worker, a crserve daemon, and the
-// coordinator's validation all agree on the policy a bundle must echo.
-func (r Request) tracePolicy() (trace.Policy, bool, error) {
-	if r.Trace == nil {
-		return trace.Policy{}, false, nil
-	}
-	format, err := trace.ParseFormat(r.Trace.Format)
-	if err != nil {
-		return trace.Policy{}, false, err
-	}
-	if r.Trace.EveryK < 0 {
-		return trace.Policy{}, false, fmt.Errorf("shard: trace sampling interval %d must be ≥ 0", r.Trace.EveryK)
-	}
-	every := r.Trace.EveryK
-	if every <= 1 {
-		every = 0
-	}
-	return trace.Policy{
-		Format: format, EveryK: every,
-		FailuresOnly: r.Trace.Failures, Classes: r.Trace.Classes,
-	}, true, nil
+	Trace *trace.Policy
 }
 
 // traceMatches validates a decoded result (or checkpoint) against the
@@ -77,11 +38,7 @@ func (r Request) tracePolicy() (trace.Policy, bool, error) {
 // checkpoint from an untraced run of the same spec is otherwise
 // indistinguishable from a traced one.
 func (r Request) traceMatches(res *Result) error {
-	want, traced, err := r.tracePolicy()
-	if err != nil {
-		return err
-	}
-	if !traced {
+	if r.Trace == nil {
 		if res.Bundle != nil {
 			return errors.New("shard: result carries a trace bundle the request did not ask for")
 		}
@@ -90,10 +47,10 @@ func (r Request) traceMatches(res *Result) error {
 	if res.Bundle == nil {
 		return errors.New("shard: result carries no trace bundle for a traced request")
 	}
+	want := r.Trace.Normalized()
+	want.Dir = ""
 	if got := res.Bundle.Policy; got != want {
-		return fmt.Errorf("shard: result traces were captured under policy (%s, every %d, failures %v, classes %v), request wants (%s, every %d, failures %v, classes %v)",
-			got.Format, got.EveryK, got.FailuresOnly, got.Classes,
-			want.Format, want.EveryK, want.FailuresOnly, want.Classes)
+		return fmt.Errorf("shard: result traces were captured under policy %+v, request wants %+v", got, want)
 	}
 	return nil
 }
@@ -106,8 +63,8 @@ func (r Request) Validate() error {
 	if _, _, err := experiments.ConfigFromSpec(r.Spec); err != nil {
 		return err
 	}
-	if _, _, err := r.tracePolicy(); err != nil {
-		return err
+	if r.Trace != nil {
+		return r.Trace.Validate()
 	}
 	return nil
 }
@@ -161,9 +118,7 @@ func RunWorker(ctx context.Context, req Request, index, parallelism int, progres
 	cfg.Parallelism = parallelism
 	cfg.Progress = progress
 	var capture *trace.Capture
-	if policy, traced, err := req.tracePolicy(); err != nil {
-		return nil, err
-	} else if traced {
+	if req.Trace != nil {
 		// Capture into a private temp dir: trace files travel to the
 		// coordinator in the result's bundle, never by path. The capture
 		// command is "crbench" regardless of which process hosts the worker,
@@ -175,6 +130,7 @@ func RunWorker(ctx context.Context, req Request, index, parallelism int, progres
 			return nil, fmt.Errorf("shard: trace capture: %w", err)
 		}
 		defer os.RemoveAll(tmp)
+		policy := req.Trace.Normalized()
 		policy.Dir = tmp
 		capture, err = trace.NewCapture("crbench", policy)
 		if err != nil {

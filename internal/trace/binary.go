@@ -30,19 +30,20 @@ import (
 //
 // Absent annotations keep their in-memory encoding (NaN sinr, −1 active):
 // the reader and writer round-trip records bit-exactly, so Diff semantics
-// are identical across formats.
+// are identical across formats. The reader accepts only what the writer
+// emits: a canonical header line and a result byte of 0 or 1.
 var binaryMagic = [8]byte{'C', 'R', 'T', 'R', 'A', 'C', 'E', SchemaVersion}
 
-// WriteBinary serialises the recorder's header and structured records in
-// the compact binary format.
-func (r *Recorder) WriteBinary(w io.Writer) error {
+// WriteBinary serialises the trace's header and records in the compact
+// binary format.
+func (t *Trace) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return fmt.Errorf("trace: write binary: %w", err)
 	}
 	var hbuf bytes.Buffer
 	he := obs.NewLineEncoder(&hbuf)
-	writeHeader(he, &r.Header)
+	writeHeader(he, &t.Header)
 	var scratch [32]byte
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(hbuf.Len()))
 	if _, err := bw.Write(scratch[:4]); err != nil {
@@ -52,7 +53,7 @@ func (r *Recorder) WriteBinary(w io.Writer) error {
 		return fmt.Errorf("trace: write binary: %w", err)
 	}
 	le := binary.LittleEndian
-	for _, rec := range r.recs {
+	for _, rec := range t.Records {
 		scratch[0] = byte(rec.Kind)
 		n := 1
 		putI32 := func(v int32) { le.PutUint32(scratch[n:n+4], uint32(v)); n += 4 }
@@ -99,7 +100,7 @@ func (r *Recorder) WriteBinary(w io.Writer) error {
 				return fmt.Errorf("trace: write binary: %w", err)
 			}
 		case KindClasses:
-			for _, s := range r.classSizes[rec.Off : rec.Off+rec.Len] {
+			for _, s := range t.classSizes[rec.Off : rec.Off+rec.Len] {
 				le.PutUint32(scratch[:4], uint32(s))
 				if _, err := bw.Write(scratch[:4]); err != nil {
 					return fmt.Errorf("trace: write binary: %w", err)
@@ -157,6 +158,9 @@ func readBinary(br *bufio.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !obs.Canonical(hdr, func(e *obs.LineEncoder) error { writeHeader(e, &h); return e.Err() }) {
+		return nil, fmt.Errorf("trace: binary header is not in canonical form")
+	}
 	t := &Trace{Header: h}
 	for {
 		kb, err := br.ReadByte()
@@ -208,6 +212,9 @@ func readBinary(br *bufio.Reader) (*Trace, error) {
 		case KindResult:
 			if err := read(17); err != nil {
 				return nil, fmt.Errorf("trace: read result record: %w", err)
+			}
+			if scratch[0] > 1 {
+				return nil, fmt.Errorf("trace: result record solved byte %d, want 0 or 1", scratch[0])
 			}
 			rec.Solved = scratch[0] == 1
 			rec.Round, rec.Node = getI32(1), getI32(5)

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,33 +48,89 @@ func (f Format) Ext() string {
 	return "ndjson"
 }
 
-// Write serialises the recorder in the format.
-func (f Format) Write(r *Recorder, w interface{ Write([]byte) (int, error) }) error {
-	if f == FormatBinary {
-		return r.WriteBinary(w)
+// MarshalText implements encoding.TextMarshaler with the CLI name.
+func (f Format) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseFormat, so
+// a flag or a job spec accepts exactly the CLI names.
+func (f *Format) UnmarshalText(b []byte) error {
+	v, err := ParseFormat(string(b))
+	if err != nil {
+		return err
 	}
-	return r.WriteNDJSON(w)
+	*f = v
+	return nil
+}
+
+// Write serialises the trace in the format.
+func (f Format) Write(t *Trace, w io.Writer) error {
+	if f == FormatBinary {
+		return t.WriteBinary(w)
+	}
+	return t.WriteNDJSON(w)
 }
 
 // Policy bounds what a Monte Carlo capture retains, so tracing 10⁴ trials
 // is safe by construction: deterministic trial sampling bounds how many
 // recorders ever fill, failure-only retention bounds what reaches disk, and
 // per-trial files keep any single artifact small.
+//
+// Policy is also the JSON "trace" block of a shard job. The block feeds the
+// job's canonical hash, so the type follows the spechash field discipline
+// (DESIGN.md §8); Dir never travels, since each worker captures into its
+// own directory.
+//
+//crlint:spechash
 type Policy struct {
 	// Dir is the output directory (created on first use).
-	Dir string
+	Dir string `json:"-"`
 	// Format selects the per-trial file encoding.
-	Format Format
+	Format Format `json:"format,omitempty"`
 	// EveryK samples every Kth trial (trial % K == 0) — a deterministic,
 	// seed-independent rule, so the sampled set never depends on execution
 	// order. Values ≤ 1 sample every trial.
-	EveryK int
+	EveryK int `json:"every,omitempty"`
 	// FailuresOnly retains only unsolved trials' traces; solved trials are
 	// recorded but dropped at commit (their recorders are recycled).
-	FailuresOnly bool
+	FailuresOnly bool `json:"failures,omitempty"`
 	// Classes additionally records the per-round link-class census (needs
 	// the producer to put deployment points into the header).
-	Classes bool
+	Classes bool `json:"classes,omitempty"`
+}
+
+// policyHashFields names the JSON fields of Policy that feed a shard job's
+// canonical hash (see the spechash analyzer).
+var policyHashFields = []string{"format", "every", "failures", "classes"}
+
+// AddFlags registers the capture flags on fs — -trace-dir, -trace-format,
+// -trace-every (default every), -trace-failures and -trace-classes — and
+// returns the policy they fill. An unknown -trace-format fails fs.Parse.
+func AddFlags(fs *flag.FlagSet, every int) *Policy {
+	p := &Policy{}
+	fs.StringVar(&p.Dir, "trace-dir", "", "write per-trial structured traces into this `directory` (analyse with crtrace)")
+	fs.TextVar(&p.Format, "trace-format", FormatNDJSON, "structured trace `format`: ndjson|binary")
+	fs.IntVar(&p.EveryK, "trace-every", every, "with -trace-dir: trace every Kth trial of each trial loop")
+	fs.BoolVar(&p.FailuresOnly, "trace-failures", false, "with -trace-dir: keep only unsolved trials' traces")
+	fs.BoolVar(&p.Classes, "trace-classes", false, "include per-round link-class censuses in structured traces")
+	return p
+}
+
+// Validate rejects a policy no capture can run.
+func (p Policy) Validate() error {
+	if p.EveryK < 0 {
+		return fmt.Errorf("trace: sampling interval %d must be ≥ 0", p.EveryK)
+	}
+	return nil
+}
+
+// Normalized returns the policy's canonical spelling: EveryK 1 samples
+// every trial, as 0 does, and becomes 0, so equal policies compare and hash
+// equal.
+func (p Policy) Normalized() Policy {
+	if p.EveryK == 1 {
+		p.EveryK = 0
+	}
+	return p
 }
 
 // Sampled reports whether the policy traces the trial.
@@ -120,8 +178,8 @@ func NewCapture(cmd string, p Policy) (*Capture, error) {
 	if p.Dir == "" {
 		return nil, fmt.Errorf("trace: capture needs an output directory")
 	}
-	if p.EveryK < 0 {
-		return nil, fmt.Errorf("trace: capture sampling interval %d must be ≥ 0", p.EveryK)
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return &Capture{policy: p, cmd: cmd}, nil
 }
@@ -186,7 +244,7 @@ func (c *Capture) Commit(trial int, rec *Recorder, solved bool) error {
 	if err != nil {
 		return fmt.Errorf("trace: capture: %w", err)
 	}
-	err = c.policy.Format.Write(rec, f)
+	err = c.policy.Format.Write(&rec.Trace, f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -68,8 +68,7 @@ func (k Kind) String() string {
 //	               Margin (NaN when the channel has no observer hook)
 //	KindKnockout:  Round, Node (the deactivating listener)
 //	KindClasses:   Round, Off/Len (window into the trace's class-size
-//	               backing array; use Trace.ClassSizes or
-//	               Recorder.ClassSizes to resolve)
+//	               backing array; use Trace.ClassSizes to resolve)
 //	KindResult:    Solved, Round (solving round or budget), Node (winner,
 //	               −1 unsolved), Transmissions
 type Record struct {
@@ -118,7 +117,8 @@ type Header struct {
 	Points []geom.Point
 }
 
-// Trace is a structured trace read back from a file or stream.
+// Trace is one structured trace: the value a Recorder fills, the writers
+// serialise and Read returns.
 type Trace struct {
 	// Header is the trace's identity record.
 	Header Header

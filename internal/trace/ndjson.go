@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"fadingcr/internal/geom"
 	"fadingcr/internal/obs"
@@ -18,16 +20,15 @@ import (
 // follows as its Kind's event name. Optional annotations (a reception's
 // sinr/margin when the channel exposed no observer, a round's active count
 // when nodes expose no activity) are omitted rather than written as
-// sentinels.
+// sentinels. The reader accepts exactly these lines and nothing else.
 
-// WriteNDJSON serialises the recorder's header and structured records as
-// NDJSON.
-func (r *Recorder) WriteNDJSON(w io.Writer) error {
+// WriteNDJSON serialises the trace's header and records as NDJSON.
+func (t *Trace) WriteNDJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	e := obs.NewLineEncoder(bw)
-	writeHeader(e, &r.Header)
-	for _, rec := range r.recs {
-		writeRecord(e, rec, r.classSizes)
+	writeHeader(e, &t.Header)
+	for _, rec := range t.Records {
+		writeRecord(e, rec, t.classSizes)
 	}
 	if err := e.Err(); err != nil {
 		return fmt.Errorf("trace: write ndjson: %w", err)
@@ -117,21 +118,37 @@ type jsonLine struct {
 	Points     [][]float64 `json:"points"`
 
 	// records
-	Round  int32    `json:"round"`
-	Node   int32    `json:"node"`
-	From   int32    `json:"from"`
-	Active *int32   `json:"active"`
-	Tx     int32    `json:"tx"`
-	Recv   int32    `json:"recv"`
-	SINR   *float64 `json:"sinr"`
-	Margin *float64 `json:"margin"`
-	Sizes  []int32  `json:"sizes"`
+	Round  int32           `json:"round"`
+	Node   int32           `json:"node"`
+	From   int32           `json:"from"`
+	Active *int32          `json:"active"`
+	Tx     int32           `json:"tx"`
+	Recv   int32           `json:"recv"`
+	SINR   json.RawMessage `json:"sinr"`
+	Margin json.RawMessage `json:"margin"`
+	Sizes  []int32         `json:"sizes"`
 
 	// result
 	Solved        bool  `json:"solved"`
 	Rounds        int32 `json:"rounds"`
 	Winner        int32 `json:"winner"`
 	Transmissions int64 `json:"transmissions"`
+}
+
+// annotation decodes a reception's optional SINR or margin. Absent (the
+// channel had no observer) reads as NaN, and null as +Inf: the one
+// non-finite value a present annotation takes (a lone transmitter at zero
+// noise), which the writer spells null. Anything else that is not a number
+// reads as NaN and then fails the canonical comparison.
+func annotation(raw json.RawMessage) float64 {
+	if string(raw) == "null" {
+		return math.Inf(1)
+	}
+	v, err := strconv.ParseFloat(string(raw), 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
 }
 
 // headerFromLine converts a decoded header line.
@@ -159,22 +176,27 @@ func headerFromLine(l *jsonLine) (Header, error) {
 	return h, nil
 }
 
-// readNDJSON parses an NDJSON trace stream.
+// readNDJSON parses a non-empty NDJSON trace stream. Each line must be
+// byte for byte the line the writer emits for what it decodes to, newline
+// included, so blank lines, reordered or unknown keys, spelled-out defaults
+// and unterminated last lines are rejected, and an accepted stream
+// re-encodes exactly.
 func readNDJSON(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	sc.Split(scanLine)
+	var canon bytes.Buffer
+	enc := obs.NewLineEncoder(&canon)
 	t := &Trace{}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var l jsonLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
+		canon.Reset()
 		if lineNo == 1 {
 			if l.Event != "header" {
 				return nil, fmt.Errorf("trace: line 1: first event is %q, want header", l.Event)
@@ -184,21 +206,35 @@ func readNDJSON(r io.Reader) (*Trace, error) {
 				return nil, err
 			}
 			t.Header = h
-			continue
+			writeHeader(enc, &t.Header)
+		} else {
+			rec, err := recordFromLine(t, &l)
+			if err != nil {
+				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			}
+			t.Records = append(t.Records, rec)
+			writeRecord(enc, rec, t.classSizes)
 		}
-		rec, err := recordFromLine(t, &l)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		if !bytes.Equal(canon.Bytes(), line) {
+			return nil, fmt.Errorf("trace: line %d is not in canonical form", lineNo)
 		}
-		t.Records = append(t.Records, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read ndjson: %w", err)
 	}
-	if lineNo == 0 {
-		return nil, fmt.Errorf("trace: empty trace stream")
-	}
 	return t, nil
+}
+
+// scanLine is a bufio.SplitFunc that keeps each line's newline, so the
+// canonical comparison sees it.
+func scanLine(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 func recordFromLine(t *Trace, l *jsonLine) (Record, error) {
@@ -212,14 +248,7 @@ func recordFromLine(t *Trace, l *jsonLine) (Record, error) {
 	case "tx":
 		return Record{Kind: KindTransmit, Round: l.Round, Node: l.Node}, nil
 	case "recv":
-		rec := Record{Kind: KindReception, Round: l.Round, Node: l.Node, From: l.From, SINR: math.NaN(), Margin: math.NaN()}
-		if l.SINR != nil {
-			rec.SINR = *l.SINR
-		}
-		if l.Margin != nil {
-			rec.Margin = *l.Margin
-		}
-		return rec, nil
+		return Record{Kind: KindReception, Round: l.Round, Node: l.Node, From: l.From, SINR: annotation(l.SINR), Margin: annotation(l.Margin)}, nil
 	case "knockout":
 		return Record{Kind: KindKnockout, Round: l.Round, Node: l.Node}, nil
 	case "classes":

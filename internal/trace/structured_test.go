@@ -56,7 +56,7 @@ func TestStructuredRecordsAreConsistent(t *testing.T) {
 	if !res.Solved {
 		t.Fatal("unsolved")
 	}
-	recs := rec.Records()
+	recs := rec.Records
 	if len(recs) == 0 {
 		t.Fatal("no structured records")
 	}
@@ -131,7 +131,7 @@ func TestStructuredRecordsAreConsistent(t *testing.T) {
 func roundTrip(t *testing.T, rec *Recorder, f Format) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.Write(rec, &buf); err != nil {
+	if err := f.Write(&rec.Trace, &buf); err != nil {
 		t.Fatalf("write %s: %v", f, err)
 	}
 	tr, err := Read(&buf)
@@ -148,15 +148,15 @@ func TestFormatsRoundTripEquivalently(t *testing.T) {
 	if d := Diff(nd, bin); d != nil {
 		t.Fatalf("ndjson and binary round-trips diverge: %+v", d)
 	}
-	if len(nd.Records) != len(rec.Records()) {
-		t.Fatalf("round-trip kept %d records, recorder has %d", len(nd.Records), len(rec.Records()))
+	if len(nd.Records) != len(rec.Records) {
+		t.Fatalf("round-trip kept %d records, recorder has %d", len(nd.Records), len(rec.Records))
 	}
 	if nd.Header.Seed != rec.Header.Seed || nd.Header.Algo != rec.Header.Algo ||
 		len(nd.Header.Points) != len(rec.Header.Points) {
 		t.Errorf("header mangled: %+v", nd.Header)
 	}
 	// Annotations survive bit-exactly in both formats.
-	for i, r := range rec.Records() {
+	for i, r := range rec.Records {
 		if r.Kind != KindReception {
 			continue
 		}
@@ -282,8 +282,8 @@ func TestRecorderResetReusesBuffers(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("recycled per-trial capture allocates %.1f times per trial, want 0", allocs)
 	}
-	if len(rec.Records()) == 0 || len(rec.Events) != 50 {
-		t.Fatalf("reset run lost records: %d events", len(rec.Events))
+	if got := len(rounds(&rec.Trace)); got != 50 {
+		t.Fatalf("reset run lost records: %d rounds", got)
 	}
 }
 
@@ -458,9 +458,9 @@ func TestCaptureParallelismInvariance(t *testing.T) {
 }
 
 func TestWriteCSVEmptyActiveField(t *testing.T) {
-	rec := &Recorder{Events: []Event{
-		{Round: 1, Transmitters: 2, Receptions: 1, Active: -1},
-		{Round: 2, Transmitters: 1, Receptions: 1, Active: 5},
+	rec := &Trace{Records: []Record{
+		{Kind: KindRound, Round: 1, Tx: 2, Recv: 1, Active: -1},
+		{Kind: KindRound, Round: 2, Tx: 1, Recv: 1, Active: 5},
 	}}
 	var b strings.Builder
 	if err := rec.WriteCSV(&b); err != nil {

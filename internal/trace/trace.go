@@ -6,6 +6,10 @@
 // object per line, internal/obs sink conventions) or a compact binary
 // format for large runs. cmd/crtrace consumes the files.
 //
+// One value carries a trace everywhere: Recorder fills a Trace, the writers
+// serialise it, and Read returns it. Read accepts only the bytes the
+// writers produce, so every accepted stream re-encodes byte for byte.
+//
 // Tracing is strictly observational: a traced execution computes the exact
 // float and rng sequences of an untraced one, so results are byte-identical
 // with tracing on or off (TestTraceInvariance), and two same-seed traced
@@ -15,9 +19,7 @@
 // For Monte Carlo runs the Capture type composes with internal/runner:
 // bounded retention policies (trace every Kth trial, keep failures only)
 // and recorder recycling via Reset make tracing 10⁴ trials safe by
-// construction. The package also retains the legacy per-round aggregate
-// view (Event, WriteCSV, WriteSnapshotsCSV) used by crsim's -trace/-csv
-// flags.
+// construction.
 package trace
 
 import (
@@ -33,37 +35,21 @@ import (
 	"fadingcr/internal/sinr"
 )
 
-// Event is the per-round aggregate record captured by Recorder (the legacy
-// flat view; structured consumers use Records).
-type Event struct {
-	// Round is the 1-based round index.
-	Round int
-	// Transmitters is the number of nodes that transmitted.
-	Transmitters int
-	// Receptions is the number of listeners that decoded a message.
-	Receptions int
-	// Active is the number of nodes reporting themselves active (via the
-	// core.Activeness interface) entering the round; −1 when the protocol's
-	// nodes do not expose activity.
-	Active int
-}
-
-// Recorder is a sim.Tracer capturing one aggregate Event per round and,
-// when PerNode or Classes is set, the structured per-node record stream.
-// It also implements sinr.ReceptionObserver (attach it to a channel with
-// Attach to annotate receptions with their SINR values) and
-// sim.ResultTracer (the engine closes the trace with a result record).
+// Recorder is a sim.Tracer that captures a run as a Trace: every executed
+// round appends its KindRound boundary and the run's end its KindResult
+// record; PerNode adds the per-node transmit, reception and knockout
+// records, and Classes the link-class censuses. It also implements
+// sinr.ReceptionObserver (attach it to a channel with Attach to annotate
+// receptions with their SINR values) and sim.ResultTracer.
 //
 // A Recorder is single-run, single-goroutine state; Reset recycles it —
 // buffers included — for the next trial.
 type Recorder struct {
-	// Events are the per-round aggregates.
-	Events []Event
-	// Header is the trace identity written ahead of the records; the caller
-	// populates it before serialising.
-	Header Header
+	// Trace is the capture; the caller populates its Header before
+	// serialising.
+	Trace
 	// PerNode enables structured capture of per-node transmit, reception,
-	// and knockout records (plus round boundaries and the result).
+	// and knockout records.
 	PerNode bool
 	// Classes additionally records the link-class census of every round.
 	// It requires Header.Points to cover the deployment (and costs a
@@ -71,16 +57,12 @@ type Recorder struct {
 	// allocation-sensitive captures).
 	Classes bool
 
-	recs       []Record
-	classSizes []int32
-	active     []bool // per-round activeness scratch
-	haveActive bool
+	active []bool // per-round activeness scratch
 
 	// Pending receptions observed during the round's Deliver, joined with
 	// recv in OnRound. Engines invoke observers in ascending listener
 	// order, so the join is a single merge pass.
 	pendNode   []int32
-	pendFrom   []int32
 	pendSINR   []float64
 	pendMargin []float64
 }
@@ -122,98 +104,69 @@ func Detach(ch sim.Channel) {
 // PerNode, Classes) is left untouched; callers overwrite the header per
 // trial.
 func (r *Recorder) Reset() {
-	r.Events = r.Events[:0]
-	r.recs = r.recs[:0]
+	r.Records = r.Records[:0]
 	r.classSizes = r.classSizes[:0]
 	r.active = r.active[:0]
-	r.haveActive = false
 	r.clearPending()
 }
 
 func (r *Recorder) clearPending() {
 	r.pendNode = r.pendNode[:0]
-	r.pendFrom = r.pendFrom[:0]
 	r.pendSINR = r.pendSINR[:0]
 	r.pendMargin = r.pendMargin[:0]
 }
 
-// Records returns the structured record stream captured so far.
-func (r *Recorder) Records() []Record { return r.recs }
-
-// ClassSizes resolves a KindClasses record's census; nil for other kinds.
-func (r *Recorder) ClassSizes(rec Record) []int32 {
-	if rec.Kind != KindClasses {
-		return nil
-	}
-	return r.classSizes[rec.Off : rec.Off+rec.Len]
-}
-
 // OnReception implements sinr.ReceptionObserver: it buffers the reception's
 // SINR annotation until OnRound joins it with the round's recv vector.
-func (r *Recorder) OnReception(listener, from int, sinrVal, margin float64) {
+func (r *Recorder) OnReception(listener, _ int, sinrVal, margin float64) {
 	r.pendNode = append(r.pendNode, int32(listener))
-	r.pendFrom = append(r.pendFrom, int32(from))
 	r.pendSINR = append(r.pendSINR, sinrVal)
 	r.pendMargin = append(r.pendMargin, margin)
 }
 
-// OnRound implements sim.Tracer.
+// OnRound implements sim.Tracer: it appends the round's records — the
+// boundary, then per-node transmits, receptions (joined with the pending
+// SINR annotations), knockouts, and the link-class census, each in
+// ascending node order, so the stream is a deterministic function of the
+// execution.
 func (r *Recorder) OnRound(round int, nodes []sim.Node, tx []bool, recv []int) {
-	e := Event{Round: round, Active: -1}
+	rnd := int32(round)
+	head := Record{Kind: KindRound, Round: rnd, Active: -1}
 	for _, t := range tx {
 		if t {
-			e.Transmitters++
+			head.Tx++
 		}
 	}
 	for _, from := range recv {
 		if from >= 0 {
-			e.Receptions++
+			head.Recv++
 		}
 	}
 	if cap(r.active) < len(nodes) {
 		r.active = make([]bool, len(nodes))
 	}
 	r.active = r.active[:len(nodes)]
-	r.haveActive = false
-	activeCount := 0
+	haveActive := false
+	activeCount := int32(0)
 	for i, node := range nodes {
 		r.active[i] = false
 		if a, ok := node.(core.Activeness); ok {
-			r.haveActive = true
+			haveActive = true
 			if a.Active() {
 				r.active[i] = true
 				activeCount++
 			}
 		}
 	}
-	if r.haveActive {
-		e.Active = activeCount
+	if haveActive {
+		head.Active = activeCount
 	}
-	r.Events = append(r.Events, e)
+	r.Records = append(r.Records, head)
 
-	if r.PerNode || r.Classes {
-		r.appendStructured(round, e, tx, recv)
-	}
-	r.clearPending()
-}
-
-// appendStructured emits the round's structured records: the boundary, then
-// per-node transmits, receptions (joined with the pending SINR
-// annotations), knockouts, and the link-class census — each in ascending
-// node order, so the stream is a deterministic function of the execution.
-func (r *Recorder) appendStructured(round int, e Event, tx []bool, recv []int) {
-	rnd := int32(round)
-	r.recs = append(r.recs, Record{
-		Kind:   KindRound,
-		Round:  rnd,
-		Active: int32(e.Active),
-		Tx:     int32(e.Transmitters),
-		Recv:   int32(e.Receptions),
-	})
 	if r.PerNode {
 		for u, t := range tx {
 			if t {
-				r.recs = append(r.recs, Record{Kind: KindTransmit, Round: rnd, Node: int32(u)})
+				r.Records = append(r.Records, Record{Kind: KindTransmit, Round: rnd, Node: int32(u)})
 			}
 		}
 		pi := 0
@@ -234,33 +187,31 @@ func (r *Recorder) appendStructured(round int, e Event, tx []bool, recv []int) {
 				rec.Margin = r.pendMargin[pi]
 				pi++
 			}
-			r.recs = append(r.recs, rec)
+			r.Records = append(r.Records, rec)
 		}
-		if r.haveActive {
+		if haveActive {
 			for v, from := range recv {
 				if from >= 0 && r.active[v] {
-					r.recs = append(r.recs, Record{Kind: KindKnockout, Round: rnd, Node: int32(v)})
+					r.Records = append(r.Records, Record{Kind: KindKnockout, Round: rnd, Node: int32(v)})
 				}
 			}
 		}
 	}
-	if r.Classes && len(r.Header.Points) == len(recv) && r.haveActive {
+	if r.Classes && len(r.Header.Points) == len(recv) && haveActive {
 		lc := geom.ComputeLinkClasses(r.Header.Points, r.active)
 		off := int32(len(r.classSizes))
 		for _, s := range lc.Sizes {
 			r.classSizes = append(r.classSizes, int32(s))
 		}
-		r.recs = append(r.recs, Record{Kind: KindClasses, Round: rnd, Off: off, Len: int32(len(lc.Sizes))})
+		r.Records = append(r.Records, Record{Kind: KindClasses, Round: rnd, Off: off, Len: int32(len(lc.Sizes))})
 	}
+	r.clearPending()
 }
 
-// OnResult implements sim.ResultTracer: it closes the structured stream
-// with the execution's outcome.
+// OnResult implements sim.ResultTracer: it closes the trace with the
+// execution's outcome.
 func (r *Recorder) OnResult(res sim.Result) {
-	if !r.PerNode && !r.Classes {
-		return
-	}
-	r.recs = append(r.recs, Record{
+	r.Records = append(r.Records, Record{
 		Kind:          KindResult,
 		Round:         int32(res.Rounds),
 		Node:          int32(res.Winner),
@@ -269,64 +220,30 @@ func (r *Recorder) OnResult(res sim.Result) {
 	})
 }
 
-// WriteCSV writes the recorded aggregate events as CSV with a header row.
-// The active column is empty for protocols whose nodes do not expose
-// activity (the internal −1 sentinel never reaches the file, matching the
-// empty-field convention of WriteSnapshotsCSV's good column).
-func (r *Recorder) WriteCSV(w io.Writer) error {
+// WriteCSV writes the trace's round records as CSV with a header row. The
+// active column is empty for protocols whose nodes do not expose activity
+// (the −1 sentinel never reaches the file).
+func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"round", "transmitters", "receptions", "active"}); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
-	for _, e := range r.Events {
+	for _, rec := range t.Records {
+		if rec.Kind != KindRound {
+			continue
+		}
 		active := ""
-		if e.Active >= 0 {
-			active = strconv.Itoa(e.Active)
+		if rec.Active >= 0 {
+			active = strconv.Itoa(int(rec.Active))
 		}
 		row := []string{
-			strconv.Itoa(e.Round),
-			strconv.Itoa(e.Transmitters),
-			strconv.Itoa(e.Receptions),
+			strconv.Itoa(int(rec.Round)),
+			strconv.Itoa(int(rec.Tx)),
+			strconv.Itoa(int(rec.Recv)),
 			active,
 		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("trace: write row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteSnapshotsCSV serialises an analyzer's per-round snapshots: one row
-// per (round, class) pair plus the per-round aggregates.
-func WriteSnapshotsCSV(w io.Writer, snaps []core.Snapshot) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"round", "active", "transmitters", "knockouts", "class", "size", "good"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, s := range snaps {
-		if len(s.ClassSizes) == 0 {
-			if err := cw.Write([]string{
-				strconv.Itoa(s.Round), strconv.Itoa(s.Active),
-				strconv.Itoa(s.Transmitters), strconv.Itoa(s.Knockouts),
-				"-1", "0", "",
-			}); err != nil {
-				return fmt.Errorf("trace: write row: %w", err)
-			}
-			continue
-		}
-		for i, size := range s.ClassSizes {
-			good := ""
-			if s.GoodPerClass != nil {
-				good = strconv.Itoa(s.GoodPerClass[i])
-			}
-			if err := cw.Write([]string{
-				strconv.Itoa(s.Round), strconv.Itoa(s.Active),
-				strconv.Itoa(s.Transmitters), strconv.Itoa(s.Knockouts),
-				strconv.Itoa(i), strconv.Itoa(size), good,
-			}); err != nil {
-				return fmt.Errorf("trace: write row: %w", err)
-			}
 		}
 	}
 	cw.Flush()

@@ -31,41 +31,58 @@ func runTraced(t *testing.T) (*Recorder, sim.Result) {
 	return rec, res
 }
 
+// rounds returns the trace's KindRound records.
+func rounds(tr *Trace) []Record {
+	var out []Record
+	for _, r := range tr.Records {
+		if r.Kind == KindRound {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestRecorderCapturesRounds: without per-node capture a recorder still
+// holds one round record per executed round, then the result record.
 func TestRecorderCapturesRounds(t *testing.T) {
 	rec, res := runTraced(t)
 	if !res.Solved {
 		t.Fatal("unsolved")
 	}
-	if len(rec.Events) != res.Rounds {
-		t.Fatalf("events = %d, want %d", len(rec.Events), res.Rounds)
+	rs := rounds(&rec.Trace)
+	if len(rs) != res.Rounds || len(rec.Records) != res.Rounds+1 {
+		t.Fatalf("%d round records of %d, want %d and a result", len(rs), len(rec.Records), res.Rounds)
 	}
 	var totalTx int64
-	for i, e := range rec.Events {
-		if e.Round != i+1 {
-			t.Errorf("event %d has round %d", i, e.Round)
+	for i, e := range rs {
+		if int(e.Round) != i+1 {
+			t.Errorf("round record %d has round %d", i, e.Round)
 		}
 		if e.Active < 0 {
 			t.Errorf("round %d: active = %d, want ≥ 0 for core nodes", e.Round, e.Active)
 		}
-		totalTx += int64(e.Transmitters)
+		totalTx += int64(e.Tx)
 	}
 	if totalTx != res.Transmissions {
 		t.Errorf("traced transmissions %d != result %d", totalTx, res.Transmissions)
 	}
-	if last := rec.Events[len(rec.Events)-1]; last.Transmitters != 1 {
-		t.Errorf("solving round transmitters = %d, want 1", last.Transmitters)
+	if last := rs[len(rs)-1]; last.Tx != 1 {
+		t.Errorf("solving round transmitters = %d, want 1", last.Tx)
+	}
+	if last := rec.Records[len(rec.Records)-1]; last.Kind != KindResult || int(last.Round) != res.Rounds {
+		t.Errorf("last record %+v, want the result", last)
 	}
 }
 
 func TestRecorderWithoutActivenessNodes(t *testing.T) {
 	rec := &Recorder{}
 	rec.OnRound(1, []sim.Node{opaque{}, opaque{}}, []bool{true, false}, []int{-1, 0})
-	e := rec.Events[0]
+	e := rec.Records[0]
 	if e.Active != -1 {
 		t.Errorf("Active = %d, want -1 for opaque nodes", e.Active)
 	}
-	if e.Transmitters != 1 || e.Receptions != 1 {
-		t.Errorf("event = %+v", e)
+	if e.Tx != 1 || e.Recv != 1 {
+		t.Errorf("round record = %+v", e)
 	}
 }
 
@@ -84,30 +101,8 @@ func TestWriteCSV(t *testing.T) {
 	if lines[0] != "round,transmitters,receptions,active" {
 		t.Errorf("header = %q", lines[0])
 	}
-	if len(lines) != len(rec.Events)+1 {
-		t.Errorf("lines = %d, want %d", len(lines), len(rec.Events)+1)
-	}
-}
-
-func TestWriteSnapshotsCSV(t *testing.T) {
-	snaps := []core.Snapshot{
-		{Round: 1, Active: 4, Transmitters: 2, Knockouts: 1, ClassSizes: []int{3, 1}, GoodPerClass: []int{3, 0}},
-		{Round: 2, Active: 3, Transmitters: 1, Knockouts: 0, ClassSizes: nil},
-	}
-	var b strings.Builder
-	if err := WriteSnapshotsCSV(&b, snaps); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	// Header + 2 class rows for round 1 + 1 placeholder row for round 2.
-	if len(lines) != 4 {
-		t.Fatalf("lines = %v", lines)
-	}
-	if lines[1] != "1,4,2,1,0,3,3" {
-		t.Errorf("row 1 = %q", lines[1])
-	}
-	if lines[3] != "2,3,1,0,-1,0," {
-		t.Errorf("row 3 = %q", lines[3])
+	if want := len(rounds(&rec.Trace)) + 1; len(lines) != want {
+		t.Errorf("lines = %d, want %d", len(lines), want)
 	}
 }
 
@@ -133,24 +128,11 @@ func (w *failWriter) Write(p []byte) (int, error) {
 var errWriteFailed = errors.New("write failed")
 
 func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
-	rec := &Recorder{Events: []Event{{Round: 1, Transmitters: 1, Receptions: 0, Active: 2}}}
+	rec := &Trace{Records: []Record{{Kind: KindRound, Round: 1, Tx: 1, Active: 2}}}
 	if err := rec.WriteCSV(&failWriter{budget: 0}); err == nil {
 		t.Error("header write failure not propagated")
 	}
 	if err := rec.WriteCSV(&failWriter{budget: 40}); err == nil {
-		t.Error("row write failure not propagated")
-	}
-}
-
-func TestWriteSnapshotsCSVPropagatesWriterErrors(t *testing.T) {
-	snaps := []core.Snapshot{
-		{Round: 1, Active: 2, ClassSizes: []int{2}},
-		{Round: 2, Active: 1, ClassSizes: nil},
-	}
-	if err := WriteSnapshotsCSV(&failWriter{budget: 0}, snaps); err == nil {
-		t.Error("header write failure not propagated")
-	}
-	if err := WriteSnapshotsCSV(&failWriter{budget: 60}, snaps); err == nil {
 		t.Error("row write failure not propagated")
 	}
 }
