@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// TestTraceOutputGoldens pins crsim's per-round views byte for byte: the
-// -trace lines, the -plot sparklines and the -csv file, for a SINR run
-// whose nodes report activity and a radio run whose nodes do not.
+// TestTraceOutputGoldens pins crsim's output byte for byte: the -trace
+// lines, the -plot sparklines and the -csv file, for a SINR run whose nodes
+// report activity and a radio run whose nodes do not; and the stdout of
+// untraced Rayleigh runs, one trial and five, in which sim.Run hands the
+// faded channel's DeliverTo only the live listeners.
 func TestTraceOutputGoldens(t *testing.T) {
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
@@ -17,19 +19,25 @@ func TestTraceOutputGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		csv  bool // the run writes trace.csv, pinned as <name>.csv
 	}{
-		{"trace-plot-csv", []string{"-n", "64", "-seed", "7", "-trace", "-plot", "-csv", "trace.csv"}},
-		{"radio-trace", []string{"-n", "32", "-seed", "7", "-channel", "radio", "-algo", "sweep", "-trace", "-csv", "trace.csv"}},
+		{"trace-plot-csv", []string{"-n", "64", "-seed", "7", "-trace", "-plot", "-csv", "trace.csv"}, true},
+		{"radio-trace", []string{"-n", "32", "-seed", "7", "-channel", "radio", "-algo", "sweep", "-trace", "-csv", "trace.csv"}, true},
+		{"rayleigh", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh"}, false},
+		{"rayleigh-trials", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-trials", "5"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			t.Chdir(dir)
-			stdout := runCapturingStdout(t, tc.args)
-			csv, err := os.ReadFile(filepath.Join(dir, "trace.csv"))
-			if err != nil {
-				t.Fatal(err)
+			outputs := map[string][]byte{".stdout": runCapturingStdout(t, tc.args)}
+			if tc.csv {
+				csv, err := os.ReadFile(filepath.Join(dir, "trace.csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				outputs[".csv"] = csv
 			}
-			for ext, got := range map[string][]byte{".stdout": stdout, ".csv": csv} {
+			for ext, got := range outputs {
 				want, err := os.ReadFile(filepath.Join(testdata, tc.name+ext))
 				if err != nil {
 					t.Fatal(err)

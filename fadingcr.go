@@ -110,8 +110,8 @@ const MaxDeliverParallelism = sinr.MaxDeliverParallelism
 // intra-round workers (DESIGN.md §8). Every SINR channel evaluates Eq. (1)
 // exactly and, without this option, delivers rounds allocation-free;
 // receptions are byte-identical at any worker count, and faded channels,
-// whose one fade stream runs listener by listener, always deliver
-// sequentially. It pays only where one trial runs at a time: the CLIs pick
+// which walk each round's one fade stream in listener order, always
+// deliver sequentially. It pays only where one trial runs at a time: the CLIs pick
 // the count themselves (crsim uses GOMAXPROCS, trial-parallel front ends
 // keep the sequential engine), so none of them exposes it as a flag.
 var WithDeliverParallelism = sinr.WithDeliverParallelism

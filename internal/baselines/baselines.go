@@ -76,7 +76,7 @@ func SweepProbability(round int) float64 {
 	// Invert the triangular numbers: k = ⌈(−1+√(1+8r))/2⌉.
 	k := int(math.Ceil((-1 + math.Sqrt(1+8*float64(round))) / 2))
 	j := round - k*(k-1)/2
-	return math.Pow(2, -float64(j))
+	return math.Ldexp(1, -j)
 }
 
 // Decay is the BGI decay protocol given an upper bound N ≥ n on the number
@@ -121,7 +121,7 @@ type decayNode struct {
 
 func (u *decayNode) Act(round int) sim.Action {
 	j := (round - 1) % u.phase // 0-based position in phase
-	p := math.Pow(2, -float64(j))
+	p := math.Ldexp(1, -j)
 	if xrand.Bernoulli(u.rng, p) {
 		return sim.Transmit
 	}
@@ -244,7 +244,7 @@ func (u *dampenedNode) Act(round int) sim.Action {
 	pass := u.levels * u.repeats
 	pos := (round - 1) % pass  // position within the pass
 	level := pos/u.repeats + 1 // probability level 1 … levels
-	p := math.Pow(2, -float64(level))
+	p := math.Ldexp(1, -level)
 	if xrand.Bernoulli(u.rng, p) {
 		return sim.Transmit
 	}

@@ -64,6 +64,18 @@ func TestSweepProbabilityEpochsReachSmallValues(t *testing.T) {
 	}
 }
 
+// TestLdexpIsPow: the baselines take their probabilities 2^{-j} from
+// math.Ldexp(1, -j), which must return math.Pow(2, -j)'s bits for every
+// integer exponent they can reach and then some, so a toolchain change
+// cannot silently move E3's tables.
+func TestLdexpIsPow(t *testing.T) {
+	for j := -1100; j <= 1100; j++ {
+		if got, want := math.Ldexp(1, j), math.Pow(2, float64(j)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("math.Ldexp(1, %d) = %v, math.Pow(2, %d) = %v", j, got, j, want)
+		}
+	}
+}
+
 func TestDecayPhaseLength(t *testing.T) {
 	if got := (Decay{N: 64}).PhaseLength(); got != 7 {
 		t.Errorf("PhaseLength(64) = %d, want 7", got)

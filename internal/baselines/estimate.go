@@ -138,7 +138,7 @@ type estimateNode struct {
 }
 
 func (u *estimateNode) Act(round int) sim.Action {
-	p := math.Pow(2, -float64(u.ctrl.exponent()))
+	p := math.Ldexp(1, -u.ctrl.exponent())
 	if xrand.Bernoulli(u.rng, p) {
 		return sim.Transmit
 	}

@@ -62,7 +62,7 @@ func invert(m map[string]int) map[int]string {
 func consumesRNG(m map[string]bool, rng *xrand.Reseedable) int {
 	hits := 0
 	for k := range m { // want `consumes a random stream`
-		if xrand.Bernoulli(rng.Rand, 0.5) && k != "" {
+		if rng.Float64() < 0.5 && k != "" {
 			hits++
 		}
 	}

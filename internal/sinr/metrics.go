@@ -8,11 +8,19 @@ import "fadingcr/internal/obs"
 // the simulated-randomness path (DESIGN.md §8).
 var (
 	mDeliveries = obs.Default.Counter("sinr.deliveries")
-	mListeners  = obs.Default.Counter("sinr.listeners")
+	// mListeners sums the listeners each Deliver evaluated: the listed ones
+	// for DeliverTo, on faded channels too.
+	mListeners = obs.Default.Counter("sinr.listeners")
 	// mDeliveriesParallel counts the Delivers the parallel engine ran; a
 	// faded channel delivers sequentially at any worker count.
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
 	// mCertifiedListeners counts the listeners the exact engine decided from
 	// its certificate, without the full sum: one add per Deliver.
 	mCertifiedListeners = obs.Default.Counter("sinr.certified_listeners")
+	// mFadesDrawn and mFadesSkipped split a faded round's stream, one add
+	// each per round: the fades drawn at the listed listeners, and the
+	// draws of every other listener, which the stream jumped over or never
+	// reached. Their sum is what Deliver would have drawn.
+	mFadesDrawn   = obs.Default.Counter("sinr.fades_drawn")
+	mFadesSkipped = obs.Default.Counter("sinr.fades_skipped")
 )

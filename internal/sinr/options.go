@@ -46,9 +46,10 @@ type Option func(*engineConfig)
 // t mod workers) and the threshold/observer pass stays sequential in
 // ascending listener order, so receptions are byte-identical at any worker
 // count. 0 and 1 both select the sequential engine, and faded channels
-// always use it (NewRayleigh); parallel delivery allocates O(workers) per
-// round, so the zero-allocation hot-path guarantee applies to the
-// sequential engine only.
+// always use it: one pass walks the round's listed listeners in order,
+// jumping their one fade stream from each listener's position to the next
+// (NewRayleigh). Parallel delivery allocates O(workers) per round, so the
+// zero-allocation hot-path guarantee applies to the sequential engine only.
 func WithDeliverParallelism(workers int) Option {
 	return func(ec *engineConfig) { ec.parallel = workers }
 }

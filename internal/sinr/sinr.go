@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"fadingcr/internal/geom"
 	"fadingcr/internal/xrand"
@@ -191,10 +190,15 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // loss of the SINR equation.
 //
 // The channel is deterministic given its seed and call sequence: it draws
-// every fade of round r from one stream, Split(seed, r), in ascending
-// listener-then-transmitter order. That order is a sequential one, so a
-// faded channel delivers sequentially whatever worker count its options
-// ask for, and its receptions are the same with or without them.
+// every fade of round r from one stream, Split(seed, r), at fixed
+// positions. With m transmitters in the round and t_v of them below
+// listener v, v's fade for its i-th transmitter (ascending, from 0) is draw
+// m·(v − t_v) + i: ascending listener-then-transmitter order over every
+// listener, as Deliver visits them. DeliverTo draws only its listed
+// listeners' fades and jumps the stream over the rest, so each listed
+// listener's fades, and receptions, are Deliver's. Faded channels deliver
+// sequentially whatever worker count their options ask for, and their
+// receptions are the same with or without them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
 	c, err := New(params, pts, opts...)
 	if err != nil {
@@ -226,7 +230,7 @@ func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option
 }
 
 // fadeSource is a faded channel's fade stream: the round count and one
-// reusable rng, reseeded at the start of every round.
+// reusable, jumpable rng, reseeded at the start of every round.
 type fadeSource struct {
 	seed  uint64
 	round uint64
@@ -292,10 +296,10 @@ func (c *Channel) allListeners() []int {
 // DeliverTo is Deliver restricted to listeners, an ascending list of
 // distinct node indices (it implements sim.ListenerChannel): recv[v] is
 // computed for every listed v, bit for bit as Deliver computes it, and
-// every other entry of recv is left untouched. The one exception is a
-// faded channel, which draws the round's fades listener by listener from
-// one stream: it evaluates every listener, as Deliver does, so the stream
-// cannot shift.
+// every other entry of recv is left untouched. A faded channel draws the
+// listed listeners' fades at their positions in the round's stream and
+// jumps over the draws of every other listener (NewRayleigh), so a round
+// costs its listed listeners' work on every channel.
 //
 // On an unfaded channel with no observer, a round with more than
 // certSmallTx transmitters certifies each listener from a few grid rings
@@ -312,7 +316,6 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		// Every Deliver is a round of the fade stream, even a silent one.
 		c.fade.rng.Reseed(xrand.Split(c.fade.seed, c.fade.round))
 		c.fade.round++
-		listeners = c.allListeners()
 	}
 	mListeners.Add(int64(len(listeners)))
 	txList := c.scratch.indices(tx)
@@ -393,19 +396,25 @@ func (c *Channel) deliverParallel(listeners []int, r deliverRound) int {
 // in the scratch arrays for the sequential threshold pass. In a certified
 // round a listener whose certificate holds parks its verdict instead: no
 // sender, or its sender with the certifiedReception total. A faded channel
-// multiplies each signal by its next fade draw from the round's one stream;
-// faded channels deliver sequentially, so the draws run
-// listener-then-transmitter. Concurrent tiles write disjoint listeners'
-// entries, so they never share a buffer. It returns the number of
-// certified listeners.
+// multiplies each signal by a fade draw from the round's one stream: before
+// listener v's pair loop it advances the stream to v's position
+// m·(v − t_v) (NewRayleigh), so unlisted listeners, and unlisted
+// transmitters, cost no draws. Faded channels deliver sequentially, so vs
+// is then the round's whole listener list. Concurrent tiles write disjoint
+// listeners' entries, so they never share a buffer. It returns the number
+// of certified listeners.
 //
 //crlint:hotpath
 func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	alpha := c.params.Alpha
-	var rng *rand.Rand
+	// Faded: the stream, the draws per listener (m), the stream's position,
+	// the draws taken and the transmitters below v (t_v).
+	var rng *xrand.Reseedable
+	var m, pos, drawn uint64
+	below := 0
 	if c.fade != nil {
-		rng = c.fade.rng.Rand
+		rng, m = c.fade.rng, uint64(len(r.nodes))
 	}
 	certified := 0
 	for _, v := range vs {
@@ -421,6 +430,17 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 				}
 				continue
 			}
+		}
+		if rng != nil {
+			for below < len(r.txList) && r.txList[below] < v {
+				below++
+			}
+			if at := m * uint64(v-below); at != pos {
+				rng.Advance(at - pos)
+				pos = at
+			}
+			pos += m
+			drawn += m
 		}
 		pv := c.pts[v]
 		b, bi, t := -1.0, -1, 0.0
@@ -438,6 +458,11 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 		if bi >= 0 {
 			bestU[v] = r.txList[bi]
 		}
+	}
+	if rng != nil {
+		// Deliver would draw m fades at each of the n − m listeners.
+		mFadesDrawn.Add(int64(drawn))
+		mFadesSkipped.Add(int64(m*uint64(len(c.pts)-len(r.txList)) - drawn))
 	}
 	return certified
 }
@@ -477,7 +502,7 @@ func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver,
 // expFade draws a unit-mean exponential fade.
 //
 //crlint:hotpath
-func expFade(rng *rand.Rand) float64 {
+func expFade(rng *xrand.Reseedable) float64 {
 	// Inverse-CDF sampling; 1−U avoids log(0).
 	return -math.Log(1 - rng.Float64())
 }

@@ -1,9 +1,9 @@
 package sinr
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -507,13 +507,18 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestSingleStreamFadeIgnoresListenerSubset: the single fade stream draws
-// the round's fades listener by listener, so a faded channel evaluates
-// every listener even when DeliverTo lists a few, with or without a
-// parallel option — round after round its receptions, and so its fade
-// stream, stay those of Deliver.
-func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
+// TestFadedDeliverToKeepsStreamAligned: a faded DeliverTo draws only its
+// listed listeners' fades and jumps the stream over everyone else's, so
+// round after round — over every randomListeners kind (empty, single,
+// full, sparse and dense, the last three with unlisted transmitters),
+// lists with leading and trailing gaps, and a list of the round's
+// transmitters alone — it decodes at every listed listener what a twin
+// channel's Deliver decodes, leaves every other entry untouched, and stays
+// aligned with the twin in the rounds that follow, with or without a
+// parallel option.
+func TestFadedDeliverToKeepsStreamAligned(t *testing.T) {
 	const n = 120
+	const untouched = -7
 	d, p, _ := randomGeometry(t, 13, n, 0)
 	full, err := NewRayleigh(p, d.Points, 3)
 	if err != nil {
@@ -525,20 +530,125 @@ func TestSingleStreamFadeIgnoresListenerSubset(t *testing.T) {
 	}
 	rng := xrand.New(14)
 	want, got := make([]int, n), make([]int, n)
-	for round := 0; round < 8; round++ {
+	span := func(lo, hi int) []int {
+		var out []int
+		for v := lo; v < hi; v++ {
+			out = append(out, v)
+		}
+		return out
+	}
+	for round := 0; round < 16; round++ {
 		tx := randomTx(rng, n, 0.15)
+		var list []int
+		switch round {
+		case 10:
+			list = span(n/3, n) // a leading gap
+		case 11:
+			list = span(0, 2*n/3) // a trailing gap
+		case 12:
+			list = span(40, 80) // both
+		case 13:
+			for v, on := range tx {
+				if on {
+					list = append(list, v)
+				}
+			}
+		default:
+			list = randomListeners(rng, n, round%5)
+		}
 		full.Deliver(tx, want)
-		subset.DeliverTo(tx, randomListeners(rng, n, round%5), got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: DeliverTo receptions %v, Deliver %v", round, got, want)
+		for v := range got {
+			got[v] = untouched
+		}
+		subset.DeliverTo(tx, list, got)
+		checkListed(t, fmt.Sprintf("round %d (%d listeners)", round, len(list)), got, want, list, untouched)
+	}
+}
+
+// checkListed requires got to equal want at every listed listener and to
+// hold untouched at every other one.
+func checkListed(t *testing.T, label string, got, want, list []int, untouched int) {
+	t.Helper()
+	listed := make([]bool, len(got))
+	for _, v := range list {
+		listed[v] = true
+	}
+	for v := range got {
+		switch {
+		case listed[v] && got[v] != want[v]:
+			t.Fatalf("%s: listener %d decoded %d, Deliver %d", label, v, got[v], want[v])
+		case !listed[v] && got[v] != untouched:
+			t.Fatalf("%s: unlisted listener %d was overwritten with %d", label, v, got[v])
 		}
 	}
 }
 
+// FuzzFadedDeliverTo: on fuzzer-built point sets (coordinates read from the
+// input on a 1/256 grid, so coincident points come easily, or a uniform
+// square), a faded channel's DeliverTo over a random listener mask decodes,
+// round after round, what a twin channel's Deliver decodes at every listed
+// listener and leaves every other entry untouched: its jumps keep the fade
+// stream aligned with the twin's.
+func FuzzFadedDeliverTo(f *testing.F) {
+	f.Add(uint64(1), uint8(60), uint8(3), uint8(40), uint8(128), uint8(0), []byte{})
+	f.Add(uint64(2), uint8(200), uint8(5), uint8(10), uint8(30), uint8(1), []byte{})
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(255), uint8(255), uint8(2), []byte{})
+	f.Add(uint64(4), uint8(90), uint8(2), uint8(120), uint8(0), uint8(3), []byte{})
+	f.Add(uint64(5), uint8(12), uint8(4), uint8(90), uint8(200), uint8(4),
+		[]byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 128, 0, 0, 1, 0, 1, 0})
+	alphas := []float64{2.5, 3, 4}
+	betas := []float64{0.5, 1, 1.5}
+	f.Fuzz(func(t *testing.T, seed uint64, size, rounds, density, listen, sel uint8, raw []byte) {
+		n := 1 + int(size)
+		rng := xrand.New(seed)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			if 4*i+4 <= len(raw) {
+				b := raw[4*i : 4*i+4]
+				pts[i] = geom.Point{X: float64(int8(b[0])) + float64(b[1])/256, Y: float64(int8(b[2])) + float64(b[3])/256}
+			} else {
+				pts[i] = geom.Point{X: 20 * rng.Float64(), Y: 20 * rng.Float64()}
+			}
+		}
+		p := Params{Alpha: alphas[int(sel)%len(alphas)], Beta: betas[int(sel/4)%len(betas)], Noise: 1e-3, Power: 1}
+		var opts []Option
+		if sel&16 != 0 {
+			opts = append(opts, WithDeliverParallelism(3))
+		}
+		full, err := NewRayleigh(p, pts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, err := NewRayleigh(p, pts, seed, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const untouched = -7
+		want, got := make([]int, n), make([]int, n)
+		for round := 0; round <= int(rounds)%6; round++ {
+			tx := randomTx(rng, n, float64(density)/255)
+			var list []int
+			for v := range n {
+				if rng.IntN(255) < int(listen) {
+					list = append(list, v)
+				}
+			}
+			full.Deliver(tx, want)
+			for v := range got {
+				got[v] = untouched
+			}
+			listed.DeliverTo(tx, list, got)
+			checkListed(t, fmt.Sprintf("round %d", round), got, want, list, untouched)
+		}
+	})
+}
+
 // TestDeliveryCounters: every Deliver moves the sinr.deliveries metric,
 // sinr.deliveries_parallel counts the calls the parallel engine ran — a
-// faded channel at 3 workers runs the sequential one — and sinr.listeners
-// sums the listeners each call evaluated.
+// faded channel at 3 workers runs the sequential one — sinr.listeners sums
+// the listeners each call evaluated, the listed ones on a faded channel
+// too, and sinr.fades_drawn and sinr.fades_skipped split a faded round's
+// stream between the listed listeners and everyone else.
 func TestDeliveryCounters(t *testing.T) {
 	d, p, tx := randomGeometry(t, 41, 24, 0.3)
 	recv := make([]int, 24)
@@ -554,19 +664,40 @@ func TestDeliveryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var m, listening int64
+	for _, on := range tx {
+		if on {
+			m++
+		}
+	}
+	for _, v := range []int{1, 2, 3} {
+		if !tx[v] {
+			listening++
+		}
+	}
+	if m == 0 || listening == 0 {
+		t.Fatalf("%d transmitters, %d listening listed nodes: the faded round draws nothing", m, listening)
+	}
 	total0, par0, listeners0 := mDeliveries.Load(), mDeliveriesParallel.Load(), mListeners.Load()
+	drawn0, skipped0 := mFadesDrawn.Load(), mFadesSkipped.Load()
 	exact.Deliver(tx, recv)
 	exact.Deliver(tx, recv)
 	parallel.Deliver(tx, recv)
 	exact.DeliverTo(tx, []int{1, 5, 9}, recv)
-	faded.DeliverTo(tx, []int{2}, recv) // the single fade stream evaluates all 24
+	faded.DeliverTo(tx, []int{1, 2, 3}, recv)
 	if got := mDeliveries.Load() - total0; got != 5 {
 		t.Errorf("sinr.deliveries delta = %d, want 5", got)
 	}
 	if got := mDeliveriesParallel.Load() - par0; got != 1 {
 		t.Errorf("sinr.deliveries_parallel delta = %d, want 1 (the unfaded 3-worker channel only)", got)
 	}
-	if got := mListeners.Load() - listeners0; got != 4*24+3 {
-		t.Errorf("sinr.listeners delta = %d, want %d", got, 4*24+3)
+	if got := mListeners.Load() - listeners0; got != 3*24+3+3 {
+		t.Errorf("sinr.listeners delta = %d, want %d", got, 3*24+3+3)
+	}
+	if got := mFadesDrawn.Load() - drawn0; got != m*listening {
+		t.Errorf("sinr.fades_drawn delta = %d, want %d", got, m*listening)
+	}
+	if got := mFadesSkipped.Load() - skipped0; got != m*(24-m-listening) {
+		t.Errorf("sinr.fades_skipped delta = %d, want %d", got, m*(24-m-listening))
 	}
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -42,6 +43,55 @@ func FuzzSplit(f *testing.F) {
 			if got, want := r.Uint64(), fresh.Uint64(); got != want {
 				t.Fatalf("Reseed(%#x) stream diverges from New(%#x) at draw %d: %#x != %#x", ci, ci, k, got, want)
 			}
+		}
+	})
+}
+
+// FuzzReseedable fuzzes the jumpable stream: a Reseedable yields
+// rand.New(rand.NewPCG(s, mix(s)))'s stream draw for draw, through any
+// interleaving of Uint64 and Float64; Advance(k) lands where k Uint64 calls
+// land, for every k ≤ 4096; and Advance(a) then Advance(b) lands where
+// Advance(a+b) lands for arbitrary 64-bit a and b — where a+b wraps, after
+// two further jumps of 2⁶³ that restore the lost 2⁶⁴.
+func FuzzReseedable(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(7), uint64(0x5555555555555555), uint64(1), uint64(4095))
+	f.Add(uint64(0xdeadbeef), ^uint64(0), ^uint64(0), uint64(2))
+	f.Add(^uint64(0), uint64(1)<<63, uint64(1)<<63, ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed, pattern, a, b uint64) {
+		want := rand.New(rand.NewPCG(seed, mix(seed)))
+		r := NewReseedable(seed)
+		for i := 0; i < 128; i++ {
+			if pattern>>(i%64)&1 == 0 {
+				if got, w := r.Uint64(), want.Uint64(); got != w {
+					t.Fatalf("seed %#x draw %d: Uint64 %#x, rand.PCG %#x", seed, i, got, w)
+				}
+			} else if got, w := r.Float64(), want.Float64(); got != w {
+				t.Fatalf("seed %#x draw %d: Float64 %v, rand.PCG %v", seed, i, got, w)
+			}
+		}
+
+		stepped := NewReseedable(seed)
+		for k := uint64(0); k <= 4096; k++ {
+			jumped := NewReseedable(seed)
+			jumped.Advance(k)
+			if *jumped != *stepped {
+				t.Fatalf("seed %#x: Advance(%d) is not %d Uint64 calls", seed, k, k)
+			}
+			stepped.Uint64()
+		}
+
+		split, whole := NewReseedable(seed), NewReseedable(seed)
+		split.Advance(a)
+		split.Advance(b)
+		sum, carry := bits.Add64(a, b, 0)
+		whole.Advance(sum)
+		if carry != 0 {
+			whole.Advance(1 << 63)
+			whole.Advance(1 << 63)
+		}
+		if *split != *whole {
+			t.Fatalf("seed %#x: Advance(%d) then Advance(%d) is not Advance of their sum", seed, a, b)
 		}
 	})
 }
