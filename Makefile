@@ -54,7 +54,9 @@ results:
 # so every experiment's full-scale bytes stay pinned; then run crsim, the
 # front end whose SINR rounds take the intra-round parallel engine, at
 # GOMAXPROCS 1, 2 and 4 and require identical output, since the worker
-# count it picks from the cores must never change a result.
+# count it picks from the cores must never change a result; and run it at
+# n = 2^18 (about 4 s), whose certified rounds' cell-ordered tiles span the
+# most grid cells, at GOMAXPROCS 1 and 2.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		go run ./cmd/crbench -seed 7 -o "$$tmp/results.txt" && \
@@ -64,7 +66,12 @@ results-check:
 			GOMAXPROCS=$$p "$$tmp/crsim" -n 16384 -trials 3 -seed 3 > "$$tmp/crsim-$$p.txt" || exit 1; \
 		done && \
 		cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-2.txt" && cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-4.txt" && \
-		echo "crsim -n 16384 -trials 3 -seed 3 identical at GOMAXPROCS 1, 2 and 4"
+		echo "crsim -n 16384 -trials 3 -seed 3 identical at GOMAXPROCS 1, 2 and 4" && \
+		for p in 1 2; do \
+			GOMAXPROCS=$$p "$$tmp/crsim" -n 262144 -seed 3 > "$$tmp/crsim-large-$$p.txt" || exit 1; \
+		done && \
+		cmp "$$tmp/crsim-large-1.txt" "$$tmp/crsim-large-2.txt" && \
+		echo "crsim -n 262144 -seed 3 identical at GOMAXPROCS 1 and 2"
 
 # Mirror of CI's obs-smoke job: exercise the -metrics/-cpuprofile/-memprofile
 # flags end to end and validate the NDJSON report (jq when installed).

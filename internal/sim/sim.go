@@ -161,6 +161,18 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 	if len(nodes) != n {
 		return Result{}, fmt.Errorf("sim: builder %q returned %d nodes for n=%d", b.Name(), len(nodes), n)
 	}
+	// retirers[u] is node u's Retirer, nil where it has none; the slice
+	// itself is nil when no node does. A node's dynamic type never changes,
+	// so one assertion per node serves every round.
+	var retirers []Retirer
+	for u, node := range nodes {
+		if r, ok := node.(Retirer); ok {
+			if retirers == nil {
+				retirers = make([]Retirer, n)
+			}
+			retirers[u] = r
+		}
+	}
 	tx := make([]bool, n)
 	recv := make([]int, n)
 	// live lists, ascending, the nodes that have not retired; only they act,
@@ -233,9 +245,8 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		// itself.
 		k := 0
 		for _, u := range live {
-			node := nodes[u]
-			node.Hear(round, recv[u], detect)
-			if r, ok := node.(Retirer); ok && r.Retired() {
+			nodes[u].Hear(round, recv[u], detect)
+			if retirers != nil && retirers[u] != nil && retirers[u].Retired() {
 				tx[u] = false
 				continue
 			}

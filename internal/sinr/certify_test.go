@@ -100,6 +100,82 @@ func denseTx(t *testing.T, rng *rand.Rand, n int, density float64) []bool {
 	return nil
 }
 
+// txCount returns a transmit mask over n nodes with exactly m transmitters,
+// chosen at random.
+func txCount(rng *rand.Rand, n, m int) []bool {
+	tx := make([]bool, n)
+	for _, u := range rng.Perm(n)[:m] {
+		tx[u] = true
+	}
+	return tx
+}
+
+// shapeRounds returns transmit masks whose transmitter counts run from
+// certSmallTx+1 up to hi and pick, between them, every grid shape c's
+// rounds can pick in that range: a round at each end of the range, and for
+// each shape with a cell count inside it a round with that many
+// transmitters, unless another round already picks the shape.
+func shapeRounds(t *testing.T, c *Channel, rng *rand.Rand, hi int) [][]bool {
+	t.Helper()
+	g := c.certGrid()
+	if g == nil {
+		t.Fatal("the channel cannot certify")
+	}
+	lo := certSmallTx + 1
+	counts := []int{lo, hi}
+	for j := 0; ; j++ {
+		cols, rows := g.shapeAt(j)
+		if m := cols * rows; lo < m && m < hi {
+			counts = append(counts, m)
+		}
+		if cols == 1 && rows == 1 {
+			break
+		}
+	}
+	want, got := map[int]bool{}, map[int]bool{}
+	for m := lo; m <= hi; m++ {
+		want[g.shapeFor(m)] = true
+	}
+	var out [][]bool
+	for i, m := range counts {
+		if j := g.shapeFor(m); i < 2 || !got[j] {
+			got[j] = true
+			out = append(out, txCount(rng, c.N(), m))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("rounds of %d..%d transmitters pick %d shapes; the masks cover %d", lo, hi, len(want), len(got))
+	}
+	return out
+}
+
+// splitsCell reports whether c's last certified round, over m listeners in
+// cell order, split a cell across a deliverTile boundary.
+func splitsCell(c *Channel, m int) bool {
+	g := c.grid
+	for at := deliverTile; at < m; at += deliverTile {
+		if g.cellID[g.order[at-1]] == g.cellID[g.order[at]] {
+			return true
+		}
+	}
+	return false
+}
+
+// shapeDeployments returns the deployments of the shape sweeps: a uniform
+// disk of n nodes and an exponential chain of about n.
+func shapeDeployments(t *testing.T, seed uint64, n int) []certDeployment {
+	t.Helper()
+	disk, err := geom.UniformDisk(seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := geom.ExponentialChain(seed, 5, n/10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []certDeployment{{"disk", disk}, {"chain", chain}}
+}
+
 // TestCertifiedMatchesFullSum: in rounds with more than certSmallTx
 // transmitters, the certified engine — sequential and over 3 workers,
 // through Deliver and through DeliverTo over ascending subsets — decodes at
@@ -107,8 +183,10 @@ func denseTx(t *testing.T, rng *rand.Rand, n int, density float64) []bool {
 // a no-op observer), bit for bit with no exemption, across lattice ties,
 // clusters, exponential chains, the α/β/N grid and per-node powers. Every
 // deployment shape must actually be certified, or the comparison proves
-// nothing.
+// nothing. The shapes subtest does the same over every grid shape a round
+// can pick.
 func TestCertifiedMatchesFullSum(t *testing.T) {
+	t.Run("shapes", certifiedShapesMatchFullSum)
 	const n = 400
 	const untouched = -7
 	rng := xrand.New(12)
@@ -165,85 +243,193 @@ func TestCertifiedMatchesFullSum(t *testing.T) {
 	}
 }
 
+// certifiedShapesMatchFullSum: on a 5120-node disk and an exponential
+// chain, rounds of certSmallTx+1 up to n/5 transmitters pick every grid
+// shape their counts can pick, the finest among them, and in each the
+// certified engine,
+// sequential and over 3 workers, through Deliver and through DeliverTo
+// over random ascending lists, decodes what the full sum decodes at every
+// listener. Lists longer than deliverTile must split a cell across tiles
+// at least once per deployment, and the walks past a cell's block must
+// happen, or the sweep does not test what it claims.
+func certifiedShapesMatchFullSum(t *testing.T) {
+	const n = 5120
+	const untouched = -7
+	rng := xrand.New(16)
+	params := []Params{{Alpha: 2, Beta: 1, Noise: 0}, {Alpha: 3, Beta: 1.5, Noise: 1}, {Alpha: 4, Beta: 0.5, Noise: 1e6}, {Alpha: 2.5, Beta: 4, Noise: 1}}
+	for _, cd := range shapeDeployments(t, 31, n) {
+		n := cd.d.N()
+		splits, shapes, walks0, certified0 := 0, map[int]bool{}, mCertWalks.Load(), mCertifiedListeners.Load()
+		for i, p := range params {
+			p.Power = MinSingleHopPower(p.Alpha, p.Beta, 1, cd.d.R, DefaultSingleHopMargin)
+			rc := refCase{fmt.Sprintf("%s α=%v β=%v N=%v", cd.name, p.Alpha, p.Beta, p.Noise), p, cd.d.Points, UniformPowers(n, p.Power), false}
+			if i == len(params)-1 {
+				rc.hetero, rc.label = true, rc.label+" per-node"
+				for u := range rc.powers {
+					rc.powers[u] = p.Power * math.Pow(10, 2*rng.Float64()-1)
+				}
+			}
+			full := rc.build(t)
+			full.SetObserver(fullSum{})
+			certs := []*Channel{rc.build(t), rc.build(t, WithDeliverParallelism(3))}
+			want, got := make([]int, n), make([]int, n)
+			for _, tx := range shapeRounds(t, certs[0], rng, n/5) {
+				m := countTx(tx)
+				full.Deliver(tx, want)
+				list := randomListeners(rng, n, 4)
+				for w, c := range certs {
+					c.Deliver(tx, got)
+					for v := range got {
+						if got[v] != want[v] {
+							t.Fatalf("%s, %d transmitters (shape %d), engine %d listener %d: certified %d, full sum %d",
+								rc.label, m, c.grid.shift, w, v, got[v], want[v])
+						}
+					}
+					if splitsCell(c, n-m) {
+						splits++
+					}
+					shapes[c.grid.shift] = true
+					for v := range got {
+						got[v] = untouched
+					}
+					c.DeliverTo(tx, list, got)
+					listed := 0
+					for v := range got {
+						switch {
+						case listed < len(list) && list[listed] == v:
+							listed++
+							if got[v] != want[v] {
+								t.Fatalf("%s, %d transmitters, engine %d DeliverTo listener %d: certified %d, full sum %d",
+									rc.label, m, w, v, got[v], want[v])
+							}
+						case got[v] != untouched:
+							t.Fatalf("%s, %d transmitters, engine %d: unlisted listener %d overwritten with %d", rc.label, m, w, v, got[v])
+						}
+					}
+				}
+			}
+		}
+		walks, certified := mCertWalks.Load()-walks0, mCertifiedListeners.Load()-certified0
+		if splits == 0 || walks == 0 || certified == 0 || !shapes[0] {
+			t.Errorf("%s: %d rounds split a cell across tiles, %d listeners walked past their block, %d were certified, finest shape picked: %v",
+				cd.name, splits, walks, certified, shapes[0])
+		}
+		t.Logf("%s: %d shapes, %d rounds split a cell across tiles, %d walks, %d certified", cd.name, len(shapes), splits, walks, certified)
+	}
+}
+
 // TestCertificateAtThreshold puts listeners exactly on the SINR threshold:
 // β is set to the full sum's own ratio at a listener, or to a float
 // neighbour of it, so the reception turns on the last bit of the kernel's
-// arithmetic. The ring walk sums in another order and tests β·(…) against b
-// rather than dividing; only the margin η keeps its verdicts on the full
-// sum's side of the threshold. 400 transmitters fill a 3×3-cell square and
-// the listeners sit in its centre cell, so each walk sees every transmitter
-// within its budget and would otherwise decide.
+// arithmetic. The certificate sums in another order and tests β·(…)
+// against b or B rather than dividing; only the margins η and η̂ keep its
+// verdicts on the full sum's side of the threshold. 400 transmitters fill
+// a 3×3-cell square and the listeners sit in its centre cell, so each
+// block sees every one of them and would otherwise decide. In the far
+// layout 100 more transmitters sit 2²⁰ away: unseen by every block, they
+// put unseen·ringCap into η̂ and add less than a rounding to the kernel's
+// sum. Where the full sum decodes nothing at any listener, a certified
+// listener was settled by the bound test, the certificate's one
+// no-reception verdict; both layouts must have some.
 func TestCertificateAtThreshold(t *testing.T) {
-	const m, listeners = 400, 40
-	const n = m + listeners
-	rng := xrand.New(14)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		if i < m {
-			pts[i] = geom.Point{X: 6 * rng.Float64(), Y: 6 * rng.Float64()}
-		} else {
-			pts[i] = geom.Point{X: 2.1 + 1.8*rng.Float64(), Y: 2.1 + 1.8*rng.Float64()}
+	const near, listeners = 400, 40
+	for _, far := range []int{0, 100} {
+		m, n := near+far, near+far+listeners
+		rng := xrand.New(14)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			switch {
+			case i < near:
+				pts[i] = geom.Point{X: 6 * rng.Float64(), Y: 6 * rng.Float64()}
+			case i < m:
+				pts[i] = geom.Point{X: 0x1p20 + 6*rng.Float64(), Y: 6 * rng.Float64()}
+			default:
+				pts[i] = geom.Point{X: 2.1 + 1.8*rng.Float64(), Y: 2.1 + 1.8*rng.Float64()}
+			}
 		}
-	}
-	tx := make([]bool, n)
-	for u := 0; u < m; u++ {
-		tx[u] = true
-	}
-	certified0, decisions := mCertifiedListeners.Load(), 0
-	for _, alpha := range []float64{2, 3, 4} {
-		for _, noise := range []float64{0, 1} {
-			p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
-			probe, err := New(p, pts)
+		tx := make([]bool, n)
+		for u := 0; u < m; u++ {
+			tx[u] = true
+		}
+		certified0, decisions, bound := mCertifiedListeners.Load(), 0, int64(0)
+		for _, alpha := range []float64{2, 3, 4} {
+			for _, noise := range []float64{0, 1} {
+				p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
+				probe, err := New(p, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := m; v < n; v++ {
+					// The kernel's own ratio at v: the ascending sum, the
+					// strongest signal, and finalizeReceptions' expression.
+					total, best := 0.0, -1.0
+					for u := 0; u < m; u++ {
+						s := probe.signal(u, v)
+						total += s
+						best = math.Max(best, s)
+					}
+					ratio := p.SINR(best, total-best)
+					for _, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
+						q := p
+						q.Beta = beta
+						cert, err := New(q, pts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						full, err := New(q, pts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						full.SetObserver(fullSum{})
+						got, want := make([]int, n), make([]int, n)
+						before := mCertifiedListeners.Load()
+						cert.Deliver(tx, got)
+						full.Deliver(tx, want)
+						decoded := false
+						for w := m; w < n; w++ {
+							if got[w] != want[w] {
+								t.Fatalf("%d far, α=%v N=%v β=%v (listener %d's ratio or a neighbour) listener %d: certified %d, full sum %d",
+									far, alpha, noise, beta, v, w, got[w], want[w])
+							}
+							decoded = decoded || want[w] >= 0
+						}
+						if !decoded {
+							bound += mCertifiedListeners.Load() - before
+						}
+						decisions += listeners
+					}
+				}
+			}
+		}
+		if far > 0 {
+			// Every listener's block holds the near transmitters only.
+			c, err := New(Params{Alpha: 3, Beta: 1, Noise: 1, Power: 1}, pts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.Deliver(tx, make([]int, n))
+			var blk certBlock
 			for v := m; v < n; v++ {
-				// The kernel's own ratio at v: the ascending sum, the
-				// strongest signal, and finalizeReceptions' expression.
-				total, best := 0.0, -1.0
-				for u := 0; u < m; u++ {
-					s := probe.signal(u, v)
-					total += s
-					best = math.Max(best, s)
-				}
-				ratio := p.SINR(best, total-best)
-				for _, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
-					q := p
-					q.Beta = beta
-					cert, err := New(q, pts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					full, err := New(q, pts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					full.SetObserver(fullSum{})
-					got, want := make([]int, n), make([]int, n)
-					cert.Deliver(tx, got)
-					full.Deliver(tx, want)
-					for w := m; w < n; w++ {
-						if got[w] != want[w] {
-							t.Fatalf("α=%v N=%v β=%v (listener %d's ratio or a neighbour) listener %d: certified %d, full sum %d",
-								alpha, noise, beta, v, w, got[w], want[w])
-						}
-					}
-					decisions += listeners
+				if c.grid.setBlock(&blk, int(c.grid.cellID[v])); blk.seen != near {
+					t.Fatalf("%d far: listener %d's block holds %d transmitters, want %d", far, v, blk.seen, near)
 				}
 			}
 		}
+		certified := mCertifiedListeners.Load() - certified0
+		if certified == 0 || bound == 0 {
+			t.Errorf("%d far: the certificate decided %d listeners, %d by the bound test in rounds without a reception; the threshold cases do not exercise it",
+				far, certified, bound)
+		}
+		t.Logf("%d far: %d listener decisions compared, %d certified, %d by the bound test in rounds without a reception",
+			far, decisions, certified, bound)
 	}
-	certified := mCertifiedListeners.Load() - certified0
-	if certified == 0 {
-		t.Error("the certificate decided no listener; the threshold cases do not exercise it")
-	}
-	t.Logf("%d listener decisions compared, %d certified", decisions, certified)
 }
 
-// TestCertifiedDeliverZeroAllocs: a certified round allocates nothing once
-// the channel has built its grid, sequential Deliver and DeliverTo alike.
+// TestCertifiedDeliverZeroAllocs: certified rounds allocate nothing once
+// the channel has built its grid, sequential Deliver and DeliverTo alike,
+// across rounds whose transmitter counts pick different grid shapes.
 func TestCertifiedDeliverZeroAllocs(t *testing.T) {
-	const n = 600
+	const n = 2000
 	d, err := geom.UniformDisk(8, n)
 	if err != nil {
 		t.Fatal(err)
@@ -254,19 +440,31 @@ func TestCertifiedDeliverZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := denseTx(t, xrand.New(3), n, 0.25)
+	rounds := shapeRounds(t, c, xrand.New(3), n/2)
 	recv := make([]int, n)
 	listeners := randomListeners(xrand.New(4), n, 4)
-	certified0 := mCertifiedListeners.Load()
-	c.Deliver(tx, recv) // builds the grid
-	if mCertifiedListeners.Load() == certified0 {
-		t.Fatal("the warm-up round certified no listener")
+	certified0, shapes := mCertifiedListeners.Load(), map[int]bool{}
+	for _, tx := range rounds {
+		c.Deliver(tx, recv)
+		shapes[c.grid.shift] = true
 	}
-	if allocs := testing.AllocsPerRun(20, func() { c.Deliver(tx, recv) }); allocs != 0 {
-		t.Errorf("certified Deliver allocates %.1f times per call, want 0", allocs)
+	if mCertifiedListeners.Load() == certified0 || len(shapes) < 3 {
+		t.Fatalf("the warm-up rounds certified %d listeners over %d shapes; want some, over 3 or more",
+			mCertifiedListeners.Load()-certified0, len(shapes))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { c.DeliverTo(tx, listeners, recv) }); allocs != 0 {
-		t.Errorf("certified DeliverTo allocates %.1f times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, tx := range rounds {
+			c.Deliver(tx, recv)
+		}
+	}); allocs != 0 {
+		t.Errorf("certified Deliver over %d shapes allocates %.1f times per pass, want 0", len(shapes), allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, tx := range rounds {
+			c.DeliverTo(tx, listeners, recv)
+		}
+	}); allocs != 0 {
+		t.Errorf("certified DeliverTo over %d shapes allocates %.1f times per pass, want 0", len(shapes), allocs)
 	}
 }
 
@@ -402,21 +600,23 @@ func TestCertificateFallsBackOnCoincidentPoints(t *testing.T) {
 // FuzzCertifiedDelivery: on fuzzer-built point sets — coordinates read from
 // the input on a 1/256 grid (so coincident and collinear points come
 // easily), or a uniform square, a lattice, a line, or clusters with
-// duplicated points — with fuzzed transmit densities and α, β, N and power
-// assignments, the certified engine decodes at every listener what the
-// full sum decodes, through Deliver and through DeliverTo, sequential and
-// over 3 workers.
+// duplicated points — with a fuzzed transmitter count anywhere from none to
+// every node (so every grid shape a round can pick), and fuzzed α, β, N and
+// power assignments, the certified engine decodes at every listener what
+// the full sum decodes, through Deliver and through DeliverTo, sequential
+// and over 3 workers.
 func FuzzCertifiedDelivery(f *testing.F) {
-	f.Add(uint64(1), uint16(300), uint8(0), uint8(2), uint8(2), uint8(1), uint8(100), []byte{})
-	f.Add(uint64(2), uint16(500), uint8(1), uint8(0), uint8(0), uint8(0), uint8(200), []byte{})
-	f.Add(uint64(3), uint16(250), uint8(2), uint8(4), uint8(3), uint8(2), uint8(255), []byte{})
-	f.Add(uint64(4), uint16(400), uint8(7), uint8(9), uint8(6), uint8(3), uint8(150), []byte{})
-	f.Add(uint64(5), uint16(120), uint8(4), uint8(1), uint8(1), uint8(1), uint8(220),
+	f.Add(uint64(1), uint16(300), uint8(0), uint8(2), uint8(2), uint8(1), uint16(150), []byte{})
+	f.Add(uint64(2), uint16(500), uint8(1), uint8(0), uint8(0), uint8(0), uint16(400), []byte{})
+	f.Add(uint64(3), uint16(250), uint8(2), uint8(4), uint8(3), uint8(2), uint16(315), []byte{})
+	f.Add(uint64(4), uint16(400), uint8(7), uint8(9), uint8(6), uint8(3), uint16(65), []byte{})
+	f.Add(uint64(5), uint16(120), uint8(4), uint8(1), uint8(1), uint8(1), uint16(170),
 		[]byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 128, 0, 0, 1, 0, 1, 0})
+	f.Add(uint64(6), uint16(699), uint8(0), uint8(2), uint8(2), uint8(1), uint16(700), []byte{})
 	alphas := []float64{2, 2.5, 3, 4, 6}
 	betas := []float64{0.5, 1, 1.5, 4}
 	noises := []float64{0, 1, 1e6, 1e-3}
-	f.Fuzz(func(t *testing.T, seed uint64, size uint16, layout, alphaSel, betaSel, noiseSel, density uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, layout, alphaSel, betaSel, noiseSel uint8, count uint16, raw []byte) {
 		n := certSmallTx + 1 + int(size)%700
 		rng := xrand.New(seed)
 		side := int(math.Ceil(math.Sqrt(float64(n))))
@@ -468,7 +668,7 @@ func FuzzCertifiedDelivery(f *testing.F) {
 			t.Fatal(err)
 		}
 		full.SetObserver(fullSum{})
-		tx := randomTx(rng, n, float64(density)/255)
+		tx := txCount(rng, n, int(count)%(n+1))
 		got, want := make([]int, n), make([]int, n)
 		cert.Deliver(tx, got)
 		full.Deliver(tx, want)
@@ -488,36 +688,65 @@ func FuzzCertifiedDelivery(f *testing.F) {
 	})
 }
 
-// TestRingWalkCoversSquares: walking rings 0 through k around any cell
-// visits exactly the round's transmitters within Chebyshev distance k —
-// the count the summed-area table gives, which the far bound F starts
-// from — on square, wide and tall grids.
+// TestRingWalkCoversSquares: on every shape a round can pick — on square,
+// wide and tall grids — prepare picks the coarsest shape with at least as
+// many transmitters as cells only when no finer one qualifies, a cell's
+// block holds exactly the transmitters of rings 0 and 1, and walking rings
+// 2 through k after it visits exactly the transmitters within Chebyshev
+// distance k: the counts the summed-area table gives, which the far bound F
+// starts from.
 func TestRingWalkCoversSquares(t *testing.T) {
 	rng := xrand.New(15)
-	for _, shape := range [][2]float64{{40, 40}, {400, 3}, {3, 400}} {
+	for _, extent := range [][2]float64{{40, 40}, {400, 3}, {3, 400}} {
 		pts := make([]geom.Point, 500)
 		for i := range pts {
-			pts[i] = geom.Point{X: shape[0] * rng.Float64(), Y: shape[1] * rng.Float64()}
+			pts[i] = geom.Point{X: extent[0] * rng.Float64(), Y: extent[1] * rng.Float64()}
 		}
 		c, err := New(Params{Alpha: 3, Beta: 1, Noise: 1, Power: 1}, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := c.certGrid()
-		txList := c.scratch.indices(denseTx(t, rng, len(pts), 0.3))
-		g.bucket(txList)
-		for v := range pts {
-			col, row := g.cellCoords(v)
-			w := certWalk{c: c, g: g, pv: pts[v], b: -1, bu: -1}
-			for k := 0; k < max(g.cols, g.rows); k++ {
-				w.ring(col, row, k)
-				if want := g.squareCount(col, row, k); w.seen != want {
-					t.Fatalf("grid %d×%d, cell (%d, %d), rings 0..%d: walk saw %d transmitters, table counts %d",
-						g.cols, g.rows, col, row, k, w.seen, want)
+		tx := denseTx(t, rng, len(pts), 0.3)
+		txList := c.scratch.indices(tx)
+		nodes := c.gather(c.scratch.txNodes, txList)
+		for j := 0; ; j++ {
+			cols, rows := g.shapeAt(j)
+			// A round with as many transmitters as this shape has cells picks
+			// it, and one with a transmitter fewer a coarser one.
+			if got := g.shapeFor(cols * rows); got != j {
+				t.Fatalf("grid %d×%d: %d transmitters pick shape %d, want %d", cols, rows, cols*rows, got, j)
+			}
+			if got := g.shapeFor(cols*rows - 1); cols*rows > 1 && got <= j {
+				t.Fatalf("grid %d×%d: %d transmitters pick shape %d, want a coarser one", cols, rows, cols*rows-1, got)
+			}
+			g.setShape(j)
+			g.bucket(txList, nodes)
+			for v := range pts {
+				cell := int(g.cellOf(v))
+				col, row := cell%g.cols, cell/g.cols
+				var blk certBlock
+				g.setBlock(&blk, cell)
+				if want := g.squareCount(col, row, 1); blk.seen != want {
+					t.Fatalf("grid %d×%d, cell (%d, %d): block holds %d transmitters, table counts %d", g.cols, g.rows, col, row, blk.seen, want)
+				}
+				w := certWalk{g: g, pv: pts[v], alpha: 3, b: -1, bu: -1}
+				for _, s := range blk.spans[:blk.nspans] {
+					w.span(int(s[0]), int(s[1]))
+				}
+				for k := 2; k < max(g.cols, g.rows); k++ {
+					w.ring(col, row, k)
+					if want := g.squareCount(col, row, k); w.seen != want {
+						t.Fatalf("grid %d×%d, cell (%d, %d), rings 0..%d: walk saw %d transmitters, table counts %d",
+							g.cols, g.rows, col, row, k, w.seen, want)
+					}
+				}
+				if w.seen != len(txList) {
+					t.Fatalf("grid %d×%d: the walk over every ring saw %d of %d transmitters", g.cols, g.rows, w.seen, len(txList))
 				}
 			}
-			if w.seen != len(txList) {
-				t.Fatalf("grid %d×%d: the walk over every ring saw %d of %d transmitters", g.cols, g.rows, w.seen, len(txList))
+			if cols == 1 && rows == 1 {
+				break
 			}
 		}
 	}

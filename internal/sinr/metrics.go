@@ -17,6 +17,13 @@ var (
 	// mCertifiedListeners counts the listeners the exact engine decided from
 	// its certificate, without the full sum: one add per Deliver.
 	mCertifiedListeners = obs.Default.Counter("sinr.certified_listeners")
+	// mCertWalks counts the listeners of certified rounds that walked past
+	// their cell's shared block, and mCertFallbacks those the certificate
+	// gave up on, which took the full sum: one add each per Deliver. The
+	// certified listeners not counted in mCertWalks were settled by their
+	// block alone.
+	mCertWalks     = obs.Default.Counter("sinr.cert_walks")
+	mCertFallbacks = obs.Default.Counter("sinr.cert_fallbacks")
 	// mFadesDrawn and mFadesSkipped split a faded round's stream, one add
 	// each per round: the fades drawn at the listed listeners, and the
 	// draws of every other listener, which the stream jumped over or never

@@ -70,27 +70,27 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 // reuses so it performs zero allocations: the transmitter index list and
 // its gathered positions and powers, the per-listener running interference
 // totals, the per-listener strongest signal and its sender, and each
-// worker's count of certified listeners. Sharing the scratch is why channels
-// are not safe for concurrent use.
+// worker's certified-round counts. Sharing the scratch is why channels are
+// not safe for concurrent use.
 type deliverScratch struct {
-	txList    []int
-	txNodes   []txNode
-	totals    []float64
-	best      []float64
-	bestU     []int
-	certified []int
+	txList  []int
+	txNodes []txNode
+	totals  []float64
+	best    []float64
+	bestU   []int
+	counts  []certCounts
 }
 
 // newDeliverScratch preallocates every buffer at channel-construction time:
-// 56 bytes per node, and a count per worker.
+// 56 bytes per node, and counts per worker.
 func newDeliverScratch(n, workers int) deliverScratch {
 	return deliverScratch{
-		txList:    make([]int, 0, n),
-		txNodes:   make([]txNode, n),
-		totals:    make([]float64, n),
-		best:      make([]float64, n),
-		bestU:     make([]int, n),
-		certified: make([]int, workers),
+		txList:  make([]int, 0, n),
+		txNodes: make([]txNode, n),
+		totals:  make([]float64, n),
+		best:    make([]float64, n),
+		bestU:   make([]int, n),
+		counts:  make([]certCounts, workers),
 	}
 }
 

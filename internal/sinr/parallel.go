@@ -5,14 +5,17 @@ import "sync"
 // Intra-round parallel delivery.
 //
 // Pass one of DeliverTo accumulates per-listener state over fixed
-// deliverTile-wide tiles of the listener list; the list holds distinct
-// listeners, so tiles touch disjoint entries of the scratch arrays and can
-// run concurrently with no synchronisation beyond the final join. The
-// partition shape is fixed by deliverTile alone — tile t always covers list
-// positions [t·deliverTile, min((t+1)·deliverTile, len)) and is processed
-// by worker t mod workers — and no listener's float operations depend on
-// its tile, so receptions are byte-identical from workers=1 to
-// MaxDeliverParallelism and for any listener list.
+// deliverTile-wide tiles of the list it visits: the listener list, or in a
+// certified round the same listeners in cell order (txGrid.prepare). Either
+// list holds distinct listeners, so tiles touch disjoint entries of the
+// scratch arrays and can run concurrently with no synchronisation beyond
+// the final join. The partition shape is fixed by deliverTile alone — tile
+// t always covers list positions [t·deliverTile, min((t+1)·deliverTile,
+// len)) and is processed by worker t mod workers — and no listener's float
+// operations depend on its tile: what a cell's listeners share (certBlock)
+// is a function of the cell, rebuilt by a tile that starts inside it, and
+// each listener's sums are its own. So receptions are byte-identical from
+// workers=1 to MaxDeliverParallelism and for any listener list.
 // Pass two (threshold + observer) always runs sequentially in ascending
 // listener order, preserving the ReceptionObserver ordering contract.
 //

@@ -409,8 +409,10 @@ func TestDeliverToMatchesReference(t *testing.T) {
 // exact ties), clusters and an exponential chain; the α ∈ {2, 2.5, 3, 4,
 // 6}, β ∈ {0.5, 1, 1.5, 4}, N ∈ {0, 1, 10⁶} grid; uniform and per-node
 // powers; sequential and over 3 workers; through Deliver and through
-// DeliverTo over ascending subsets.
+// DeliverTo over ascending subsets. The shapes subtest holds every grid
+// shape a round can pick to the reference too.
 func TestCertifiedMatchesReference(t *testing.T) {
+	t.Run("shapes", certifiedShapesMatchReference)
 	const n = 300
 	const untouched = -7
 	listeners, exempt := 0, 0
@@ -440,5 +442,55 @@ func TestCertifiedMatchesReference(t *testing.T) {
 		t.Error("the certificate decided no listener; the cases do not exercise it")
 	}
 	t.Logf("%d listener-rounds compared in certified rounds, %d certified, %d exempt (within %g of β or tied)",
+		listeners, certified, exempt, refBand)
+}
+
+// certifiedShapesMatchReference: on a 5120-node disk (uniform powers) and
+// an exponential chain (per-node powers), rounds of certSmallTx+1 up to
+// n/5 transmitters pick every grid shape their counts can pick, and in
+// each every engine, sequential and over 3 workers, decodes what the
+// literal Eq. (1) reference decodes, through Deliver and through DeliverTo
+// over a random ascending list.
+func certifiedShapesMatchReference(t *testing.T) {
+	const n = 5120
+	const untouched = -7
+	rng := xrand.New(17)
+	listeners, exempt := 0, 0
+	certified0 := mCertifiedListeners.Load()
+	for i, cd := range shapeDeployments(t, 51, n) {
+		n := cd.d.N()
+		p := Params{Alpha: 3, Beta: 1.5, Noise: 1}
+		p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, cd.d.R, DefaultSingleHopMargin)
+		rc := refCase{cd.name + " uniform", p, cd.d.Points, UniformPowers(n, p.Power), false}
+		if i == 1 {
+			rc.hetero, rc.label = true, cd.name+" per-node"
+			for u := range rc.powers {
+				rc.powers[u] = p.Power * math.Pow(10, 2*rng.Float64()-1)
+			}
+		}
+		variants := exactVariants(t, rc)
+		recv := make([]int, n)
+		for _, tx := range shapeRounds(t, variants[0].ch, rng, n/5) {
+			ref := referenceDeliver(rc.p, rc.pts, rc.powers, tx, nil)
+			list := randomListeners(rng, n, 4)
+			for _, vt := range variants {
+				label := fmt.Sprintf("%s %s, %d transmitters", rc.label, vt.name, countTx(tx))
+				vt.ch.Deliver(tx, recv)
+				listeners += n
+				exempt += compareExact(t, label, recv, ref)
+				for v := range recv {
+					recv[v] = untouched
+				}
+				vt.ch.DeliverTo(tx, list, recv)
+				listeners += len(list)
+				exempt += compareListed(t, label+" DeliverTo", recv, ref, list, untouched)
+			}
+		}
+	}
+	certified := mCertifiedListeners.Load() - certified0
+	if certified == 0 {
+		t.Error("the certificate decided no listener; the cases do not exercise it")
+	}
+	t.Logf("%d listener-rounds compared over every shape, %d certified, %d exempt (within %g of β or tied)",
 		listeners, certified, exempt, refBand)
 }

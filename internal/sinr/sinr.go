@@ -302,9 +302,10 @@ func (c *Channel) allListeners() []int {
 // costs its listed listeners' work on every channel.
 //
 // On an unfaded channel with no observer, a round with more than
-// certSmallTx transmitters certifies each listener from a few grid rings
-// around it where it can (certify.go) and sums Eq. (1) in full only where
-// the bounds cannot decide; the receptions are the full sum's.
+// certSmallTx transmitters visits its listeners cell by cell and certifies
+// each from its cell's block and a few grid rings around it where it can
+// (certify.go), summing Eq. (1) in full only where the bounds cannot
+// decide; the receptions are the full sum's.
 //
 //crlint:hotpath
 func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
@@ -326,21 +327,22 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		return
 	}
 	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList)}
+	// Pass one visits vs: the listed listeners, or in a certified round the
+	// non-transmitting ones in cell order.
+	vs := listeners
 	if len(txList) > certSmallTx && c.fade == nil && c.observer == nil {
 		if r.cert = c.certGrid(); r.cert != nil {
-			r.cert.bucket(txList)
+			vs = r.cert.prepare(tx, txList, r.nodes, listeners)
 		}
 	}
-	var certified int
+	var counts certCounts
 	if c.par > 1 {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
-		certified = c.deliverParallel(listeners, r)
+		counts = c.deliverParallel(vs, r)
 	} else {
-		certified = c.accumulateTile(listeners, r)
+		counts = c.accumulateTile(vs, r)
 	}
-	if certified > 0 {
-		mCertifiedListeners.Add(int64(certified))
-	}
+	counts.publish()
 	finalizeReceptions(c.params, &c.scratch, c.observer, tx, listeners, recv)
 }
 
@@ -349,7 +351,7 @@ type deliverRound struct {
 	tx     []bool
 	txList []int    // the transmitters, ascending
 	nodes  []txNode // txList's positions and powers, gathered
-	cert   *txGrid  // non-nil: certify listeners over this bucketed grid
+	cert   *txGrid  // non-nil: certify listeners over this prepared grid
 }
 
 // txNode is one transmitter as the pair loop reads it. Gathering the
@@ -373,41 +375,40 @@ func (c *Channel) gather(buf []txNode, idx []int) []txNode {
 }
 
 // deliverParallel fans pass one out over runTiles, whose tiles partition
-// the positions of the listener list, and returns the number of certified
-// listeners. It is deliberately not hotpath-annotated: the kernel closure
-// and goroutines allocate O(workers) per round, the documented cost of the
-// parallel option.
-func (c *Channel) deliverParallel(listeners []int, r deliverRound) int {
+// the positions of vs, and returns the certified round's counts. It is
+// deliberately not hotpath-annotated: the kernel closure and goroutines
+// allocate O(workers) per round, the documented cost of the parallel
+// option.
+func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 	mDeliveriesParallel.Inc()
-	certified := c.scratch.certified
-	clear(certified)
-	runTiles(len(listeners), c.par, func(w, lo, hi int) { certified[w] += c.accumulateTile(listeners[lo:hi], r) })
-	sum := 0
-	for _, n := range certified {
-		sum += n
+	counts := c.scratch.counts
+	clear(counts)
+	runTiles(len(vs), c.par, func(w, lo, hi int) { counts[w].add(c.accumulateTile(vs[lo:hi], r)) })
+	var sum certCounts
+	for _, n := range counts {
+		sum.add(n)
 	}
 	return sum
 }
 
 // accumulateTile is pass one of Deliver over the listeners in vs, the one
-// kernel of every mode: per non-transmitting listener, sum the signals of
-// every transmitter in ascending transmitter index, tracking the first
-// strict maximum, and park the total, the strongest signal and its sender
-// in the scratch arrays for the sequential threshold pass. In a certified
-// round a listener whose certificate holds parks its verdict instead: no
-// sender, or its sender with the certifiedReception total. A faded channel
-// multiplies each signal by a fade draw from the round's one stream: before
-// listener v's pair loop it advances the stream to v's position
-// m·(v − t_v) (NewRayleigh), so unlisted listeners, and unlisted
-// transmitters, cost no draws. Faded channels deliver sequentially, so vs
-// is then the round's whole listener list. Concurrent tiles write disjoint
-// listeners' entries, so they never share a buffer. It returns the number
-// of certified listeners.
+// kernel of every mode: per non-transmitting listener, park the full
+// ascending sum (sumAll) in the scratch arrays for the sequential
+// threshold pass. A certified round's vs is in cell order, and
+// certifyTile takes it, giving sumAll only the listeners its certificate
+// cannot decide. A faded channel multiplies each signal by a fade draw from
+// the round's one stream: before listener v's sum it advances the stream
+// to v's position m·(v − t_v) (NewRayleigh), so unlisted listeners, and
+// unlisted transmitters, cost no draws. Faded channels deliver
+// sequentially, so vs is then the round's whole listener list. Concurrent
+// tiles write disjoint listeners' entries, so they never share a buffer.
+// It returns the certified round's counts.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
-	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
-	alpha := c.params.Alpha
+func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
+	if r.cert != nil {
+		return c.certifyTile(vs, r)
+	}
 	// Faded: the stream, the draws per listener (m), the stream's position,
 	// the draws taken and the transmitters below v (t_v).
 	var rng *xrand.Reseedable
@@ -416,20 +417,9 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 	if c.fade != nil {
 		rng, m = c.fade.rng, uint64(len(r.nodes))
 	}
-	certified := 0
 	for _, v := range vs {
-		totals[v], best[v], bestU[v] = 0, -1, -1
 		if r.tx[v] {
 			continue
-		}
-		if r.cert != nil {
-			if u, ok := c.certify(v, r); ok {
-				certified++
-				if u >= 0 {
-					totals[v], bestU[v] = certifiedReception, u
-				}
-				continue
-			}
 		}
 		if rng != nil {
 			for below < len(r.txList) && r.txList[below] < v {
@@ -442,32 +432,41 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) int {
 			pos += m
 			drawn += m
 		}
-		pv := c.pts[v]
-		b, bi, t := -1.0, -1, 0.0
-		for i, nd := range r.nodes {
-			s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
-			if rng != nil {
-				s *= expFade(rng)
-			}
-			t += s
-			if s > b {
-				b, bi = s, i
-			}
-		}
-		totals[v], best[v] = t, b
-		if bi >= 0 {
-			bestU[v] = r.txList[bi]
-		}
+		c.sumAll(v, r, rng)
 	}
 	if rng != nil {
 		// Deliver would draw m fades at each of the n − m listeners.
 		mFadesDrawn.Add(int64(drawn))
 		mFadesSkipped.Add(int64(m*uint64(len(c.pts)-len(r.txList)) - drawn))
 	}
-	return certified
+	return certCounts{}
 }
 
-// certifiedReception is the total accumulateTile parks for a certified
+// sumAll parks listener v's full sum: the signals of every transmitter
+// summed in ascending transmitter index, each scaled by the next draw of
+// rng when it is non-nil, with the first strict maximum and its sender.
+//
+//crlint:hotpath
+func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable) {
+	pv, alpha := c.pts[v], c.params.Alpha
+	b, bi, t := -1.0, -1, 0.0
+	for i, nd := range r.nodes {
+		s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
+		if rng != nil {
+			s *= expFade(rng)
+		}
+		t += s
+		if s > b {
+			b, bi = s, i
+		}
+	}
+	c.scratch.totals[v], c.scratch.best[v], c.scratch.bestU[v] = t, b, -1
+	if bi >= 0 {
+		c.scratch.bestU[v] = r.txList[bi]
+	}
+}
+
+// certifiedReception is the total certifyTile parks for a certified
 // reception; a full sum is never negative.
 const certifiedReception = -1.0
 
