@@ -295,11 +295,13 @@ func BenchmarkSINRDeliverScale(b *testing.B) {
 // delivery hot path: the identical call with metrics recording enabled (the
 // process default; BenchmarkSINRDeliver above runs this way) versus
 // disabled via obs.SetEnabled(false). The delta is the cost of the per-call
-// atomic counter increments. Two round shapes: a dense full Deliver (n/5
-// transmitters), and a late round of the paper's algorithm — DeliverTo over
+// atomic counter increments. Three round shapes: a dense full Deliver (n/5
+// transmitters); a late round of the paper's algorithm — DeliverTo over
 // a 5% live list with two transmitters — where the pair work is smallest
-// and a counter weighs most. BENCH_obs.json records both sides; the
-// acceptance bar is overhead within run-to-run noise.
+// and a counter weighs most; and the dense Deliver on a Rayleigh-faded
+// channel, whose bracketed pass counts the listeners it settled and
+// replayed. BENCH_obs.json records both sides; the acceptance bar is
+// overhead within run-to-run noise.
 func BenchmarkSINRDeliverMetrics(b *testing.B) {
 	const n = 512
 	d, err := geom.UniformDisk(1, n)
@@ -322,13 +324,20 @@ func BenchmarkSINRDeliverMetrics(b *testing.B) {
 		prefix    string
 		tx        []bool
 		listeners []int // nil: a full Deliver
-	}{{"", dense, nil}, {"late/", late, live}} {
+		faded     bool
+	}{{"", dense, nil, false}, {"late/", late, live, false}, {"faded/", dense, nil, true}} {
 		for _, mode := range []struct {
 			name    string
 			enabled bool
 		}{{"on", true}, {"off", false}} {
 			b.Run(shape.prefix+"metrics="+mode.name, func(b *testing.B) {
-				ch, err := sinr.New(params, d.Points)
+				var ch *sinr.Channel
+				var err error
+				if shape.faded {
+					ch, err = sinr.NewRayleigh(params, d.Points, 1)
+				} else {
+					ch, err = sinr.New(params, d.Points)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

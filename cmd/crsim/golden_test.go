@@ -10,9 +10,12 @@ import (
 // lines, the -plot sparklines and the -csv file, for a SINR run whose nodes
 // report activity and a radio run whose nodes do not; and the stdout of
 // untraced Rayleigh runs, one trial and five, in which sim.Run hands the
-// faded channel's DeliverTo only the live listeners; and the stdout of
-// untraced exact runs at n = 2¹⁴ and 2¹⁶, whose certified rounds take the
-// live listeners and pick many grid shapes as the active set decays.
+// faded channel's DeliverTo only the live listeners, and three-trial
+// Rayleigh runs at β = 0.5, where several transmitters can clear β and the
+// strictly strongest one must be the one decoded, and at N = 0; and the
+// stdout of untraced exact runs at n = 2¹⁴ and 2¹⁶, whose certified rounds
+// take the live listeners and pick many grid shapes as the active set
+// decays.
 func TestTraceOutputGoldens(t *testing.T) {
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
@@ -27,6 +30,8 @@ func TestTraceOutputGoldens(t *testing.T) {
 		{"radio-trace", []string{"-n", "32", "-seed", "7", "-channel", "radio", "-algo", "sweep", "-trace", "-csv", "trace.csv"}, true},
 		{"rayleigh", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh"}, false},
 		{"rayleigh-trials", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-trials", "5"}, false},
+		{"rayleigh-beta-half", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-beta", "0.5", "-trials", "3"}, false},
+		{"rayleigh-noiseless", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-noise", "0", "-trials", "3"}, false},
 		{"certified-16384", []string{"-n", "16384", "-trials", "3", "-seed", "3"}, false},
 		{"certified-65536", []string{"-n", "65536", "-seed", "3"}, false},
 	} {

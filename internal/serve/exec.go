@@ -43,6 +43,9 @@ type Options struct {
 
 	// run substitutes the job body in tests; nil selects runSpec.
 	run func(ctx context.Context, spec Spec, parallelism int, progress func(Progress)) (*Result, error)
+	// accepted, in tests, sees each job Submit queues before Submit
+	// returns, with the executor locked; nil does nothing.
+	accepted func(*Job)
 }
 
 func (o Options) withDefaults() Options {
@@ -143,6 +146,9 @@ func (e *Executor) Submit(spec Spec) (*Job, error) {
 	}
 	mJobsSubmitted.Inc()
 	mQueueDepth.Set(int64(len(e.queue)))
+	if e.opts.accepted != nil {
+		e.opts.accepted(job)
+	}
 	return job, nil
 }
 

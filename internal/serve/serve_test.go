@@ -220,6 +220,27 @@ func TestServiceCacheHitIsByteIdenticalToColdRun(t *testing.T) {
 	}
 }
 
+// TestSubmitStatusComesFromTheCacheLookup holds the submit status to the
+// cache lookup: a cold job that is already done when the handler reads it
+// answers 202, not a cache hit's 200, and an identical resubmission 200.
+func TestSubmitStatusComesFromTheCacheLookup(t *testing.T) {
+	run := func(_ context.Context, spec Spec, _ int, _ func(Progress)) (*Result, error) {
+		return &Result{Body: []byte("stub:" + spec.Hash()), ContentType: "text/plain"}, nil
+	}
+	// Submit returns only once the queued job is done, so the handler
+	// always reads a terminal job.
+	ts, _ := newTestService(t, Options{Workers: 1, run: run, accepted: func(j *Job) { <-j.Done() }})
+
+	cold, resp := postJob(t, ts, smallSimJob)
+	if resp.StatusCode != http.StatusAccepted || cold.Cached || cold.State != StateDone {
+		t.Fatalf("cold submit of a job done before the reply: HTTP %d %+v, want 202, done, not cached", resp.StatusCode, cold)
+	}
+	warm, resp := postJob(t, ts, smallSimJob)
+	if resp.StatusCode != http.StatusOK || !warm.Cached || warm.State != StateDone {
+		t.Fatalf("cache hit submit: HTTP %d %+v, want 200, done, cached", resp.StatusCode, warm)
+	}
+}
+
 func TestServiceResultsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// The service-determinism contract: the same job produces the same
 	// bytes whatever the worker pool or per-job parallelism.

@@ -116,11 +116,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// One snapshot decides the status and is the body. Only Submit's cache
+	// hit sets Cached; a queued job may finish before this read, and is
+	// still answered 202.
+	st := job.Snapshot()
 	status := http.StatusAccepted
-	if job.Snapshot().State.Terminal() {
+	if st.Cached {
 		status = http.StatusOK // cache hit: born done
 	}
-	writeJSON(w, status, job.Snapshot())
+	writeJSON(w, status, st)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,310 @@
+package sinr
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"fadingcr/internal/geom"
+	"fadingcr/internal/xrand"
+)
+
+// TestFadeBracketContainsLog: fadeBracket's lo ≤ −math.Log(x) ≤ hi at
+// x = 1 and x = 2⁻⁵³, the ends of the draw range; at both ends of every
+// table cell at every exponent a draw reaches, and at their float
+// neighbours; and at 10⁶ random draws, half of them 1 − Float64 as the
+// fade stream takes them and half j·2⁻⁵³ with j spread log-uniformly, so
+// that every exponent is hit.
+func TestFadeBracketContainsLog(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		lo, hi := fadeBracket(x)
+		if h := -math.Log(x); !(lo <= h && h <= hi) {
+			t.Fatalf("x = %v (%#x): bracket [%v, %v] misses −math.Log(x) = %v", x, math.Float64bits(x), lo, hi, h)
+		}
+	}
+	check(1)
+	check(0x1p-53)
+	for e := -53; e <= -1; e++ {
+		for i := 0; i <= 1<<fadeBits; i++ {
+			edge := math.Ldexp(1+float64(i)/(1<<fadeBits), e)
+			for _, x := range []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, 2)} {
+				if x >= 0x1p-53 && x <= 1 {
+					check(x)
+				}
+			}
+		}
+	}
+	rng := xrand.NewReseedable(1)
+	for range 500_000 {
+		check(1 - rng.Float64())
+	}
+	for range 500_000 {
+		j := rng.Uint64()>>(11+rng.Uint64()%53) + 1
+		check(float64(j) * 0x1p-53)
+	}
+}
+
+// fadedTwins returns two channels with the same parameters, points and
+// fade seed: the first takes the bracketed pass, the second has a no-op
+// observer installed, which keeps every listener on the exact sum.
+func fadedTwins(t *testing.T, p Params, pts []geom.Point, seed uint64) (bracketed, exact *Channel) {
+	t.Helper()
+	bracketed, err := NewRayleigh(p, pts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err = NewRayleigh(p, pts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact.SetObserver(fullSum{})
+	return bracketed, exact
+}
+
+// TestFadedBracketsMatchFullSum: a faded channel, whose listeners take the
+// bracketed pass, decodes at every listener exactly what the same channel
+// and seed decode on the exact sum (a no-op observer installed), bit for
+// bit with no exemption: round after round, through Deliver and through
+// random ascending DeliverTo lists, over a disk, a lattice (exact ties in
+// the unfaded signals), clusters and an exponential chain, α ∈ {2, 2.5, 3,
+// 4, 6}, β ∈ {0.5, 1, 1.5, 4} and N ∈ {0, 1, 10⁶}. Each deployment must
+// have listeners the brackets settled and listeners they replayed, or the
+// comparison proves nothing.
+func TestFadedBracketsMatchFullSum(t *testing.T) {
+	const n = 300
+	const untouched = -7
+	rng := xrand.New(22)
+	for i, cd := range certDeployments(t, 32, n) {
+		compared := 0
+		settled0, replayed0 := mFadedCertified.Load(), mFadedFallbacks.Load()
+		for j, rc := range certCases(cd, uint64(50+i)) {
+			if rc.hetero {
+				continue // NewRayleigh builds uniform powers only
+			}
+			bracketed, exact := fadedTwins(t, rc.p, rc.pts, uint64(100*i+j))
+			want, got := make([]int, n), make([]int, n)
+			for round, density := range []float64{0.05, 0.2, 0.5} {
+				tx := randomTx(rng, n, density)
+				exact.Deliver(tx, want)
+				bracketed.Deliver(tx, got)
+				for v := range got {
+					if got[v] != want[v] {
+						t.Fatalf("%s round %d listener %d: bracketed %d, exact sum %d", rc.label, round, v, got[v], want[v])
+					}
+				}
+				compared += n
+				list := randomListeners(rng, n, 3+round%2)
+				exact.DeliverTo(tx, list, want)
+				for v := range got {
+					got[v] = untouched
+				}
+				bracketed.DeliverTo(tx, list, got)
+				checkListed(t, fmt.Sprintf("%s round %d DeliverTo", rc.label, round), got, want, list, untouched)
+				compared += len(list)
+			}
+		}
+		settled, replayed := mFadedCertified.Load()-settled0, mFadedFallbacks.Load()-replayed0
+		if settled == 0 || replayed == 0 {
+			t.Errorf("%s: the brackets settled %d listeners and replayed %d; the cases must have both", cd.name, settled, replayed)
+		}
+		t.Logf("%s: %d listener decisions compared, %d settled by brackets, %d replayed", cd.name, compared, settled, replayed)
+	}
+}
+
+// thresholdLayout is the threshold tests' deployment: near transmitters
+// filling a 6×6 square, and listeners in its centre after them.
+func thresholdLayout(near, listeners int) (pts []geom.Point, tx []bool) {
+	rng := xrand.New(14)
+	n := near + listeners
+	pts = make([]geom.Point, n)
+	tx = make([]bool, n)
+	for i := range pts {
+		if i < near {
+			pts[i] = geom.Point{X: 6 * rng.Float64(), Y: 6 * rng.Float64()}
+			tx[i] = true
+		} else {
+			pts[i] = geom.Point{X: 2.1 + 1.8*rng.Float64(), Y: 2.1 + 1.8*rng.Float64()}
+		}
+	}
+	return pts, tx
+}
+
+// ratioObserver records the ratio of every reception it sees.
+type ratioObserver map[int]float64
+
+func (o ratioObserver) OnReception(v, _ int, sinr, _ float64) { o[v] = sinr }
+
+// TestFadedBracketsAtThreshold puts faded listeners exactly on the SINR
+// threshold: β is set to the exact sum's own ratio at a listener, fades
+// included, or to a float neighbour of it, so the reception turns on the
+// last bit of the kernel's arithmetic. No bracket is that narrow, so the
+// listener must be replayed through the exact sum, and every listener must
+// decode what the exact sum decodes.
+func TestFadedBracketsAtThreshold(t *testing.T) {
+	const near, listeners, seed = 400, 20, 5
+	const untouched = -7
+	pts, tx := thresholdLayout(near, listeners)
+	n := len(pts)
+	decisions := 0
+	for _, alpha := range []float64{2, 3, 4} {
+		for _, noise := range []float64{0, 1} {
+			p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
+			// The exact sum's ratios: at the smallest β every listener with
+			// a signal decodes, and the observer sees its ratio.
+			probeP := p
+			probeP.Beta = math.SmallestNonzeroFloat64
+			probe, err := NewRayleigh(probeP, pts, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratios := ratioObserver{}
+			probe.SetObserver(ratios)
+			probe.Deliver(tx, make([]int, n))
+			for v := near; v < n; v++ {
+				ratio, ok := ratios[v]
+				if !ok {
+					t.Fatalf("α=%v N=%v listener %d: no ratio observed", alpha, noise, v)
+				}
+				for _, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
+					q := p
+					q.Beta = beta
+					label := fmt.Sprintf("α=%v N=%v β=%v (listener %d's ratio or a neighbour)", alpha, noise, beta, v)
+					bracketed, exact := fadedTwins(t, q, pts, seed)
+					got, want := make([]int, n), make([]int, n)
+					bracketed.Deliver(tx, got)
+					exact.Deliver(tx, want)
+					for w := near; w < n; w++ {
+						if got[w] != want[w] {
+							t.Fatalf("%s listener %d: bracketed %d, exact sum %d", label, w, got[w], want[w])
+						}
+					}
+					// Alone in a fresh channel's first round, v draws the
+					// same fades and must be replayed.
+					alone, _ := fadedTwins(t, q, pts, seed)
+					replayed0 := mFadedFallbacks.Load()
+					got[v] = untouched
+					alone.DeliverTo(tx, []int{v}, got)
+					if got[v] != want[v] || mFadedFallbacks.Load()-replayed0 != 1 {
+						t.Fatalf("%s: listener %d decoded %d (exact sum %d), replayed %d times, want once",
+							label, v, got[v], want[v], mFadedFallbacks.Load()-replayed0)
+					}
+					decisions += listeners
+				}
+			}
+		}
+	}
+	t.Logf("%d listener decisions compared", decisions)
+}
+
+// TestFadedVerdictWithExactBrackets: fadedVerdict's tests hold for any
+// brackets around the kernel's computed signals, so they must hold for
+// exact ones, lo = hi = the signal, where nothing but the margin η keeps a
+// verdict on the kernel's side. With L = U the kernel's own ascending sum,
+// T = ℓ its strongest signal and T₂ the strongest of the others, at β set
+// to a listener's own ratio or a float neighbour, and at β a relative 2⁻¹⁰
+// off it, every verdict the tests reach must be the kernel's; off the
+// threshold they must reach some.
+func TestFadedVerdictWithExactBrackets(t *testing.T) {
+	const near, listeners = 400, 40
+	pts, _ := thresholdLayout(near, listeners)
+	compared, decided := 0, 0
+	for _, alpha := range []float64{2, 3, 4} {
+		for _, noise := range []float64{0, 1} {
+			p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
+			probe, err := New(p, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := near; v < len(pts); v++ {
+				// The kernel's floats at v: the ascending sum, the first
+				// strict maximum and the strongest of the others.
+				total, best, second := 0.0, -1.0, -1.0
+				for u := 0; u < near; u++ {
+					s := probe.signal(u, v)
+					total += s
+					if s > best {
+						best, second = s, best
+					} else if s > second {
+						second = s
+					}
+				}
+				ratio := p.SINR(best, total-best)
+				// Three βs on the threshold, then two off it.
+				for i, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1)),
+					ratio * (1 - 0x1p-10), ratio * (1 + 0x1p-10)} {
+					q := p
+					q.Beta = beta
+					decoded, ok := q.fadedVerdict(total, total, best, best, second)
+					if want := q.SINR(best, total-best) >= beta; ok && decoded != want {
+						t.Fatalf("α=%v N=%v β=%v listener %d: verdict decoded=%v, kernel %v", alpha, noise, beta, v, decoded, want)
+					}
+					compared++
+					if ok && i >= 3 {
+						decided++
+					}
+				}
+			}
+		}
+	}
+	if decided == 0 {
+		t.Error("no exact-bracket verdict was reached off the threshold; the cases do not exercise the tests")
+	}
+	t.Logf("%d exact-bracket verdicts compared, %d reached off the threshold", compared, decided)
+}
+
+// TestFadedVerdictMarginFollowsUpperSum: the no-reception test's margin η
+// covers the rounding of a kernel sum as large as U, so it scales with U,
+// not with L. A listener whose lower sum clears the test by less than
+// certEps·U is not settled, however far L sits below U; with U close to L
+// the same listener is.
+func TestFadedVerdictMarginFollowsUpperSum(t *testing.T) {
+	p := Params{Alpha: 3, Beta: 1, Noise: 1, Power: 1}
+	// T = 1.2 < N + L − T = 1.8, but not once η ≈ certEps·2³⁰ = 1.
+	if decoded, ok := p.fadedVerdict(2, 0x1p30, 1.2, 0, 1.2); ok {
+		t.Errorf("L = 2, U = 2³⁰: settled (decoded=%v), want the margin from U to leave it open", decoded)
+	}
+	if decoded, ok := p.fadedVerdict(2, 2.5, 1.2, 0, 1.2); !ok || decoded {
+		t.Errorf("L = 2, U = 2.5: decoded=%v ok=%v, want settled with no reception", decoded, ok)
+	}
+}
+
+// TestFadedBracketsKeepTheStrictMaximum: at β = 0.5 a listener can clear β
+// from either of two transmitters, and with both at the same distance the
+// kernel decodes the one whose fade is larger. When the two fades' brackets
+// overlap, the larger upper bound need not belong to the larger fade, so
+// only ℓ > T₂ keeps the bracketed verdict on the kernel's sender. Each of
+// 100 listeners sits midway between its own two transmitters, far from
+// every other group; over 300 rounds the brackets must overlap at some
+// listeners, and every listener must decode what the exact sum decodes.
+func TestFadedBracketsKeepTheStrictMaximum(t *testing.T) {
+	const groups, rounds = 100, 300
+	pts := make([]geom.Point, 0, 3*groups)
+	for k := range groups {
+		x := 1000 * float64(k)
+		pts = append(pts, geom.Point{X: x - 1}, geom.Point{X: x}, geom.Point{X: x + 1})
+	}
+	n := len(pts)
+	tx := make([]bool, n)
+	for v := range n {
+		tx[v] = v%3 != 1
+	}
+	p := Params{Alpha: 3, Beta: 0.5, Noise: 1e-3, Power: 1}
+	bracketed, exact := fadedTwins(t, p, pts, 9)
+	got, want := make([]int, n), make([]int, n)
+	replayed0 := mFadedFallbacks.Load()
+	for round := range rounds {
+		bracketed.Deliver(tx, got)
+		exact.Deliver(tx, want)
+		for v := 1; v < n; v += 3 {
+			if got[v] != want[v] {
+				t.Fatalf("round %d listener %d: bracketed %d, exact sum %d", round, v, got[v], want[v])
+			}
+		}
+	}
+	if replayed := mFadedFallbacks.Load() - replayed0; replayed == 0 {
+		t.Errorf("no listener was replayed in %d listener-rounds; the brackets never overlapped", groups*rounds)
+	} else {
+		t.Logf("%d of %d listener-rounds replayed", replayed, groups*rounds)
+	}
+}

@@ -208,7 +208,7 @@ func (c *Channel) certify(w *certWalk, r deliverRound, blk *certBlock) (u int, o
 			return -1, false, walked // an infinite signal: coincident or near-coincident points
 		}
 		unseen := total - w.seen
-		if c.params.certNone(w.sum, w.b, g.ringCap[ring], unseen) {
+		if c.params.certNone(w.sum, w.sum, w.b, g.ringCap[ring], unseen) {
 			return -1, true, walked
 		}
 		// Once no unseen transmitter can reach b, b is the round's strongest
@@ -376,12 +376,16 @@ func (g *txGrid) farBound(col, row, ring, seen, total int) (far float64, work in
 // transmitters' signals is at most ringCap. B = max(b, ringCap) bounds the
 // kernel's strongest signal from above (B = b once unseen is 0) and
 // N + S − B its interference from below, so a pass puts the kernel's ratio
-// below β by more than its rounding: no reception. It reports false outside
-// certRange, where rounding is not relative.
+// below β by more than its rounding: no reception. upper, a bound from
+// above on the kernel's sum of the seen signals, sets the margin: the walk
+// passes S for both, its signals being the kernel's own, and a faded
+// listener passes its lower sum L as sum and its upper sum U as upper
+// (sumBracketed). It reports false outside certRange, where rounding is not
+// relative.
 //
 //crlint:hotpath
-func (p Params) certNone(sum, b, ringCap float64, unseen int) bool {
-	top, bound := b, p.Noise+sum
+func (p Params) certNone(sum, upper, b, ringCap float64, unseen int) bool {
+	top, bound := b, p.Noise+upper
 	if unseen > 0 {
 		top = max(b, ringCap)
 		bound += float64(unseen) * ringCap

@@ -30,4 +30,11 @@ var (
 	// reached. Their sum is what Deliver would have drawn.
 	mFadesDrawn   = obs.Default.Counter("sinr.fades_drawn")
 	mFadesSkipped = obs.Default.Counter("sinr.fades_skipped")
+	// mFadedCertified counts the faded listeners that bounds on their
+	// fades decided without a logarithm, and mFadedFallbacks those that
+	// replayed their draws through the exact sum: one add each per faded
+	// round. Observed faded rounds count in neither. They are kept apart
+	// from sinr.certified_listeners, the exact engine's certificate.
+	mFadedCertified = obs.Default.Counter("sinr.faded_certified")
+	mFadedFallbacks = obs.Default.Counter("sinr.faded_fallbacks")
 )

@@ -196,9 +196,12 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // m·(v − t_v) + i: ascending listener-then-transmitter order over every
 // listener, as Deliver visits them. DeliverTo draws only its listed
 // listeners' fades and jumps the stream over the rest, so each listed
-// listener's fades, and receptions, are Deliver's. Faded channels deliver
-// sequentially whatever worker count their options ask for, and their
-// receptions are the same with or without them.
+// listener's fades, and receptions, are Deliver's. With no observer, most
+// listeners are settled from bounds on their fades without a logarithm,
+// and the rest replay the same draws through the exact sum, so no fade and
+// no reception depends on which path a listener took. Faded channels
+// deliver sequentially whatever worker count their options ask for, and
+// their receptions are the same with or without them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
 	c, err := New(params, pts, opts...)
 	if err != nil {
@@ -305,7 +308,10 @@ func (c *Channel) allListeners() []int {
 // certSmallTx transmitters visits its listeners cell by cell and certifies
 // each from its cell's block and a few grid rings around it where it can
 // (certify.go), summing Eq. (1) in full only where the bounds cannot
-// decide; the receptions are the full sum's.
+// decide. On a faded channel with no observer, every round brackets each
+// listed listener's fades (sumBracketed) and sums Eq. (1) exactly only
+// where the brackets cannot decide. Either way the receptions are the full
+// sum's.
 //
 //crlint:hotpath
 func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
@@ -399,7 +405,10 @@ func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 // cannot decide. A faded channel multiplies each signal by a fade draw from
 // the round's one stream: before listener v's sum it advances the stream
 // to v's position m·(v − t_v) (NewRayleigh), so unlisted listeners, and
-// unlisted transmitters, cost no draws. Faded channels deliver
+// unlisted transmitters, cost no draws. With no observer, a faded listener
+// first takes sumBracketed, which settles it from bounds on its fades
+// without a logarithm; an unsettled one rewinds the stream to its position
+// and replays the same draws through sumAll. Faded channels deliver
 // sequentially, so vs is then the round's whole listener list. Concurrent
 // tiles write disjoint listeners' entries, so they never share a buffer.
 // It returns the certified round's counts.
@@ -410,12 +419,16 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 		return c.certifyTile(vs, r)
 	}
 	// Faded: the stream, the draws per listener (m), the stream's position,
-	// the draws taken and the transmitters below v (t_v).
+	// the draws taken, the transmitters below v (t_v), whether brackets
+	// may settle listeners, and the listeners they settled and replayed.
 	var rng *xrand.Reseedable
 	var m, pos, drawn uint64
 	below := 0
+	bracket := false
+	var settled, replayed int
 	if c.fade != nil {
 		rng, m = c.fade.rng, uint64(len(r.nodes))
+		bracket = c.observer == nil && certifiable(c.params, len(c.pts))
 	}
 	for _, v := range vs {
 		if r.tx[v] {
@@ -431,6 +444,15 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 			}
 			pos += m
 			drawn += m
+			if bracket {
+				at := *rng
+				if c.sumBracketed(v, r, rng) {
+					settled++
+					continue
+				}
+				*rng = at
+				replayed++
+			}
 		}
 		c.sumAll(v, r, rng)
 	}
@@ -438,6 +460,8 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 		// Deliver would draw m fades at each of the n − m listeners.
 		mFadesDrawn.Add(int64(drawn))
 		mFadesSkipped.Add(int64(m*uint64(len(c.pts)-len(r.txList)) - drawn))
+		mFadedCertified.Add(int64(settled))
+		mFadedFallbacks.Add(int64(replayed))
 	}
 	return certCounts{}
 }
@@ -464,6 +488,65 @@ func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable) {
 	if bi >= 0 {
 		c.scratch.bestU[v] = r.txList[bi]
 	}
+}
+
+// sumBracketed tries to settle faded listener v without a logarithm. It
+// draws v's fades from rng in sumAll's order and brackets each one
+// (fadeBracket), so sumAll's computed signal lies between g·lo and g·hi,
+// with g the unfaded signal as sumAll computes it. It sums those products
+// into L and U, keeps the largest g·hi, T, with its sender and that
+// sender's g·lo, ℓ, and the largest g·hi of the other transmitters, T₂, and
+// lets fadedVerdict decide. A settled verdict is parked as certifyTile
+// parks one and sumBracketed reports true; otherwise it parks nothing, and
+// the caller replays v's draws through sumAll.
+//
+//crlint:hotpath
+func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable) bool {
+	pv, alpha := c.pts[v], c.params.Alpha
+	sumLo, sumHi := 0.0, 0.0
+	top, topLo, second, ti := -1.0, -1.0, -1.0, -1
+	for i, nd := range r.nodes {
+		g := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
+		lo, hi := fadeBracket(1 - rng.Float64())
+		lo, hi = g*lo, g*hi
+		sumLo += lo
+		sumHi += hi
+		if hi > top {
+			second, top, topLo, ti = top, hi, lo, i
+		} else if hi > second {
+			second = hi
+		}
+	}
+	decoded, ok := c.params.fadedVerdict(sumLo, sumHi, top, topLo, second)
+	if !ok {
+		return false
+	}
+	s := &c.scratch
+	s.totals[v], s.best[v], s.bestU[v] = 0, -1, -1
+	if decoded {
+		s.totals[v], s.bestU[v] = certifiedReception, r.txList[ti]
+	}
+	return true
+}
+
+// fadedVerdict is the certificate's two tests over a faded listener's
+// bracketed sums (sumBracketed): lo and hi are L and U, top is T, topLo ℓ
+// and second T₂. No reception if T < β·(N + L − T − η); reception from T's
+// sender if ℓ > T₂ and ℓ > β·(N + U − ℓ + η), with η = certEps·(N + U);
+// ℓ > T₂ makes that sender the kernel's one strict maximum. It reports
+// whether T's sender is decoded, with ok false when neither test holds. The
+// tests hold for any brackets around the kernel's computed signals, exact
+// ones included (DESIGN.md §8).
+//
+//crlint:hotpath
+func (p Params) fadedVerdict(lo, hi, top, topLo, second float64) (decoded, ok bool) {
+	switch {
+	case p.certNone(lo, hi, top, 0, 0):
+		return false, true
+	case topLo > second && p.certReceived(hi, 0, topLo):
+		return true, true
+	}
+	return false, false
 }
 
 // certifiedReception is the total certifyTile parks for a certified
@@ -504,6 +587,43 @@ func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver,
 func expFade(rng *xrand.Reseedable) float64 {
 	// Inverse-CDF sampling; 1−U avoids log(0).
 	return -math.Log(1 - rng.Float64())
+}
+
+const (
+	// fadeBits is how many leading mantissa bits of a fade's x pick its
+	// table cell.
+	fadeBits = 10
+	// fadePad widens every bracket past the rounding of its own arithmetic
+	// and the error of math.Log, which are below 2⁻⁴⁵ (DESIGN.md §8).
+	fadePad = 0x1p-40
+)
+
+// lnTab[i] is math.Log(1 + i·2⁻¹⁰), i = 0 … 2¹⁰: the ends of fadeBracket's
+// table cells.
+var lnTab = func() (t [1<<fadeBits + 1]float64) {
+	for i := range t {
+		t[i] = math.Log(1 + float64(i)/(1<<fadeBits))
+	}
+	return t
+}()
+
+// fadeBracket returns lo ≤ −math.Log(x) ≤ hi, for x = 1 − U with U a
+// Float64 draw (so x = j·2⁻⁵³, 1 ≤ j ≤ 2⁵³), without a logarithm: with
+// x = f·2^e and f ∈ [1, 2), −ln x = −e·ln 2 − ln f, and the top fadeBits
+// bits of f's mantissa pick the table cell [lnTab[i], lnTab[i+1]] that
+// holds ln f. Both ends are padded by fadePad, and lo is clamped at 0, the
+// fade of x = 1.
+//
+//crlint:hotpath
+func fadeBracket(x float64) (lo, hi float64) {
+	bits := math.Float64bits(x)
+	e := float64(1023-int(bits>>52)) * math.Ln2
+	i := bits >> (52 - fadeBits) & (1<<fadeBits - 1)
+	lo, hi = e-lnTab[i+1]-fadePad, e-lnTab[i]+fadePad
+	if lo < 0 {
+		lo = 0
+	}
+	return lo, hi
 }
 
 // Receivable returns every transmitter whose unfaded SINR at listener v

@@ -466,7 +466,8 @@ func randomTx(rng *rand.Rand, n int, density float64) []bool {
 
 // TestDeliverZeroAllocsSteadyState: after the first call, sequential
 // Deliver allocates nothing for uniform powers, per-node powers, and faded
-// channels, which deliver sequentially under a parallel option too.
+// channels, which deliver sequentially under a parallel option too and
+// settle most listeners by their bracketed pass.
 func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	// Recording is on by default; assert it so the zero-alloc bound below
 	// covers the metric increments on the hot path, not just the engine.
@@ -496,6 +497,7 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	listeners := []int{0, 3, 4, 40, n - 1}
+	settled0 := mFadedCertified.Load()
 	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/3 workers": fadedPar} {
 		c.Deliver(tx, recv) // warm the scratch buffers
 		if allocs := testing.AllocsPerRun(50, func() { c.Deliver(tx, recv) }); allocs != 0 {
@@ -504,6 +506,9 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { c.DeliverTo(tx, listeners, recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state DeliverTo allocates %.1f times per call, want 0", name, allocs)
 		}
+	}
+	if mFadedCertified.Load() == settled0 {
+		t.Error("the faded rounds settled no listener by brackets; the bound covers only the exact sum")
 	}
 }
 
@@ -588,7 +593,9 @@ func checkListed(t *testing.T, label string, got, want, list []int, untouched in
 // square), a faded channel's DeliverTo over a random listener mask decodes,
 // round after round, what a twin channel's Deliver decodes at every listed
 // listener and leaves every other entry untouched: its jumps keep the fade
-// stream aligned with the twin's.
+// stream aligned with the twin's. Both take the bracketed pass, so every
+// listed listener is also held to an observed twin's Deliver, which sums
+// every listener exactly.
 func FuzzFadedDeliverTo(f *testing.F) {
 	f.Add(uint64(1), uint8(60), uint8(3), uint8(40), uint8(128), uint8(0), []byte{})
 	f.Add(uint64(2), uint8(200), uint8(5), uint8(10), uint8(30), uint8(1), []byte{})
@@ -623,8 +630,13 @@ func FuzzFadedDeliverTo(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		observed, err := NewRayleigh(p, pts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observed.SetObserver(fullSum{})
 		const untouched = -7
-		want, got := make([]int, n), make([]int, n)
+		want, got, exact := make([]int, n), make([]int, n), make([]int, n)
 		for round := 0; round <= int(rounds)%6; round++ {
 			tx := randomTx(rng, n, float64(density)/255)
 			var list []int
@@ -634,11 +646,13 @@ func FuzzFadedDeliverTo(f *testing.F) {
 				}
 			}
 			full.Deliver(tx, want)
+			observed.Deliver(tx, exact)
 			for v := range got {
 				got[v] = untouched
 			}
 			listed.DeliverTo(tx, list, got)
 			checkListed(t, fmt.Sprintf("round %d", round), got, want, list, untouched)
+			checkListed(t, fmt.Sprintf("round %d, against the exact sum", round), got, exact, list, untouched)
 		}
 	})
 }
@@ -647,8 +661,11 @@ func FuzzFadedDeliverTo(f *testing.F) {
 // sinr.deliveries_parallel counts the calls the parallel engine ran — a
 // faded channel at 3 workers runs the sequential one — sinr.listeners sums
 // the listeners each call evaluated, the listed ones on a faded channel
-// too, and sinr.fades_drawn and sinr.fades_skipped split a faded round's
-// stream between the listed listeners and everyone else.
+// too, sinr.fades_drawn and sinr.fades_skipped split a faded round's
+// stream between the listed listeners and everyone else, and every listed
+// listener of a faded round is either settled by brackets
+// (sinr.faded_certified) or replayed (sinr.faded_fallbacks), unless an
+// observer keeps it on the exact sum.
 func TestDeliveryCounters(t *testing.T) {
 	d, p, tx := randomGeometry(t, 41, 24, 0.3)
 	recv := make([]int, 24)
@@ -678,6 +695,11 @@ func TestDeliveryCounters(t *testing.T) {
 	if m == 0 || listening == 0 {
 		t.Fatalf("%d transmitters, %d listening listed nodes: the faded round draws nothing", m, listening)
 	}
+	observed, err := NewRayleigh(p, d.Points, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed.SetObserver(fullSum{})
 	total0, par0, listeners0 := mDeliveries.Load(), mDeliveriesParallel.Load(), mListeners.Load()
 	drawn0, skipped0 := mFadesDrawn.Load(), mFadesSkipped.Load()
 	exact.Deliver(tx, recv)
@@ -699,5 +721,11 @@ func TestDeliveryCounters(t *testing.T) {
 	}
 	if got := mFadesSkipped.Load() - skipped0; got != m*(24-m-listening) {
 		t.Errorf("sinr.fades_skipped delta = %d, want %d", got, m*(24-m-listening))
+	}
+	settled0, replayed0 := mFadedCertified.Load(), mFadedFallbacks.Load()
+	faded.DeliverTo(tx, []int{1, 2, 3}, recv)
+	observed.DeliverTo(tx, []int{1, 2, 3}, recv)
+	if got := mFadedCertified.Load() - settled0 + mFadedFallbacks.Load() - replayed0; got != listening {
+		t.Errorf("sinr.faded_certified + sinr.faded_fallbacks delta = %d, want %d (the unobserved round's listening listed nodes)", got, listening)
 	}
 }
