@@ -19,10 +19,12 @@ import (
 	"testing"
 
 	fadingcr "fadingcr"
+	"fadingcr/internal/baselines"
 	"fadingcr/internal/core"
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/geom"
 	"fadingcr/internal/obs"
+	"fadingcr/internal/radio"
 	"fadingcr/internal/runner"
 	"fadingcr/internal/shard"
 	"fadingcr/internal/sim"
@@ -416,16 +418,60 @@ func BenchmarkLinkClasses(b *testing.B) {
 }
 
 // BenchmarkFixedProbabilityRound measures the per-round protocol overhead
-// (coin flips) without the channel.
+// (coin flips) without the channel: one Act and one Hear of the paper's
+// algorithm's population over 1024 live nodes that receive nothing.
 func BenchmarkFixedProbabilityRound(b *testing.B) {
-	nodes := core.FixedProbability{}.Build(1024, 1)
+	const n = 1024
+	pop := core.FixedProbability{}.Populate(n, 1)
+	live := make([]int, n)
+	tx := make([]bool, n)
+	recv := make([]int, n)
+	for u := range live {
+		live[u] = u
+		recv[u] = -1
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, u := range nodes {
-			if u.Act(i+1) == sim.Transmit {
-				u.Hear(i+1, -1, sim.Unknown)
-			}
+		pop.Act(i+1, live, tx)
+		live = pop.Hear(i+1, live, recv, sim.Unknown)
+	}
+}
+
+// BenchmarkRunMetrics measures the engine's counters on whole runs: the
+// same sim.Run with metrics recording on (the process default) and off, for
+// a builder with a population (the paper's algorithm) and one run through
+// the per-node adapter (E13's interleaving), over a 64-node radio channel.
+// The on-off delta bounds the cost of every sim counter, sim.adapted_runs
+// included, which adds one relaxed atomic add per adapted run.
+// BENCH_obs.json records both sides.
+func BenchmarkRunMetrics(b *testing.B) {
+	const n = 64
+	ch, err := radio.New(n, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, builder := range []struct {
+		name string
+		b    sim.Builder
+	}{
+		{"population", core.FixedProbability{}},
+		{"adapted", core.Interleaved{A: core.FixedProbability{}, B: baselines.ProbabilitySweep{}}},
+	} {
+		for _, mode := range []struct {
+			name    string
+			enabled bool
+		}{{"on", true}, {"off", false}} {
+			b.Run(builder.name+"/metrics="+mode.name, func(b *testing.B) {
+				obs.SetEnabled(mode.enabled)
+				defer obs.SetEnabled(true)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.Run(ch, builder.b, uint64(i), sim.Config{MaxRounds: 400}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -19,13 +19,15 @@
 //
 // All builders implement sim.Builder and run on any sim.Channel; the
 // oblivious ones (sweep, decay, backoff) ignore receptions entirely, exactly
-// as their radio-network originals do.
+// as their radio-network originals do. Each of these five also builds its
+// nodes as one sim.Population, which computes the round's shared
+// probability or backoff window once per round, and its Build returns
+// per-node views over that population.
 package baselines
 
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"fadingcr/internal/sim"
 	"fadingcr/internal/xrand"
@@ -39,32 +41,20 @@ import (
 // Θ(log n) give the Θ(log² n) bound.
 type ProbabilitySweep struct{}
 
-var _ sim.Builder = ProbabilitySweep{}
+var _ sim.PopulationBuilder = ProbabilitySweep{}
 
 // Name implements sim.Builder.
 func (ProbabilitySweep) Name() string { return "probability-sweep" }
 
 // Build implements sim.Builder.
-func (ProbabilitySweep) Build(n int, seed uint64) []sim.Node {
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &sweepNode{rng: xrand.New(xrand.Split(seed, uint64(i)))}
-	}
-	return nodes
+func (b ProbabilitySweep) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(b.Populate(n, seed), n)
 }
 
-type sweepNode struct {
-	rng *rand.Rand
+// Populate implements sim.PopulationBuilder.
+func (ProbabilitySweep) Populate(n int, seed uint64) sim.Population {
+	return &coins{prob: SweepProbability, rng: xrand.Streams(seed, n)}
 }
-
-func (u *sweepNode) Act(round int) sim.Action {
-	if xrand.Bernoulli(u.rng, SweepProbability(round)) {
-		return sim.Transmit
-	}
-	return sim.Listen
-}
-
-func (u *sweepNode) Hear(int, int, sim.Feedback) {}
 
 // SweepProbability returns the broadcast probability ProbabilitySweep uses
 // in the given 1-based round: round r falls in epoch k (the smallest k with
@@ -90,7 +80,7 @@ type Decay struct {
 	N int
 }
 
-var _ sim.Builder = Decay{}
+var _ sim.PopulationBuilder = Decay{}
 
 // Name implements sim.Builder.
 func (d Decay) Name() string { return fmt.Sprintf("decay(N=%d)", d.N) }
@@ -103,32 +93,21 @@ func (d Decay) PhaseLength() int {
 // Build implements sim.Builder. It panics if N < 2 (a static
 // misconfiguration, not a runtime condition).
 func (d Decay) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(d.Populate(n, seed), n)
+}
+
+// Populate implements sim.PopulationBuilder. It panics if N < 2.
+func (d Decay) Populate(n int, seed uint64) sim.Population {
 	if d.N < 2 {
 		panic(fmt.Sprintf("baselines: Decay.N = %d must be ≥ 2", d.N))
 	}
 	phase := d.PhaseLength()
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &decayNode{rng: xrand.New(xrand.Split(seed, uint64(i))), phase: phase}
+	prob := func(round int) float64 {
+		j := (round - 1) % phase // 0-based position in phase
+		return math.Ldexp(1, -j)
 	}
-	return nodes
+	return &coins{prob: prob, rng: xrand.Streams(seed, n)}
 }
-
-type decayNode struct {
-	rng   *rand.Rand
-	phase int
-}
-
-func (u *decayNode) Act(round int) sim.Action {
-	j := (round - 1) % u.phase // 0-based position in phase
-	p := math.Ldexp(1, -j)
-	if xrand.Bernoulli(u.rng, p) {
-		return sim.Transmit
-	}
-	return sim.Listen
-}
-
-func (u *decayNode) Hear(int, int, sim.Feedback) {}
 
 // BinaryExponentialBackoff is the folklore windowed strategy: epoch k
 // (k = 1, 2, …) is a window of 2^k consecutive rounds in which each node
@@ -136,47 +115,73 @@ func (u *decayNode) Hear(int, int, sim.Feedback) {}
 // context; its contention resolution time is super-logarithmic.
 type BinaryExponentialBackoff struct{}
 
-var _ sim.Builder = BinaryExponentialBackoff{}
+var _ sim.PopulationBuilder = BinaryExponentialBackoff{}
 
 // Name implements sim.Builder.
 func (BinaryExponentialBackoff) Name() string { return "binary-exponential-backoff" }
 
 // Build implements sim.Builder.
-func (BinaryExponentialBackoff) Build(n int, seed uint64) []sim.Node {
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &bebNode{rng: xrand.New(xrand.Split(seed, uint64(i)))}
+func (b BinaryExponentialBackoff) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(b.Populate(n, seed), n)
+}
+
+// Populate implements sim.PopulationBuilder.
+func (BinaryExponentialBackoff) Populate(n int, seed uint64) sim.Population {
+	return &backoff{rng: xrand.Streams(seed, n), slots: make([]backoffSlot, n)}
+}
+
+// backoff holds the backoff nodes: node u's private stream and its place in
+// its current window.
+type backoff struct {
+	rng   []xrand.Reseedable
+	slots []backoffSlot
+}
+
+// backoffSlot is one node's window bookkeeping: at is the chosen transmit
+// round within the current window, end the window's last round.
+type backoffSlot struct {
+	at, end int
+}
+
+// backoffWindow returns the window holding round: its first round and its
+// length. Windows are 2, 4, 8, … rounds long, starting at round 1.
+func backoffWindow(round int) (start, length int) {
+	length = 2
+	start = 1
+	for start+length-1 < round {
+		start += length
+		length *= 2
 	}
-	return nodes
+	return start, length
 }
 
-type bebNode struct {
-	rng *rand.Rand
-	// epoch bookkeeping: slot is the chosen transmit position within the
-	// current window, end the last round of the window.
-	slot, end int
-}
-
-func (u *bebNode) Act(round int) sim.Action {
-	if round > u.end {
-		// Entering the next window. Windows are 2, 4, 8, … rounds long,
-		// starting at round 1.
-		length := 2
-		start := 1
-		for start+length-1 < round {
-			start += length
-			length *= 2
+// Act implements sim.Population: entering a window, a node draws its slot
+// uniformly from it; it transmits in that slot alone. All nodes share the
+// round's window.
+//
+//crlint:hotpath
+func (b *backoff) Act(round int, live []int, tx []bool) (count, last int, err error) {
+	start, length := backoffWindow(round)
+	rng, slots := b.rng, b.slots
+	last = -1
+	for _, u := range live {
+		s := &slots[u]
+		if round > s.end {
+			s.end = start + length - 1
+			s.at = start + rng[u].IntN(length)
 		}
-		u.end = start + length - 1
-		u.slot = start + u.rng.IntN(length)
+		t := round == s.at
+		tx[u] = t
+		if t {
+			count++
+			last = u
+		}
 	}
-	if round == u.slot {
-		return sim.Transmit
-	}
-	return sim.Listen
+	return count, last, nil
 }
 
-func (u *bebNode) Hear(int, int, sim.Feedback) {}
+// Hear implements sim.Population: backoff ignores feedback.
+func (b *backoff) Hear(_ int, live []int, _ []int, _ sim.Feedback) []int { return live }
 
 // DampenedSweep reproduces the round-complexity *shape* of Jurdziński &
 // Stachowiak's O(log² n / log log n) fading-channel algorithm [6]. Like the
@@ -197,7 +202,7 @@ type DampenedSweep struct {
 	N int
 }
 
-var _ sim.Builder = DampenedSweep{}
+var _ sim.PopulationBuilder = DampenedSweep{}
 
 // Name implements sim.Builder.
 func (d DampenedSweep) Name() string { return fmt.Sprintf("dampened-sweep(N=%d)", d.N) }
@@ -221,37 +226,23 @@ func (d DampenedSweep) Levels() int {
 
 // Build implements sim.Builder. It panics if N < 4.
 func (d DampenedSweep) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(d.Populate(n, seed), n)
+}
+
+// Populate implements sim.PopulationBuilder. It panics if N < 4.
+func (d DampenedSweep) Populate(n int, seed uint64) sim.Population {
 	if d.N < 4 {
 		panic(fmt.Sprintf("baselines: DampenedSweep.N = %d must be ≥ 4", d.N))
 	}
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &dampenedNode{
-			rng:     xrand.New(xrand.Split(seed, uint64(i))),
-			levels:  d.Levels(),
-			repeats: d.Repeats(),
-		}
+	levels, repeats := d.Levels(), d.Repeats()
+	pass := levels * repeats
+	prob := func(round int) float64 {
+		pos := (round - 1) % pass // position within the pass
+		level := pos/repeats + 1  // probability level 1 … levels
+		return math.Ldexp(1, -level)
 	}
-	return nodes
+	return &coins{prob: prob, rng: xrand.Streams(seed, n)}
 }
-
-type dampenedNode struct {
-	rng             *rand.Rand
-	levels, repeats int
-}
-
-func (u *dampenedNode) Act(round int) sim.Action {
-	pass := u.levels * u.repeats
-	pos := (round - 1) % pass  // position within the pass
-	level := pos/u.repeats + 1 // probability level 1 … levels
-	p := math.Ldexp(1, -level)
-	if xrand.Bernoulli(u.rng, p) {
-		return sim.Transmit
-	}
-	return sim.Listen
-}
-
-func (u *dampenedNode) Hear(int, int, sim.Feedback) {}
 
 // CollisionDetectHalving is leader election on a radio channel with
 // receiver collision detection; run it with sim.Config.CollisionDetection
@@ -264,40 +255,114 @@ func (u *dampenedNode) Hear(int, int, sim.Feedback) {}
 // achieves the same bound with no collision detection at all.
 type CollisionDetectHalving struct{}
 
-var _ sim.Builder = CollisionDetectHalving{}
+var _ sim.PopulationBuilder = CollisionDetectHalving{}
 
 // Name implements sim.Builder.
 func (CollisionDetectHalving) Name() string { return "cd-halving" }
 
 // Build implements sim.Builder.
-func (CollisionDetectHalving) Build(n int, seed uint64) []sim.Node {
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &cdNode{rng: xrand.New(xrand.Split(seed, uint64(i))), candidate: true}
+func (b CollisionDetectHalving) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(b.Populate(n, seed), n)
+}
+
+// Populate implements sim.PopulationBuilder.
+func (CollisionDetectHalving) Populate(n int, seed uint64) sim.Population {
+	h := &halving{rng: xrand.Streams(seed, n), candidate: make([]bool, n), sentLast: make([]bool, n)}
+	for u := range h.candidate {
+		h.candidate[u] = true
 	}
-	return nodes
+	return h
 }
 
-type cdNode struct {
-	rng       *rand.Rand
-	candidate bool
-	sentLast  bool
+// halving holds the cd-halving nodes: node u's private stream, whether it
+// is still a candidate, and whether it transmitted in the last round.
+type halving struct {
+	rng       []xrand.Reseedable
+	candidate []bool
+	sentLast  []bool
 }
 
-func (u *cdNode) Act(round int) sim.Action {
-	u.sentLast = u.candidate && xrand.Bernoulli(u.rng, 0.5)
-	if u.sentLast {
-		return sim.Transmit
+// Act implements sim.Population: a candidate transmits with probability
+// 1/2, drawing one Float64 as xrand.Bernoulli does; a withdrawn node
+// listens and draws nothing. Every node remembers whether it transmitted.
+//
+//crlint:hotpath
+func (h *halving) Act(_ int, live []int, tx []bool) (count, last int, err error) {
+	rng, candidate, sentLast := h.rng, h.candidate, h.sentLast
+	last = -1
+	for _, u := range live {
+		t := candidate[u] && rng[u].Float64() < 0.5
+		sentLast[u] = t
+		tx[u] = t
+		if t {
+			count++
+			last = u
+		}
 	}
-	return sim.Listen
+	return count, last, nil
 }
 
-func (u *cdNode) Hear(round int, from int, detect sim.Feedback) {
-	if u.candidate && !u.sentLast && detect == sim.Collision {
-		u.candidate = false
+// Hear implements sim.Population: a candidate that listened through a
+// collision withdraws. Only a collision changes any node, so other rounds
+// skip the pass. Withdrawn nodes stay live and keep listening, so
+// sim.receptions still counts their receptions.
+//
+//crlint:hotpath
+func (h *halving) Hear(_ int, live []int, _ []int, detect sim.Feedback) []int {
+	if detect == sim.Collision {
+		candidate, sentLast := h.candidate, h.sentLast
+		for _, u := range live {
+			if !sentLast[u] {
+				candidate[u] = false
+			}
+		}
 	}
+	return live
 }
 
-// Candidate reports whether the node is still contending; it implements the
-// same Activeness shape as the core algorithm's nodes for tracing.
-func (u *cdNode) Active() bool { return u.candidate }
+// Active implements sim.ActivePopulation: whether node u is still a
+// candidate. Its views thereby have the same Activeness shape as the core
+// algorithm's nodes for tracing.
+func (h *halving) Active(u int) bool { return h.candidate[u] }
+
+// coins is the population of the oblivious probability schedules: in each
+// round every node transmits with the round's probability prob(round),
+// shared by all nodes, drawn from its private stream. Sweep, decay and the
+// dampened sweep are coins with different schedules.
+type coins struct {
+	prob func(round int) float64
+	rng  []xrand.Reseedable
+}
+
+// Act implements sim.Population. It decides the round as xrand.Bernoulli
+// would for each node: at p ≤ 0 or p ≥ 1 every node listens or every node
+// transmits, without a draw; any other p draws one Float64 per node.
+//
+//crlint:hotpath
+func (c *coins) Act(round int, live []int, tx []bool) (count, last int, err error) {
+	p := c.prob(round)
+	if p <= 0 || p >= 1 {
+		all := p >= 1
+		for _, u := range live {
+			tx[u] = all
+		}
+		if !all || len(live) == 0 {
+			return 0, -1, nil
+		}
+		return len(live), live[len(live)-1], nil
+	}
+	rng := c.rng
+	last = -1
+	for _, u := range live {
+		t := rng[u].Float64() < p
+		tx[u] = t
+		if t {
+			count++
+			last = u
+		}
+	}
+	return count, last, nil
+}
+
+// Hear implements sim.Population: the schedules ignore feedback.
+func (c *coins) Hear(_ int, live []int, _ []int, _ sim.Feedback) []int { return live }

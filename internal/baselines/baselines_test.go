@@ -181,7 +181,7 @@ func TestCollisionDetectHalvingCandidateNeverAllWithdraw(t *testing.T) {
 			candidates := 0
 			for u, node := range nodes {
 				node.Hear(round, recv[u], detect)
-				if node.(*cdNode).candidate {
+				if node.(interface{ Active() bool }).Active() {
 					candidates++
 				}
 			}
@@ -193,12 +193,12 @@ func TestCollisionDetectHalvingCandidateNeverAllWithdraw(t *testing.T) {
 }
 
 func TestCollisionDetectHalvingActive(t *testing.T) {
-	nodes := CollisionDetectHalving{}.Build(1, 1)
-	u := nodes[0].(*cdNode)
+	h := CollisionDetectHalving{}.Populate(1, 1).(*halving)
+	u := sim.Views(h, 1)[0].(interface{ Active() bool })
 	if !u.Active() {
 		t.Error("fresh node not active")
 	}
-	u.candidate = false
+	h.candidate[0] = false
 	if u.Active() {
 		t.Error("withdrawn node still active")
 	}

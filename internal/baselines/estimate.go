@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"fadingcr/internal/sim"
 	"fadingcr/internal/xrand"
@@ -40,12 +39,10 @@ func (CDBinaryEstimate) Name() string { return "cd-binary-estimate" }
 
 // Build implements sim.Builder.
 func (CDBinaryEstimate) Build(n int, seed uint64) []sim.Node {
+	rngs := xrand.Streams(seed, n)
 	nodes := make([]sim.Node, n)
 	for i := range nodes {
-		nodes[i] = &estimateNode{
-			rng:  xrand.New(xrand.Split(seed, uint64(i))),
-			ctrl: newEstimateController(),
-		}
+		nodes[i] = &estimateNode{rng: &rngs[i], ctrl: newEstimateController()}
 	}
 	return nodes
 }
@@ -133,13 +130,15 @@ func (c *estimateController) stepSweep() {
 }
 
 type estimateNode struct {
-	rng  *rand.Rand
+	rng  *xrand.Reseedable
 	ctrl *estimateController
 }
 
+// Act transmits with probability 2^{-j}, deciding as xrand.Bernoulli does:
+// p = 1 (j = 0) and p = 0 (an exponent past the float range) draw nothing.
 func (u *estimateNode) Act(round int) sim.Action {
 	p := math.Ldexp(1, -u.ctrl.exponent())
-	if xrand.Bernoulli(u.rng, p) {
+	if p >= 1 || (p > 0 && u.rng.Float64() < p) {
 		return sim.Transmit
 	}
 	return sim.Listen

@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"fadingcr/internal/sim"
 	"fadingcr/internal/xrand"
@@ -38,7 +37,7 @@ type FixedProbability struct {
 	P float64
 }
 
-var _ sim.Builder = FixedProbability{}
+var _ sim.PopulationBuilder = FixedProbability{}
 
 // Name implements sim.Builder.
 func (f FixedProbability) Name() string {
@@ -52,56 +51,77 @@ func (f FixedProbability) p() float64 {
 	return f.P
 }
 
-// Build implements sim.Builder. It panics if P is outside (0, 1); builders
-// are constructed by experiment code with compile-time constants, so this is
-// a programming error rather than a runtime condition.
+// Build implements sim.Builder: the views of Populate(n, seed). It panics
+// if P is outside (0, 1).
 func (f FixedProbability) Build(n int, seed uint64) []sim.Node {
+	return sim.Views(f.Populate(n, seed), n)
+}
+
+// Populate implements sim.PopulationBuilder. It panics if P is outside
+// (0, 1); builders are constructed by experiment code with compile-time
+// constants, so this is a programming error rather than a runtime
+// condition.
+func (f FixedProbability) Populate(n int, seed uint64) sim.Population {
 	p := f.p()
 	if p <= 0 || p >= 1 {
 		panic(fmt.Sprintf("core: broadcast probability %v outside (0, 1)", p))
 	}
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &fpNode{
-			rng:    xrand.New(xrand.Split(seed, uint64(i))),
-			p:      p,
-			active: true,
+	pop := &fixedPopulation{p: p, rng: xrand.Streams(seed, n), active: make([]bool, n)}
+	for u := range pop.active {
+		pop.active[u] = true
+	}
+	return pop
+}
+
+// fixedPopulation holds the algorithm's nodes: node u is an "active" bit
+// and a private random stream seeded xrand.Split(seed, u).
+type fixedPopulation struct {
+	p      float64
+	rng    []xrand.Reseedable
+	active []bool
+}
+
+// Act implements sim.Population: an active node transmits with probability
+// p, drawing one Float64 as xrand.Bernoulli does for p in (0, 1); a
+// knocked-out one listens and draws nothing.
+//
+//crlint:hotpath
+func (pop *fixedPopulation) Act(_ int, live []int, tx []bool) (count, last int, err error) {
+	rng, active, p := pop.rng, pop.active, pop.p
+	last = -1
+	for _, u := range live {
+		t := active[u] && rng[u].Float64() < p
+		tx[u] = t
+		if t {
+			count++
+			last = u
 		}
 	}
-	return nodes
+	return count, last, nil
 }
 
-// fpNode is the per-node state machine: a single "active" bit plus a private
-// random stream.
-type fpNode struct {
-	rng    *rand.Rand
-	p      float64
-	active bool
-}
-
-// Act implements sim.Node: an active node transmits with probability p.
-func (u *fpNode) Act(round int) sim.Action {
-	if u.active && xrand.Bernoulli(u.rng, u.p) {
-		return sim.Transmit
+// Hear implements sim.Population: receiving any message knocks the node
+// out, and it retires, since it never transmits again, ignores Hear and
+// draws no randomness.
+//
+//crlint:hotpath
+func (pop *fixedPopulation) Hear(_ int, live []int, recv []int, _ sim.Feedback) []int {
+	active := pop.active
+	k := 0
+	for _, u := range live {
+		if recv[u] >= 0 {
+			active[u] = false
+			continue
+		}
+		live[k] = u
+		k++
 	}
-	return sim.Listen
+	return live[:k]
 }
 
-// Hear implements sim.Node: receiving any message knocks the node out.
-func (u *fpNode) Hear(round int, from int, detect sim.Feedback) {
-	if from >= 0 {
-		u.active = false
-	}
-}
-
-// Retired implements sim.Retirer: a knocked-out node never transmits
-// again, ignores Hear, and draws no randomness (Act tests the active bit
-// first).
-func (u *fpNode) Retired() bool { return !u.active }
-
-// Active reports whether the node is still contending. It implements the
-// Activeness interface used by tracers.
-func (u *fpNode) Active() bool { return u.active }
+// Active implements sim.ActivePopulation: whether node u is still
+// contending. Its views thereby implement Activeness.
+func (pop *fixedPopulation) Active(u int) bool { return pop.active[u] }
 
 // Activeness is implemented by nodes that expose whether they are still
 // contending; the analysis tracer uses it to reconstruct the active set.

@@ -47,7 +47,10 @@ func TestFixedProbabilityBuildPanicsOnBadP(t *testing.T) {
 
 func TestFixedProbabilityNodeKnockout(t *testing.T) {
 	nodes := FixedProbability{P: 0.5}.Build(1, 7)
-	u := nodes[0].(*fpNode)
+	u := nodes[0].(interface {
+		sim.Node
+		Activeness
+	})
 	if !u.Active() {
 		t.Fatal("node starts inactive")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"fadingcr/internal/geom"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/xrand"
 )
 
 func TestStaggeredStartName(t *testing.T) {
@@ -52,9 +53,10 @@ func TestStaggeredStartZeroDelayMatchesInner(t *testing.T) {
 }
 
 func TestStaggeredNodeSleepsAndWakes(t *testing.T) {
-	u := &staggeredNode{inner: &fpNode{rng: nil, p: 1, active: true}, wake: 4}
-	// The inner node with p=1 would transmit every round; asleep it listens.
-	// (p=1 bypasses the rng path in Bernoulli, so the nil rng is safe.)
+	inner := sim.Views(&fixedPopulation{p: 1, rng: make([]xrand.Reseedable, 1), active: []bool{true}}, 1)[0]
+	u := &staggeredNode{inner: inner, wake: 4}
+	// The inner node with p=1 would transmit every round (every Float64 is
+	// below 1); asleep it listens.
 	for round := 1; round < 4; round++ {
 		if u.Act(round) != sim.Listen {
 			t.Fatalf("round %d: sleeping node acted", round)

@@ -157,28 +157,38 @@ func (p *FixedDensityPlayer) Reject(round int) {}
 // execution in which no message has yet been delivered, so a winning
 // proposal corresponds to the algorithm breaking two-player symmetry.
 type SimulationPlayer struct {
-	nodes []sim.Node
+	pop  sim.Population
+	live []int
+	tx   []bool
+	recv []int // every entry −1: the simulated nodes receive nothing
 }
 
 // NewSimulationPlayer builds the reduction player for algorithm b on k
-// virtual nodes.
+// virtual nodes. It steps b's population (sim.Populate) a round at a time.
 func NewSimulationPlayer(b sim.Builder, k int, seed uint64) (*SimulationPlayer, error) {
 	if k < 2 {
 		return nil, errors.New("hitting: k must be ≥ 2")
 	}
-	nodes := b.Build(k, seed)
-	if len(nodes) != k {
-		return nil, fmt.Errorf("hitting: builder %q returned %d nodes for k=%d", b.Name(), len(nodes), k)
+	pop, err := sim.Populate(b, k, seed)
+	if err != nil {
+		return nil, fmt.Errorf("hitting: %w", err)
 	}
-	return &SimulationPlayer{nodes: nodes}, nil
+	p := &SimulationPlayer{pop: pop, live: make([]int, k), tx: make([]bool, k), recv: make([]int, k)}
+	for u := range p.live {
+		p.live[u] = u
+		p.recv[u] = -1
+	}
+	return p, nil
 }
 
 // Propose implements Player: the ids (1-based) of the virtual broadcasters.
+// A node's invalid action counts as listening.
 func (p *SimulationPlayer) Propose(round int) []int {
+	p.pop.Act(round, p.live, p.tx)
 	var out []int
-	for i, node := range p.nodes {
-		if node.Act(round) == sim.Transmit {
-			out = append(out, i+1)
+	for _, u := range p.live {
+		if p.tx[u] {
+			out = append(out, u+1)
 		}
 	}
 	return out
@@ -186,7 +196,5 @@ func (p *SimulationPlayer) Propose(round int) []int {
 
 // Reject implements Player: every virtual node receives nothing.
 func (p *SimulationPlayer) Reject(round int) {
-	for _, node := range p.nodes {
-		node.Hear(round, -1, sim.Unknown)
-	}
+	p.live = p.pop.Hear(round, p.live, p.recv, sim.Unknown)
 }

@@ -153,10 +153,10 @@ func TestLiveListenersMatchFullDelivery(t *testing.T) {
 	}
 }
 
-// TestNonRetiringBuildersKeepEveryListener: only nodes that implement
-// sim.Retirer leave the live list. Wrappers that keep forwarding to their
-// inner nodes and the classical baselines never retire, so every round
-// reaches all n listeners.
+// TestNonRetiringBuildersKeepEveryListener: only the paper's algorithm's
+// population retires nodes from the live list. Wrappers, which run through
+// the per-node adapter, and the classical baselines' populations never
+// retire, so every round reaches all n listeners.
 func TestNonRetiringBuildersKeepEveryListener(t *testing.T) {
 	const n = 48
 	d, err := geom.UniformDisk(3, n)

@@ -31,8 +31,8 @@ type Channel interface {
 
 // ListenerChannel is an optional extension of Channel for channels that can
 // compute receptions at a subset of the listeners. Run hands it the live
-// nodes (see Retirer) whenever no Tracer is installed, so a round costs work
-// in proportion to the nodes still contending rather than to n.
+// nodes (see Population) whenever no Tracer is installed, so a round costs
+// work in proportion to the nodes still contending rather than to n.
 type ListenerChannel interface {
 	Channel
 	// DeliverTo is Deliver restricted to listeners, an ascending list of
@@ -82,17 +82,6 @@ type Node interface {
 	Hear(round int, from int, detect Feedback)
 }
 
-// Retirer is an optional extension of Node. Once Retired reports true it
-// must keep doing so, and the node must be permanently silent and deaf: Act
-// would return Listen and neither Act nor Hear would draw randomness or
-// change its state. Run then stops calling the node and stops computing its
-// receptions (unless a Tracer is installed), so retiring never changes a
-// Result. A node that wraps another and keeps forwarding Hear to it must
-// not implement Retirer.
-type Retirer interface {
-	Retired() bool
-}
-
 // Builder constructs the per-node state machines for a run. Build must
 // return exactly n nodes, deterministically in (n, seed).
 type Builder interface {
@@ -101,6 +90,130 @@ type Builder interface {
 	// Build returns the protocol's n per-node state machines.
 	Build(n int, seed uint64) []Node
 }
+
+// Population is a protocol's n nodes held as one value, driven one round
+// at a time over the live nodes: the ascending list of nodes that have not
+// retired. A retired node is permanently silent and deaf — it would listen
+// in every round and draw no randomness — so Run stops calling it and
+// stops computing its receptions (unless a Tracer is installed), and
+// retiring never changes a Result. Each node's behaviour must not depend
+// on which other nodes are live: Views runs a population one node at a
+// time.
+type Population interface {
+	// Act sets tx[u] to whether node u transmits in round (1-based) for
+	// every live u, and returns the number of transmitters and the last of
+	// them in live order (−1 when none). It fails only on an action that
+	// is neither Listen nor Transmit.
+	Act(round int, live []int, tx []bool) (count, last int, err error)
+	// Hear reports the round's outcome to every live node u — the sender
+	// recv[u] of the message it decoded or −1, and detect — and returns
+	// live with the nodes that retired in it removed, in place and in
+	// order. A node may retire only in a round in which it listened.
+	Hear(round int, live []int, recv []int, detect Feedback) []int
+}
+
+// ActivePopulation is an optional extension of Population for protocols
+// whose nodes can stop contending: Active(u) reports whether node u still
+// does, and the population's views report it through an Active method.
+type ActivePopulation interface {
+	Population
+	Active(u int) bool
+}
+
+// PopulationBuilder is a Builder that also builds its nodes as one
+// Population. Build(n, seed) must return Views(Populate(n, seed), n), and
+// Populate must panic exactly where Build would; Run drives builders that
+// implement it through their population.
+type PopulationBuilder interface {
+	Builder
+	Populate(n int, seed uint64) Population
+}
+
+// Populate returns the population of n nodes that Run drives for b: b's
+// own when b is a PopulationBuilder, otherwise an adapter that steps the
+// nodes of b.Build(n, seed) one by one and never retires any. It fails
+// only when Build returns other than n nodes.
+func Populate(b Builder, n int, seed uint64) (Population, error) {
+	if pb, ok := b.(PopulationBuilder); ok {
+		return pb.Populate(n, seed), nil
+	}
+	nodes := b.Build(n, seed)
+	if len(nodes) != n {
+		return nil, fmt.Errorf("sim: builder %q returned %d nodes for n=%d", b.Name(), len(nodes), n)
+	}
+	return nodeLoop(nodes), nil
+}
+
+// Views returns population p's n nodes as per-node views: view u's Act and
+// Hear run p's own Act and Hear over the live list {u}, so a node stepped
+// alone and a node stepped with the others share one implementation. When
+// p is an ActivePopulation, every view also has an Active() bool method.
+// A view whose population fails to act returns the invalid Action 0. The
+// views share scratch vectors, so they must be stepped from one goroutine.
+// The views of Populate's adapter are the builder's nodes themselves.
+func Views(p Population, n int) []Node {
+	if nodes, ok := p.(nodeLoop); ok {
+		return nodes
+	}
+	s := &viewScratch{pop: p, tx: make([]bool, n), recv: make([]int, n)}
+	nodes := make([]Node, n)
+	if ap, ok := p.(ActivePopulation); ok {
+		s.ap = ap
+		views := make([]activeView, n)
+		for u := range views {
+			views[u] = activeView{view{s: s, live: [1]int{u}}}
+			nodes[u] = &views[u]
+		}
+		return nodes
+	}
+	views := make([]view, n)
+	for u := range views {
+		views[u] = view{s: s, live: [1]int{u}}
+		nodes[u] = &views[u]
+	}
+	return nodes
+}
+
+// viewScratch is what the views of one population share; ap is the
+// population when it is an ActivePopulation.
+type viewScratch struct {
+	pop  Population
+	ap   ActivePopulation
+	tx   []bool
+	recv []int
+}
+
+// view is node live[0] of a population as a Node. Its one-node live list
+// is kept in the view, so passing it to the population allocates nothing;
+// the population's Hear can only keep or drop that one node, so live[0]
+// never changes.
+type view struct {
+	s    *viewScratch
+	live [1]int
+}
+
+// Act implements Node.
+func (v *view) Act(round int) Action {
+	if _, _, err := v.s.pop.Act(round, v.live[:], v.s.tx); err != nil {
+		return 0
+	}
+	if v.s.tx[v.live[0]] {
+		return Transmit
+	}
+	return Listen
+}
+
+// Hear implements Node.
+func (v *view) Hear(round int, from int, detect Feedback) {
+	v.s.recv[v.live[0]] = from
+	v.s.pop.Hear(round, v.live[:], v.s.recv, detect)
+}
+
+// activeView is a view of an ActivePopulation.
+type activeView struct{ view }
+
+// Active reports whether the node still contends.
+func (v *activeView) Active() bool { return v.s.ap.Active(v.live[0]) }
 
 // Tracer observes each executed round. The slices passed to OnRound are
 // reused between rounds; implementations must copy anything they retain.
@@ -149,6 +262,8 @@ type Config struct {
 
 // Run executes the protocol built by b over the channel until a solo
 // broadcast or the round budget. The seed drives all protocol randomness.
+// A PopulationBuilder runs as its population; any other builder's nodes
+// run one by one through an adapter, which counts as sim.adapted_runs.
 func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 	if ch == nil || b == nil {
 		return Result{}, errors.New("sim: nil channel or builder")
@@ -157,21 +272,17 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: MaxRounds %d must be ≥ 1", cfg.MaxRounds)
 	}
 	n := ch.N()
-	nodes := b.Build(n, seed)
-	if len(nodes) != n {
-		return Result{}, fmt.Errorf("sim: builder %q returned %d nodes for n=%d", b.Name(), len(nodes), n)
+	pop, err := Populate(b, n, seed)
+	if err != nil {
+		return Result{}, err
 	}
-	// retirers[u] is node u's Retirer, nil where it has none; the slice
-	// itself is nil when no node does. A node's dynamic type never changes,
-	// so one assertion per node serves every round.
-	var retirers []Retirer
-	for u, node := range nodes {
-		if r, ok := node.(Retirer); ok {
-			if retirers == nil {
-				retirers = make([]Retirer, n)
-			}
-			retirers[u] = r
-		}
+	if _, ok := pop.(nodeLoop); ok {
+		mAdaptedRuns.Inc()
+	}
+	// nodes are what a Tracer sees, built only when one needs them.
+	var nodes []Node
+	if cfg.Tracer != nil {
+		nodes = Views(pop, n)
 	}
 	tx := make([]bool, n)
 	recv := make([]int, n)
@@ -195,18 +306,9 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		mTransmissions.Add(transmissions)
 	}()
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		count, solo := 0, -1
-		for _, u := range live {
-			switch a := nodes[u].Act(round); a {
-			case Transmit:
-				tx[u] = true
-				count++
-				solo = u
-			case Listen:
-				tx[u] = false
-			default:
-				return Result{}, fmt.Errorf("sim: node %d returned invalid action %d", u, a)
-			}
+		count, solo, err := pop.Act(round, live, tx)
+		if err != nil {
+			return Result{}, err
 		}
 		transmissions += int64(count)
 		if lc != nil {
@@ -243,22 +345,46 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		// distinguish the final round locally, and with CollisionDetection on
 		// a listener's only way to ever observe Message is the solo round
 		// itself.
-		k := 0
-		for _, u := range live {
-			nodes[u].Hear(round, recv[u], detect)
-			if retirers != nil && retirers[u] != nil && retirers[u].Retired() {
-				tx[u] = false
-				continue
-			}
-			live[k] = u
-			k++
-		}
-		live = live[:k]
+		live = pop.Hear(round, live, recv, detect)
 		if count == 1 {
 			return finish(cfg, Result{Solved: true, Rounds: round, Winner: solo, Transmissions: transmissions}), nil
 		}
 	}
 	return finish(cfg, Result{Solved: false, Rounds: cfg.MaxRounds, Winner: -1, Transmissions: transmissions}), nil
+}
+
+// nodeLoop is the adapter that runs a builder without a population: its
+// nodes, called one by one. None of them retires.
+type nodeLoop []Node
+
+// Act implements Population. A node's invalid action counts as listening,
+// and every live node still acts; the first one is reported as the error.
+func (p nodeLoop) Act(round int, live []int, tx []bool) (count, last int, err error) {
+	last = -1
+	for _, u := range live {
+		switch a := p[u].Act(round); a {
+		case Transmit:
+			tx[u] = true
+			count++
+			last = u
+		case Listen:
+			tx[u] = false
+		default:
+			tx[u] = false
+			if err == nil {
+				err = fmt.Errorf("sim: node %d returned invalid action %d", u, a)
+			}
+		}
+	}
+	return count, last, err
+}
+
+// Hear implements Population.
+func (p nodeLoop) Hear(round int, live []int, recv []int, detect Feedback) []int {
+	for _, u := range live {
+		p[u].Hear(round, recv[u], detect)
+	}
+	return live
 }
 
 // finish hands the final result to a ResultTracer before Run returns it.

@@ -192,9 +192,10 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 // summed blk's block, in round r. It returns the transmitter the listener
 // decodes (−1 for none) with ok true when a test holds, or ok false when it
 // needs the full sum: no test held before every transmitter was seen, the
-// walk spent a quarter of the full sum's work (one unit per transmitter
-// seen, per bucket range read and per far ring bounded), or a signal was
-// not finite (coincident points). walked reports whether the listener
+// walk spent as much work as the full sum's |tx| terms (one unit per
+// transmitter seen, per bucket range read and per far ring bounded), so
+// that a listener that falls back pays at most twice the full sum, or a
+// signal was not finite (coincident points). walked reports whether the listener
 // went past its cell's block. S is summed in block and ring order, not in
 // the kernel's ascending order; η absorbs the difference.
 //
@@ -202,7 +203,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 func (c *Channel) certify(w *certWalk, r deliverRound, blk *certBlock) (u int, ok, walked bool) {
 	g := r.cert
 	total := len(r.txList)
-	budget := total / 4
+	budget := total
 	for ring := 2; ; ring++ {
 		if !(w.sum <= math.MaxFloat64) {
 			return -1, false, walked // an infinite signal: coincident or near-coincident points

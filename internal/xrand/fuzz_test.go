@@ -49,7 +49,9 @@ func FuzzSplit(f *testing.F) {
 
 // FuzzReseedable fuzzes the jumpable stream: a Reseedable yields
 // rand.New(rand.NewPCG(s, mix(s)))'s stream draw for draw, through any
-// interleaving of Uint64 and Float64; Advance(k) lands where k Uint64 calls
+// interleaving of Uint64, Float64 and IntN (with bounds taken from a and
+// b, so powers of two, their neighbours and bounds near 2⁶³ all occur);
+// Advance(k) lands where k Uint64 calls
 // land, for every k ≤ 4096; and Advance(a) then Advance(b) lands where
 // Advance(a+b) lands for arbitrary 64-bit a and b — where a+b wraps, after
 // two further jumps of 2⁶³ that restore the lost 2⁶⁴.
@@ -61,14 +63,26 @@ func FuzzReseedable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, pattern, a, b uint64) {
 		want := rand.New(rand.NewPCG(seed, mix(seed)))
 		r := NewReseedable(seed)
-		for i := 0; i < 128; i++ {
-			if pattern>>(i%64)&1 == 0 {
+		bounds := [...]uint64{a >> 1, b >> 1, a >> (1 + b%63), 1 + b%1024, 1 << (a % 63), 1<<(a%63) + 1}
+		for i := 0; i < 192; i++ {
+			switch {
+			case i%3 == 2:
+				n := int(max(bounds[i/3%len(bounds)], 1))
+				if got, w := r.IntN(n), want.IntN(n); got != w {
+					t.Fatalf("seed %#x draw %d: IntN(%d) %d, rand.PCG %d", seed, i, n, got, w)
+				}
+			case pattern>>(i%64)&1 == 0:
 				if got, w := r.Uint64(), want.Uint64(); got != w {
 					t.Fatalf("seed %#x draw %d: Uint64 %#x, rand.PCG %#x", seed, i, got, w)
 				}
-			} else if got, w := r.Float64(), want.Float64(); got != w {
-				t.Fatalf("seed %#x draw %d: Float64 %v, rand.PCG %v", seed, i, got, w)
+			default:
+				if got, w := r.Float64(), want.Float64(); got != w {
+					t.Fatalf("seed %#x draw %d: Float64 %v, rand.PCG %v", seed, i, got, w)
+				}
 			}
+		}
+		if got, w := r.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("seed %#x: the streams end at different positions", seed)
 		}
 
 		stepped := NewReseedable(seed)

@@ -36,6 +36,16 @@ func SplitN(seed uint64, n int) []uint64 {
 	return out
 }
 
+// Streams returns n generators by value, stream i seeded Split(seed, i):
+// draw for draw the streams of New(Split(seed, i)), in one allocation.
+func Streams(seed uint64, n int) []Reseedable {
+	out := make([]Reseedable, n)
+	for i := range out {
+		out[i].Reseed(Split(seed, uint64(i)))
+	}
+	return out
+}
+
 // mix is the SplitMix64 finaliser, a fast full-avalanche 64-bit mixer.
 func mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -71,9 +81,9 @@ func Perm(rng *rand.Rand, n int) []int {
 
 // A Reseedable is a deterministic generator whose stream can be reset in
 // place and jumped ahead: after Reseed(s) it yields exactly the stream
-// New(s) yields, draw for draw, in Uint64 and Float64. Hot paths that
-// previously built one generator per call (per round, per trial) keep a
-// single Reseedable instead, avoiding the per-call allocations.
+// New(s) yields, draw for draw, in Uint64, Float64 and IntN. Hot paths that
+// previously built one generator per call (per round, per trial, per node)
+// keep a Reseedable by value instead, avoiding the per-call allocations.
 //
 // It is math/rand/v2's PCG written out as a concrete type: a 128-bit linear
 // congruential state with the DXSM output function. Being concrete, its
@@ -124,6 +134,29 @@ func (r *Reseedable) Uint64() uint64 {
 // as rand.Rand.Float64 derives it from the next Uint64.
 func (r *Reseedable) Float64() float64 {
 	return float64(r.Uint64()<<11>>11) / (1 << 53)
+}
+
+// IntN returns a value in [0, n) from the stream, exactly as rand.Rand.IntN
+// derives it: a power-of-two n masks one Uint64; any other n takes the high
+// word of Uint64·n (Lemire's multiply), drawing again while the low word
+// falls below 2⁶⁴ mod n, so that every value is equally likely. It panics
+// if n ≤ 0.
+func (r *Reseedable) IntN(n int) int {
+	if n <= 0 {
+		panic("xrand: invalid argument to IntN")
+	}
+	m := uint64(n)
+	if m&(m-1) == 0 {
+		return int(r.Uint64() & (m - 1))
+	}
+	hi, lo := bits.Mul64(r.Uint64(), m)
+	if lo < m {
+		thresh := -m % m
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), m)
+		}
+	}
+	return int(hi)
 }
 
 // Advance skips the stream's next k values, as k calls of Uint64 would,

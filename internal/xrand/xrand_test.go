@@ -1,6 +1,8 @@
 package xrand
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +147,77 @@ func TestPermShuffles(t *testing.T) {
 	}
 	if identity {
 		t.Error("Perm returned the identity permutation")
+	}
+}
+
+// intNBounds are the bounds TestReseedableMatchesNew draws IntN with: 1, 2
+// and 3, every power of two 2ᵏ up to 2⁶² with its neighbours 2ᵏ ± 1, and
+// values near 2⁶³, where Lemire's rejection loop rejects about half its
+// draws.
+func intNBounds() []int {
+	b := []int{1, 2, 3}
+	for k := 2; k <= 62; k++ {
+		b = append(b, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	const top = 1<<63 - 1
+	return append(b, top, top-1, top-2, top/3*2, 1<<62+1<<61+1, 5e18, 9e18)
+}
+
+// TestReseedableMatchesNew: Uint64, Float64 and IntN drawn from a
+// Reseedable equal those drawn from xrand.New on the same seed, and leave
+// the stream at the same position: the same LCG state as a twin rand.PCG,
+// and the same draws after.
+func TestReseedableMatchesNew(t *testing.T) {
+	bounds := intNBounds()
+	for _, seed := range []uint64{0, 1, 7, 0xdeadbeef, 1 << 63, ^uint64(0)} {
+		want := New(seed)
+		pcg := rand.NewPCG(seed, mix(seed))
+		twin := rand.New(pcg)
+		r := NewReseedable(seed)
+		for round := 0; round < 3; round++ {
+			for i, n := range bounds {
+				if got, w := r.IntN(n), want.IntN(n); got != w {
+					t.Fatalf("seed %#x IntN(%d): %d, rand.Rand %d", seed, n, got, w)
+				}
+				twin.IntN(n)
+				switch i % 3 {
+				case 0:
+					if got, w := r.Uint64(), want.Uint64(); got != w {
+						t.Fatalf("seed %#x after IntN(%d): Uint64 %#x, rand.Rand %#x", seed, n, got, w)
+					}
+					twin.Uint64()
+				case 1:
+					if got, w := r.Float64(), want.Float64(); got != w {
+						t.Fatalf("seed %#x after IntN(%d): Float64 %v, rand.Rand %v", seed, n, got, w)
+					}
+					twin.Float64()
+				}
+			}
+			state, err := pcg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hi, lo := binary.BigEndian.Uint64(state[4:]), binary.BigEndian.Uint64(state[12:]); hi != r.hi || lo != r.lo {
+				t.Fatalf("seed %#x pass %d: state (%#x, %#x), rand.PCG (%#x, %#x)", seed, round, r.hi, r.lo, hi, lo)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %#x: draw %d after the IntN sequence %#x, rand.Rand %#x", seed, k, got, w)
+			}
+		}
+	}
+}
+
+func TestReseedableIntNPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1, -1 << 63} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("IntN(%d) did not panic", n)
+				}
+			}()
+			NewReseedable(1).IntN(n)
+		}()
 	}
 }
