@@ -440,11 +440,9 @@ func BenchmarkFixedProbabilityRound(b *testing.B) {
 
 // BenchmarkRunMetrics measures the engine's counters on whole runs: the
 // same sim.Run with metrics recording on (the process default) and off, for
-// a builder with a population (the paper's algorithm) and one run through
-// the per-node adapter (E13's interleaving), over a 64-node radio channel.
-// The on-off delta bounds the cost of every sim counter, sim.adapted_runs
-// included, which adds one relaxed atomic add per adapted run.
-// BENCH_obs.json records both sides.
+// the paper's algorithm and for a wrapper population driving two inner ones
+// (E13's interleaving), over a 64-node radio channel. The on-off delta
+// bounds the cost of every sim counter. BENCH_obs.json records both sides.
 func BenchmarkRunMetrics(b *testing.B) {
 	const n = 64
 	ch, err := radio.New(n, false)
@@ -456,7 +454,7 @@ func BenchmarkRunMetrics(b *testing.B) {
 		b    sim.Builder
 	}{
 		{"population", core.FixedProbability{}},
-		{"adapted", core.Interleaved{A: core.FixedProbability{}, B: baselines.ProbabilitySweep{}}},
+		{"wrapped", core.Interleaved{A: core.FixedProbability{}, B: baselines.ProbabilitySweep{}}},
 	} {
 		for _, mode := range []struct {
 			name    string

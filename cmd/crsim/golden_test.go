@@ -8,7 +8,10 @@ import (
 
 // TestTraceOutputGoldens pins crsim's output byte for byte: the -trace
 // lines, the -plot sparklines and the -csv file, for a SINR run whose nodes
-// report activity and a radio run whose nodes do not; and the stdout of
+// report activity and a radio run whose nodes do not; the traces of the
+// staggered, interleaved and knock-out wrappers, whose active= column is
+// each wrapper's own account of its nodes; the stdout of untraced
+// estimation runs on radio with collision detection; and the stdout of
 // untraced Rayleigh runs, one trial and five, in which sim.Run hands the
 // faded channel's DeliverTo only the live listeners, and three-trial
 // Rayleigh runs at β = 0.5, where several transmitters can clear β and the
@@ -28,6 +31,10 @@ func TestTraceOutputGoldens(t *testing.T) {
 	}{
 		{"trace-plot-csv", []string{"-n", "64", "-seed", "7", "-trace", "-plot", "-csv", "trace.csv"}, true},
 		{"radio-trace", []string{"-n", "32", "-seed", "7", "-channel", "radio", "-algo", "sweep", "-trace", "-csv", "trace.csv"}, true},
+		{"staggered-trace", []string{"-n", "64", "-seed", "7", "-algo", "staggered", "-trace", "-csv", "trace.csv"}, true},
+		{"interleaved-trace", []string{"-n", "64", "-seed", "7", "-algo", "interleaved", "-trace", "-csv", "trace.csv"}, true},
+		{"knockout-sweep-trace", []string{"-n", "64", "-seed", "7", "-algo", "knockout-sweep", "-trace", "-csv", "trace.csv"}, true},
+		{"estimate-radio-cd", []string{"-algo", "estimate", "-channel", "radio-cd", "-trials", "5"}, false},
 		{"rayleigh", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh"}, false},
 		{"rayleigh-trials", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-trials", "5"}, false},
 		{"rayleigh-beta-half", []string{"-n", "2048", "-seed", "3", "-channel", "rayleigh", "-beta", "0.5", "-trials", "3"}, false},

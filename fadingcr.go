@@ -34,16 +34,17 @@ type (
 
 	// Channel is one-round message delivery (SINR, Rayleigh, or radio).
 	Channel = sim.Channel
-	// Builder constructs a protocol's per-node state machines.
+	// Builder constructs a protocol's n nodes as one population.
 	Builder = sim.Builder
-	// Node is a per-node protocol state machine.
+	// Node is what a Tracer sees of one node: it has an Active method
+	// when the protocol reports which nodes still contend.
 	Node = sim.Node
 	// Config controls an execution (round budget, collision detection,
 	// tracing).
 	Config = sim.Config
 	// Result summarises an execution.
 	Result = sim.Result
-	// Tracer observes every executed round.
+	// Tracer observes every executed round, with every node's reception.
 	Tracer = sim.Tracer
 
 	// FixedProbability is the paper's algorithm (Section 1).

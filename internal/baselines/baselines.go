@@ -17,12 +17,12 @@
 //     with receiver collision detection: Θ(log n) rounds w.h.p., the bound
 //     the fading channel matches without any collision detection.
 //
-// All builders implement sim.Builder and run on any sim.Channel; the
-// oblivious ones (sweep, decay, backoff) ignore receptions entirely, exactly
-// as their radio-network originals do. Each of these five also builds its
-// nodes as one sim.Population, which computes the round's shared
-// probability or backoff window once per round, and its Build returns
-// per-node views over that population.
+// With CDBinaryEstimate (estimate.go), all builders implement sim.Builder
+// and run on any sim.Channel; the oblivious ones (sweep, decay, backoff)
+// ignore receptions entirely, exactly as their radio-network originals do.
+// Each builds its nodes as one sim.Population, with per-node state in
+// slices; the five above compute the round's shared probability or backoff
+// window once per round.
 package baselines
 
 import (
@@ -41,17 +41,12 @@ import (
 // Θ(log n) give the Θ(log² n) bound.
 type ProbabilitySweep struct{}
 
-var _ sim.PopulationBuilder = ProbabilitySweep{}
+var _ sim.Builder = ProbabilitySweep{}
 
 // Name implements sim.Builder.
 func (ProbabilitySweep) Name() string { return "probability-sweep" }
 
-// Build implements sim.Builder.
-func (b ProbabilitySweep) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(b.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder.
+// Populate implements sim.Builder.
 func (ProbabilitySweep) Populate(n int, seed uint64) sim.Population {
 	return &coins{prob: SweepProbability, rng: xrand.Streams(seed, n)}
 }
@@ -80,7 +75,7 @@ type Decay struct {
 	N int
 }
 
-var _ sim.PopulationBuilder = Decay{}
+var _ sim.Builder = Decay{}
 
 // Name implements sim.Builder.
 func (d Decay) Name() string { return fmt.Sprintf("decay(N=%d)", d.N) }
@@ -90,13 +85,7 @@ func (d Decay) PhaseLength() int {
 	return int(math.Ceil(math.Log2(float64(d.N)))) + 1
 }
 
-// Build implements sim.Builder. It panics if N < 2 (a static
-// misconfiguration, not a runtime condition).
-func (d Decay) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(d.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder. It panics if N < 2.
+// Populate implements sim.Builder. It panics if N < 2.
 func (d Decay) Populate(n int, seed uint64) sim.Population {
 	if d.N < 2 {
 		panic(fmt.Sprintf("baselines: Decay.N = %d must be ≥ 2", d.N))
@@ -115,17 +104,12 @@ func (d Decay) Populate(n int, seed uint64) sim.Population {
 // context; its contention resolution time is super-logarithmic.
 type BinaryExponentialBackoff struct{}
 
-var _ sim.PopulationBuilder = BinaryExponentialBackoff{}
+var _ sim.Builder = BinaryExponentialBackoff{}
 
 // Name implements sim.Builder.
 func (BinaryExponentialBackoff) Name() string { return "binary-exponential-backoff" }
 
-// Build implements sim.Builder.
-func (b BinaryExponentialBackoff) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(b.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder.
+// Populate implements sim.Builder.
 func (BinaryExponentialBackoff) Populate(n int, seed uint64) sim.Population {
 	return &backoff{rng: xrand.Streams(seed, n), slots: make([]backoffSlot, n)}
 }
@@ -160,7 +144,7 @@ func backoffWindow(round int) (start, length int) {
 // round's window.
 //
 //crlint:hotpath
-func (b *backoff) Act(round int, live []int, tx []bool) (count, last int, err error) {
+func (b *backoff) Act(round int, live []int, tx []bool) (count, last int) {
 	start, length := backoffWindow(round)
 	rng, slots := b.rng, b.slots
 	last = -1
@@ -177,7 +161,7 @@ func (b *backoff) Act(round int, live []int, tx []bool) (count, last int, err er
 			last = u
 		}
 	}
-	return count, last, nil
+	return count, last
 }
 
 // Hear implements sim.Population: backoff ignores feedback.
@@ -202,7 +186,7 @@ type DampenedSweep struct {
 	N int
 }
 
-var _ sim.PopulationBuilder = DampenedSweep{}
+var _ sim.Builder = DampenedSweep{}
 
 // Name implements sim.Builder.
 func (d DampenedSweep) Name() string { return fmt.Sprintf("dampened-sweep(N=%d)", d.N) }
@@ -224,12 +208,7 @@ func (d DampenedSweep) Levels() int {
 	return int(math.Ceil(math.Log2(float64(d.N))))
 }
 
-// Build implements sim.Builder. It panics if N < 4.
-func (d DampenedSweep) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(d.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder. It panics if N < 4.
+// Populate implements sim.Builder. It panics if N < 4.
 func (d DampenedSweep) Populate(n int, seed uint64) sim.Population {
 	if d.N < 4 {
 		panic(fmt.Sprintf("baselines: DampenedSweep.N = %d must be ≥ 4", d.N))
@@ -255,17 +234,12 @@ func (d DampenedSweep) Populate(n int, seed uint64) sim.Population {
 // achieves the same bound with no collision detection at all.
 type CollisionDetectHalving struct{}
 
-var _ sim.PopulationBuilder = CollisionDetectHalving{}
+var _ sim.Builder = CollisionDetectHalving{}
 
 // Name implements sim.Builder.
 func (CollisionDetectHalving) Name() string { return "cd-halving" }
 
-// Build implements sim.Builder.
-func (b CollisionDetectHalving) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(b.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder.
+// Populate implements sim.Builder.
 func (CollisionDetectHalving) Populate(n int, seed uint64) sim.Population {
 	h := &halving{rng: xrand.Streams(seed, n), candidate: make([]bool, n), sentLast: make([]bool, n)}
 	for u := range h.candidate {
@@ -287,7 +261,7 @@ type halving struct {
 // listens and draws nothing. Every node remembers whether it transmitted.
 //
 //crlint:hotpath
-func (h *halving) Act(_ int, live []int, tx []bool) (count, last int, err error) {
+func (h *halving) Act(_ int, live []int, tx []bool) (count, last int) {
 	rng, candidate, sentLast := h.rng, h.candidate, h.sentLast
 	last = -1
 	for _, u := range live {
@@ -299,7 +273,7 @@ func (h *halving) Act(_ int, live []int, tx []bool) (count, last int, err error)
 			last = u
 		}
 	}
-	return count, last, nil
+	return count, last
 }
 
 // Hear implements sim.Population: a candidate that listened through a
@@ -321,8 +295,8 @@ func (h *halving) Hear(_ int, live []int, _ []int, detect sim.Feedback) []int {
 }
 
 // Active implements sim.ActivePopulation: whether node u is still a
-// candidate. Its views thereby have the same Activeness shape as the core
-// algorithm's nodes for tracing.
+// candidate. A Tracer's nodes thereby have the same Activeness shape as
+// the core algorithm's.
 func (h *halving) Active(u int) bool { return h.candidate[u] }
 
 // coins is the population of the oblivious probability schedules: in each
@@ -339,7 +313,7 @@ type coins struct {
 // transmits, without a draw; any other p draws one Float64 per node.
 //
 //crlint:hotpath
-func (c *coins) Act(round int, live []int, tx []bool) (count, last int, err error) {
+func (c *coins) Act(round int, live []int, tx []bool) (count, last int) {
 	p := c.prob(round)
 	if p <= 0 || p >= 1 {
 		all := p >= 1
@@ -347,9 +321,9 @@ func (c *coins) Act(round int, live []int, tx []bool) (count, last int, err erro
 			tx[u] = all
 		}
 		if !all || len(live) == 0 {
-			return 0, -1, nil
+			return 0, -1
 		}
-		return len(live), live[len(live)-1], nil
+		return len(live), live[len(live)-1]
 	}
 	rng := c.rng
 	last = -1
@@ -361,7 +335,7 @@ func (c *coins) Act(round int, live []int, tx []bool) (count, last int, err erro
 			last = u
 		}
 	}
-	return count, last, nil
+	return count, last
 }
 
 // Hear implements sim.Population: the schedules ignore feedback.

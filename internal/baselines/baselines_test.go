@@ -91,7 +91,7 @@ func TestDecayBuildPanicsOnSmallN(t *testing.T) {
 			t.Error("Decay{N:1} did not panic")
 		}
 	}()
-	Decay{N: 1}.Build(3, 1)
+	Decay{N: 1}.Populate(3, 1)
 }
 
 func TestDampenedSweepParameters(t *testing.T) {
@@ -110,7 +110,7 @@ func TestDampenedSweepBuildPanicsOnSmallN(t *testing.T) {
 			t.Error("DampenedSweep{N:2} did not panic")
 		}
 	}()
-	DampenedSweep{N: 2}.Build(3, 1)
+	DampenedSweep{N: 2}.Populate(3, 1)
 }
 
 // TestAllSolveOnRadio: every baseline solves contention resolution on its
@@ -158,18 +158,16 @@ func TestCollisionDetectHalvingCandidateNeverAllWithdraw(t *testing.T) {
 	// Run many seeds; after every round at least one candidate remains.
 	for seed := uint64(0); seed < 20; seed++ {
 		n := 16
-		nodes := CollisionDetectHalving{}.Build(n, seed)
+		h := CollisionDetectHalving{}.Populate(n, seed).(*halving)
 		ch := mustRadio(t, n, true)
+		live := make([]int, n)
+		for u := range live {
+			live[u] = u
+		}
 		tx := make([]bool, n)
 		recv := make([]int, n)
 		for round := 1; round <= 100; round++ {
-			count := 0
-			for u, node := range nodes {
-				tx[u] = node.Act(round) == sim.Transmit
-				if tx[u] {
-					count++
-				}
-			}
+			count, _ := h.Act(round, live, tx)
 			if count == 1 {
 				break
 			}
@@ -178,10 +176,10 @@ func TestCollisionDetectHalvingCandidateNeverAllWithdraw(t *testing.T) {
 			if count > 1 {
 				detect = sim.Collision
 			}
+			live = h.Hear(round, live, recv, detect)
 			candidates := 0
-			for u, node := range nodes {
-				node.Hear(round, recv[u], detect)
-				if node.(interface{ Active() bool }).Active() {
+			for u := range n {
+				if h.Active(u) {
 					candidates++
 				}
 			}
@@ -194,12 +192,11 @@ func TestCollisionDetectHalvingCandidateNeverAllWithdraw(t *testing.T) {
 
 func TestCollisionDetectHalvingActive(t *testing.T) {
 	h := CollisionDetectHalving{}.Populate(1, 1).(*halving)
-	u := sim.Views(h, 1)[0].(interface{ Active() bool })
-	if !u.Active() {
+	if !h.Active(0) {
 		t.Error("fresh node not active")
 	}
 	h.candidate[0] = false
-	if u.Active() {
+	if h.Active(0) {
 		t.Error("withdrawn node still active")
 	}
 }
@@ -209,17 +206,17 @@ func TestCollisionDetectHalvingActive(t *testing.T) {
 func TestObliviousIgnoreFeedback(t *testing.T) {
 	builders := []sim.Builder{ProbabilitySweep{}, Decay{N: 16}, BinaryExponentialBackoff{}, DampenedSweep{N: 16}}
 	for _, b := range builders {
-		a := b.Build(1, 9)[0]
-		c := b.Build(1, 9)[0]
+		a, c := b.Populate(1, 9), b.Populate(1, 9)
+		live, ta, tc := []int{0}, []bool{false}, []bool{false}
 		for r := 1; r <= 300; r++ {
-			ra := a.Act(r)
-			rc := c.Act(r)
-			if ra != rc {
+			a.Act(r, live, ta)
+			c.Act(r, live, tc)
+			if ta[0] != tc[0] {
 				t.Errorf("%s: actions diverged at round %d despite equal seeds", b.Name(), r)
 				break
 			}
-			a.Hear(r, -1, sim.Unknown)
-			c.Hear(r, 0, sim.Collision) // feed c different observations
+			a.Hear(r, live, []int{-1}, sim.Unknown)
+			c.Hear(r, live, []int{0}, sim.Collision) // feed c different observations
 		}
 	}
 }
@@ -227,13 +224,14 @@ func TestObliviousIgnoreFeedback(t *testing.T) {
 // TestBEBTransmitsOncePerWindow: each node transmits exactly once in every
 // window 2, 4, 8, … rounds long.
 func TestBEBTransmitsOncePerWindow(t *testing.T) {
-	node := BinaryExponentialBackoff{}.Build(1, 123)[0]
+	pop := BinaryExponentialBackoff{}.Populate(1, 123)
+	live, tx := []int{0}, []bool{false}
 	windows := []struct{ start, length int }{{1, 2}, {3, 4}, {7, 8}, {15, 16}, {31, 32}}
 	round := 1
 	for _, w := range windows {
 		sent := 0
 		for ; round < w.start+w.length; round++ {
-			if node.Act(round) == sim.Transmit {
+			if count, _ := pop.Act(round, live, tx); count == 1 {
 				sent++
 			}
 		}

@@ -28,8 +28,10 @@ import (
 // lower-bound machinery also applies to.
 //
 // Every node runs the same deterministic controller on the common channel
-// feedback, so all nodes probe the same exponent each round; only the
-// per-node transmit coins differ.
+// feedback, so in a synchronous start all nodes probe the same exponent
+// each round; only the per-node transmit coins differ. Each node still
+// keeps its own controller: under core.StaggeredStart nodes see different
+// feedback histories.
 type CDBinaryEstimate struct{}
 
 var _ sim.Builder = CDBinaryEstimate{}
@@ -37,14 +39,50 @@ var _ sim.Builder = CDBinaryEstimate{}
 // Name implements sim.Builder.
 func (CDBinaryEstimate) Name() string { return "cd-binary-estimate" }
 
-// Build implements sim.Builder.
-func (CDBinaryEstimate) Build(n int, seed uint64) []sim.Node {
-	rngs := xrand.Streams(seed, n)
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &estimateNode{rng: &rngs[i], ctrl: newEstimateController()}
+// Populate implements sim.Builder.
+func (CDBinaryEstimate) Populate(n int, seed uint64) sim.Population {
+	e := &estimate{rng: xrand.Streams(seed, n), ctrl: make([]estimateController, n)}
+	for u := range e.ctrl {
+		e.ctrl[u] = newEstimateController()
 	}
-	return nodes
+	return e
+}
+
+// estimate holds the estimation nodes: node u's private stream and its
+// replica of the controller.
+type estimate struct {
+	rng  []xrand.Reseedable
+	ctrl []estimateController
+}
+
+// Act implements sim.Population: node u transmits with probability
+// 2^{-j} for its controller's exponent j, deciding as xrand.Bernoulli does:
+// p = 1 (j = 0) and p = 0 (an exponent past the float range) draw nothing.
+//
+//crlint:hotpath
+func (e *estimate) Act(_ int, live []int, tx []bool) (count, last int) {
+	last = -1
+	for _, u := range live {
+		p := math.Ldexp(1, -e.ctrl[u].exponent())
+		t := p >= 1 || (p > 0 && e.rng[u].Float64() < p)
+		tx[u] = t
+		if t {
+			count++
+			last = u
+		}
+	}
+	return count, last
+}
+
+// Hear implements sim.Population: every node's controller observes the
+// round's feedback. No node retires.
+//
+//crlint:hotpath
+func (e *estimate) Hear(_ int, live []int, _ []int, detect sim.Feedback) []int {
+	for _, u := range live {
+		e.ctrl[u].observe(detect)
+	}
+	return live
 }
 
 // estimateMode is the controller phase.
@@ -56,8 +94,8 @@ const (
 	modeSweep
 )
 
-// estimateController is the shared (replicated) state machine. All replicas
-// receive identical feedback and therefore stay in lockstep.
+// estimateController is the replicated state machine, one replica per
+// node. Replicas that receive identical feedback stay in lockstep.
 type estimateController struct {
 	mode   estimateMode
 	j      int // exponent probed this round
@@ -67,8 +105,8 @@ type estimateController struct {
 	center, width, offset int
 }
 
-func newEstimateController() *estimateController {
-	return &estimateController{mode: modeDoubling, j: 1}
+func newEstimateController() estimateController {
+	return estimateController{mode: modeDoubling, j: 1}
 }
 
 // exponent returns the probability exponent to probe this round.
@@ -127,23 +165,4 @@ func (c *estimateController) stepSweep() {
 		j = 0
 	}
 	c.j = j
-}
-
-type estimateNode struct {
-	rng  *xrand.Reseedable
-	ctrl *estimateController
-}
-
-// Act transmits with probability 2^{-j}, deciding as xrand.Bernoulli does:
-// p = 1 (j = 0) and p = 0 (an exponent past the float range) draw nothing.
-func (u *estimateNode) Act(round int) sim.Action {
-	p := math.Ldexp(1, -u.ctrl.exponent())
-	if p >= 1 || (p > 0 && u.rng.Float64() < p) {
-		return sim.Transmit
-	}
-	return sim.Listen
-}
-
-func (u *estimateNode) Hear(round int, from int, detect sim.Feedback) {
-	u.ctrl.observe(detect)
 }

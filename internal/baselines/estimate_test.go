@@ -59,19 +59,22 @@ func TestEstimateControllerLockstep(t *testing.T) {
 	// All nodes must probe the same exponent every round regardless of
 	// their private coins.
 	n := 64
-	nodes := CDBinaryEstimate{}.Build(n, 5)
+	e := CDBinaryEstimate{}.Populate(n, 5).(*estimate)
+	live := make([]int, n)
+	for u := range live {
+		live[u] = u
+	}
+	tx, recv := make([]bool, n), make([]int, n)
 	feedbacks := []sim.Feedback{sim.Collision, sim.Collision, sim.Silence, sim.Collision, sim.Silence, sim.Silence}
 	for round, fb := range feedbacks {
-		want := nodes[0].(*estimateNode).ctrl.exponent()
-		for _, u := range nodes {
-			if got := u.(*estimateNode).ctrl.exponent(); got != want {
+		want := e.ctrl[0].exponent()
+		for u := range e.ctrl {
+			if got := e.ctrl[u].exponent(); got != want {
 				t.Fatalf("round %d: exponents diverged (%d vs %d)", round, got, want)
 			}
-			u.Act(round + 1)
 		}
-		for _, u := range nodes {
-			u.Hear(round+1, -1, fb)
-		}
+		e.Act(round+1, live, tx)
+		live = e.Hear(round+1, live, recv, fb)
 	}
 }
 

@@ -27,8 +27,9 @@ type Snapshot struct {
 
 // Analyzer is a sim.Tracer that reconstructs the paper's analysis quantities
 // round by round: link class sizes, knock-outs, and optionally good-node
-// counts. It requires the protocol's nodes to implement Activeness (as the
-// core algorithm's do).
+// counts. It requires the protocol's population to report activity, so
+// that the nodes it is handed implement Activeness (as the core
+// algorithm's do).
 type Analyzer struct {
 	// Points are the node positions of the deployment under execution.
 	Points []geom.Point

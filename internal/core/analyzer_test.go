@@ -100,10 +100,8 @@ func TestAnalyzerWithoutActivenessNodes(t *testing.T) {
 	}
 }
 
+// plainNode is a node that reports no activity.
 type plainNode struct{}
-
-func (plainNode) Act(int) sim.Action          { return sim.Listen }
-func (plainNode) Hear(int, int, sim.Feedback) {}
 
 func TestMaxClassSizesSuffixMaxima(t *testing.T) {
 	an := &Analyzer{}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"fadingcr/internal/sim"
 	"fadingcr/internal/xrand"
@@ -29,66 +28,80 @@ func (c CrashFaults) Name() string {
 	return fmt.Sprintf("crash(%s, rate=%.3g)", c.Inner.Name(), c.Rate)
 }
 
-// Build implements sim.Builder. It panics on a nil inner builder or a rate
-// outside [0, 1) — static misconfigurations.
-func (c CrashFaults) Build(n int, seed uint64) []sim.Node {
+// Populate implements sim.Builder: the inner population seeded
+// xrand.Split(seed, 0), and node u's crash coins drawn from xrand.New(s_u),
+// where s_u is the u-th Uint64 of xrand.New(xrand.Split(seed, 1)). It panics
+// on a nil inner builder or a rate outside [0, 1) — static
+// misconfigurations.
+func (c CrashFaults) Populate(n int, seed uint64) sim.Population {
 	if c.Inner == nil {
 		panic("core: CrashFaults requires an inner builder")
 	}
 	if c.Rate < 0 || c.Rate >= 1 {
 		panic(fmt.Sprintf("core: crash rate %v outside [0, 1)", c.Rate))
 	}
-	inner := c.Inner.Build(n, xrand.Split(seed, 0))
-	if len(inner) != n {
-		panic(fmt.Sprintf("core: inner builder returned %d nodes for n=%d", len(inner), n))
+	p := &crashPopulation{
+		inner:   c.Inner.Populate(n, xrand.Split(seed, 0)),
+		rate:    c.Rate,
+		rng:     make([]xrand.Reseedable, n),
+		crashed: make([]bool, n),
+		alive:   make([]int, n),
 	}
-	rng := xrand.New(xrand.Split(seed, 1))
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &crashNode{
-			inner: inner[i],
-			rate:  c.Rate,
-			rng:   xrand.New(rng.Uint64()),
+	seeds := xrand.New(xrand.Split(seed, 1))
+	for u := range p.rng {
+		p.rng[u].Reseed(seeds.Uint64())
+	}
+	return p
+}
+
+// crashPopulation runs its inner population over the nodes that have not
+// crashed. A crashed node retires in the round it crashes; alive is Act's
+// scratch list of the nodes that did not.
+type crashPopulation struct {
+	inner   sim.Population
+	rate    float64
+	rng     []xrand.Reseedable
+	crashed []bool
+	alive   []int
+}
+
+// Act implements sim.Population: each live node crashes with probability
+// rate, drawing one Float64 as xrand.Bernoulli does (a rate of 0 draws
+// nothing), and listens from then on; the others run the inner protocol.
+//
+//crlint:hotpath
+func (p *crashPopulation) Act(round int, live []int, tx []bool) (count, last int) {
+	alive := p.alive[:0]
+	for _, u := range live {
+		if p.rate > 0 && p.rng[u].Float64() < p.rate {
+			p.crashed[u] = true
+			tx[u] = false
+			continue
+		}
+		alive = append(alive, u)
+	}
+	return p.inner.Act(round, alive, tx)
+}
+
+// Hear implements sim.Population: the nodes that crashed retire, and the
+// others hear the round through the inner population. It drops the crashed
+// nodes from live itself rather than reading Act's scratch, which a later
+// Act in the same engine round may have overwritten.
+//
+//crlint:hotpath
+func (p *crashPopulation) Hear(round int, live []int, recv []int, detect sim.Feedback) []int {
+	j := 0
+	for _, u := range live {
+		if !p.crashed[u] {
+			live[j] = u
+			j++
 		}
 	}
-	return nodes
+	return p.inner.Hear(round, live[:j], recv, detect)
 }
 
-type crashNode struct {
-	inner   sim.Node
-	rate    float64
-	rng     *rand.Rand
-	crashed bool
+// Active implements sim.ActivePopulation: a crashed node is out, and any
+// other contends as its inner node does.
+func (p *crashPopulation) Active(u int) bool {
+	return !p.crashed[u] && active(p.inner, u)
 }
-
-func (u *crashNode) Act(round int) sim.Action {
-	if !u.crashed && xrand.Bernoulli(u.rng, u.rate) {
-		u.crashed = true
-	}
-	if u.crashed {
-		return sim.Listen
-	}
-	return u.inner.Act(round)
-}
-
-func (u *crashNode) Hear(round int, from int, detect sim.Feedback) {
-	if u.crashed {
-		return
-	}
-	u.inner.Hear(round, from, detect)
-}
-
-// Active reports whether the node still contends: crashed nodes are out, and
-// the inner node's own activity (if exposed) is respected.
-func (u *crashNode) Active() bool {
-	if u.crashed {
-		return false
-	}
-	if a, ok := u.inner.(Activeness); ok {
-		return a.Active()
-	}
-	return true
-}
-
-// Crashed reports whether the node has crash-stopped.
-func (u *crashNode) Crashed() bool { return u.crashed }

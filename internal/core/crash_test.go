@@ -27,7 +27,7 @@ func TestCrashFaultsBuildPanics(t *testing.T) {
 					t.Errorf("%+v did not panic", c)
 				}
 			}()
-			c.Build(2, 1)
+			c.Populate(2, 1)
 		}()
 	}
 }
@@ -49,30 +49,24 @@ func TestCrashFaultsZeroRateTransparent(t *testing.T) {
 }
 
 func TestCrashFaultsNodeStopsForever(t *testing.T) {
-	nodes := CrashFaults{Inner: alwaysTx{}, Rate: 0.5}.Build(1, 9)
-	u := nodes[0].(*crashNode)
-	sawCrash := false
-	for r := 1; r <= 200; r++ {
-		a := u.Act(r)
-		if u.Crashed() {
-			sawCrash = true
-			if a != sim.Listen {
-				t.Fatal("crashed node transmitted")
-			}
+	c := CrashFaults{Inner: alwaysTx{}, Rate: 0.5}.Populate(1, 9).(*crashPopulation)
+	live, tx := []int{0}, []bool{false}
+	for r := 1; r <= 200 && !c.crashed[0]; r++ {
+		c.Act(r, live, tx)
+		if c.crashed[0] && tx[0] {
+			t.Fatal("crashed node transmitted")
 		}
-		u.Hear(r, 0, sim.Unknown)
+		live = c.Hear(r, live, []int{-1}, sim.Unknown)
 	}
-	if !sawCrash {
+	if !c.crashed[0] {
 		t.Fatal("node never crashed at rate 0.5 over 200 rounds")
 	}
-	if u.Active() {
+	if c.Active(0) {
 		t.Error("crashed node reports active")
 	}
-	// Once crashed, forever silent.
-	for r := 201; r <= 260; r++ {
-		if u.Act(r) != sim.Listen {
-			t.Fatal("crashed node transmitted after the fact")
-		}
+	// Once crashed, forever silent: the node retires.
+	if len(live) != 0 {
+		t.Error("crashed node stayed live")
 	}
 }
 
@@ -105,11 +99,16 @@ func TestCrashFaultsAlgorithmSurvivesErosion(t *testing.T) {
 func TestCrashFaultsIndependentAcrossNodes(t *testing.T) {
 	// With 200 nodes at rate 0.3, after one round roughly 30% crash — not
 	// all, not none (the per-node streams are independent).
-	nodes := CrashFaults{Inner: FixedProbability{}, Rate: 0.3}.Build(200, 4)
+	const n = 200
+	c := CrashFaults{Inner: FixedProbability{}, Rate: 0.3}.Populate(n, 4).(*crashPopulation)
+	live := make([]int, n)
+	for u := range live {
+		live[u] = u
+	}
+	c.Act(1, live, make([]bool, n))
 	crashed := 0
-	for _, n := range nodes {
-		n.Act(1)
-		if n.(*crashNode).Crashed() {
+	for _, down := range c.crashed {
+		if down {
 			crashed++
 		}
 	}

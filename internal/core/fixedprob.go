@@ -37,7 +37,7 @@ type FixedProbability struct {
 	P float64
 }
 
-var _ sim.PopulationBuilder = FixedProbability{}
+var _ sim.Builder = FixedProbability{}
 
 // Name implements sim.Builder.
 func (f FixedProbability) Name() string {
@@ -51,16 +51,7 @@ func (f FixedProbability) p() float64 {
 	return f.P
 }
 
-// Build implements sim.Builder: the views of Populate(n, seed). It panics
-// if P is outside (0, 1).
-func (f FixedProbability) Build(n int, seed uint64) []sim.Node {
-	return sim.Views(f.Populate(n, seed), n)
-}
-
-// Populate implements sim.PopulationBuilder. It panics if P is outside
-// (0, 1); builders are constructed by experiment code with compile-time
-// constants, so this is a programming error rather than a runtime
-// condition.
+// Populate implements sim.Builder. It panics if P is outside (0, 1).
 func (f FixedProbability) Populate(n int, seed uint64) sim.Population {
 	p := f.p()
 	if p <= 0 || p >= 1 {
@@ -86,7 +77,7 @@ type fixedPopulation struct {
 // knocked-out one listens and draws nothing.
 //
 //crlint:hotpath
-func (pop *fixedPopulation) Act(_ int, live []int, tx []bool) (count, last int, err error) {
+func (pop *fixedPopulation) Act(_ int, live []int, tx []bool) (count, last int) {
 	rng, active, p := pop.rng, pop.active, pop.p
 	last = -1
 	for _, u := range live {
@@ -97,7 +88,7 @@ func (pop *fixedPopulation) Act(_ int, live []int, tx []bool) (count, last int, 
 			last = u
 		}
 	}
-	return count, last, nil
+	return count, last
 }
 
 // Hear implements sim.Population: receiving any message knocks the node
@@ -120,11 +111,22 @@ func (pop *fixedPopulation) Hear(_ int, live []int, recv []int, _ sim.Feedback) 
 }
 
 // Active implements sim.ActivePopulation: whether node u is still
-// contending. Its views thereby implement Activeness.
+// contending. A Tracer's nodes thereby implement Activeness.
 func (pop *fixedPopulation) Active(u int) bool { return pop.active[u] }
 
-// Activeness is implemented by nodes that expose whether they are still
-// contending; the analysis tracer uses it to reconstruct the active set.
+// Activeness is what a Tracer's node has when its population exposes
+// whether each node is still contending (sim.ActivePopulation); the
+// analysis tracer uses it to reconstruct the active set.
 type Activeness interface {
 	Active() bool
+}
+
+// active reports whether node u of p still contends: p's own answer when it
+// is a sim.ActivePopulation, and true otherwise, since such a protocol never
+// stops contending.
+func active(p sim.Population, u int) bool {
+	if ap, ok := p.(sim.ActivePopulation); ok {
+		return ap.Active(u)
+	}
+	return true
 }

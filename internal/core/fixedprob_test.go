@@ -40,43 +40,43 @@ func TestFixedProbabilityBuildPanicsOnBadP(t *testing.T) {
 					t.Errorf("p=%v: no panic", p)
 				}
 			}()
-			FixedProbability{P: p}.Build(3, 1)
+			FixedProbability{P: p}.Populate(3, 1)
 		}()
 	}
 }
 
 func TestFixedProbabilityNodeKnockout(t *testing.T) {
-	nodes := FixedProbability{P: 0.5}.Build(1, 7)
-	u := nodes[0].(interface {
-		sim.Node
-		Activeness
-	})
-	if !u.Active() {
+	pop := FixedProbability{P: 0.5}.Populate(1, 7).(*fixedPopulation)
+	if !pop.Active(0) {
 		t.Fatal("node starts inactive")
 	}
-	u.Hear(1, -1, sim.Unknown)
-	if !u.Active() {
+	live := pop.Hear(1, []int{0}, []int{-1}, sim.Unknown)
+	if !pop.Active(0) || len(live) != 1 {
 		t.Error("hearing nothing deactivated the node")
 	}
-	u.Hear(2, 3, sim.Unknown)
-	if u.Active() {
+	live = pop.Hear(2, live, []int{3}, sim.Unknown)
+	if pop.Active(0) {
 		t.Error("receiving a message did not deactivate the node")
 	}
+	if len(live) != 0 {
+		t.Error("knocked-out node did not retire")
+	}
 	// An inactive node never transmits again.
+	tx := []bool{false}
 	for r := 3; r < 200; r++ {
-		if u.Act(r) != sim.Listen {
+		if count, _ := pop.Act(r, []int{0}, tx); count != 0 || tx[0] {
 			t.Fatal("inactive node transmitted")
 		}
 	}
 }
 
 func TestFixedProbabilityTransmitRate(t *testing.T) {
-	nodes := FixedProbability{P: 0.25}.Build(1, 3)
-	u := nodes[0]
+	pop := FixedProbability{P: 0.25}.Populate(1, 3)
+	live, tx := []int{0}, []bool{false}
 	hits := 0
 	const rounds = 20000
 	for r := 1; r <= rounds; r++ {
-		if u.Act(r) == sim.Transmit {
+		if count, _ := pop.Act(r, live, tx); count == 1 {
 			hits++
 		}
 	}
@@ -149,11 +149,13 @@ func TestFixedProbabilityDeterministic(t *testing.T) {
 
 func TestFixedProbabilityNodesIndependent(t *testing.T) {
 	// Two nodes built from one seed must not mirror each other's coin flips.
-	nodes := FixedProbability{P: 0.5}.Build(2, 42)
+	pop := FixedProbability{P: 0.5}.Populate(2, 42)
+	live, tx := []int{0, 1}, make([]bool, 2)
 	same := 0
 	const rounds = 200
 	for r := 1; r <= rounds; r++ {
-		if nodes[0].Act(r) == nodes[1].Act(r) {
+		pop.Act(r, live, tx)
+		if tx[0] == tx[1] {
 			same++
 		}
 	}

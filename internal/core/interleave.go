@@ -32,56 +32,84 @@ func (il Interleaved) Name() string {
 	return fmt.Sprintf("interleaved(%s ⊕ %s)", il.A.Name(), il.B.Name())
 }
 
-// Build implements sim.Builder. It panics if either sub-builder is nil or
-// returns a wrong node count (static misconfigurations).
-func (il Interleaved) Build(n int, seed uint64) []sim.Node {
+// Populate implements sim.Builder: A's population seeded
+// xrand.Split(seed, 0) and B's seeded xrand.Split(seed, 1). It panics if
+// either sub-builder is nil (a static misconfiguration).
+func (il Interleaved) Populate(n int, seed uint64) sim.Population {
 	if il.A == nil || il.B == nil {
 		panic("core: Interleaved requires both sub-builders")
 	}
-	aNodes := il.A.Build(n, xrand.Split(seed, 0))
-	bNodes := il.B.Build(n, xrand.Split(seed, 1))
-	if len(aNodes) != n || len(bNodes) != n {
-		panic(fmt.Sprintf("core: Interleaved sub-builders returned %d/%d nodes for n=%d",
-			len(aNodes), len(bNodes), n))
+	return &interleavedPopulation{
+		sides: [2]sim.Population{il.A.Populate(n, xrand.Split(seed, 0)), il.B.Populate(n, xrand.Split(seed, 1))},
+		out:   [2][]bool{make([]bool, n), make([]bool, n)},
+		sub:   make([]int, n),
 	}
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &interleavedNode{a: aNodes[i], b: bNodes[i]}
-	}
-	return nodes
 }
 
-// interleavedNode multiplexes one node of each sub-protocol. Odd engine
-// rounds r map to A's round (r+1)/2; even rounds to B's round r/2.
-type interleavedNode struct {
-	a, b sim.Node
+// interleavedPopulation multiplexes two populations: engine round r is
+// side 0's (A's) round (r+1)/2 when odd, side 1's (B's) round r/2 when
+// even. out[s][u] reports whether side s has retired node u; a node
+// retires once both sides have. sub is scratch for the round's side.
+type interleavedPopulation struct {
+	sides [2]sim.Population
+	out   [2][]bool
+	sub   []int
 }
 
-func (u *interleavedNode) Act(round int) sim.Action {
-	if round%2 == 1 {
-		return u.a.Act((round + 1) / 2)
+// side returns the side that owns round, and gathers into p.sub the listed
+// nodes it has not retired.
+//
+//crlint:hotpath
+func (p *interleavedPopulation) side(round int, live []int) (s int, sub []int) {
+	s = 1 - round%2
+	sub = p.sub[:0]
+	for _, u := range live {
+		if !p.out[s][u] {
+			sub = append(sub, u)
+		}
 	}
-	return u.b.Act(round / 2)
+	return s, sub
 }
 
-func (u *interleavedNode) Hear(round int, from int, detect sim.Feedback) {
-	if round%2 == 1 {
-		u.a.Hear((round+1)/2, from, detect)
-		return
+// Act implements sim.Population: the round's side acts over the nodes it
+// has not retired, and the nodes it has retired listen.
+//
+//crlint:hotpath
+func (p *interleavedPopulation) Act(round int, live []int, tx []bool) (count, last int) {
+	s, sub := p.side(round, live)
+	for _, u := range live {
+		tx[u] = false
 	}
-	u.b.Hear(round/2, from, detect)
+	return p.sides[s].Act((round+1)/2, sub, tx)
 }
 
-// Active reports whether either sub-node is still contending, when both
-// expose activity; a node with no exposed activity counts as active (its
-// protocol never stops contending).
-func (u *interleavedNode) Active() bool {
-	return subActive(u.a) || subActive(u.b)
-}
-
-func subActive(n sim.Node) bool {
-	if a, ok := n.(Activeness); ok {
-		return a.Active()
+// Hear implements sim.Population: the round's side hears over the nodes it
+// has not retired and may retire some of them; live keeps every node that
+// either side has not retired.
+//
+//crlint:hotpath
+func (p *interleavedPopulation) Hear(round int, live []int, recv []int, detect sim.Feedback) []int {
+	s, sub := p.side(round, live)
+	out, other := p.out[s], p.out[1-s]
+	for _, u := range sub {
+		out[u] = true
 	}
-	return true
+	for _, u := range p.sides[s].Hear((round+1)/2, sub, recv, detect) {
+		out[u] = false
+	}
+	j := 0
+	for _, u := range live {
+		if !out[u] || !other[u] {
+			live[j] = u
+			j++
+		}
+	}
+	return live[:j]
+}
+
+// Active implements sim.ActivePopulation: whether either side's node is
+// still contending; a side whose population reports no activity counts as
+// contending.
+func (p *interleavedPopulation) Active(u int) bool {
+	return active(p.sides[0], u) || active(p.sides[1], u)
 }

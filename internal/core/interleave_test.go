@@ -10,38 +10,42 @@ import (
 )
 
 // stubBuilder builds nodes following a fixed per-round action script and
-// recording what they hear (for round-mapping assertions).
+// recording what they hear (for round-mapping assertions). It is its own
+// population.
 type stubBuilder struct {
-	name  string
-	nodes []*stubNode
-}
-
-type stubNode struct {
-	txRounds map[int]bool
-	heard    []int // sub-protocol round numbers passed to Hear
-}
-
-func (s *stubNode) Act(round int) sim.Action {
-	if s.txRounds[round] {
-		return sim.Transmit
-	}
-	return sim.Listen
-}
-
-func (s *stubNode) Hear(round int, from int, detect sim.Feedback) {
-	s.heard = append(s.heard, round)
+	name     string
+	txRounds []map[int]bool
+	heard    [][]int // sub-protocol round numbers passed to Hear
 }
 
 func (b *stubBuilder) Name() string { return b.name }
 
-func (b *stubBuilder) Build(n int, seed uint64) []sim.Node {
-	b.nodes = make([]*stubNode, n)
-	out := make([]sim.Node, n)
-	for i := range out {
-		b.nodes[i] = &stubNode{txRounds: map[int]bool{}}
-		out[i] = b.nodes[i]
+func (b *stubBuilder) Populate(n int, seed uint64) sim.Population {
+	b.txRounds = make([]map[int]bool, n)
+	for u := range b.txRounds {
+		b.txRounds[u] = map[int]bool{}
 	}
-	return out
+	b.heard = make([][]int, n)
+	return b
+}
+
+func (b *stubBuilder) Act(round int, live []int, tx []bool) (count, last int) {
+	last = -1
+	for _, u := range live {
+		tx[u] = b.txRounds[u][round]
+		if tx[u] {
+			count++
+			last = u
+		}
+	}
+	return count, last
+}
+
+func (b *stubBuilder) Hear(round int, live []int, _ []int, _ sim.Feedback) []int {
+	for _, u := range live {
+		b.heard[u] = append(b.heard[u], round)
+	}
+	return live
 }
 
 func TestInterleavedName(t *testing.T) {
@@ -55,29 +59,29 @@ func TestInterleavedRoundMapping(t *testing.T) {
 	a := &stubBuilder{name: "a"}
 	b := &stubBuilder{name: "b"}
 	il := Interleaved{A: a, B: b}
-	nodes := il.Build(1, 7)
+	pop := il.Populate(1, 7)
 	// A transmits in its rounds 1 and 3 (engine rounds 1 and 5); B in its
 	// round 2 (engine round 4).
-	a.nodes[0].txRounds[1] = true
-	a.nodes[0].txRounds[3] = true
-	b.nodes[0].txRounds[2] = true
+	a.txRounds[0][1] = true
+	a.txRounds[0][3] = true
+	b.txRounds[0][2] = true
 	wantTx := map[int]bool{1: true, 4: true, 5: true}
+	live, tx := []int{0}, []bool{false}
 	for round := 1; round <= 6; round++ {
-		got := nodes[0].Act(round) == sim.Transmit
-		if got != wantTx[round] {
-			t.Errorf("round %d: transmit = %v, want %v", round, got, wantTx[round])
+		if count, _ := pop.Act(round, live, tx); (count == 1) != wantTx[round] || tx[0] != wantTx[round] {
+			t.Errorf("round %d: transmit = %v, want %v", round, tx[0], wantTx[round])
 		}
-		nodes[0].Hear(round, -1, sim.Unknown)
+		live = pop.Hear(round, live, []int{-1}, sim.Unknown)
 	}
 	// Hear must have been forwarded with sub-protocol numbering 1..3 each.
 	want := []int{1, 2, 3}
 	for i, w := range want {
-		if a.nodes[0].heard[i] != w {
-			t.Errorf("A heard %v, want %v", a.nodes[0].heard, want)
+		if a.heard[0][i] != w {
+			t.Errorf("A heard %v, want %v", a.heard[0], want)
 			break
 		}
-		if b.nodes[0].heard[i] != w {
-			t.Errorf("B heard %v, want %v", b.nodes[0].heard, want)
+		if b.heard[0][i] != w {
+			t.Errorf("B heard %v, want %v", b.heard[0], want)
 			break
 		}
 	}
@@ -94,7 +98,7 @@ func TestInterleavedBuildPanics(t *testing.T) {
 					t.Errorf("%+v did not panic", il)
 				}
 			}()
-			il.Build(2, 1)
+			il.Populate(2, 1)
 		}()
 	}
 }
@@ -138,40 +142,45 @@ func TestInterleavedInheritsBetterBound(t *testing.T) {
 	}
 }
 
+// alwaysTx is a protocol whose nodes transmit in every round. It is its
+// own population, and reports no activity.
 type alwaysTx struct{}
 
-func (alwaysTx) Name() string { return "always-tx" }
-func (alwaysTx) Build(n int, seed uint64) []sim.Node {
-	out := make([]sim.Node, n)
-	for i := range out {
-		out[i] = txAlwaysNode{}
+func (alwaysTx) Name() string                                    { return "always-tx" }
+func (alwaysTx) Populate(int, uint64) sim.Population             { return alwaysTx{} }
+func (alwaysTx) Hear(_ int, live, _ []int, _ sim.Feedback) []int { return live }
+
+func (alwaysTx) Act(_ int, live []int, tx []bool) (count, last int) {
+	for _, u := range live {
+		tx[u] = true
 	}
-	return out
+	if len(live) == 0 {
+		return 0, -1
+	}
+	return len(live), live[len(live)-1]
 }
 
-type txAlwaysNode struct{}
-
-func (txAlwaysNode) Act(int) sim.Action          { return sim.Transmit }
-func (txAlwaysNode) Hear(int, int, sim.Feedback) {}
-
 func TestInterleavedActive(t *testing.T) {
-	il := Interleaved{A: FixedProbability{}, B: alwaysTx{}}
-	nodes := il.Build(1, 1)
-	u := nodes[0].(*interleavedNode)
-	if !u.Active() {
+	// hear runs engine round r with node 0 receiving a message.
+	hear := func(p sim.Population, r int, live []int) []int {
+		p.Act(r, live, []bool{false})
+		return p.Hear(r, live, []int{0}, sim.Unknown)
+	}
+	il := Interleaved{A: FixedProbability{}, B: alwaysTx{}}.Populate(1, 1).(*interleavedPopulation)
+	if !il.Active(0) {
 		t.Error("fresh interleaved node inactive")
 	}
 	// Knock out the fixed-probability half; the alwaysTx half has no
-	// Activeness and counts as active.
-	u.a.Hear(1, 0, sim.Unknown)
-	if !u.Active() {
-		t.Error("node with a non-Activeness sub-protocol should stay active")
+	// Activeness and counts as active, and still runs.
+	if live := hear(il, 1, []int{0}); !il.Active(0) || len(live) != 1 {
+		t.Error("node with a non-Activeness sub-protocol should stay active and live")
 	}
-	il2 := Interleaved{A: FixedProbability{}, B: FixedProbability{}}
-	u2 := il2.Build(1, 1)[0].(*interleavedNode)
-	u2.a.Hear(1, 0, sim.Unknown)
-	u2.b.Hear(1, 0, sim.Unknown)
-	if u2.Active() {
-		t.Error("node with both halves knocked out should be inactive")
+	il2 := Interleaved{A: FixedProbability{}, B: FixedProbability{}}.Populate(1, 1).(*interleavedPopulation)
+	live := hear(il2, 1, []int{0})
+	if !il2.Active(0) || len(live) != 1 {
+		t.Error("node with one half knocked out should stay active and live")
+	}
+	if live = hear(il2, 2, live); il2.Active(0) || len(live) != 0 {
+		t.Error("node with both halves knocked out should be inactive and retired")
 	}
 }

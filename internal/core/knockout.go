@@ -26,40 +26,47 @@ func (w WithKnockout) Name() string {
 	return fmt.Sprintf("knockout(%s)", w.Inner.Name())
 }
 
-// Build implements sim.Builder. It panics on a nil inner builder.
-func (w WithKnockout) Build(n int, seed uint64) []sim.Node {
+// Populate implements sim.Builder: the inner population, seeded with seed,
+// under the knock-out rule. It panics on a nil inner builder.
+func (w WithKnockout) Populate(n int, seed uint64) sim.Population {
 	if w.Inner == nil {
 		panic("core: WithKnockout requires an inner builder")
 	}
-	inner := w.Inner.Build(n, seed)
-	if len(inner) != n {
-		panic(fmt.Sprintf("core: inner builder returned %d nodes for n=%d", len(inner), n))
-	}
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &knockoutNode{inner: inner[i], active: true}
-	}
-	return nodes
+	return &knockoutPopulation{inner: w.Inner.Populate(n, seed), out: make([]bool, n)}
 }
 
-type knockoutNode struct {
-	inner  sim.Node
-	active bool
+// knockoutPopulation runs its inner population until a node receives a
+// message: out[u] reports that node u has. A knocked-out node retires, and
+// so does a node the inner population retires.
+type knockoutPopulation struct {
+	inner sim.Population
+	out   []bool
 }
 
-func (u *knockoutNode) Act(round int) sim.Action {
-	if !u.active {
-		return sim.Listen
+// Act implements sim.Population: the live nodes run the inner protocol.
+//
+//crlint:hotpath
+func (k *knockoutPopulation) Act(round int, live []int, tx []bool) (count, last int) {
+	return k.inner.Act(round, live, tx)
+}
+
+// Hear implements sim.Population: a node that received a message is
+// knocked out, and the others hear the round through the inner population.
+//
+//crlint:hotpath
+func (k *knockoutPopulation) Hear(round int, live []int, recv []int, detect sim.Feedback) []int {
+	j := 0
+	for _, u := range live {
+		if recv[u] >= 0 {
+			k.out[u] = true
+			continue
+		}
+		live[j] = u
+		j++
 	}
-	return u.inner.Act(round)
+	return k.inner.Hear(round, live[:j], recv, detect)
 }
 
-func (u *knockoutNode) Hear(round int, from int, detect sim.Feedback) {
-	if from >= 0 {
-		u.active = false
-	}
-	u.inner.Hear(round, from, detect)
-}
-
-// Active implements Activeness.
-func (u *knockoutNode) Active() bool { return u.active }
+// Active implements sim.ActivePopulation: whether node u has not been
+// knocked out.
+func (k *knockoutPopulation) Active(u int) bool { return !k.out[u] }

@@ -22,27 +22,26 @@ func TestWithKnockoutBuildPanicsOnNil(t *testing.T) {
 			t.Error("nil inner accepted")
 		}
 	}()
-	WithKnockout{}.Build(2, 1)
+	WithKnockout{}.Populate(2, 1)
 }
 
 func TestWithKnockoutSilencesAfterReception(t *testing.T) {
-	nodes := WithKnockout{Inner: alwaysTx{}}.Build(1, 1)
-	u := nodes[0].(*knockoutNode)
-	if u.Act(1) != sim.Transmit {
+	k := WithKnockout{Inner: alwaysTx{}}.Populate(1, 1).(*knockoutPopulation)
+	live, tx := []int{0}, []bool{false}
+	if count, _ := k.Act(1, live, tx); count != 1 || !tx[0] {
 		t.Fatal("fresh node did not run the inner protocol")
 	}
-	u.Hear(1, -1, sim.Unknown)
-	if u.Act(2) != sim.Transmit || !u.Active() {
+	live = k.Hear(1, live, []int{-1}, sim.Unknown)
+	if count, _ := k.Act(2, live, tx); count != 1 || !k.Active(0) {
 		t.Fatal("empty reception silenced the node")
 	}
-	u.Hear(2, 5, sim.Unknown)
-	if u.Active() {
+	live = k.Hear(2, live, []int{5}, sim.Unknown)
+	if k.Active(0) {
 		t.Fatal("reception did not deactivate the node")
 	}
-	for r := 3; r < 50; r++ {
-		if u.Act(r) != sim.Listen {
-			t.Fatal("knocked-out node transmitted")
-		}
+	// A knocked-out node retires: it is never asked to act again.
+	if len(live) != 0 {
+		t.Fatal("knocked-out node stayed live")
 	}
 }
 
@@ -66,23 +65,18 @@ func TestWithKnockoutEquivalentToFixedProbability(t *testing.T) {
 type constantP struct{}
 
 func (constantP) Name() string { return "constant-p" }
-func (constantP) Build(n int, seed uint64) []sim.Node {
-	inner := FixedProbability{}.Build(n, seed)
-	// Strip the built-in knock-out by resurrecting nodes each round: wrap
-	// with a shim that ignores Hear.
-	out := make([]sim.Node, n)
-	for i := range out {
-		out[i] = deafShim{inner[i]}
-	}
-	return out
+
+// Populate strips the paper's algorithm of its built-in knock-out with a
+// shim that ignores Hear.
+func (constantP) Populate(n int, seed uint64) sim.Population {
+	return deafShim{FixedProbability{}.Populate(n, seed)}
 }
 
 // deafShim forwards actions but drops receptions, turning the paper's
 // algorithm back into memoryless constant-p broadcasting.
-type deafShim struct{ inner sim.Node }
+type deafShim struct{ sim.Population }
 
-func (s deafShim) Act(round int) sim.Action    { return s.inner.Act(round) }
-func (s deafShim) Hear(int, int, sim.Feedback) {}
+func (deafShim) Hear(_ int, live []int, _ []int, _ sim.Feedback) []int { return live }
 
 func TestWithKnockoutAcceleratesSweepOnSINR(t *testing.T) {
 	// The headline of E17 in miniature: on the fading channel, the sweep

@@ -27,7 +27,7 @@ func TestStaggeredStartBuildPanics(t *testing.T) {
 					t.Errorf("%+v did not panic", s)
 				}
 			}()
-			s.Build(2, 1)
+			s.Populate(2, 1)
 		}()
 	}
 }
@@ -53,25 +53,27 @@ func TestStaggeredStartZeroDelayMatchesInner(t *testing.T) {
 }
 
 func TestStaggeredNodeSleepsAndWakes(t *testing.T) {
-	inner := sim.Views(&fixedPopulation{p: 1, rng: make([]xrand.Reseedable, 1), active: []bool{true}}, 1)[0]
-	u := &staggeredNode{inner: inner, wake: 4}
+	s := StaggeredStart{Inner: FixedProbability{}, MaxDelay: 3}.Populate(1, 1).(*staggeredPopulation)
 	// The inner node with p=1 would transmit every round (every Float64 is
-	// below 1); asleep it listens.
+	// below 1); asleep it listens. It wakes in round 4.
+	s.inner = &fixedPopulation{p: 1, rng: make([]xrand.Reseedable, 1), active: []bool{true}}
+	s.delay[0] = 3
+	live, tx := []int{0}, []bool{true}
 	for round := 1; round < 4; round++ {
-		if u.Act(round) != sim.Listen {
+		if count, _ := s.Act(round, live, tx); count != 0 || tx[0] {
 			t.Fatalf("round %d: sleeping node acted", round)
 		}
-		u.Hear(round, 0, sim.Unknown) // pre-wake receptions are dropped
+		live = s.Hear(round, live, []int{0}, sim.Unknown) // pre-wake receptions are dropped
 	}
-	if !u.Active() {
+	if !s.Active(0) || len(live) != 1 {
 		t.Fatal("pre-wake reception deactivated the node")
 	}
-	if u.Act(4) != sim.Transmit {
+	if count, last := s.Act(4, live, tx); count != 1 || last != 0 || !tx[0] {
 		t.Fatal("awake p=1 node did not transmit")
 	}
-	u.Hear(4, 2, sim.Unknown)
-	if u.Active() {
-		t.Fatal("post-wake reception did not deactivate the node")
+	live = s.Hear(4, live, []int{2}, sim.Unknown)
+	if s.Active(0) || len(live) != 0 {
+		t.Fatal("post-wake reception did not deactivate and retire the node")
 	}
 }
 
@@ -99,10 +101,10 @@ func TestStaggeredStartSolvesOnSINR(t *testing.T) {
 }
 
 func TestStaggeredStartWakeDistribution(t *testing.T) {
-	nodes := StaggeredStart{Inner: FixedProbability{}, MaxDelay: 9}.Build(500, 11)
+	s := StaggeredStart{Inner: FixedProbability{}, MaxDelay: 9}.Populate(500, 11).(*staggeredPopulation)
 	counts := map[int]int{}
-	for _, n := range nodes {
-		w := n.(*staggeredNode).wake
+	for _, d := range s.delay {
+		w := 1 + d
 		if w < 1 || w > 10 {
 			t.Fatalf("wake round %d outside [1, 10]", w)
 		}

@@ -34,16 +34,21 @@ func TestSimulationConsistency(t *testing.T) {
 	}
 
 	// Isolated replicas: node i built exactly as the builder builds node i
-	// (same split seed), fed silence every round.
-	replicas := core.FixedProbability{}.Build(k, seed)
+	// (same split seed), stepped alone and fed silence every round.
+	replicas := core.FixedProbability{}.Populate(k, seed)
+	tx, silence := make([]bool, k), make([]int, k)
+	for i := range silence {
+		silence[i] = -1
+	}
 	for r := 1; r <= rounds; r++ {
-		for i, node := range replicas {
-			acted := node.Act(r) == sim.Transmit
-			if acted != proposed[r-1][i+1] {
+		for i := range k {
+			alone := []int{i}
+			replicas.Act(r, alone, tx)
+			if tx[i] != proposed[r-1][i+1] {
 				t.Fatalf("round %d node %d: isolated action %v != simulated proposal %v",
-					r, i, acted, proposed[r-1][i+1])
+					r, i, tx[i], proposed[r-1][i+1])
 			}
-			node.Hear(r, -1, sim.Unknown)
+			replicas.Hear(r, alone, silence, sim.Unknown)
 		}
 	}
 }

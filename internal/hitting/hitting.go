@@ -164,16 +164,12 @@ type SimulationPlayer struct {
 }
 
 // NewSimulationPlayer builds the reduction player for algorithm b on k
-// virtual nodes. It steps b's population (sim.Populate) a round at a time.
+// virtual nodes. It steps b's population a round at a time.
 func NewSimulationPlayer(b sim.Builder, k int, seed uint64) (*SimulationPlayer, error) {
 	if k < 2 {
 		return nil, errors.New("hitting: k must be ≥ 2")
 	}
-	pop, err := sim.Populate(b, k, seed)
-	if err != nil {
-		return nil, fmt.Errorf("hitting: %w", err)
-	}
-	p := &SimulationPlayer{pop: pop, live: make([]int, k), tx: make([]bool, k), recv: make([]int, k)}
+	p := &SimulationPlayer{pop: b.Populate(k, seed), live: make([]int, k), tx: make([]bool, k), recv: make([]int, k)}
 	for u := range p.live {
 		p.live[u] = u
 		p.recv[u] = -1
@@ -182,7 +178,6 @@ func NewSimulationPlayer(b sim.Builder, k int, seed uint64) (*SimulationPlayer, 
 }
 
 // Propose implements Player: the ids (1-based) of the virtual broadcasters.
-// A node's invalid action counts as listening.
 func (p *SimulationPlayer) Propose(round int) []int {
 	p.pop.Act(round, p.live, p.tx)
 	var out []int

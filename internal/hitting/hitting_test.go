@@ -287,15 +287,7 @@ func TestSimulationPlayerValidation(t *testing.T) {
 	if _, err := NewSimulationPlayer(core.FixedProbability{}, 1, 1); err == nil {
 		t.Error("k=1 accepted")
 	}
-	if _, err := NewSimulationPlayer(shortBuilder{}, 4, 1); err == nil {
-		t.Error("builder with wrong node count accepted")
-	}
 }
-
-type shortBuilder struct{}
-
-func (shortBuilder) Name() string                        { return "short" }
-func (shortBuilder) Build(n int, seed uint64) []sim.Node { return nil }
 
 func TestPlayTwoPlayer(t *testing.T) {
 	res, err := PlayTwoPlayer(core.FixedProbability{}, 11, 10000)
@@ -325,21 +317,23 @@ func TestPlayTwoPlayerBudget(t *testing.T) {
 	}
 }
 
+// alwaysTransmit is a protocol whose nodes transmit in every round; it is
+// its own population.
 type alwaysTransmit struct{}
 
-func (alwaysTransmit) Name() string { return "always-transmit" }
-func (alwaysTransmit) Build(n int, seed uint64) []sim.Node {
-	out := make([]sim.Node, n)
-	for i := range out {
-		out[i] = txNode{}
+func (alwaysTransmit) Name() string                                          { return "always-transmit" }
+func (alwaysTransmit) Populate(int, uint64) sim.Population                   { return alwaysTransmit{} }
+func (alwaysTransmit) Hear(_ int, live []int, _ []int, _ sim.Feedback) []int { return live }
+
+func (alwaysTransmit) Act(_ int, live []int, tx []bool) (count, last int) {
+	for _, u := range live {
+		tx[u] = true
 	}
-	return out
+	if len(live) == 0 {
+		return 0, -1
+	}
+	return len(live), live[len(live)-1]
 }
-
-type txNode struct{}
-
-func (txNode) Act(int) sim.Action          { return sim.Transmit }
-func (txNode) Hear(int, int, sim.Feedback) {}
 
 // TestTwoPlayerMatchesHittingGameShape: the two-player (1 − 1/k)-success
 // horizon for the fixed-probability algorithm grows like log k — the

@@ -41,8 +41,7 @@ func (e exposed) DeliverTo(tx []bool, listeners, recv []int) {
 }
 
 // activeTracer records, per round, the nodes whose core.Activeness bit is
-// set when the round's receptions are known — the nodes that contended in
-// it.
+// set when the round's receptions are known.
 type activeTracer struct{ active [][]int }
 
 func (a *activeTracer) OnRound(_ int, nodes []sim.Node, _ []bool, _ []int) {
@@ -53,6 +52,35 @@ func (a *activeTracer) OnRound(_ int, nodes []sim.Node, _ []bool, _ []int) {
 		}
 	}
 	a.active = append(a.active, live)
+}
+
+// activeProbe wraps a builder whose population reports activity, and
+// records at the start of every round the nodes whose Active bit is set,
+// before any of them acts.
+type activeProbe struct {
+	sim.Builder
+	active [][]int
+}
+
+func (p *activeProbe) Populate(n int, seed uint64) sim.Population {
+	return probed{p.Builder.Populate(n, seed).(sim.ActivePopulation), p, n}
+}
+
+type probed struct {
+	sim.ActivePopulation
+	probe *activeProbe
+	n     int
+}
+
+func (p probed) Act(round int, live []int, tx []bool) (count, last int) {
+	var active []int
+	for u := range p.n {
+		if p.Active(u) {
+			active = append(active, u)
+		}
+	}
+	p.probe.active = append(p.probe.active, active)
+	return p.ActivePopulation.Act(round, live, tx)
 }
 
 // liveChannels builds fresh channels of each delivery engine over one
@@ -80,71 +108,89 @@ func liveChannels(t *testing.T, d *geom.Deployment) map[string]func() sim.Channe
 	}
 }
 
-// TestLiveListenersMatchFullDelivery: FixedProbability retires knocked-out
-// nodes, so without a Tracer sim.Run hands a channel with DeliverTo only
+// TestLiveListenersMatchFullDelivery: the paper's algorithm retires
+// knocked-out nodes, the knock-out wrapper knocked-out ones, the crash
+// wrapper crashed ones, and the staggered wrapper those its inner protocol
+// retires, so without a Tracer sim.Run hands a channel with DeliverTo only
 // the live nodes. The Result and every live node's reception must equal
 // those of the full Deliver — the channel wrapped to hide DeliverTo, or a
-// Tracer installed — and the live list must be exactly the active set.
+// Tracer installed — and each round's live list must be exactly the nodes
+// active at its start, and hold every node that the Tracer sees active.
 func TestLiveListenersMatchFullDelivery(t *testing.T) {
 	const n = 600 // p·n = 120 round-one transmitters: the certificate runs
 	d, err := geom.UniformDisk(11, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mk := range liveChannels(t, d) {
-		for seed := uint64(1); seed <= 3; seed++ {
-			label := fmt.Sprintf("%s seed %d", name, seed)
-			run := func(expose bool, tr *activeTracer) (sim.Result, *recorder) {
-				t.Helper()
-				rec := &recorder{ch: mk()}
-				var ch sim.Channel = rec
-				if expose {
-					ch = exposed{rec}
-				}
-				cfg := sim.Config{MaxRounds: 200}
-				if tr != nil {
-					cfg.Tracer = tr
-				}
-				res, err := sim.Run(ch, core.FixedProbability{}, seed, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, rec
-			}
-			live, liveRec := run(true, nil)
-			tracers := [2]*activeTracer{{}, {}}
-			full := map[string]*recorder{}
-			for _, v := range []struct {
-				name   string
-				expose bool
-				tr     *activeTracer
-			}{
-				{"hidden", false, nil},
-				{"exposed+tracer", true, tracers[0]},
-				{"hidden+tracer", false, tracers[1]},
-			} {
-				res, rec := run(v.expose, v.tr)
-				if res != live {
-					t.Fatalf("%s %s: Result %+v, live path %+v", label, v.name, res, live)
-				}
-				full[v.name] = rec
-			}
-			if len(liveRec.listeners[0]) != n || len(liveRec.listeners[len(liveRec.listeners)-1]) >= n {
-				t.Fatalf("%s: live lists of %d and %d listeners in the first and last round; the live path was not taken",
-					label, len(liveRec.listeners[0]), len(liveRec.listeners[len(liveRec.listeners)-1]))
-			}
-			for round, listeners := range liveRec.listeners {
-				if want := tracers[0].active[round]; !slices.Equal(listeners, want) {
-					t.Fatalf("%s round %d: %d live listeners, %d active nodes", label, round+1, len(listeners), len(want))
-				}
-				for vname, rec := range full {
-					if rec.listeners[round] != nil {
-						t.Fatalf("%s %s round %d: a listener list reached the channel", label, vname, round+1)
+	retiring := []sim.Builder{
+		core.FixedProbability{},
+		core.WithKnockout{Inner: baselines.ProbabilitySweep{}},
+		core.WithKnockout{Inner: core.FixedProbability{}},
+		core.CrashFaults{Inner: core.FixedProbability{}, Rate: 0.05},
+		core.StaggeredStart{Inner: core.FixedProbability{}, MaxDelay: 4},
+	}
+	for _, b := range retiring {
+		for name, mk := range liveChannels(t, d) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				label := fmt.Sprintf("%s on %s seed %d", b.Name(), name, seed)
+				run := func(b sim.Builder, expose bool, tr *activeTracer) (sim.Result, *recorder) {
+					t.Helper()
+					rec := &recorder{ch: mk()}
+					var ch sim.Channel = rec
+					if expose {
+						ch = exposed{rec}
 					}
-					for _, v := range listeners {
-						if got, want := liveRec.recv[round][v], rec.recv[round][v]; got != want {
-							t.Fatalf("%s %s round %d listener %d: live path received %d, full delivery %d",
-								label, vname, round+1, v, got, want)
+					cfg := sim.Config{MaxRounds: 200}
+					if tr != nil {
+						cfg.Tracer = tr
+					}
+					res, err := sim.Run(ch, b, seed, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, rec
+				}
+				probe := &activeProbe{Builder: b}
+				live, liveRec := run(probe, true, nil)
+				tracers := [2]*activeTracer{{}, {}}
+				full := map[string]*recorder{}
+				for _, v := range []struct {
+					name   string
+					expose bool
+					tr     *activeTracer
+				}{
+					{"hidden", false, nil},
+					{"exposed+tracer", true, tracers[0]},
+					{"hidden+tracer", false, tracers[1]},
+				} {
+					res, rec := run(b, v.expose, v.tr)
+					if res != live {
+						t.Fatalf("%s %s: Result %+v, live path %+v", label, v.name, res, live)
+					}
+					full[v.name] = rec
+				}
+				if len(liveRec.listeners[0]) != n || len(liveRec.listeners[len(liveRec.listeners)-1]) >= n {
+					t.Fatalf("%s: live lists of %d and %d listeners in the first and last round; the live path was not taken",
+						label, len(liveRec.listeners[0]), len(liveRec.listeners[len(liveRec.listeners)-1]))
+				}
+				for round, listeners := range liveRec.listeners {
+					if want := probe.active[round]; !slices.Equal(listeners, want) {
+						t.Fatalf("%s round %d: %d live listeners, %d active nodes", label, round+1, len(listeners), len(want))
+					}
+					for _, u := range tracers[0].active[round] {
+						if _, ok := slices.BinarySearch(listeners, u); !ok {
+							t.Fatalf("%s round %d: the Tracer sees node %d active, and it is not live", label, round+1, u)
+						}
+					}
+					for vname, rec := range full {
+						if rec.listeners[round] != nil {
+							t.Fatalf("%s %s round %d: a listener list reached the channel", label, vname, round+1)
+						}
+						for _, v := range listeners {
+							if got, want := liveRec.recv[round][v], rec.recv[round][v]; got != want {
+								t.Fatalf("%s %s round %d listener %d: live path received %d, full delivery %d",
+									label, vname, round+1, v, got, want)
+							}
 						}
 					}
 				}
@@ -153,10 +199,10 @@ func TestLiveListenersMatchFullDelivery(t *testing.T) {
 	}
 }
 
-// TestNonRetiringBuildersKeepEveryListener: only the paper's algorithm's
-// population retires nodes from the live list. Wrappers, which run through
-// the per-node adapter, and the classical baselines' populations never
-// retire, so every round reaches all n listeners.
+// TestNonRetiringBuildersKeepEveryListener: the classical baselines and
+// the estimation baseline never retire a node, and neither does an
+// interleaving with a side that never does, so every round reaches all n
+// listeners.
 func TestNonRetiringBuildersKeepEveryListener(t *testing.T) {
 	const n = 48
 	d, err := geom.UniformDisk(3, n)
@@ -164,10 +210,6 @@ func TestNonRetiringBuildersKeepEveryListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	builders := []sim.Builder{
-		core.WithKnockout{Inner: baselines.ProbabilitySweep{}},
-		core.WithKnockout{Inner: core.FixedProbability{}},
-		core.CrashFaults{Inner: core.FixedProbability{}, Rate: 0.05},
-		core.StaggeredStart{Inner: core.FixedProbability{}, MaxDelay: 4},
 		core.Interleaved{A: core.FixedProbability{}, B: baselines.ProbabilitySweep{}},
 		baselines.ProbabilitySweep{},
 		baselines.Decay{N: n},

@@ -8,11 +8,9 @@ import "fadingcr/internal/obs"
 // additionally skipped entirely while recording is disabled. None of these
 // touch the protocol or channel randomness (DESIGN.md §8). sim.receptions
 // counts receptions at live listeners only: a retired node's receptions
-// are not computed (see Population). sim.adapted_runs counts the runs whose
-// builder has no population and whose nodes therefore run one by one.
+// are not computed (see Population).
 var (
 	mRuns          = obs.Default.Counter("sim.runs")
-	mAdaptedRuns   = obs.Default.Counter("sim.adapted_runs")
 	mRounds        = obs.Default.Counter("sim.rounds")
 	mTransmissions = obs.Default.Counter("sim.transmissions")
 	mReceptions    = obs.Default.Counter("sim.receptions")

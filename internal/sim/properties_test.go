@@ -9,33 +9,34 @@ import (
 )
 
 // randomBuilder drives each node by an independent coin with a per-node
-// bias, exercising the engine across arbitrary transmit patterns.
+// bias, exercising the engine across arbitrary transmit patterns: node u
+// transmits in round r when the first Float64 of
+// xrand.New(Split(Split(seed, u), r)) falls below the bias.
 type randomBuilder struct{ bias float64 }
 
 func (b randomBuilder) Name() string { return "random" }
-func (b randomBuilder) Build(n int, seed uint64) []Node {
-	out := make([]Node, n)
-	for i := range out {
-		out[i] = &coinNode{seed: xrand.Split(seed, uint64(i)), bias: b.bias}
-	}
-	return out
+func (b randomBuilder) Populate(n int, seed uint64) Population {
+	return &randomPopulation{seeds: xrand.SplitN(seed, n), bias: b.bias}
 }
 
-type coinNode struct {
-	seed  uint64
+type randomPopulation struct {
+	seeds []uint64
 	bias  float64
-	round uint64
 }
 
-func (u *coinNode) Act(round int) Action {
-	u.round++
-	if xrand.New(xrand.Split(u.seed, u.round)).Float64() < u.bias {
-		return Transmit
+func (p *randomPopulation) Act(round int, live []int, tx []bool) (count, last int) {
+	last = -1
+	for _, u := range live {
+		tx[u] = xrand.New(xrand.Split(p.seeds[u], uint64(round))).Float64() < p.bias
+		if tx[u] {
+			count++
+			last = u
+		}
 	}
-	return Listen
+	return count, last
 }
 
-func (u *coinNode) Hear(int, int, Feedback) {}
+func (p *randomPopulation) Hear(_ int, live []int, _ []int, _ Feedback) []int { return live }
 
 // recorder verifies the engine's oracle from the outside.
 type oracleChecker struct {

@@ -41,16 +41,6 @@ type ListenerChannel interface {
 	DeliverTo(tx []bool, listeners []int, recv []int)
 }
 
-// Action is a node's choice for a round.
-type Action int
-
-const (
-	// Listen keeps the radio in receive mode.
-	Listen Action = iota + 1
-	// Transmit broadcasts at the fixed power.
-	Transmit
-)
-
 // Feedback is what a listening node perceives about the round when the
 // channel supports collision detection; Unknown on channels that do not.
 type Feedback int
@@ -66,154 +56,86 @@ const (
 	Collision
 )
 
-// Node is the per-node state machine of a protocol. Implementations must be
-// deterministic functions of their seed and observation history.
-type Node interface {
-	// Act returns the node's action for round (1-based). Act is called
-	// exactly once per round, before Hear.
-	Act(round int) Action
-	// Hear reports the round's outcome to the node: from is the sender
-	// index of the decoded message, or −1 when nothing was received (which
-	// is always the case while transmitting); detect carries the collision
-	// detection trichotomy on channels that expose it, Unknown otherwise.
-	// Hear fires for every executed round, including the solving round —
-	// the oracle terminates the run only after feedback is delivered, so a
-	// listener can observe Message on the final round.
-	Hear(round int, from int, detect Feedback)
-}
-
-// Builder constructs the per-node state machines for a run. Build must
-// return exactly n nodes, deterministically in (n, seed).
+// Builder constructs a protocol's nodes for a run, as one Population.
 type Builder interface {
 	// Name identifies the protocol in reports and traces.
 	Name() string
-	// Build returns the protocol's n per-node state machines.
-	Build(n int, seed uint64) []Node
+	// Populate returns the protocol's n nodes, deterministically in
+	// (n, seed). It panics on a misconfigured builder: builders are
+	// constructed by experiment code with compile-time constants, so that
+	// is a programming error rather than a runtime condition.
+	Populate(n int, seed uint64) Population
 }
 
 // Population is a protocol's n nodes held as one value, driven one round
 // at a time over the live nodes: the ascending list of nodes that have not
-// retired. A retired node is permanently silent and deaf — it would listen
-// in every round and draw no randomness — so Run stops calling it and
-// stops computing its receptions (unless a Tracer is installed), and
-// retiring never changes a Result. Each node's behaviour must not depend
-// on which other nodes are live: Views runs a population one node at a
-// time.
+// retired. Implementations must be deterministic functions of their seed
+// and observation history. A retired node is permanently silent and deaf —
+// it would listen in every round and draw no randomness — so Run stops
+// calling it and stops computing its receptions (unless a Tracer is
+// installed), and retiring never changes a Result.
+//
+// Wrappers drive inner populations, so every population keeps these rules:
+//   - Act and Hear read and write the state, tx and recv entries of the
+//     listed nodes only.
+//   - A wrapper may drive a population several times in one engine round,
+//     over disjoint ascending sub-lists with different round numbers:
+//     core.StaggeredStart per wake offset, core.Interleaved per side, and
+//     core.CrashFaults over the nodes that did not crash.
+//   - Each list's Hear follows its own Act, with the same list and round.
+//   - Only per-node state carries from one call to the next; scratch that
+//     one call fills is not read by the next.
 type Population interface {
 	// Act sets tx[u] to whether node u transmits in round (1-based) for
 	// every live u, and returns the number of transmitters and the last of
-	// them in live order (−1 when none). It fails only on an action that
-	// is neither Listen nor Transmit.
-	Act(round int, live []int, tx []bool) (count, last int, err error)
+	// them in live order (−1 when none).
+	Act(round int, live []int, tx []bool) (count, last int)
 	// Hear reports the round's outcome to every live node u — the sender
-	// recv[u] of the message it decoded or −1, and detect — and returns
-	// live with the nodes that retired in it removed, in place and in
-	// order. A node may retire only in a round in which it listened.
+	// recv[u] of the message it decoded or −1 (always −1 while
+	// transmitting), and detect, the collision detection trichotomy on
+	// channels that expose it and Unknown otherwise — and returns live with
+	// the nodes that retired in it removed, in place and in order. A node
+	// may retire only in a round in which it listened. Hear fires for every
+	// executed round, the solving one included: the oracle ends the run only
+	// after feedback is delivered, so a listener can observe Message.
 	Hear(round int, live []int, recv []int, detect Feedback) []int
 }
 
 // ActivePopulation is an optional extension of Population for protocols
 // whose nodes can stop contending: Active(u) reports whether node u still
-// does, and the population's views report it through an Active method.
+// does. A Tracer sees it through each Node's Active method.
 type ActivePopulation interface {
 	Population
 	Active(u int) bool
 }
 
-// PopulationBuilder is a Builder that also builds its nodes as one
-// Population. Build(n, seed) must return Views(Populate(n, seed), n), and
-// Populate must panic exactly where Build would; Run drives builders that
-// implement it through their population.
-type PopulationBuilder interface {
-	Builder
-	Populate(n int, seed uint64) Population
-}
+// Node is what a Tracer sees of one node. When the population is an
+// ActivePopulation, the node has an Active() bool method that reports
+// whether it still contends (core.Activeness); it has no other method.
+// The nodes of any other population are nil.
+type Node any
 
-// Populate returns the population of n nodes that Run drives for b: b's
-// own when b is a PopulationBuilder, otherwise an adapter that steps the
-// nodes of b.Build(n, seed) one by one and never retires any. It fails
-// only when Build returns other than n nodes.
-func Populate(b Builder, n int, seed uint64) (Population, error) {
-	if pb, ok := b.(PopulationBuilder); ok {
-		return pb.Populate(n, seed), nil
-	}
-	nodes := b.Build(n, seed)
-	if len(nodes) != n {
-		return nil, fmt.Errorf("sim: builder %q returned %d nodes for n=%d", b.Name(), len(nodes), n)
-	}
-	return nodeLoop(nodes), nil
-}
-
-// Views returns population p's n nodes as per-node views: view u's Act and
-// Hear run p's own Act and Hear over the live list {u}, so a node stepped
-// alone and a node stepped with the others share one implementation. When
-// p is an ActivePopulation, every view also has an Active() bool method.
-// A view whose population fails to act returns the invalid Action 0. The
-// views share scratch vectors, so they must be stepped from one goroutine.
-// The views of Populate's adapter are the builder's nodes themselves.
-func Views(p Population, n int) []Node {
-	if nodes, ok := p.(nodeLoop); ok {
-		return nodes
-	}
-	s := &viewScratch{pop: p, tx: make([]bool, n), recv: make([]int, n)}
+// tracerNodes returns what a Tracer sees of p's n nodes.
+func tracerNodes(p Population, n int) []Node {
 	nodes := make([]Node, n)
 	if ap, ok := p.(ActivePopulation); ok {
-		s.ap = ap
-		views := make([]activeView, n)
+		views := make([]activeNode, n)
 		for u := range views {
-			views[u] = activeView{view{s: s, live: [1]int{u}}}
+			views[u] = activeNode{ap, u}
 			nodes[u] = &views[u]
 		}
-		return nodes
-	}
-	views := make([]view, n)
-	for u := range views {
-		views[u] = view{s: s, live: [1]int{u}}
-		nodes[u] = &views[u]
 	}
 	return nodes
 }
 
-// viewScratch is what the views of one population share; ap is the
-// population when it is an ActivePopulation.
-type viewScratch struct {
-	pop  Population
-	ap   ActivePopulation
-	tx   []bool
-	recv []int
+// activeNode is node u of an ActivePopulation as a Tracer sees it.
+type activeNode struct {
+	p ActivePopulation
+	u int
 }
-
-// view is node live[0] of a population as a Node. Its one-node live list
-// is kept in the view, so passing it to the population allocates nothing;
-// the population's Hear can only keep or drop that one node, so live[0]
-// never changes.
-type view struct {
-	s    *viewScratch
-	live [1]int
-}
-
-// Act implements Node.
-func (v *view) Act(round int) Action {
-	if _, _, err := v.s.pop.Act(round, v.live[:], v.s.tx); err != nil {
-		return 0
-	}
-	if v.s.tx[v.live[0]] {
-		return Transmit
-	}
-	return Listen
-}
-
-// Hear implements Node.
-func (v *view) Hear(round int, from int, detect Feedback) {
-	v.s.recv[v.live[0]] = from
-	v.s.pop.Hear(round, v.live[:], v.s.recv, detect)
-}
-
-// activeView is a view of an ActivePopulation.
-type activeView struct{ view }
 
 // Active reports whether the node still contends.
-func (v *activeView) Active() bool { return v.s.ap.Active(v.live[0]) }
+func (v *activeNode) Active() bool { return v.p.Active(v.u) }
 
 // Tracer observes each executed round. The slices passed to OnRound are
 // reused between rounds; implementations must copy anything they retain.
@@ -223,10 +145,9 @@ type Tracer interface {
 
 // ResultTracer is an optional extension of Tracer: a tracer that also
 // implements it is handed the execution's final Result exactly once, after
-// the last OnRound call and before Run returns. Error returns (invalid
-// configuration, a node yielding an invalid action) do not produce a
-// result event. Structured tracing uses the hook to close every trace with
-// a result record.
+// the last OnRound call and before Run returns. Error returns (an invalid
+// configuration) do not produce a result event. Structured tracing uses the
+// hook to close every trace with a result record.
 type ResultTracer interface {
 	Tracer
 	OnResult(Result)
@@ -262,8 +183,6 @@ type Config struct {
 
 // Run executes the protocol built by b over the channel until a solo
 // broadcast or the round budget. The seed drives all protocol randomness.
-// A PopulationBuilder runs as its population; any other builder's nodes
-// run one by one through an adapter, which counts as sim.adapted_runs.
 func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 	if ch == nil || b == nil {
 		return Result{}, errors.New("sim: nil channel or builder")
@@ -272,17 +191,11 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: MaxRounds %d must be ≥ 1", cfg.MaxRounds)
 	}
 	n := ch.N()
-	pop, err := Populate(b, n, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if _, ok := pop.(nodeLoop); ok {
-		mAdaptedRuns.Inc()
-	}
+	pop := b.Populate(n, seed)
 	// nodes are what a Tracer sees, built only when one needs them.
 	var nodes []Node
 	if cfg.Tracer != nil {
-		nodes = Views(pop, n)
+		nodes = tracerNodes(pop, n)
 	}
 	tx := make([]bool, n)
 	recv := make([]int, n)
@@ -306,10 +219,7 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		mTransmissions.Add(transmissions)
 	}()
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		count, solo, err := pop.Act(round, live, tx)
-		if err != nil {
-			return Result{}, err
-		}
+		count, solo := pop.Act(round, live, tx)
 		transmissions += int64(count)
 		if lc != nil {
 			lc.DeliverTo(tx, live, recv)
@@ -351,40 +261,6 @@ func Run(ch Channel, b Builder, seed uint64, cfg Config) (Result, error) {
 		}
 	}
 	return finish(cfg, Result{Solved: false, Rounds: cfg.MaxRounds, Winner: -1, Transmissions: transmissions}), nil
-}
-
-// nodeLoop is the adapter that runs a builder without a population: its
-// nodes, called one by one. None of them retires.
-type nodeLoop []Node
-
-// Act implements Population. A node's invalid action counts as listening,
-// and every live node still acts; the first one is reported as the error.
-func (p nodeLoop) Act(round int, live []int, tx []bool) (count, last int, err error) {
-	last = -1
-	for _, u := range live {
-		switch a := p[u].Act(round); a {
-		case Transmit:
-			tx[u] = true
-			count++
-			last = u
-		case Listen:
-			tx[u] = false
-		default:
-			tx[u] = false
-			if err == nil {
-				err = fmt.Errorf("sim: node %d returned invalid action %d", u, a)
-			}
-		}
-	}
-	return count, last, err
-}
-
-// Hear implements Population.
-func (p nodeLoop) Hear(round int, live []int, recv []int, detect Feedback) []int {
-	for _, u := range live {
-		p[u].Hear(round, recv[u], detect)
-	}
-	return live
 }
 
 // finish hands the final result to a ResultTracer before Run returns it.

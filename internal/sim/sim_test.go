@@ -7,50 +7,41 @@ import (
 	"fadingcr/internal/radio"
 )
 
-// scheduleNode transmits in exactly the rounds listed in its schedule and
-// records everything it hears.
-type scheduleNode struct {
-	schedule map[int]bool
-	heard    []int
-	detects  []Feedback
-}
-
-func (s *scheduleNode) Act(round int) Action {
-	if s.schedule[round] {
-		return Transmit
-	}
-	return Listen
-}
-
-func (s *scheduleNode) Hear(round int, from int, detect Feedback) {
-	s.heard = append(s.heard, from)
-	s.detects = append(s.detects, detect)
-}
-
-// scheduleBuilder builds one scheduleNode per participant.
+// scheduleBuilder builds nodes that transmit in exactly the rounds listed
+// in their schedules and records everything they hear. It is its own
+// population.
 type scheduleBuilder struct {
 	schedules []map[int]bool
-	nodes     []*scheduleNode
-	short     bool // return too few nodes, for error-path tests
+	heard     [][]int
+	detects   [][]Feedback
 }
 
 func (b *scheduleBuilder) Name() string { return "schedule" }
 
-func (b *scheduleBuilder) Build(n int, seed uint64) []Node {
-	if b.short {
-		return nil
-	}
-	b.nodes = make([]*scheduleNode, n)
-	out := make([]Node, n)
-	for i := range out {
-		sched := map[int]bool{}
-		if i < len(b.schedules) {
-			sched = b.schedules[i]
+func (b *scheduleBuilder) Populate(n int, seed uint64) Population {
+	b.heard = make([][]int, n)
+	b.detects = make([][]Feedback, n)
+	return b
+}
+
+func (b *scheduleBuilder) Act(round int, live []int, tx []bool) (count, last int) {
+	last = -1
+	for _, u := range live {
+		tx[u] = u < len(b.schedules) && b.schedules[u][round]
+		if tx[u] {
+			count++
+			last = u
 		}
-		b.nodes[i] = &scheduleNode{schedule: sched}
-		out[i] = b.nodes[i]
 	}
-	return out
+	return count, last
+}
+
+func (b *scheduleBuilder) Hear(round int, live []int, recv []int, detect Feedback) []int {
+	for _, u := range live {
+		b.heard[u] = append(b.heard[u], recv[u])
+		b.detects[u] = append(b.detects[u], detect)
+	}
+	return live
 }
 
 func mustRadio(t *testing.T, n int, cd bool) Channel {
@@ -79,11 +70,11 @@ func TestRunSoloBroadcastSolves(t *testing.T) {
 		t.Errorf("Transmissions = %d, want 5", res.Transmissions)
 	}
 	// Hear fires for every executed round, including the solving one.
-	if got := len(b.nodes[0].heard); got != 3 {
+	if got := len(b.heard[0]); got != 3 {
 		t.Errorf("node 0 heard %d rounds, want 3", got)
 	}
 	// The solving round's message reaches the listener before termination.
-	if got := b.nodes[0].heard[2]; got != 1 {
+	if got := b.heard[0][2]; got != 1 {
 		t.Errorf("node 0 heard %d in the solving round, want 1 (the winner)", got)
 	}
 }
@@ -135,16 +126,16 @@ func TestRunCollisionDetectionFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Feedback{Collision, Silence, Message}
-	if got := len(b.nodes[2].detects); got != len(want) {
+	if got := len(b.detects[2]); got != len(want) {
 		t.Fatalf("listener got %d feedback events, want %d", got, len(want))
 	}
 	for i, w := range want {
-		if got := b.nodes[2].detects[i]; got != w {
+		if got := b.detects[2][i]; got != w {
 			t.Errorf("round %d detect = %v, want %v", i+1, got, w)
 		}
 	}
 	// The solving round also delivers the winner's message on a CD radio.
-	if got := b.nodes[2].heard[2]; got != 1 {
+	if got := b.heard[2][2]; got != 1 {
 		t.Errorf("listener heard %d in the solo round, want 1", got)
 	}
 }
@@ -158,7 +149,7 @@ func TestRunWithoutCollisionDetectionReportsUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.nodes[0].detects[0]; got != Unknown {
+	if got := b.detects[0][0]; got != Unknown {
 		t.Errorf("detect = %v, want Unknown", got)
 	}
 }
@@ -179,7 +170,7 @@ func TestRunListenersReceiveOnRadio(t *testing.T) {
 	if !res.Solved || res.Rounds != 2 || res.Winner != 0 {
 		t.Fatalf("Result = %+v", res)
 	}
-	if got := b.nodes[2].heard; len(got) != 2 || got[0] != -1 || got[1] != 0 {
+	if got := b.heard[2]; len(got) != 2 || got[0] != -1 || got[1] != 0 {
 		t.Errorf("listener heard %v, want [-1 0] (collision, then the solo sender)", got)
 	}
 }
@@ -194,36 +185,6 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(mustRadio(t, 2, false), b, 1, Config{MaxRounds: 0}); err == nil {
 		t.Error("MaxRounds=0 accepted")
-	}
-}
-
-func TestRunBuilderCountMismatch(t *testing.T) {
-	b := &scheduleBuilder{short: true}
-	if _, err := Run(mustRadio(t, 2, false), b, 1, Config{MaxRounds: 1}); err == nil {
-		t.Error("builder returning wrong node count accepted")
-	}
-}
-
-// badActionNode returns an out-of-range action.
-type badActionNode struct{}
-
-func (badActionNode) Act(int) Action          { return Action(99) }
-func (badActionNode) Hear(int, int, Feedback) {}
-
-type badActionBuilder struct{}
-
-func (badActionBuilder) Name() string { return "bad" }
-func (badActionBuilder) Build(n int, seed uint64) []Node {
-	out := make([]Node, n)
-	for i := range out {
-		out[i] = badActionNode{}
-	}
-	return out
-}
-
-func TestRunInvalidAction(t *testing.T) {
-	if _, err := Run(mustRadio(t, 2, false), badActionBuilder{}, 1, Config{MaxRounds: 3}); err == nil {
-		t.Error("invalid action accepted")
 	}
 }
 
@@ -384,9 +345,9 @@ func TestResultTracerUnsolvedRun(t *testing.T) {
 
 func TestResultTracerNotCalledOnError(t *testing.T) {
 	rt := &resultTracer{}
-	_, err := Run(mustRadio(t, 2, false), &scheduleBuilder{short: true}, 1, Config{MaxRounds: 3, Tracer: rt})
+	_, err := Run(mustRadio(t, 2, false), &scheduleBuilder{}, 1, Config{MaxRounds: 0, Tracer: rt})
 	if err == nil {
-		t.Fatal("short builder accepted")
+		t.Fatal("MaxRounds=0 accepted")
 	}
 	if len(rt.results) != 0 {
 		t.Errorf("OnResult called on an error return: %+v", rt.results)

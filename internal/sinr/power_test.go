@@ -149,33 +149,34 @@ func TestFixedProbabilitySurvivesPowerHeterogeneity(t *testing.T) {
 type fixedPBuilder struct{}
 
 func (fixedPBuilder) Name() string { return "fixed-p-test" }
-func (fixedPBuilder) Build(n int, seed uint64) []sim.Node {
-	out := make([]sim.Node, n)
-	for i := range out {
-		out[i] = &fixedPNode{seed: xrand.Split(seed, uint64(i))}
-	}
-	return out
+func (fixedPBuilder) Populate(n int, seed uint64) sim.Population {
+	return &fixedPNodes{seeds: xrand.SplitN(seed, n), downed: make([]bool, n)}
 }
 
-type fixedPNode struct {
-	seed   uint64
-	round  uint64
-	downed bool
+// fixedPNodes transmit with probability 0.2 in round r from the stream
+// xrand.New(Split(seeds[u], r)) until they receive a message.
+type fixedPNodes struct {
+	seeds  []uint64
+	downed []bool
 }
 
-func (u *fixedPNode) Act(round int) sim.Action {
-	u.round++
-	if u.downed {
-		return sim.Listen
+func (p *fixedPNodes) Act(round int, live []int, tx []bool) (count, last int) {
+	last = -1
+	for _, u := range live {
+		tx[u] = !p.downed[u] && xrand.New(xrand.Split(p.seeds[u], uint64(round))).Float64() < 0.2
+		if tx[u] {
+			count++
+			last = u
+		}
 	}
-	if xrand.New(xrand.Split(u.seed, u.round)).Float64() < 0.2 {
-		return sim.Transmit
-	}
-	return sim.Listen
+	return count, last
 }
 
-func (u *fixedPNode) Hear(round int, from int, detect sim.Feedback) {
-	if from >= 0 {
-		u.downed = true
+func (p *fixedPNodes) Hear(_ int, live []int, recv []int, _ sim.Feedback) []int {
+	for _, u := range live {
+		if recv[u] >= 0 {
+			p.downed[u] = true
+		}
 	}
+	return live
 }

@@ -252,9 +252,7 @@ func TestDiff(t *testing.T) {
 // benchmark below.
 type activeNode struct{ active bool }
 
-func (activeNode) Act(int) sim.Action          { return sim.Listen }
-func (activeNode) Hear(int, int, sim.Feedback) {}
-func (n activeNode) Active() bool              { return n.active }
+func (n activeNode) Active() bool { return n.active }
 
 func TestRecorderResetReusesBuffers(t *testing.T) {
 	rec := &Recorder{PerNode: true}

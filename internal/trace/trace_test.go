@@ -86,10 +86,8 @@ func TestRecorderWithoutActivenessNodes(t *testing.T) {
 	}
 }
 
+// opaque is a node that reports no activity.
 type opaque struct{}
-
-func (opaque) Act(int) sim.Action          { return sim.Listen }
-func (opaque) Hear(int, int, sim.Feedback) {}
 
 func TestWriteCSV(t *testing.T) {
 	rec, _ := runTraced(t)
