@@ -76,19 +76,25 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 	if len(tx) != c.n || len(recv) != c.n {
 		panic(fmt.Sprintf("radio: Deliver slice lengths tx=%d recv=%d, want %d", len(tx), len(recv), c.n))
 	}
+	// Counting stops at the second transmitter: two already collide.
 	solo, count := -1, 0
 	for u, t := range tx {
 		if t {
-			count++
+			if count++; count > 1 {
+				break
+			}
 			solo = u
 		}
 	}
+	heard := -1
+	if count == 1 {
+		heard = solo
+	}
 	for v := range recv {
-		if count == 1 && !tx[v] {
-			recv[v] = solo
-		} else {
-			recv[v] = -1
-		}
+		recv[v] = heard
+	}
+	if count == 1 {
+		recv[solo] = -1 // the transmitter was not listening
 	}
 }
 

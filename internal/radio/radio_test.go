@@ -102,6 +102,41 @@ func TestDeliverExactlyOneTransmitterProperty(t *testing.T) {
 	}
 }
 
+// TestDeliverMatchesLiteralRule holds Deliver to the rule written out per
+// listener, on rounds with no transmitter, one, two and every node, with
+// recv holding stale values beforehand so that every entry must be written.
+func TestDeliverMatchesLiteralRule(t *testing.T) {
+	const n = 9
+	c, err := New(n, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := map[string][]int{"none": {}, "one": {4}, "one, last": {n - 1}, "two": {2, 7}, "all": nil}
+	for v := range n {
+		rounds["all"] = append(rounds["all"], v)
+	}
+	for name, senders := range rounds {
+		tx := make([]bool, n)
+		for _, u := range senders {
+			tx[u] = true
+		}
+		recv := make([]int, n)
+		for v := range recv {
+			recv[v] = 100 + v
+		}
+		c.Deliver(tx, recv)
+		for v := range n {
+			want := -1
+			if len(senders) == 1 && !tx[v] {
+				want = senders[0]
+			}
+			if recv[v] != want {
+				t.Errorf("%s: recv[%d] = %d, want %d", name, v, recv[v], want)
+			}
+		}
+	}
+}
+
 func TestObserve(t *testing.T) {
 	cd, _ := New(3, true)
 	noCD, _ := New(3, false)

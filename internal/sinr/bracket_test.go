@@ -3,6 +3,7 @@ package sinr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fadingcr/internal/geom"
@@ -45,6 +46,66 @@ func TestFadeBracketContainsLog(t *testing.T) {
 	}
 }
 
+// TestFadeBracketUpperEndIsMonotone: walkFaded caps every fade of a
+// listener at the upper bracket of its smallest x, which holds only if
+// fadeBracket's upper end never grows with x. Check it between every pair
+// of neighbouring table cells at every exponent a draw reaches, across
+// every binade boundary, and at 10⁶ sorted random draws.
+func TestFadeBracketUpperEndIsMonotone(t *testing.T) {
+	var xs []float64
+	for e := -53; e <= -1; e++ {
+		for i := 0; i <= 1<<fadeBits; i++ {
+			edge := math.Ldexp(1+float64(i)/(1<<fadeBits), e)
+			xs = append(xs, math.Nextafter(edge, 0), edge)
+		}
+	}
+	rng := xrand.NewReseedable(2)
+	for range 1_000_000 {
+		xs = append(xs, 1-rng.Float64())
+	}
+	xs = append(xs, 0x1p-53, 1)
+	slices.Sort(xs)
+	for i := 1; i < len(xs); i++ {
+		_, a := fadeBracket(xs[i-1])
+		_, b := fadeBracket(xs[i])
+		if b > a {
+			t.Fatalf("x = %v < %v, but the upper ends are %v < %v", xs[i-1], xs[i], a, b)
+		}
+	}
+}
+
+// TestDrawFadesCapsEveryFade: drawFades keeps the stream's draws in
+// order, each giving x = 1 − U through drawX, and its cap bounds every fade
+// the kernel computes from them, −math.Log(x) as expFade takes it, within
+// one table cell of the largest: unseen transmitters on a faded walk are
+// capped by it.
+func TestDrawFadesCapsEveryFade(t *testing.T) {
+	for seed := range uint64(200) {
+		us := make([]uint64, 1+int(seed%7)*int(seed%41))
+		rng := xrand.NewReseedable(seed)
+		replay := *rng
+		fadeCap := drawFades(rng, us)
+		largest := 0.0
+		for i, u := range us {
+			at := replay
+			if x, want := drawX(u), 1-at.Float64(); x != want {
+				t.Fatalf("seed %d draw %d: x = %v, want %v", seed, i, x, want)
+			}
+			h := expFade(&replay)
+			if h > fadeCap {
+				t.Fatalf("seed %d draw %d: fade %v above the cap %v", seed, i, h, fadeCap)
+			}
+			largest = max(largest, h)
+		}
+		if fadeCap-largest > 0x1p-9 {
+			t.Fatalf("seed %d: cap %v, largest fade %v: looser than a table cell", seed, fadeCap, largest)
+		}
+		if *rng != replay {
+			t.Fatalf("seed %d: drawFades left the stream elsewhere than %d draws on", seed, len(us))
+		}
+	}
+}
+
 // fadedTwins returns two channels with the same parameters, points and
 // fade seed: the first takes the bracketed pass, the second has a no-op
 // observer installed, which keeps every listener on the exact sum.
@@ -68,16 +129,18 @@ func fadedTwins(t *testing.T, p Params, pts []geom.Point, seed uint64) (brackete
 // bit with no exemption: round after round, through Deliver and through
 // random ascending DeliverTo lists, over a disk, a lattice (exact ties in
 // the unfaded signals), clusters and an exponential chain, α ∈ {2, 2.5, 3,
-// 4, 6}, β ∈ {0.5, 1, 1.5, 4} and N ∈ {0, 1, 10⁶}. Each deployment must
-// have listeners the brackets settled and listeners they replayed, or the
-// comparison proves nothing.
+// 4, 6}, β ∈ {0.5, 1, 1.5, 4} and N ∈ {0, 1, 10⁶}. Rounds of 15 and 60
+// transmitters bracket every fade; rounds of 150 walk the certificate's
+// grid. Each deployment must have listeners the walk settled, listeners
+// the brackets settled and listeners they replayed, or the comparison
+// proves nothing.
 func TestFadedBracketsMatchFullSum(t *testing.T) {
 	const n = 300
 	const untouched = -7
 	rng := xrand.New(22)
 	for i, cd := range certDeployments(t, 32, n) {
 		compared := 0
-		settled0, replayed0 := mFadedCertified.Load(), mFadedFallbacks.Load()
+		settled0, walked0, replayed0 := mFadedCertified.Load(), mFadedWalked.Load(), mFadedFallbacks.Load()
 		for j, rc := range certCases(cd, uint64(50+i)) {
 			if rc.hetero {
 				continue // NewRayleigh builds uniform powers only
@@ -105,10 +168,12 @@ func TestFadedBracketsMatchFullSum(t *testing.T) {
 			}
 		}
 		settled, replayed := mFadedCertified.Load()-settled0, mFadedFallbacks.Load()-replayed0
-		if settled == 0 || replayed == 0 {
-			t.Errorf("%s: the brackets settled %d listeners and replayed %d; the cases must have both", cd.name, settled, replayed)
+		walked := mFadedWalked.Load() - walked0
+		if walked == 0 || settled == walked || replayed == 0 {
+			t.Errorf("%s: the walk settled %d listeners, the brackets %d in all, and %d were replayed; the cases must have each",
+				cd.name, walked, settled, replayed)
 		}
-		t.Logf("%s: %d listener decisions compared, %d settled by brackets, %d replayed", cd.name, compared, settled, replayed)
+		t.Logf("%s: %d listener decisions compared, %d settled by brackets (%d on the walk), %d replayed", cd.name, compared, settled, walked, replayed)
 	}
 }
 
@@ -139,14 +204,17 @@ func (o ratioObserver) OnReception(v, _ int, sinr, _ float64) { o[v] = sinr }
 // threshold: β is set to the exact sum's own ratio at a listener, fades
 // included, or to a float neighbour of it, so the reception turns on the
 // last bit of the kernel's arithmetic. No bracket is that narrow, so the
-// listener must be replayed through the exact sum, and every listener must
-// decode what the exact sum decodes.
+// listener must be replayed through the exact sum, after its walk and its
+// full bracket both gave up, and every listener must decode what the exact
+// sum decodes. The round's 400 transmitters put every listener on the walk,
+// which must settle some of them.
 func TestFadedBracketsAtThreshold(t *testing.T) {
 	const near, listeners, seed = 400, 20, 5
 	const untouched = -7
 	pts, tx := thresholdLayout(near, listeners)
 	n := len(pts)
 	decisions := 0
+	walked0 := mFadedWalked.Load()
 	for _, alpha := range []float64{2, 3, 4} {
 		for _, noise := range []float64{0, 1} {
 			p := Params{Alpha: alpha, Beta: 1, Noise: noise, Power: 1}
@@ -194,7 +262,10 @@ func TestFadedBracketsAtThreshold(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d listener decisions compared", decisions)
+	if mFadedWalked.Load() == walked0 {
+		t.Error("the walk settled no listener; the comparison covers only the full bracket")
+	}
+	t.Logf("%d listener decisions compared, %d settled on the walk", decisions, mFadedWalked.Load()-walked0)
 }
 
 // TestFadedVerdictWithExactBrackets: fadedVerdict's tests hold for any
@@ -273,38 +344,44 @@ func TestFadedVerdictMarginFollowsUpperSum(t *testing.T) {
 // from either of two transmitters, and with both at the same distance the
 // kernel decodes the one whose fade is larger. When the two fades' brackets
 // overlap, the larger upper bound need not belong to the larger fade, so
-// only ℓ > T₂ keeps the bracketed verdict on the kernel's sender. Each of
-// 100 listeners sits midway between its own two transmitters, far from
-// every other group; over 300 rounds the brackets must overlap at some
-// listeners, and every listener must decode what the exact sum decodes.
+// only ℓ > T₂ keeps the bracketed verdict on the kernel's sender. Each
+// listener sits midway between its own two transmitters, far from every
+// other group: 32 groups make rounds of 64 transmitters, which bracket every
+// fade, and 100 groups rounds of 200, which walk the certificate's grid.
+// The brackets must overlap at some listeners, and every listener must
+// decode what the exact sum decodes.
 func TestFadedBracketsKeepTheStrictMaximum(t *testing.T) {
-	const groups, rounds = 100, 300
-	pts := make([]geom.Point, 0, 3*groups)
-	for k := range groups {
-		x := 1000 * float64(k)
-		pts = append(pts, geom.Point{X: x - 1}, geom.Point{X: x}, geom.Point{X: x + 1})
-	}
-	n := len(pts)
-	tx := make([]bool, n)
-	for v := range n {
-		tx[v] = v%3 != 1
-	}
-	p := Params{Alpha: 3, Beta: 0.5, Noise: 1e-3, Power: 1}
-	bracketed, exact := fadedTwins(t, p, pts, 9)
-	got, want := make([]int, n), make([]int, n)
-	replayed0 := mFadedFallbacks.Load()
-	for round := range rounds {
-		bracketed.Deliver(tx, got)
-		exact.Deliver(tx, want)
-		for v := 1; v < n; v += 3 {
-			if got[v] != want[v] {
-				t.Fatalf("round %d listener %d: bracketed %d, exact sum %d", round, v, got[v], want[v])
+	for _, tc := range []struct{ groups, rounds int }{{32, 900}, {100, 300}} {
+		pts := make([]geom.Point, 0, 3*tc.groups)
+		for k := range tc.groups {
+			x := 1000 * float64(k)
+			pts = append(pts, geom.Point{X: x - 1}, geom.Point{X: x}, geom.Point{X: x + 1})
+		}
+		n := len(pts)
+		tx := make([]bool, n)
+		for v := range n {
+			tx[v] = v%3 != 1
+		}
+		p := Params{Alpha: 3, Beta: 0.5, Noise: 1e-3, Power: 1}
+		bracketed, exact := fadedTwins(t, p, pts, 9)
+		got, want := make([]int, n), make([]int, n)
+		replayed0, walked0 := mFadedFallbacks.Load(), mFadedWalked.Load()
+		for round := range tc.rounds {
+			bracketed.Deliver(tx, got)
+			exact.Deliver(tx, want)
+			for v := 1; v < n; v += 3 {
+				if got[v] != want[v] {
+					t.Fatalf("%d transmitters, round %d listener %d: bracketed %d, exact sum %d", 2*tc.groups, round, v, got[v], want[v])
+				}
 			}
 		}
-	}
-	if replayed := mFadedFallbacks.Load() - replayed0; replayed == 0 {
-		t.Errorf("no listener was replayed in %d listener-rounds; the brackets never overlapped", groups*rounds)
-	} else {
-		t.Logf("%d of %d listener-rounds replayed", replayed, groups*rounds)
+		replayed, walked := mFadedFallbacks.Load()-replayed0, mFadedWalked.Load()-walked0
+		if replayed == 0 {
+			t.Errorf("%d transmitters: no listener was replayed in %d listener-rounds; the brackets never overlapped", 2*tc.groups, tc.groups*tc.rounds)
+		}
+		if onWalk := 2*tc.groups > certSmallTx; (walked > 0) != onWalk {
+			t.Errorf("%d transmitters: the walk settled %d listeners, want some: %v", 2*tc.groups, walked, onWalk)
+		}
+		t.Logf("%d transmitters: %d of %d listener-rounds replayed, %d settled on the walk", 2*tc.groups, replayed, tc.groups*tc.rounds, walked)
 	}
 }

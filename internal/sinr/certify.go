@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"fadingcr/internal/geom"
+	"fadingcr/internal/xrand"
 )
 
 // Certified exact delivery.
@@ -26,7 +27,10 @@ import (
 // where F bounds the unseen signal ring by ring. η and η̂ exceed every
 // rounding the kernel's full ascending sum can make, so either verdict
 // equals the full sum's bit for bit; when neither test holds, the listener
-// falls back to the full sum. DESIGN.md §8 has the argument.
+// falls back to the full sum. A faded listener takes the same walk over
+// brackets g·[lo, hi] on its signals, with ringCap[k] scaled by its largest
+// fade's upper bracket (walkFaded); an exact listener is the case
+// lo = hi = 1, scaled by 1. DESIGN.md §8 has the argument.
 const (
 	// certEps is the certificate's relative slack: distance floors shrink
 	// and per-ring bounds grow by it, and each test must hold by a margin of
@@ -138,14 +142,12 @@ func (g *txGrid) setBlock(blk *certBlock, cell int) {
 // cell share its block (certBlock), rebuilt whenever the cell changes, and
 // sum it two at a time in one pass over its transmitters, each into its
 // own walk, so a listener's floats never depend on its neighbour or its
-// tile. A listener whose certificate holds parks its verdict: no sender,
-// or its sender with the certifiedReception total; the others take the
-// full sum.
+// tile. A listener whose certificate holds parks its verdict; the others
+// take the full sum.
 //
 //crlint:hotpath
 func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 	g := r.cert
-	totals, best, bestU := c.scratch.totals, c.scratch.best, c.scratch.bestU
 	blk := certBlock{cell: -1}
 	var ws [2]certWalk
 	for i := 0; i < len(vs); {
@@ -158,7 +160,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 			k = 2
 		}
 		for j, v := range vs[i : i+k] {
-			ws[j] = certWalk{g: g, pv: c.pts[v], alpha: c.params.Alpha, b: -1, bu: -1}
+			ws[j].start(g, c.pts[v], nil, 1)
 		}
 		for _, s := range blk.spans[:blk.nspans] {
 			if k == 2 {
@@ -168,7 +170,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 			}
 		}
 		for j, v := range vs[i : i+k] {
-			u, ok, walked := c.certify(&ws[j], r, &blk)
+			u, ok, walked := c.certify(&ws[j], len(r.txList), &blk)
 			if walked {
 				n.walks++
 			}
@@ -178,43 +180,97 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 				continue
 			}
 			n.certified++
-			totals[v], best[v], bestU[v] = 0, -1, -1
-			if u >= 0 {
-				totals[v], bestU[v] = certifiedReception, u
-			}
+			c.scratch.park(v, r.txList, u)
 		}
 		i += k
 	}
 	return n
 }
 
-// certify tries to settle the reception of w's listener, whose walk has
-// summed blk's block, in round r. It returns the transmitter the listener
-// decodes (−1 for none) with ok true when a test holds, or ok false when it
-// needs the full sum: no test held before every transmitter was seen, the
-// walk spent as much work as the full sum's |tx| terms (one unit per
-// transmitter seen, per bucket range read and per far ring bounded), so
-// that a listener that falls back pays at most twice the full sum, or a
-// signal was not finite (coincident points). walked reports whether the listener
-// went past its cell's block. S is summed in block and ring order, not in
-// the kernel's ascending order; η absorbs the difference.
+// walkFaded tries to settle faded listener v on the certificate's walk in
+// round r, whose grid holds the round's transmitters. It draws v's m fades
+// into scratch (drawFades) and walks from v's cell (blk, kept across calls,
+// shares F from ring 2 between listeners of one cell), bracketing only the
+// fades of the transmitters it sees. A settled verdict is parked and
+// walkFaded reports true; otherwise it parks nothing and the caller
+// rewinds rng.
 //
 //crlint:hotpath
-func (c *Channel) certify(w *certWalk, r deliverRound, blk *certBlock) (u int, ok, walked bool) {
+func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *certBlock) bool {
+	us := c.scratch.draws[:len(r.txList)]
+	fadeCap := drawFades(rng, us)
 	g := r.cert
-	total := len(r.txList)
+	if cell := int(g.cellOf(v)); cell != blk.cell {
+		g.setBlock(blk, cell)
+	}
+	var w certWalk
+	w.start(g, c.pts[v], us, fadeCap)
+	for _, s := range blk.spans[:blk.nspans] {
+		w.span(int(s[0]), int(s[1]))
+	}
+	u, ok, _ := c.certify(&w, len(r.txList), blk)
+	if ok {
+		c.scratch.park(v, r.txList, u)
+	}
+	return ok
+}
+
+// drawFades fills us with rng's next len(us) draws in sumAll's order, each
+// kept as the integer j of U = j·2⁻⁵³ that Reseedable.Float64 returns (no
+// float conversion per draw), and returns the upper bracket of the largest
+// fade: the largest j gives the smallest x = 1 − U, and fadeBracket's
+// upper end does not grow with x, so it bounds every fade of the draws.
+//
+//crlint:hotpath
+func drawFades(rng *xrand.Reseedable, us []uint64) float64 {
+	var most uint64
+	for i := range us {
+		u := rng.Uint64() << 11 >> 11
+		us[i] = u
+		most = max(most, u)
+	}
+	_, hi := fadeBracket(drawX(most))
+	return hi
+}
+
+// drawX returns x = 1 − U for a draw kept as drawFades keeps it, bit for
+// bit as 1 − rng.Float64() computes it.
+//
+//crlint:hotpath
+func drawX(u uint64) float64 {
+	return 1 - float64(u)/(1<<53)
+}
+
+// certify tries to settle the reception of w's listener, whose walk has
+// summed blk's block, in a round with total transmitters. It returns the
+// rank of the transmitter the listener decodes (−1 for none) with ok true
+// when a test holds, or ok false when it needs the full sum: no test held
+// before every transmitter was seen, the walk spent as much work as the
+// full sum's |tx| terms (one unit per transmitter seen, per bucket range read and per far
+// ring bounded), so that a listener that falls back pays at most twice the
+// full sum, or a signal was not finite (coincident points). walked reports
+// whether the listener went past its cell's block. The sums are taken in
+// block and ring order, not in the kernel's ascending order; η absorbs the
+// difference. Every bound on unseen signals is scaled by w.fadeCap, which
+// is 1, exactly, for an exact listener.
+//
+//crlint:hotpath
+func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, walked bool) {
+	g := w.g
 	budget := total
 	for ring := 2; ; ring++ {
-		if !(w.sum <= math.MaxFloat64) {
+		if !(w.hi <= math.MaxFloat64) {
 			return -1, false, walked // an infinite signal: coincident or near-coincident points
 		}
 		unseen := total - w.seen
-		if c.params.certNone(w.sum, w.sum, w.b, g.ringCap[ring], unseen) {
+		ringCap := g.ringCap[ring] * w.fadeCap
+		if c.params.certNone(w.lo, w.hi, w.top, ringCap, unseen) {
 			return -1, true, walked
 		}
-		// Once no unseen transmitter can reach b, b is the round's strongest
-		// signal and bu its sender.
-		if unseen == 0 || g.ringCap[ring] < w.b {
+		// Once no seen transmitter and no unseen one can reach ℓ, T's
+		// sender has the kernel's one strict maximum, or for an exact
+		// listener the kernel's maximum by its own tie rule.
+		if w.topLo > w.second && (unseen == 0 || ringCap < w.topLo) {
 			var far float64
 			var work int
 			if ring == 2 {
@@ -229,8 +285,8 @@ func (c *Channel) certify(w *certWalk, r deliverRound, blk *certBlock) (u int, o
 				far, work = g.farBound(blk.col, blk.row, ring, w.seen, total)
 			}
 			w.work += work
-			if c.params.certReceived(w.sum, far, w.b) {
-				return w.bu, true, walked
+			if c.params.certReceived(w.hi, far*w.fadeCap, w.topLo) {
+				return w.tu, true, walked
 			}
 		}
 		if unseen == 0 || w.work > budget {
@@ -241,17 +297,34 @@ func (c *Channel) certify(w *certWalk, r deliverRound, blk *certBlock) (u int, o
 	}
 }
 
-// certWalk is one listener's walk: the listener's position, the running
-// sum S of the signals seen, the strongest b with its sender bu, and the
-// transmitters seen and work units spent so far.
+// certWalk is one listener's walk. Each seen computed signal lies in
+// [g·lo, g·hi]: g itself for an exact listener, g times the bracket on its
+// fade for a faded one. The walk keeps L and U (lo, hi), the sums of those
+// ends; T (top), the largest upper end, with its sender's rank tu and lower
+// end ℓ (topLo); T₂ (second), the largest upper end of the others, which
+// only a faded listener needs (an exact T is the kernel's maximum by its
+// tie rule; T₂ stays −1); and the transmitters seen and work spent. fades
+// holds a faded listener's draws by rank (nil if exact), and fadeCap
+// bounds its every fade (1 if exact).
 type certWalk struct {
-	g      *txGrid
-	pv     geom.Point
-	alpha  float64
-	sum, b float64
-	bu     int
-	seen   int
-	work   int
+	g                  *txGrid
+	pv                 geom.Point
+	fades              []uint64
+	fadeCap            float64
+	lo, hi             float64
+	top, topLo, second float64
+	tu                 int
+	seen, work         int
+}
+
+// start makes w the walk of the listener at pv, with nothing seen; set
+// field by field, it copies no struct.
+//
+//crlint:hotpath
+func (w *certWalk) start(g *txGrid, pv geom.Point, fades []uint64, fadeCap float64) {
+	*w = certWalk{}
+	w.g, w.pv, w.fades, w.fadeCap = g, pv, fades, fadeCap
+	w.top, w.topLo, w.second, w.tu = -1, -1, -1, -1
 }
 
 // ring adds the cells of ring k around (col, row) — the cells at Chebyshev
@@ -288,42 +361,55 @@ func (w *certWalk) cells(first, last int) {
 	w.span(int(w.g.start[first]), int(w.g.start[last+1]))
 }
 
-// span adds the signals of the transmitters at CSR positions [first, end)
-// to the walk, reading their positions contiguously. The maximum follows
-// the kernel's rule, the first strict maximum in ascending transmitter
-// index, so equal signals keep the lower index whatever order the walk
-// meets them in; a transmitter's index is read only when its signal ties
-// or beats b.
+// span adds the transmitters at CSR positions [first, end) to the walk,
+// reading their positions contiguously and, for a faded listener, their
+// fades by rank. T follows the kernel's rule, the first strict maximum in
+// ascending rank, which is ascending transmitter index, so equal upper ends
+// keep the lower rank whatever order the walk meets them in; a
+// transmitter's rank is read only when its upper end ties or beats T, or
+// to find its fade.
 //
 //crlint:hotpath
 func (w *certWalk) span(first, end int) {
 	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	alpha, pv := w.alpha, w.pv
-	sum, b, bu := w.sum, w.b, w.bu
+	alpha, pv, fades := w.g.alpha, w.pv, w.fades
+	// A faded listener's U and T₂ stay in w, out of the exact loop's way.
+	lo, top, tu := w.lo, w.top, w.tu
 	for i := range pos {
 		s := pos[i].power * attenuation(pos[i].pt.Dist2(pv), alpha)
-		sum += s
-		if s >= b {
-			if u := int(idx[i]); s > b || u < bu {
-				b, bu = s, u
+		t := s
+		if fades != nil {
+			flo, fhi := fadeBracket(drawX(fades[idx[i]]))
+			s, t = s*flo, s*fhi
+			w.hi += t
+			w.second = max(w.second, min(t, top))
+		}
+		lo += s
+		if t >= top {
+			if u := int(idx[i]); t > top || u < tu {
+				top, tu, w.topLo = t, u, s
 			}
 		}
 	}
-	w.sum, w.b, w.bu = sum, b, bu
+	if fades == nil {
+		w.hi = lo
+	}
+	w.lo, w.top, w.tu = lo, top, tu
 	w.seen += end - first
 	w.work += end - first + 1
 }
 
-// spanPair is span for two walks at once, w's and o's: one pass over the
-// transmitters, whose positions both walks read, with each walk's floats
-// its own, exactly as span computes them.
+// spanPair is span for two exact walks at once, w's and o's: one pass over
+// the transmitters, whose positions both walks read, with each walk's
+// floats its own, exactly as span computes them. Faded listeners are
+// visited in index order, not cell order, so they never share a block.
 //
 //crlint:hotpath
 func (w *certWalk) spanPair(o *certWalk, first, end int) {
 	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	alpha, pw, po := w.alpha, w.pv, o.pv
-	sw, bw, uw := w.sum, w.b, w.bu
-	so, bo, uo := o.sum, o.b, o.bu
+	alpha, pw, po := w.g.alpha, w.pv, o.pv
+	sw, bw, uw := w.lo, w.top, w.tu
+	so, bo, uo := o.lo, o.top, o.tu
 	for i := range pos {
 		s := pos[i].power * attenuation(pos[i].pt.Dist2(pw), alpha)
 		t := pos[i].power * attenuation(pos[i].pt.Dist2(po), alpha)
@@ -340,8 +426,8 @@ func (w *certWalk) spanPair(o *certWalk, first, end int) {
 			}
 		}
 	}
-	w.sum, w.b, w.bu = sw, bw, uw
-	o.sum, o.b, o.bu = so, bo, uo
+	w.lo, w.hi, w.top, w.topLo, w.tu = sw, sw, bw, bw, uw
+	o.lo, o.hi, o.top, o.topLo, o.tu = so, so, bo, bo, uo
 	for _, x := range [2]*certWalk{w, o} {
 		x.seen += end - first
 		x.work += end - first + 1
@@ -378,11 +464,11 @@ func (g *txGrid) farBound(col, row, ring, seen, total int) (far float64, work in
 // kernel's strongest signal from above (B = b once unseen is 0) and
 // N + S − B its interference from below, so a pass puts the kernel's ratio
 // below β by more than its rounding: no reception. upper, a bound from
-// above on the kernel's sum of the seen signals, sets the margin: the walk
-// passes S for both, its signals being the kernel's own, and a faded
-// listener passes its lower sum L as sum and its upper sum U as upper
-// (sumBracketed). It reports false outside certRange, where rounding is not
-// relative.
+// above on the kernel's sum of the seen signals, sets the margin: an exact
+// walk passes S for both, its signals being the kernel's own, and a faded
+// listener passes its lower sum L as sum and its upper sum U as upper (its
+// walk, or sumBracketed). It reports false outside certRange, where
+// rounding is not relative.
 //
 //crlint:hotpath
 func (p Params) certNone(sum, upper, b, ringCap float64, unseen int) bool {

@@ -468,9 +468,10 @@ func TestCertifiedDeliverZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCertificateScope: the certificate never runs where it must not — on a
-// faded channel, with an observer installed, in a round
-// with at most certSmallTx transmitters, or outside the ranges where
+// TestCertificateScope: the exact engine's certificate never runs where it
+// must not — on a faded channel (whose listeners walk over brackets and
+// count apart, in sinr.faded_walked), with an observer installed, in a
+// round with at most certSmallTx transmitters, or outside the ranges where
 // its rounding argument holds (β below 1/certRange, a grid extent whose
 // square overflows certRange, a non-finite position) — and runs otherwise.
 // Where it does not run, the full sum's receptions stand.
@@ -730,7 +731,8 @@ func TestRingWalkCoversSquares(t *testing.T) {
 				if want := g.squareCount(col, row, 1); blk.seen != want {
 					t.Fatalf("grid %d×%d, cell (%d, %d): block holds %d transmitters, table counts %d", g.cols, g.rows, col, row, blk.seen, want)
 				}
-				w := certWalk{g: g, pv: pts[v], alpha: 3, b: -1, bu: -1}
+				var w certWalk
+				w.start(g, pts[v], nil, 1)
 				for _, s := range blk.spans[:blk.nspans] {
 					w.span(int(s[0]), int(s[1]))
 				}

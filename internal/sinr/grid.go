@@ -54,16 +54,16 @@ type txGrid struct {
 	shift      int
 	cols, rows int
 
-	// cellID[v] is node v's cell id, row·cols + col, in the round's shape;
-	// prepare writes it for the round's transmitters and its listed
-	// listeners, the only nodes a round reads it for.
+	// cellID[v] is node v's cell id, row·cols + col, in the round's shape,
+	// for the round's transmitters (bucket) and an unfaded round's listed
+	// listeners (sortListeners), the only nodes a round reads it for.
 	cellID []int32
 
 	// The round's transmitters in CSR form, rebuilt by bucket:
-	// idx[start[c]:start[c+1]] holds the transmitters in cell c in ascending
-	// index, and pos holds their positions and powers in the same order. Cell
-	// ids run row-major, so a run of cells within one grid row is one
-	// contiguous range of idx and pos.
+	// idx[start[c]:start[c+1]] holds the ranks in txList (rank order is
+	// index order) of the transmitters in cell c, ascending, and pos their
+	// positions and powers in the same order. Cell ids run row-major, so a
+	// run of cells within one grid row is one contiguous range of idx and pos.
 	start []int32
 	idx   []int32
 	pos   []txNode
@@ -75,9 +75,9 @@ type txGrid struct {
 	sat     []int32
 	ringCap []float64
 
-	// order holds the round's listed, non-transmitting listeners sorted by
-	// cell (ascending within a cell); lstart is its counting sort's per-cell
-	// offsets.
+	// order holds an unfaded round's listed, non-transmitting listeners
+	// sorted by cell (ascending within a cell); lstart is its counting
+	// sort's per-cell offsets.
 	order  []int
 	lstart []int32
 }
@@ -132,16 +132,14 @@ func (g *txGrid) shapeAt(j int) (cols, rows int) {
 }
 
 // prepare readies the grid for a certified round: it picks the round's
-// shape, buckets the transmitters (txList with their gathered nodes) and
-// returns the listed listeners that do not transmit, sorted by cell.
+// shape and buckets the transmitters (txList with their gathered nodes).
 //
 //crlint:hotpath
-func (g *txGrid) prepare(tx []bool, txList []int, nodes []txNode, listeners []int) []int {
+func (g *txGrid) prepare(txList []int, nodes []txNode) {
 	if j := g.shapeFor(len(txList)); j != g.shift {
 		g.setShape(j)
 	}
 	g.bucket(txList, nodes)
-	return g.sortListeners(tx, listeners)
 }
 
 // shapeFor returns the shape of a round with m transmitters: the smallest j
@@ -195,7 +193,7 @@ func (g *txGrid) cellOf(u int) int32 {
 }
 
 // bucket sorts the round's transmitters by cell — a counting sort into the
-// CSR arrays, with each transmitter's gathered node beside its index — and
+// CSR arrays, with each transmitter's gathered node beside its rank — and
 // refills the summed-area table from the buckets. The buckets inherit
 // txList's ascending order within each cell.
 //
@@ -214,7 +212,7 @@ func (g *txGrid) bucket(txList []int, nodes []txNode) {
 	for i, u := range txList {
 		c := g.cellID[u]
 		at := start[c]
-		g.idx[at], g.pos[at] = int32(u), nodes[i]
+		g.idx[at], g.pos[at] = int32(i), nodes[i]
 		start[c] = at + 1
 	}
 	// The fill advanced start[c] to cell c's end; shift back to starts.
@@ -237,9 +235,9 @@ func (g *txGrid) bucket(txList []int, nodes []txNode) {
 	}
 }
 
-// sortListeners counting-sorts the listed listeners that do not transmit by
-// cell into order, in O(listeners + cells), and returns them. Within a cell
-// they keep the list's ascending order.
+// sortListeners counting-sorts an unfaded round's listed listeners that do
+// not transmit by cell into order, in O(listeners + cells), and returns
+// them. Within a cell they keep the list's ascending order.
 //
 //crlint:hotpath
 func (g *txGrid) sortListeners(tx []bool, listeners []int) []int {

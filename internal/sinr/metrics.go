@@ -37,4 +37,7 @@ var (
 	// from sinr.certified_listeners, the exact engine's certificate.
 	mFadedCertified = obs.Default.Counter("sinr.faded_certified")
 	mFadedFallbacks = obs.Default.Counter("sinr.faded_fallbacks")
+	// mFadedWalked counts the mFadedCertified listeners the certificate's
+	// walk settled (walkFaded): one add per faded round.
+	mFadedWalked = obs.Default.Counter("sinr.faded_walked")
 )

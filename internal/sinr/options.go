@@ -69,9 +69,10 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 // deliverScratch holds the channel-owned buffers a steady-state Deliver
 // reuses so it performs zero allocations: the transmitter index list and
 // its gathered positions and powers, the per-listener running interference
-// totals, the per-listener strongest signal and its sender, and each
-// worker's certified-round counts. Sharing the scratch is why channels are
-// not safe for concurrent use.
+// totals, the per-listener strongest signal and its sender, each worker's
+// certified-round counts, and on a faded channel one listener's fade draws
+// (walkFaded). Sharing the scratch is why channels are not safe for
+// concurrent use.
 type deliverScratch struct {
 	txList  []int
 	txNodes []txNode
@@ -79,6 +80,7 @@ type deliverScratch struct {
 	best    []float64
 	bestU   []int
 	counts  []certCounts
+	draws   []uint64
 }
 
 // newDeliverScratch preallocates every buffer at channel-construction time:
@@ -91,6 +93,17 @@ func newDeliverScratch(n, workers int) deliverScratch {
 		best:    make([]float64, n),
 		bestU:   make([]int, n),
 		counts:  make([]certCounts, workers),
+	}
+}
+
+// park parks listener v's verdict settled without the full sum: reception
+// from txList[k] (the certifiedReception total), or none for k < 0.
+//
+//crlint:hotpath
+func (s *deliverScratch) park(v int, txList []int, k int) {
+	s.totals[v], s.best[v], s.bestU[v] = 0, -1, -1
+	if k >= 0 {
+		s.totals[v], s.bestU[v] = certifiedReception, txList[k]
 	}
 }
 

@@ -197,17 +197,19 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // listener, as Deliver visits them. DeliverTo draws only its listed
 // listeners' fades and jumps the stream over the rest, so each listed
 // listener's fades, and receptions, are Deliver's. With no observer, most
-// listeners are settled from bounds on their fades without a logarithm,
-// and the rest replay the same draws through the exact sum, so no fade and
-// no reception depends on which path a listener took. Faded channels
-// deliver sequentially whatever worker count their options ask for, and
-// their receptions are the same with or without them.
+// listeners are settled from bounds on their fades without a logarithm (in
+// rounds of more than certSmallTx transmitters, bounding only the fades its
+// certificate walk sees), and the rest replay the same draws through the
+// exact sum, so no fade and no reception depends on which path a listener
+// took. Faded channels deliver sequentially whatever worker count their
+// options ask for, and their receptions are the same with or without them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
 	c, err := New(params, pts, opts...)
 	if err != nil {
 		return nil, err
 	}
 	c.par = 1
+	c.scratch.draws = make([]uint64, len(pts))
 	// Reseeded every round; the construction seed is never consumed.
 	c.fade = &fadeSource{seed: seed, rng: xrand.NewReseedable(seed)}
 	return c, nil
@@ -304,14 +306,14 @@ func (c *Channel) allListeners() []int {
 // jumps over the draws of every other listener (NewRayleigh), so a round
 // costs its listed listeners' work on every channel.
 //
-// On an unfaded channel with no observer, a round with more than
-// certSmallTx transmitters visits its listeners cell by cell and certifies
-// each from its cell's block and a few grid rings around it where it can
-// (certify.go), summing Eq. (1) in full only where the bounds cannot
-// decide. On a faded channel with no observer, every round brackets each
-// listed listener's fades (sumBracketed) and sums Eq. (1) exactly only
-// where the brackets cannot decide. Either way the receptions are the full
-// sum's.
+// With no observer, a round with more than certSmallTx transmitters
+// certifies each listener from its cell's block and a few grid rings
+// around it where it can (certify.go): an unfaded channel visits its
+// listeners cell by cell, and a faded one in list order, bracketing the
+// fades its walks see. A faded listener the walk cannot settle, or any
+// faded listener of a smaller round, brackets all its fades
+// (sumBracketed). Eq. (1) is summed exactly only where the bounds cannot
+// decide, so the receptions are the full sum's.
 //
 //crlint:hotpath
 func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
@@ -333,12 +335,15 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		return
 	}
 	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList)}
-	// Pass one visits vs: the listed listeners, or in a certified round the
-	// non-transmitting ones in cell order.
+	// Pass one visits vs: the listed listeners, or in an unfaded certified
+	// round the non-transmitting ones in cell order.
 	vs := listeners
-	if len(txList) > certSmallTx && c.fade == nil && c.observer == nil {
+	if len(txList) > certSmallTx && c.observer == nil {
 		if r.cert = c.certGrid(); r.cert != nil {
-			vs = r.cert.prepare(tx, txList, r.nodes, listeners)
+			r.cert.prepare(txList, r.nodes)
+			if c.fade == nil {
+				vs = r.cert.sortListeners(tx, listeners)
+			}
 		}
 	}
 	var counts certCounts
@@ -400,32 +405,35 @@ func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 // accumulateTile is pass one of Deliver over the listeners in vs, the one
 // kernel of every mode: per non-transmitting listener, park the full
 // ascending sum (sumAll) in the scratch arrays for the sequential
-// threshold pass. A certified round's vs is in cell order, and
+// threshold pass. An unfaded certified round's vs is in cell order, and
 // certifyTile takes it, giving sumAll only the listeners its certificate
 // cannot decide. A faded channel multiplies each signal by a fade draw from
 // the round's one stream: before listener v's sum it advances the stream
 // to v's position m·(v − t_v) (NewRayleigh), so unlisted listeners, and
 // unlisted transmitters, cost no draws. With no observer, a faded listener
-// first takes sumBracketed, which settles it from bounds on its fades
-// without a logarithm; an unsettled one rewinds the stream to its position
-// and replays the same draws through sumAll. Faded channels deliver
-// sequentially, so vs is then the round's whole listener list. Concurrent
-// tiles write disjoint listeners' entries, so they never share a buffer.
-// It returns the certified round's counts.
+// takes walkFaded in a certified round, then sumBracketed, each settling it
+// from bounds on its fades without a logarithm; before each fallback the
+// stream rewinds to v's position, and a listener neither settles replays
+// the same draws through sumAll. Faded channels deliver sequentially, so vs
+// is then the round's whole listener list. Concurrent tiles write disjoint
+// listeners' entries, so they never share a buffer. It returns the unfaded
+// certified round's counts.
 //
 //crlint:hotpath
 func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
-	if r.cert != nil {
+	if r.cert != nil && c.fade == nil {
 		return c.certifyTile(vs, r)
 	}
 	// Faded: the stream, the draws per listener (m), the stream's position,
 	// the draws taken, the transmitters below v (t_v), whether brackets
-	// may settle listeners, and the listeners they settled and replayed.
+	// may settle listeners, the listeners settled (walked: on the walk) and
+	// replayed, and the last walked cell's block.
 	var rng *xrand.Reseedable
 	var m, pos, drawn uint64
 	below := 0
 	bracket := false
-	var settled, replayed int
+	var settled, walked, replayed int
+	blk := certBlock{cell: -1}
 	if c.fade != nil {
 		rng, m = c.fade.rng, uint64(len(r.nodes))
 		bracket = c.observer == nil && certifiable(c.params, len(c.pts))
@@ -446,6 +454,12 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 			drawn += m
 			if bracket {
 				at := *rng
+				if r.cert != nil && c.walkFaded(v, r, rng, &blk) {
+					settled++
+					walked++
+					continue
+				}
+				*rng = at // a failed walk drew v's fades
 				if c.sumBracketed(v, r, rng) {
 					settled++
 					continue
@@ -461,6 +475,7 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 		mFadesDrawn.Add(int64(drawn))
 		mFadesSkipped.Add(int64(m*uint64(len(c.pts)-len(r.txList)) - drawn))
 		mFadedCertified.Add(int64(settled))
+		mFadedWalked.Add(int64(walked))
 		mFadedFallbacks.Add(int64(replayed))
 	}
 	return certCounts{}
@@ -496,9 +511,9 @@ func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable) {
 // with g the unfaded signal as sumAll computes it. It sums those products
 // into L and U, keeps the largest g·hi, T, with its sender and that
 // sender's g·lo, ℓ, and the largest g·hi of the other transmitters, T₂, and
-// lets fadedVerdict decide. A settled verdict is parked as certifyTile
-// parks one and sumBracketed reports true; otherwise it parks nothing, and
-// the caller replays v's draws through sumAll.
+// lets fadedVerdict decide. A settled verdict is parked and sumBracketed
+// reports true; otherwise it parks nothing, and the caller replays v's
+// draws through sumAll.
 //
 //crlint:hotpath
 func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable) bool {
@@ -518,15 +533,13 @@ func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable) boo
 		}
 	}
 	decoded, ok := c.params.fadedVerdict(sumLo, sumHi, top, topLo, second)
-	if !ok {
-		return false
+	if ok {
+		if !decoded {
+			ti = -1
+		}
+		c.scratch.park(v, r.txList, ti)
 	}
-	s := &c.scratch
-	s.totals[v], s.best[v], s.bestU[v] = 0, -1, -1
-	if decoded {
-		s.totals[v], s.bestU[v] = certifiedReception, r.txList[ti]
-	}
-	return true
+	return ok
 }
 
 // fadedVerdict is the certificate's two tests over a faded listener's
@@ -549,8 +562,8 @@ func (p Params) fadedVerdict(lo, hi, top, topLo, second float64) (decoded, ok bo
 	return false, false
 }
 
-// certifiedReception is the total certifyTile parks for a certified
-// reception; a full sum is never negative.
+// certifiedReception is the total park writes for a certified reception;
+// a full sum is never negative.
 const certifiedReception = -1.0
 
 // finalizeReceptions is pass two of Deliver: apply the SINR threshold per

@@ -467,7 +467,9 @@ func randomTx(rng *rand.Rand, n int, density float64) []bool {
 // TestDeliverZeroAllocsSteadyState: after the first call, sequential
 // Deliver allocates nothing for uniform powers, per-node powers, and faded
 // channels, which deliver sequentially under a parallel option too and
-// settle most listeners by their bracketed pass.
+// settle most listeners by their bracketed pass: in rounds of 24
+// transmitters by bracketing every fade, and in rounds of 100 on the
+// certificate's walk.
 func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	// Recording is on by default; assert it so the zero-alloc bound below
 	// covers the metric increments on the hot path, not just the engine.
@@ -497,18 +499,40 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	listeners := []int{0, 3, 4, 40, n - 1}
-	settled0 := mFadedCertified.Load()
-	for name, c := range map[string]*Channel{"uniform": uniform, "per-node": perNode, "faded": faded, "faded/3 workers": fadedPar} {
-		c.Deliver(tx, recv) // warm the scratch buffers
-		if allocs := testing.AllocsPerRun(50, func() { c.Deliver(tx, recv) }); allocs != 0 {
+	const large = 400
+	dl, pl, txl := randomGeometry(t, 22, large, 0.25)
+	fadedWalk, err := NewRayleigh(pl, dl.Points, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvl := make([]int, large)
+	type round struct {
+		c         *Channel
+		tx        []bool
+		listeners []int
+		recv      []int
+	}
+	settled0, walked0 := mFadedCertified.Load(), mFadedWalked.Load()
+	for name, r := range map[string]round{
+		"uniform":         {uniform, tx, listeners, recv},
+		"per-node":        {perNode, tx, listeners, recv},
+		"faded":           {faded, tx, listeners, recv},
+		"faded/3 workers": {fadedPar, tx, listeners, recv},
+		"faded, walked":   {fadedWalk, txl, []int{0, 3, 4, 40, 200, large - 1}, recvl},
+	} {
+		r.c.Deliver(r.tx, r.recv) // warm the scratch buffers
+		if allocs := testing.AllocsPerRun(50, func() { r.c.Deliver(r.tx, r.recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state Deliver allocates %.1f times per call, want 0", name, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { c.DeliverTo(tx, listeners, recv) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { r.c.DeliverTo(r.tx, r.listeners, r.recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state DeliverTo allocates %.1f times per call, want 0", name, allocs)
 		}
 	}
-	if mFadedCertified.Load() == settled0 {
-		t.Error("the faded rounds settled no listener by brackets; the bound covers only the exact sum")
+	if mFadedCertified.Load() == settled0 || mFadedWalked.Load() == walked0 {
+		t.Error("the faded rounds settled no listener by brackets, or none on the walk; the bound covers only the exact sum")
+	}
+	if m := countTx(txl); m <= certSmallTx {
+		t.Errorf("the walked round has %d transmitters, want more than %d", m, certSmallTx)
 	}
 }
 
@@ -588,73 +612,111 @@ func checkListed(t *testing.T, label string, got, want, list []int, untouched in
 	}
 }
 
+// fadedDeliverToInput is one input of FuzzFadedDeliverTo.
+type fadedDeliverToInput struct {
+	seed                               uint64
+	size, rounds, density, listen, sel uint8
+	raw                                []byte
+}
+
+// fadedDeliverToSeeds are FuzzFadedDeliverTo's seed inputs. The last three
+// have rounds of more than certSmallTx transmitters, whose listeners walk
+// the certificate's grid; the last of them has coincident points.
+var fadedDeliverToSeeds = []fadedDeliverToInput{
+	{1, 60, 3, 40, 128, 0, nil},
+	{2, 200, 5, 10, 30, 1, nil},
+	{3, 1, 0, 255, 255, 2, nil},
+	{4, 90, 2, 120, 0, 3, nil},
+	{5, 12, 4, 90, 200, 4, []byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 128, 0, 0, 1, 0, 1, 0}},
+	{6, 200, 3, 100, 200, 5, nil},
+	{7, 255, 2, 150, 120, 22, nil},
+	{8, 180, 2, 130, 255, 9, []byte{1, 0, 1, 0, 1, 0, 1, 0, 5, 0, 5, 0, 5, 0, 5, 0, 9, 64, 2, 0, 9, 64, 2, 0}},
+}
+
 // FuzzFadedDeliverTo: on fuzzer-built point sets (coordinates read from the
 // input on a 1/256 grid, so coincident points come easily, or a uniform
 // square), a faded channel's DeliverTo over a random listener mask decodes,
 // round after round, what a twin channel's Deliver decodes at every listed
 // listener and leaves every other entry untouched: its jumps keep the fade
-// stream aligned with the twin's. Both take the bracketed pass, so every
-// listed listener is also held to an observed twin's Deliver, which sums
-// every listener exactly.
+// stream aligned with the twin's. Both take the bracketed pass, on the
+// certificate's walk in rounds of more than certSmallTx transmitters, so
+// every listed listener is also held to an observed twin's Deliver, which
+// sums every listener exactly.
 func FuzzFadedDeliverTo(f *testing.F) {
-	f.Add(uint64(1), uint8(60), uint8(3), uint8(40), uint8(128), uint8(0), []byte{})
-	f.Add(uint64(2), uint8(200), uint8(5), uint8(10), uint8(30), uint8(1), []byte{})
-	f.Add(uint64(3), uint8(1), uint8(0), uint8(255), uint8(255), uint8(2), []byte{})
-	f.Add(uint64(4), uint8(90), uint8(2), uint8(120), uint8(0), uint8(3), []byte{})
-	f.Add(uint64(5), uint8(12), uint8(4), uint8(90), uint8(200), uint8(4),
-		[]byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 128, 0, 0, 1, 0, 1, 0})
+	for _, in := range fadedDeliverToSeeds {
+		f.Add(in.seed, in.size, in.rounds, in.density, in.listen, in.sel, in.raw)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, size, rounds, density, listen, sel uint8, raw []byte) {
+		checkFadedDeliverTo(t, fadedDeliverToInput{seed, size, rounds, density, listen, sel, raw})
+	})
+}
+
+// TestFadedDeliverToSeedsReachTheWalk: FuzzFadedDeliverTo's seeds hold
+// listeners settled on the certificate's walk to the twins, not only
+// listeners that bracket every fade.
+func TestFadedDeliverToSeedsReachTheWalk(t *testing.T) {
+	walked0 := mFadedWalked.Load()
+	for _, in := range fadedDeliverToSeeds {
+		checkFadedDeliverTo(t, in)
+	}
+	if mFadedWalked.Load() == walked0 {
+		t.Error("no seed of FuzzFadedDeliverTo settled a listener on the walk")
+	}
+}
+
+// checkFadedDeliverTo is FuzzFadedDeliverTo's check of one input.
+func checkFadedDeliverTo(t *testing.T, in fadedDeliverToInput) {
+	t.Helper()
+	n := 1 + int(in.size)
+	rng := xrand.New(in.seed)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		if 4*i+4 <= len(in.raw) {
+			b := in.raw[4*i : 4*i+4]
+			pts[i] = geom.Point{X: float64(int8(b[0])) + float64(b[1])/256, Y: float64(int8(b[2])) + float64(b[3])/256}
+		} else {
+			pts[i] = geom.Point{X: 20 * rng.Float64(), Y: 20 * rng.Float64()}
+		}
+	}
 	alphas := []float64{2.5, 3, 4}
 	betas := []float64{0.5, 1, 1.5}
-	f.Fuzz(func(t *testing.T, seed uint64, size, rounds, density, listen, sel uint8, raw []byte) {
-		n := 1 + int(size)
-		rng := xrand.New(seed)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			if 4*i+4 <= len(raw) {
-				b := raw[4*i : 4*i+4]
-				pts[i] = geom.Point{X: float64(int8(b[0])) + float64(b[1])/256, Y: float64(int8(b[2])) + float64(b[3])/256}
-			} else {
-				pts[i] = geom.Point{X: 20 * rng.Float64(), Y: 20 * rng.Float64()}
+	p := Params{Alpha: alphas[int(in.sel)%len(alphas)], Beta: betas[int(in.sel/4)%len(betas)], Noise: 1e-3, Power: 1}
+	var opts []Option
+	if in.sel&16 != 0 {
+		opts = append(opts, WithDeliverParallelism(3))
+	}
+	full, err := NewRayleigh(p, pts, in.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed, err := NewRayleigh(p, pts, in.seed, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed, err := NewRayleigh(p, pts, in.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed.SetObserver(fullSum{})
+	const untouched = -7
+	want, got, exact := make([]int, n), make([]int, n), make([]int, n)
+	for round := 0; round <= int(in.rounds)%6; round++ {
+		tx := randomTx(rng, n, float64(in.density)/255)
+		var list []int
+		for v := range n {
+			if rng.IntN(255) < int(in.listen) {
+				list = append(list, v)
 			}
 		}
-		p := Params{Alpha: alphas[int(sel)%len(alphas)], Beta: betas[int(sel/4)%len(betas)], Noise: 1e-3, Power: 1}
-		var opts []Option
-		if sel&16 != 0 {
-			opts = append(opts, WithDeliverParallelism(3))
+		full.Deliver(tx, want)
+		observed.Deliver(tx, exact)
+		for v := range got {
+			got[v] = untouched
 		}
-		full, err := NewRayleigh(p, pts, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		listed, err := NewRayleigh(p, pts, seed, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed, err := NewRayleigh(p, pts, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed.SetObserver(fullSum{})
-		const untouched = -7
-		want, got, exact := make([]int, n), make([]int, n), make([]int, n)
-		for round := 0; round <= int(rounds)%6; round++ {
-			tx := randomTx(rng, n, float64(density)/255)
-			var list []int
-			for v := range n {
-				if rng.IntN(255) < int(listen) {
-					list = append(list, v)
-				}
-			}
-			full.Deliver(tx, want)
-			observed.Deliver(tx, exact)
-			for v := range got {
-				got[v] = untouched
-			}
-			listed.DeliverTo(tx, list, got)
-			checkListed(t, fmt.Sprintf("round %d", round), got, want, list, untouched)
-			checkListed(t, fmt.Sprintf("round %d, against the exact sum", round), got, exact, list, untouched)
-		}
-	})
+		listed.DeliverTo(tx, list, got)
+		checkListed(t, fmt.Sprintf("round %d", round), got, want, list, untouched)
+		checkListed(t, fmt.Sprintf("round %d, against the exact sum", round), got, exact, list, untouched)
+	}
 }
 
 // TestDeliveryCounters: every Deliver moves the sinr.deliveries metric,
