@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short vet lint bench bench-e2e results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
+.PHONY: all build test test-short vet lint bench bench-e2e hotloops results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
 
 all: build vet lint test
 
@@ -44,6 +44,14 @@ bench-e2e:
 	for w in e1 solve-large fleet-mix; do \
 		bash perfbench/run.sh --workload $$w --trace 0 --seconds 30 --seed 7 --out bin/e2e-$$w.json || exit 1; \
 	done
+
+# Mirror of CI's hotloops step: the SINR pair loops make no call (DESIGN.md
+# §8, "Pair loops"). Builds crsim and requires the disassembly of the four
+# pair-loop kernels to call nothing but the pre-loop signal pass and the
+# runtime's panic and stack-growth paths; their speed rests on inlining
+# decisions that no test sees.
+hotloops:
+	./scripts/hotloops.sh
 
 # Regenerate every reproduction experiment at full scale (minutes).
 results:

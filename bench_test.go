@@ -180,26 +180,32 @@ func BenchmarkRunnerParallel(b *testing.B) { benchRunner(b, runtime.GOMAXPROCS(0
 // BenchmarkSINRDeliver measures one round of SINR delivery, the inner loop
 // of every fading-channel experiment, swept over deployment size, transmit
 // density, and channel variant: the paper's uniform powers, per-node
-// powers, and Rayleigh fades, all through the one exact kernel. Sparse sets
-// transmit n/32 nodes (late-protocol contention), dense n/5 (the default
-// p = 0.2 of early rounds).
+// powers, and Rayleigh fades, all through the one exact kernel, at the
+// repository's α = 3, whose pair loops compute their signals in place, and
+// the uniform and faded channels again at α = 2.5, whose loops read a
+// pre-loop pass. Sparse sets transmit n/32 nodes (late-protocol
+// contention), dense n/5 (the default p = 0.2 of early rounds).
 func BenchmarkSINRDeliver(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		for _, density := range []struct {
 			name  string
 			every int
 		}{{"sparse", 32}, {"dense", 5}} {
-			for _, variant := range []string{"uniform", "per-node", "faded"} {
-				name := "n=" + strconv.Itoa(n) + "/" + density.name + "/" + variant
+			for _, variant := range []struct {
+				name, kind string
+				alpha      float64
+			}{{"uniform", "uniform", 3}, {"per-node", "per-node", 3}, {"faded", "faded", 3},
+				{"uniform-alpha2.5", "uniform", 2.5}, {"faded-alpha2.5", "faded", 2.5}} {
+				name := "n=" + strconv.Itoa(n) + "/" + density.name + "/" + variant.name
 				b.Run(name, func(b *testing.B) {
 					d, err := geom.UniformDisk(1, n)
 					if err != nil {
 						b.Fatal(err)
 					}
-					params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
+					params := sinr.Params{Alpha: variant.alpha, Beta: 1.5, Noise: 1}
 					params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
 					var ch *sinr.Channel
-					switch variant {
+					switch variant.kind {
 					case "uniform":
 						ch, err = sinr.New(params, d.Points)
 					case "per-node":

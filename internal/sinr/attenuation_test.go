@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"fadingcr/internal/xrand"
 )
 
 // TestAttenuationMatchesPow: every fast path agrees with math.Pow to within
@@ -36,6 +38,35 @@ func TestAttenuationKnownValues(t *testing.T) {
 	for _, c := range cases {
 		if got := attenuation(c.d2, c.alpha); math.Abs(got-c.want) > 1e-12*c.want {
 			t.Errorf("attenuation(%v, %v) = %v, want %v", c.d2, c.alpha, got, c.want)
+		}
+	}
+}
+
+// TestCubeIsAttenuation: cube, which the pair loops compute in place at
+// α = 3, is attenuation's α = 3 arm bit for bit, and both are the literal
+// 1/(d2·√d2): over random d2 in the simulator's range and over random bit
+// patterns of every exponent, subnormals, 0, +Inf, the largest float and
+// every exact power of two.
+func TestCubeIsAttenuation(t *testing.T) {
+	cases := []float64{0, math.Inf(1), math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		0x1p-1030 + math.SmallestNonzeroFloat64, math.MaxFloat64}
+	for e := -1074; e <= 1023; e++ {
+		cases = append(cases, math.Ldexp(1, e))
+	}
+	rng := xrand.New(27)
+	for range 20000 {
+		cases = append(cases, 1e-6+4e6*rng.Float64())
+		if x := math.Float64frombits(rng.Uint64() &^ (1 << 63)); !math.IsNaN(x) {
+			cases = append(cases, x)
+		}
+	}
+	for _, d2 := range cases {
+		want := math.Float64bits(1 / (d2 * math.Sqrt(d2)))
+		if got := math.Float64bits(cube(d2)); got != want {
+			t.Fatalf("cube(%v) = %v, want 1/(d2·√d2) = %v", d2, cube(d2), math.Float64frombits(want))
+		}
+		if got := math.Float64bits(attenuation(d2, 3)); got != want {
+			t.Fatalf("attenuation(%v, 3) = %v, want 1/(d2·√d2) = %v", d2, attenuation(d2, 3), math.Float64frombits(want))
 		}
 	}
 }

@@ -195,6 +195,32 @@ func thresholdLayout(near, listeners int) (pts []geom.Point, tx []bool) {
 	return pts, tx
 }
 
+// replayRound returns a faded channel over thresholdLayout at α and the
+// transmitters of its first round, built as TestFadedBracketsAtThreshold
+// builds such rounds: β is the exact sum's ratio at listener near (the
+// first listener) in that round, so that listener replays its draws
+// through the exact sum. Zeroing the channel's round count before a call
+// delivers the same round again.
+func replayRound(t *testing.T, alpha float64) (c *Channel, tx []bool, near int) {
+	t.Helper()
+	const listeners, seed = 20, 5
+	near = 400
+	pts, tx := thresholdLayout(near, listeners)
+	p := Params{Alpha: alpha, Beta: math.SmallestNonzeroFloat64, Noise: 1, Power: 1}
+	probe, err := NewRayleigh(p, pts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios := ratioObserver{}
+	probe.SetObserver(ratios)
+	probe.Deliver(tx, make([]int, len(pts)))
+	p.Beta = ratios[near]
+	if c, err = NewRayleigh(p, pts, seed); err != nil {
+		t.Fatal(err)
+	}
+	return c, tx, near
+}
+
 // ratioObserver records the ratio of every reception it sees.
 type ratioObserver map[int]float64
 
@@ -306,8 +332,8 @@ func TestFadedVerdictWithExactBrackets(t *testing.T) {
 					ratio * (1 - 0x1p-10), ratio * (1 + 0x1p-10)} {
 					q := p
 					q.Beta = beta
-					decoded, ok := q.fadedVerdict(total, total, best, best, second)
-					if want := q.SINR(best, total-best) >= beta; ok && decoded != want {
+					k, ok := q.fadedVerdict(total, total, best, best, second, 0)
+					if decoded, want := k == 0, q.SINR(best, total-best) >= beta; ok && decoded != want {
 						t.Fatalf("α=%v N=%v β=%v listener %d: verdict decoded=%v, kernel %v", alpha, noise, beta, v, decoded, want)
 					}
 					compared++
@@ -332,11 +358,11 @@ func TestFadedVerdictWithExactBrackets(t *testing.T) {
 func TestFadedVerdictMarginFollowsUpperSum(t *testing.T) {
 	p := Params{Alpha: 3, Beta: 1, Noise: 1, Power: 1}
 	// T = 1.2 < N + L − T = 1.8, but not once η ≈ certEps·2³⁰ = 1.
-	if decoded, ok := p.fadedVerdict(2, 0x1p30, 1.2, 0, 1.2); ok {
-		t.Errorf("L = 2, U = 2³⁰: settled (decoded=%v), want the margin from U to leave it open", decoded)
+	if k, ok := p.fadedVerdict(2, 0x1p30, 1.2, 0, 1.2, 0); ok {
+		t.Errorf("L = 2, U = 2³⁰: settled (decoded rank %d), want the margin from U to leave it open", k)
 	}
-	if decoded, ok := p.fadedVerdict(2, 2.5, 1.2, 0, 1.2); !ok || decoded {
-		t.Errorf("L = 2, U = 2.5: decoded=%v ok=%v, want settled with no reception", decoded, ok)
+	if k, ok := p.fadedVerdict(2, 2.5, 1.2, 0, 1.2, 0); !ok || k != -1 {
+		t.Errorf("L = 2, U = 2.5: decoded rank %d ok=%v, want settled with no reception", k, ok)
 	}
 }
 

@@ -146,7 +146,7 @@ func (g *txGrid) setBlock(blk *certBlock, cell int) {
 // take the full sum.
 //
 //crlint:hotpath
-func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
+func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n certCounts) {
 	g := r.cert
 	blk := certBlock{cell: -1}
 	var ws [2]certWalk
@@ -160,7 +160,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 			k = 2
 		}
 		for j, v := range vs[i : i+k] {
-			ws[j].start(g, c.pts[v], nil, 1)
+			ws[j].start(g, c.pts[v], nil, 1, sig[j])
 		}
 		for _, s := range blk.spans[:blk.nspans] {
 			if k == 2 {
@@ -176,7 +176,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 			}
 			if !ok {
 				n.fallbacks++
-				c.sumAll(v, r, nil)
+				c.sumAll(v, r, nil, sig[0])
 				continue
 			}
 			n.certified++
@@ -191,12 +191,12 @@ func (c *Channel) certifyTile(vs []int, r deliverRound) (n certCounts) {
 // round r, whose grid holds the round's transmitters. It draws v's m fades
 // into scratch (drawFades) and walks from v's cell (blk, kept across calls,
 // shares F from ring 2 between listeners of one cell), bracketing only the
-// fades of the transmitters it sees. A settled verdict is parked and
-// walkFaded reports true; otherwise it parks nothing and the caller
-// rewinds rng.
+// fades of the transmitters it sees; sig is its signal scratch (start). A
+// settled verdict is parked and walkFaded reports true; otherwise it parks
+// nothing and the caller rewinds rng.
 //
 //crlint:hotpath
-func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *certBlock) bool {
+func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *certBlock, sig []float64) bool {
 	us := c.scratch.draws[:len(r.txList)]
 	fadeCap := drawFades(rng, us)
 	g := r.cert
@@ -204,7 +204,7 @@ func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *c
 		g.setBlock(blk, cell)
 	}
 	var w certWalk
-	w.start(g, c.pts[v], us, fadeCap)
+	w.start(g, c.pts[v], us, fadeCap, sig)
 	for _, s := range blk.spans[:blk.nspans] {
 		w.span(int(s[0]), int(s[1]))
 	}
@@ -304,12 +304,14 @@ func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, wa
 // end ℓ (topLo); T₂ (second), the largest upper end of the others, which
 // only a faded listener needs (an exact T is the kernel's maximum by its
 // tie rule; T₂ stays −1); and the transmitters seen and work spent. fades
-// holds a faded listener's draws by rank (nil if exact), and fadeCap
-// bounds its every fade (1 if exact).
+// holds a faded listener's draws by rank (nil if exact), fadeCap bounds its
+// every fade (1 if exact), and sig is the scratch the pre-loop pass fills
+// at α ≠ 3 (signals).
 type certWalk struct {
 	g                  *txGrid
 	pv                 geom.Point
 	fades              []uint64
+	sig                []float64
 	fadeCap            float64
 	lo, hi             float64
 	top, topLo, second float64
@@ -321,9 +323,9 @@ type certWalk struct {
 // field by field, it copies no struct.
 //
 //crlint:hotpath
-func (w *certWalk) start(g *txGrid, pv geom.Point, fades []uint64, fadeCap float64) {
+func (w *certWalk) start(g *txGrid, pv geom.Point, fades []uint64, fadeCap float64, sig []float64) {
 	*w = certWalk{}
-	w.g, w.pv, w.fades, w.fadeCap = g, pv, fades, fadeCap
+	w.g, w.pv, w.fades, w.fadeCap, w.sig = g, pv, fades, fadeCap, sig
 	w.top, w.topLo, w.second, w.tu = -1, -1, -1, -1
 }
 
@@ -367,16 +369,20 @@ func (w *certWalk) cells(first, last int) {
 // ascending rank, which is ascending transmitter index, so equal upper ends
 // keep the lower rank whatever order the walk meets them in; a
 // transmitter's rank is read only when its upper end ties or beats T, or
-// to find its fade.
+// to find its fade. At α ≠ 3 the pre-loop pass computes the signals.
 //
 //crlint:hotpath
 func (w *certWalk) span(first, end int) {
 	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	alpha, pv, fades := w.g.alpha, w.pv, w.fades
+	pv, fades := w.pv, w.fades
+	var sig []float64
+	if alpha := w.g.alpha; alpha != 3 {
+		sig = signals(w.sig, pos, pv, alpha, nil)
+	}
 	// A faded listener's U and T₂ stay in w, out of the exact loop's way.
 	lo, top, tu := w.lo, w.top, w.tu
 	for i := range pos {
-		s := pos[i].power * attenuation(pos[i].pt.Dist2(pv), alpha)
+		s := signalAt(sig, i, pos[i], pv)
 		t := s
 		if fades != nil {
 			flo, fhi := fadeBracket(drawX(fades[idx[i]]))
@@ -401,18 +407,24 @@ func (w *certWalk) span(first, end int) {
 
 // spanPair is span for two exact walks at once, w's and o's: one pass over
 // the transmitters, whose positions both walks read, with each walk's
-// floats its own, exactly as span computes them. Faded listeners are
-// visited in index order, not cell order, so they never share a block.
+// floats its own, exactly as span computes them; at α ≠ 3 each walk's
+// signals come from the pre-loop pass, into its own scratch. Faded
+// listeners are visited in index order, not cell order, so they never
+// share a block.
 //
 //crlint:hotpath
 func (w *certWalk) spanPair(o *certWalk, first, end int) {
 	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	alpha, pw, po := w.g.alpha, w.pv, o.pv
+	pw, po := w.pv, o.pv
+	var sigW, sigO []float64
+	if alpha := w.g.alpha; alpha != 3 {
+		sigW, sigO = signals(w.sig, pos, pw, alpha, nil), signals(o.sig, pos, po, alpha, nil)
+	}
 	sw, bw, uw := w.lo, w.top, w.tu
 	so, bo, uo := o.lo, o.top, o.tu
 	for i := range pos {
-		s := pos[i].power * attenuation(pos[i].pt.Dist2(pw), alpha)
-		t := pos[i].power * attenuation(pos[i].pt.Dist2(po), alpha)
+		s := signalAt(sigW, i, pos[i], pw)
+		t := signalAt(sigO, i, pos[i], po)
 		sw += s
 		so += t
 		if s >= bw {

@@ -427,44 +427,69 @@ func TestCertificateAtThreshold(t *testing.T) {
 
 // TestCertifiedDeliverZeroAllocs: certified rounds allocate nothing once
 // the channel has built its grid, sequential Deliver and DeliverTo alike,
-// across rounds whose transmitter counts pick different grid shapes.
+// across rounds whose transmitter counts pick different grid shapes: at
+// α = 3, whose pair loops compute their signals in place, and at α = 2.5,
+// whose loops read the per-worker scratch the pre-loop pass fills. Nor does
+// a faded round of 400 transmitters on the certificate's grid whose
+// listener at β walks, brackets every fade and replays its draws through
+// the exact sum (replayRound), delivered again and again.
 func TestCertifiedDeliverZeroAllocs(t *testing.T) {
 	const n = 2000
 	d, err := geom.UniformDisk(8, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultParams()
-	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
-	c, err := New(p, d.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := shapeRounds(t, c, xrand.New(3), n/2)
-	recv := make([]int, n)
-	listeners := randomListeners(xrand.New(4), n, 4)
-	certified0, shapes := mCertifiedListeners.Load(), map[int]bool{}
-	for _, tx := range rounds {
-		c.Deliver(tx, recv)
-		shapes[c.grid.shift] = true
-	}
-	if mCertifiedListeners.Load() == certified0 || len(shapes) < 3 {
-		t.Fatalf("the warm-up rounds certified %d listeners over %d shapes; want some, over 3 or more",
-			mCertifiedListeners.Load()-certified0, len(shapes))
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
+	for _, alpha := range []float64{3, 2.5} {
+		p := DefaultParams()
+		p.Alpha = alpha
+		p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
+		c, err := New(p, d.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := shapeRounds(t, c, xrand.New(3), n/2)
+		recv := make([]int, n)
+		listeners := randomListeners(xrand.New(4), n, 4)
+		certified0, shapes := mCertifiedListeners.Load(), map[int]bool{}
 		for _, tx := range rounds {
 			c.Deliver(tx, recv)
+			shapes[c.grid.shift] = true
 		}
-	}); allocs != 0 {
-		t.Errorf("certified Deliver over %d shapes allocates %.1f times per pass, want 0", len(shapes), allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for _, tx := range rounds {
-			c.DeliverTo(tx, listeners, recv)
+		if mCertifiedListeners.Load() == certified0 || len(shapes) < 3 {
+			t.Fatalf("α=%v: the warm-up rounds certified %d listeners over %d shapes; want some, over 3 or more",
+				alpha, mCertifiedListeners.Load()-certified0, len(shapes))
 		}
-	}); allocs != 0 {
-		t.Errorf("certified DeliverTo over %d shapes allocates %.1f times per pass, want 0", len(shapes), allocs)
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, tx := range rounds {
+				c.Deliver(tx, recv)
+			}
+		}); allocs != 0 {
+			t.Errorf("α=%v: certified Deliver over %d shapes allocates %.1f times per pass, want 0", alpha, len(shapes), allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, tx := range rounds {
+				c.DeliverTo(tx, listeners, recv)
+			}
+		}); allocs != 0 {
+			t.Errorf("α=%v: certified DeliverTo over %d shapes allocates %.1f times per pass, want 0", alpha, len(shapes), allocs)
+		}
+
+		faded, tx, near := replayRound(t, alpha)
+		recv, alone := make([]int, len(tx)), []int{near}
+		walked0, replayed0 := mFadedWalked.Load(), mFadedFallbacks.Load()
+		faded.Deliver(tx, recv) // build the grid
+		if allocs := testing.AllocsPerRun(10, func() {
+			faded.fade.round = 0 // the same round again
+			faded.Deliver(tx, recv)
+			faded.fade.round = 0
+			faded.DeliverTo(tx, alone, recv)
+		}); allocs != 0 {
+			t.Errorf("α=%v: a faded round with a replay allocates %.1f times per Deliver and DeliverTo, want 0", alpha, allocs)
+		}
+		if mFadedWalked.Load() == walked0 || mFadedFallbacks.Load()-replayed0 < 23 {
+			t.Errorf("α=%v: the faded rounds walked %d listeners and replayed %d over 23 rounds; want some walked and a replay a round",
+				alpha, mFadedWalked.Load()-walked0, mFadedFallbacks.Load()-replayed0)
+		}
 	}
 }
 
@@ -732,7 +757,7 @@ func TestRingWalkCoversSquares(t *testing.T) {
 					t.Fatalf("grid %d×%d, cell (%d, %d): block holds %d transmitters, table counts %d", g.cols, g.rows, col, row, blk.seen, want)
 				}
 				var w certWalk
-				w.start(g, pts[v], nil, 1)
+				w.start(g, pts[v], nil, 1, nil)
 				for _, s := range blk.spans[:blk.nspans] {
 					w.span(int(s[0]), int(s[1]))
 				}

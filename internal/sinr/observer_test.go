@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,4 +215,121 @@ func TestObserverSINRValueIsConsistent(t *testing.T) {
 	if math.Abs(obs.got[0].sinr-want)/want > 1e-12 {
 		t.Errorf("observed sinr %v, want %v", obs.got[0].sinr, want)
 	}
+}
+
+// TestObservedSINRIsTheLiteralSum: with an observer installed every
+// listener takes the full sum (sumAll), so every observed reception must
+// be, bit for bit, what a literal ascending loop over
+// powers[u]·attenuation(Dist2(u, v), α) gives: the first strict maximum's
+// sender and best/(N + total − best). β is the smallest float, so every
+// listener with a signal reports. It covers α ∈ {2, 2.5, 3, 4, 6} (the
+// in-place α = 3 signals and the pre-loop pass), uniform powers on a
+// lattice (exact ties, which only the first strict maximum breaks) and on
+// a disk, per-node powers, rounds of at most 64 transmitters and of more,
+// and a faded channel, whose literal loop draws expFade from each round's
+// stream in order, as a replay's pre-loop pass must.
+func TestObservedSINRIsTheLiteralSum(t *testing.T) {
+	const side = 16
+	n := side * side
+	disk, err := geom.UniformDisk(31, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fadeSeed = 9
+	rng := xrand.New(41)
+	small, large, compared := 0, 0, 0
+	for _, alpha := range []float64{2, 2.5, 3, 4, 6} {
+		for _, layout := range []struct {
+			name string
+			pts  []geom.Point
+		}{{"lattice", gridPoints(side)}, {"disk", disk.Points}} {
+			p := Params{Alpha: alpha, Beta: math.SmallestNonzeroFloat64, Noise: 1, Power: 3}
+			uniform := UniformPowers(n, p.Power)
+			perNode := make([]float64, n)
+			for i := range perNode {
+				perNode[i] = p.Power * (1 + float64(i%3)/4)
+			}
+			for _, variant := range []string{"uniform", "per-node", "faded"} {
+				label := fmt.Sprintf("α=%v %s %s", alpha, layout.name, variant)
+				var c *Channel
+				powers := uniform
+				switch variant {
+				case "uniform":
+					c, err = New(p, layout.pts)
+				case "per-node":
+					c, err = NewWithPowers(p, layout.pts, perNode)
+					powers = perNode
+				default:
+					c, err = NewRayleigh(p, layout.pts, fadeSeed)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				obs := &recordingObserver{}
+				c.SetObserver(obs)
+				recv := make([]int, n)
+				for round, density := range []float64{0.1, 0.4, 0.1, 0.6} {
+					tx := randomTx(rng, n, density)
+					obs.got = obs.got[:0]
+					c.Deliver(tx, recv)
+					var fades *xrand.Reseedable
+					if variant == "faded" {
+						fades = xrand.NewReseedable(xrand.Split(fadeSeed, uint64(round)))
+					}
+					m := 0
+					for _, on := range tx {
+						if on {
+							m++
+						}
+					}
+					if m <= certSmallTx {
+						small++
+					} else {
+						large++
+					}
+					seen := 0
+					for v, pv := range layout.pts {
+						if tx[v] {
+							continue
+						}
+						total, best, from := 0.0, -1.0, -1
+						for u, pu := range layout.pts {
+							if !tx[u] {
+								continue
+							}
+							s := powers[u] * attenuation(pu.Dist2(pv), alpha)
+							if fades != nil {
+								s *= expFade(fades)
+							}
+							total += s
+							if s > best {
+								best, from = s, u
+							}
+						}
+						ratio := best / (p.Noise + (total - best))
+						if from < 0 || !(ratio >= p.Beta) {
+							continue
+						}
+						if seen >= len(obs.got) {
+							t.Fatalf("%s round %d: listener %d decodes %d in the literal sum; the observer saw %d receptions", label, round, v, from, len(obs.got))
+						}
+						g := obs.got[seen]
+						if g.listener != v || g.from != from || math.Float64bits(g.sinr) != math.Float64bits(ratio) {
+							t.Fatalf("%s round %d: observed listener %d from %d at sinr %v; the literal sum has listener %d from %d at %v",
+								label, round, g.listener, g.from, g.sinr, v, from, ratio)
+						}
+						seen++
+					}
+					if seen != len(obs.got) {
+						t.Fatalf("%s round %d: the observer saw %d receptions, the literal sum %d", label, round, len(obs.got), seen)
+					}
+					compared += seen
+				}
+			}
+		}
+	}
+	if small == 0 || large == 0 {
+		t.Fatalf("%d rounds of at most %d transmitters and %d of more; want both", small, certSmallTx, large)
+	}
+	t.Logf("%d observed receptions compared over %d rounds of at most %d transmitters and %d of more", compared, small, certSmallTx, large)
 }

@@ -70,8 +70,8 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 // reuses so it performs zero allocations: the transmitter index list and
 // its gathered positions and powers, the per-listener running interference
 // totals, the per-listener strongest signal and its sender, each worker's
-// certified-round counts, and on a faded channel one listener's fade draws
-// (walkFaded). Sharing the scratch is why channels are not safe for
+// own scratch (tileScratch), and on a faded channel one listener's fade
+// draws (walkFaded). Sharing the scratch is why channels are not safe for
 // concurrent use.
 type deliverScratch struct {
 	txList  []int
@@ -79,21 +79,45 @@ type deliverScratch struct {
 	totals  []float64
 	best    []float64
 	bestU   []int
-	counts  []certCounts
+	tiles   []tileScratch
 	draws   []uint64
 }
 
+// tileScratch is one tile worker's own scratch: its certified-round counts
+// and the pair loops' signal buffers, which the pre-loop pass (signals)
+// fills. A channel whose α is not 3 has two, one per walk of spanPair; a
+// faded α = 3 channel has one, for its replays; and an unfaded α = 3
+// channel, whose loops compute every signal in place, has none.
+type tileScratch struct {
+	counts certCounts
+	sig    [2][]float64
+}
+
 // newDeliverScratch preallocates every buffer at channel-construction time:
-// 56 bytes per node, and counts per worker.
-func newDeliverScratch(n, workers int) deliverScratch {
-	return deliverScratch{
+// 56 bytes per node; a tileScratch per worker, with 8 bytes per node per
+// signal buffer; and on a faded channel 8 bytes per node of draws.
+func newDeliverScratch(n, workers int, alpha float64, faded bool) deliverScratch {
+	s := deliverScratch{
 		txList:  make([]int, 0, n),
 		txNodes: make([]txNode, n),
 		totals:  make([]float64, n),
 		best:    make([]float64, n),
 		bestU:   make([]int, n),
-		counts:  make([]certCounts, workers),
+		tiles:   make([]tileScratch, workers),
 	}
+	for w := range s.tiles {
+		sig := &s.tiles[w].sig
+		if alpha != 3 || faded {
+			sig[0] = make([]float64, n)
+		}
+		if alpha != 3 {
+			sig[1] = make([]float64, n)
+		}
+	}
+	if faded {
+		s.draws = make([]uint64, n)
+	}
+	return s
 }
 
 // park parks listener v's verdict settled without the full sum: reception

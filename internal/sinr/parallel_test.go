@@ -15,10 +15,13 @@ type deliverer interface {
 // TestParallelDeliverByteIdentical: for every channel variant, the parallel
 // option must produce receptions byte-identical at workers 1, 3, and 8 and
 // identical to the sequential default with no parallel option at all —
-// faded channels included, which stay on their one fade stream. n exceeds
-// deliverTile so the partition genuinely has multiple tiles to distribute.
+// faded channels included, which stay on their one fade stream. A
+// certified round tiles only its non-transmitting listeners, so n is large
+// enough that they exceed deliverTile and the partition genuinely has
+// several tiles to distribute: at α = 4 each worker's pair loops read the
+// signal scratch it owns, which the race detector checks.
 func TestParallelDeliverByteIdentical(t *testing.T) {
-	const side = 50 // n = 2500 > deliverTile
+	const side = 64 // n = 4096; a round's ~3300 listeners span two tiles
 	n := side * side
 	pts := gridPoints(side)
 	p := gridParams(4, 1.5, 1, side)
@@ -81,6 +84,9 @@ func TestParallelDeliverByteIdentical(t *testing.T) {
 			}
 			for round := 0; round < 3; round++ {
 				tx := randomTx(rng, n, 0.2)
+				if listeners := n - countTx(tx); listeners <= deliverTile {
+					t.Fatalf("round %d: %d listeners fill one tile; the workers would share nothing", round, listeners)
+				}
 				for i, c := range chans {
 					c.Deliver(tx, recvs[i])
 				}

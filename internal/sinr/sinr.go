@@ -64,9 +64,10 @@ func (p Params) Signal(d float64) float64 {
 }
 
 // attenuation returns d2^{-α/2} = d^{-α} with fast paths for the common
-// path-loss exponents (α ∈ {2, 3, 4, 6}); the SINR delivery loop spends
-// essentially all its time here, and the fast paths are ~5× cheaper than
-// math.Pow.
+// path-loss exponents (α ∈ {2, 3, 4, 6}), each ~5× cheaper than math.Pow.
+// Its switch is too large to inline, so no pair loop calls it: at α = 3
+// they compute cube in place, and at any other α the pre-loop pass
+// (signals) calls it once per pair (DESIGN.md §8, "Pair loops").
 //
 //crlint:hotpath
 func attenuation(d2, alpha float64) float64 {
@@ -74,7 +75,7 @@ func attenuation(d2, alpha float64) float64 {
 	case 2:
 		return 1 / d2
 	case 3:
-		return 1 / (d2 * math.Sqrt(d2))
+		return cube(d2)
 	case 4:
 		return 1 / (d2 * d2)
 	case 6:
@@ -82,6 +83,46 @@ func attenuation(d2, alpha float64) float64 {
 	default:
 		return math.Pow(d2, -alpha/2)
 	}
+}
+
+// cube returns d2^{-3/2} = d^{-3}, attenuation's α = 3 arm, small enough
+// to inline into the pair loops.
+//
+//crlint:hotpath
+func cube(d2 float64) float64 {
+	return 1 / (d2 * math.Sqrt(d2))
+}
+
+// signals fills dst with the signals of nodes at pv, in nodes' order,
+// each powers·attenuation(Dist2, α) as the pair loops compute it and, when
+// rng is non-nil, times rng's next exact fade, so a replay draws in stream
+// order; it returns dst resliced to len(nodes). It is the pair loops'
+// pre-loop pass at α ≠ 3 and for a replay: the loops then read the
+// signals and make no call (DESIGN.md §8, "Pair loops").
+//
+//crlint:hotpath
+func signals(dst []float64, nodes []txNode, pv geom.Point, alpha float64, rng *xrand.Reseedable) []float64 {
+	dst = dst[:len(nodes)]
+	for i, nd := range nodes {
+		s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
+		if rng != nil {
+			s *= expFade(rng)
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
+// signalAt returns transmitter i's signal at pv as the pair loops read
+// it: sig[i] when the pre-loop pass filled sig, and otherwise nd's α = 3
+// signal, computed in place.
+//
+//crlint:hotpath
+func signalAt(sig []float64, i int, nd txNode, pv geom.Point) float64 {
+	if sig != nil {
+		return sig[i]
+	}
+	return nd.power * cube(nd.pt.Dist2(pv))
 }
 
 // SINR returns the ratio signal/(Noise + interference).
@@ -153,7 +194,7 @@ func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return newChannel(params, pts, UniformPowers(len(pts), params.Power), opts)
+	return newChannel(params, pts, UniformPowers(len(pts), params.Power), false, opts)
 }
 
 // NewWithPowers builds a per-node-power channel. powers[u] is node u's
@@ -179,7 +220,7 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 			return nil, fmt.Errorf("sinr: node %d power %v must be positive and finite", u, p)
 		}
 	}
-	return newChannel(params, pts, append([]float64(nil), powers...), opts)
+	return newChannel(params, pts, append([]float64(nil), powers...), false, opts)
 }
 
 // NewRayleigh builds a Rayleigh-faded channel over the deployment: in every
@@ -204,20 +245,22 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // took. Faded channels deliver sequentially whatever worker count their
 // options ask for, and their receptions are the same with or without them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
-	c, err := New(params, pts, opts...)
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	c, err := newChannel(params, pts, UniformPowers(len(pts), params.Power), true, opts)
 	if err != nil {
 		return nil, err
 	}
-	c.par = 1
-	c.scratch.draws = make([]uint64, len(pts))
 	// Reseeded every round; the construction seed is never consumed.
 	c.fade = &fadeSource{seed: seed, rng: xrand.NewReseedable(seed)}
 	return c, nil
 }
 
-// newChannel is the constructor body shared by New and NewWithPowers; it
-// takes ownership of powers.
-func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option) (*Channel, error) {
+// newChannel is the constructor body shared by New, NewWithPowers and
+// NewRayleigh; it takes ownership of powers. A faded channel delivers
+// sequentially whatever worker count its options ask for.
+func newChannel(params Params, pts []geom.Point, powers []float64, faded bool, opts []Option) (*Channel, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("sinr: channel needs at least one node")
 	}
@@ -225,12 +268,16 @@ func newChannel(params Params, pts []geom.Point, powers []float64, opts []Option
 	if err != nil {
 		return nil, err
 	}
+	par := ec.workers()
+	if faded {
+		par = 1
+	}
 	return &Channel{
 		params:  params,
 		pts:     append([]geom.Point(nil), pts...),
 		powers:  powers,
-		par:     ec.workers(),
-		scratch: newDeliverScratch(len(pts), ec.workers()),
+		par:     par,
+		scratch: newDeliverScratch(len(pts), par, params.Alpha, faded),
 	}, nil
 }
 
@@ -351,7 +398,7 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
 		counts = c.deliverParallel(vs, r)
 	} else {
-		counts = c.accumulateTile(vs, r)
+		counts = c.accumulateTile(vs, r, c.scratch.tiles[0].sig)
 	}
 	counts.publish()
 	finalizeReceptions(c.params, &c.scratch, c.observer, tx, listeners, recv)
@@ -392,12 +439,14 @@ func (c *Channel) gather(buf []txNode, idx []int) []txNode {
 // option.
 func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 	mDeliveriesParallel.Inc()
-	counts := c.scratch.counts
-	clear(counts)
-	runTiles(len(vs), c.par, func(w, lo, hi int) { counts[w].add(c.accumulateTile(vs[lo:hi], r)) })
+	tiles := c.scratch.tiles
+	for w := range tiles {
+		tiles[w].counts = certCounts{}
+	}
+	runTiles(len(vs), c.par, func(w, lo, hi int) { tiles[w].counts.add(c.accumulateTile(vs[lo:hi], r, tiles[w].sig)) })
 	var sum certCounts
-	for _, n := range counts {
-		sum.add(n)
+	for _, t := range tiles {
+		sum.add(t.counts)
 	}
 	return sum
 }
@@ -416,13 +465,14 @@ func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 // stream rewinds to v's position, and a listener neither settles replays
 // the same draws through sumAll. Faded channels deliver sequentially, so vs
 // is then the round's whole listener list. Concurrent tiles write disjoint
-// listeners' entries, so they never share a buffer. It returns the unfaded
+// listeners' entries, so they never share a buffer; sig is the tile's
+// worker's own signal scratch (tileScratch). It returns the unfaded
 // certified round's counts.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
+func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) certCounts {
 	if r.cert != nil && c.fade == nil {
-		return c.certifyTile(vs, r)
+		return c.certifyTile(vs, r, sig)
 	}
 	// Faded: the stream, the draws per listener (m), the stream's position,
 	// the draws taken, the transmitters below v (t_v), whether brackets
@@ -454,13 +504,14 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 			drawn += m
 			if bracket {
 				at := *rng
-				if r.cert != nil && c.walkFaded(v, r, rng, &blk) {
+				if r.cert != nil && c.walkFaded(v, r, rng, &blk, sig[0]) {
 					settled++
 					walked++
 					continue
 				}
 				*rng = at // a failed walk drew v's fades
-				if c.sumBracketed(v, r, rng) {
+				if k, ok := c.params.fadedVerdict(c.sumBracketed(v, r, rng, sig[0])); ok {
+					c.scratch.park(v, r.txList, k)
 					settled++
 					continue
 				}
@@ -468,7 +519,7 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 				replayed++
 			}
 		}
-		c.sumAll(v, r, rng)
+		c.sumAll(v, r, rng, sig[0])
 	}
 	if rng != nil {
 		// Deliver would draw m fades at each of the n − m listeners.
@@ -484,16 +535,19 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound) certCounts {
 // sumAll parks listener v's full sum: the signals of every transmitter
 // summed in ascending transmitter index, each scaled by the next draw of
 // rng when it is non-nil, with the first strict maximum and its sender.
+// An unfaded α = 3 signal is computed in the loop; at any other α, or for
+// a replay, the pre-loop pass fills buf (signals) and the loop reads it.
 //
 //crlint:hotpath
-func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable) {
+func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable, buf []float64) {
 	pv, alpha := c.pts[v], c.params.Alpha
+	var sig []float64
+	if rng != nil || alpha != 3 {
+		sig = signals(buf, r.nodes, pv, alpha, rng)
+	}
 	b, bi, t := -1.0, -1, 0.0
 	for i, nd := range r.nodes {
-		s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
-		if rng != nil {
-			s *= expFade(rng)
-		}
+		s := signalAt(sig, i, nd, pv)
 		t += s
 		if s > b {
 			b, bi = s, i
@@ -505,61 +559,58 @@ func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable) {
 	}
 }
 
-// sumBracketed tries to settle faded listener v without a logarithm. It
-// draws v's fades from rng in sumAll's order and brackets each one
-// (fadeBracket), so sumAll's computed signal lies between g·lo and g·hi,
-// with g the unfaded signal as sumAll computes it. It sums those products
-// into L and U, keeps the largest g·hi, T, with its sender and that
-// sender's g·lo, ℓ, and the largest g·hi of the other transmitters, T₂, and
-// lets fadedVerdict decide. A settled verdict is parked and sumBracketed
-// reports true; otherwise it parks nothing, and the caller replays v's
-// draws through sumAll.
+// sumBracketed returns faded listener v's bracketed sums, for
+// fadedVerdict to settle it without a logarithm. It draws v's fades from
+// rng in sumAll's order and brackets each one (fadeBracket), so sumAll's
+// computed signal lies between g·lo and g·hi, with g the unfaded signal as
+// sumAll computes it (in the loop at α = 3, from the pre-loop pass into
+// buf otherwise). It sums those products into L and U (lo, hi), and keeps
+// the largest g·hi, T (top), with its sender's rank ti and that sender's
+// g·lo, ℓ (topLo), and the largest g·hi of the other transmitters, T₂
+// (second).
 //
 //crlint:hotpath
-func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable) bool {
+func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable, buf []float64) (lo, hi, top, topLo, second float64, ti int) {
 	pv, alpha := c.pts[v], c.params.Alpha
-	sumLo, sumHi := 0.0, 0.0
-	top, topLo, second, ti := -1.0, -1.0, -1.0, -1
+	var sig []float64
+	if alpha != 3 {
+		sig = signals(buf, r.nodes, pv, alpha, nil)
+	}
+	top, topLo, second, ti = -1, -1, -1, -1
 	for i, nd := range r.nodes {
-		g := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
-		lo, hi := fadeBracket(1 - rng.Float64())
-		lo, hi = g*lo, g*hi
-		sumLo += lo
-		sumHi += hi
-		if hi > top {
-			second, top, topLo, ti = top, hi, lo, i
-		} else if hi > second {
-			second = hi
+		g := signalAt(sig, i, nd, pv)
+		flo, fhi := fadeBracket(1 - rng.Float64())
+		s, t := g*flo, g*fhi
+		lo += s
+		hi += t
+		if t > top {
+			second, top, topLo, ti = top, t, s, i
+		} else if t > second {
+			second = t
 		}
 	}
-	decoded, ok := c.params.fadedVerdict(sumLo, sumHi, top, topLo, second)
-	if ok {
-		if !decoded {
-			ti = -1
-		}
-		c.scratch.park(v, r.txList, ti)
-	}
-	return ok
+	return lo, hi, top, topLo, second, ti
 }
 
 // fadedVerdict is the certificate's two tests over a faded listener's
 // bracketed sums (sumBracketed): lo and hi are L and U, top is T, topLo ℓ
-// and second T₂. No reception if T < β·(N + L − T − η); reception from T's
-// sender if ℓ > T₂ and ℓ > β·(N + U − ℓ + η), with η = certEps·(N + U);
-// ℓ > T₂ makes that sender the kernel's one strict maximum. It reports
-// whether T's sender is decoded, with ok false when neither test holds. The
-// tests hold for any brackets around the kernel's computed signals, exact
-// ones included (DESIGN.md §8).
+// and second T₂, and ti is T's sender's rank. No reception if
+// T < β·(N + L − T − η); reception from T's sender if ℓ > T₂ and
+// ℓ > β·(N + U − ℓ + η), with η = certEps·(N + U); ℓ > T₂ makes that
+// sender the kernel's one strict maximum. It returns the rank decoded, ti
+// or −1 for none, with ok false when neither test holds. The tests hold
+// for any brackets around the kernel's computed signals, exact ones
+// included (DESIGN.md §8).
 //
 //crlint:hotpath
-func (p Params) fadedVerdict(lo, hi, top, topLo, second float64) (decoded, ok bool) {
+func (p Params) fadedVerdict(lo, hi, top, topLo, second float64, ti int) (k int, ok bool) {
 	switch {
 	case p.certNone(lo, hi, top, 0, 0):
-		return false, true
+		return -1, true
 	case topLo > second && p.certReceived(hi, 0, topLo):
-		return true, true
+		return ti, true
 	}
-	return false, false
+	return -1, false
 }
 
 // certifiedReception is the total park writes for a certified reception;

@@ -469,7 +469,11 @@ func randomTx(rng *rand.Rand, n int, density float64) []bool {
 // channels, which deliver sequentially under a parallel option too and
 // settle most listeners by their bracketed pass: in rounds of 24
 // transmitters by bracketing every fade, and in rounds of 100 on the
-// certificate's walk.
+// certificate's walk. Every case runs at α = 3, whose pair loops compute
+// their signals in place, and at α = 2.5, whose loops read the per-worker
+// scratch the pre-loop pass fills; so does a faded round whose listener at
+// β replays its draws through the exact sum (replayRound), delivered again
+// and again.
 func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	// Recording is on by default; assert it so the zero-alloc bound below
 	// covers the metric increments on the hot path, not just the engine.
@@ -481,51 +485,57 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	powers := UniformPowers(n, p.Power)
 	powers[0] *= 2
 	recv := make([]int, n)
-
-	uniform, err := New(p, d.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perNode, err := NewWithPowers(p, d.Points, powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faded, err := NewRayleigh(p, d.Points, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fadedPar, err := NewRayleigh(p, d.Points, 7, WithDeliverParallelism(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	listeners := []int{0, 3, 4, 40, n - 1}
 	const large = 400
 	dl, pl, txl := randomGeometry(t, 22, large, 0.25)
-	fadedWalk, err := NewRayleigh(pl, dl.Points, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recvl := make([]int, large)
 	type round struct {
 		c         *Channel
 		tx        []bool
 		listeners []int
 		recv      []int
+		replay    bool // zero the round count before each call: the same round again
+	}
+	rounds := map[string]round{}
+	for _, alpha := range []float64{3, 2.5} {
+		p, pl := p, pl
+		p.Alpha, pl.Alpha = alpha, alpha
+		must := func(c *Channel, err error) *Channel {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		add := func(name string, r round) { rounds[fmt.Sprintf("α=%v %s", alpha, name)] = r }
+		add("uniform", round{c: must(New(p, d.Points)), tx: tx, listeners: listeners, recv: recv})
+		add("per-node", round{c: must(NewWithPowers(p, d.Points, powers)), tx: tx, listeners: listeners, recv: recv})
+		add("faded", round{c: must(NewRayleigh(p, d.Points, 7)), tx: tx, listeners: listeners, recv: recv})
+		add("faded/3 workers", round{c: must(NewRayleigh(p, d.Points, 7, WithDeliverParallelism(3))), tx: tx, listeners: listeners, recv: recv})
+		add("faded, walked", round{c: must(NewRayleigh(pl, dl.Points, 7)), tx: txl, listeners: []int{0, 3, 4, 40, 200, large - 1}, recv: recvl})
+		replayed, txr, near := replayRound(t, alpha)
+		add("faded, replayed", round{c: replayed, tx: txr, listeners: []int{near, near + 7, len(txr) - 1}, recv: make([]int, len(txr)), replay: true})
 	}
 	settled0, walked0 := mFadedCertified.Load(), mFadedWalked.Load()
-	for name, r := range map[string]round{
-		"uniform":         {uniform, tx, listeners, recv},
-		"per-node":        {perNode, tx, listeners, recv},
-		"faded":           {faded, tx, listeners, recv},
-		"faded/3 workers": {fadedPar, tx, listeners, recv},
-		"faded, walked":   {fadedWalk, txl, []int{0, 3, 4, 40, 200, large - 1}, recvl},
-	} {
+	for name, r := range rounds {
+		again := func() {
+			if r.replay {
+				r.c.fade.round = 0
+			}
+		}
+		replayed0 := mFadedFallbacks.Load()
+		again()
 		r.c.Deliver(r.tx, r.recv) // warm the scratch buffers
-		if allocs := testing.AllocsPerRun(50, func() { r.c.Deliver(r.tx, r.recv) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { again(); r.c.Deliver(r.tx, r.recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state Deliver allocates %.1f times per call, want 0", name, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { r.c.DeliverTo(r.tx, r.listeners, r.recv) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { again(); r.c.DeliverTo(r.tx, r.listeners, r.recv) }); allocs != 0 {
 			t.Errorf("%s: steady-state DeliverTo allocates %.1f times per call, want 0", name, allocs)
+		}
+		// One warm-up call, then 51 calls of each kind, AllocsPerRun's own
+		// warm-up included.
+		if replays := mFadedFallbacks.Load() - replayed0; r.replay && replays < 103 {
+			t.Errorf("%s: %d listeners replayed over 103 rounds, want at least one a round", name, replays)
 		}
 	}
 	if mFadedCertified.Load() == settled0 || mFadedWalked.Load() == walked0 {
