@@ -7,7 +7,17 @@ import (
 	"math"
 	"slices"
 
+	"fadingcr/internal/obs"
 	"fadingcr/internal/xrand"
+)
+
+// Normalisation metrics, exported through the CLI -metrics flag, one add
+// each per NewDeployment of at least two points: mDeployments counts the
+// normalisations, and mExtentSweeps those whose shortest link fell back
+// from the grid (gridClosestPair) to the x-sorted sweep (closestPairDist).
+var (
+	mDeployments  = obs.Default.Counter("geom.deployments")
+	mExtentSweeps = obs.Default.Counter("geom.extent_sweeps")
 )
 
 // A Deployment is a placement of n wireless nodes in the plane, normalised
@@ -42,15 +52,24 @@ var errTooFewPoints = errors.New("geom: deployment needs at least 2 points")
 // coordinates are scaled so that the minimum pairwise distance becomes 1.
 // It returns an error if fewer than two points are supplied or if two points
 // coincide (R would be infinite). The extremes are found in sub-quadratic
-// time on the generators' deployments yet equal MinPairwiseDist's and
-// MaxPairwiseDist's bit for bit.
+// time on the generators' deployments (the shortest link in linear time on
+// uniform ones) yet equal MinPairwiseDist's and MaxPairwiseDist's bit for
+// bit.
 func NewDeployment(raw []Point) (*Deployment, error) {
 	if len(raw) < 2 {
 		return nil, errTooFewPoints
 	}
-	// The sweep sorts its input; the buffer then receives the scaled points.
-	pts := slices.Clone(raw)
-	minD := closestPairDist(pts)
+	mDeployments.Inc()
+	// The shortest link's pass orders the points in the buffer its own way
+	// (by cell, or by x for the sweep); the buffer then receives the scaled
+	// points.
+	pts := make([]Point, len(raw))
+	minD, ok := gridClosestPair(raw, pts)
+	if !ok {
+		mExtentSweeps.Inc()
+		copy(pts, raw)
+		minD = closestPairDist(pts)
+	}
 	if minD == 0 {
 		return nil, errors.New("geom: coincident points; cannot normalise shortest link to 1")
 	}
@@ -63,6 +82,137 @@ func NewDeployment(raw []Point) (*Deployment, error) {
 		r = 1
 	}
 	return &Deployment{Points: pts, R: r}, nil
+}
+
+// The grid pass of the shortest link (gridClosestPair).
+const (
+	// gridMinPoints: smaller point sets take the sweep, whose sort then
+	// costs less than the grid's buffers. gridMaxPoints keeps every count
+	// and cell id in an int32 and the cell assignment's rounding below
+	// gridSlack.
+	gridMinPoints = 64
+	gridMaxPoints = 1 << 30
+	// gridCellsPerPoint caps the grid's cells per point: a sparser grid
+	// (a strip much longer than wide) would be mostly empty cells.
+	gridCellsPerPoint = 2
+	// gridMaxPerCell: a cell holding more points than this (a cluster)
+	// would make the scan's pairs grow as its square, so the set takes the
+	// sweep.
+	gridMaxPerCell = 16
+	// gridSlack is the accept margin: the grid's minimum stands only below
+	// (cell·(1 − gridSlack))², beyond the rounding of the cell assignment
+	// (DESIGN.md §8, "Single-hop").
+	gridSlack = 0x1p-16
+)
+
+// gridClosestPair returns the distance MinPairwiseDist returns, with ok
+// true, in time linear in the points on the sets it accepts. It buckets
+// raw by a counting sort into a grid of about one point per cell
+// (closestPairGrid), writing the points into out cell by cell, and
+// compares each point only with the rest of its cell and its forward
+// neighbours: the next cell of its row and the three cells below. Any two
+// points in cells two or more columns or rows apart are more than
+// cell·(1 − gridSlack) apart in Dist2's floats, so when the smallest Dist2
+// compared, best, lies below that squared, every closer pair was compared
+// and best is the minimum over all pairs: the same float, since each pair
+// goes through the same Dist2. Otherwise, or when closestPairGrid finds no
+// grid or a cell holds more than gridMaxPerCell points, it returns ok
+// false and out's contents are unspecified.
+func gridClosestPair(raw, out []Point) (d float64, ok bool) {
+	g, ok := closestPairGrid(raw)
+	if !ok {
+		return 0, false
+	}
+	n, cells := len(raw), g.cols*g.rows
+	// Counting sort: start[c] counts cell c, then ends it, then starts it
+	// once the points are placed from the last.
+	ids := make([]int32, n)
+	start := make([]int32, cells+1)
+	for i, p := range raw {
+		col, row := g.CellAt(p)
+		c := int32(row*g.cols + col)
+		ids[i] = c
+		start[c]++
+	}
+	var sum int32
+	for c, k := range start {
+		if k > gridMaxPerCell {
+			return 0, false
+		}
+		sum += k
+		start[c] = sum
+	}
+	for i := n - 1; i >= 0; i-- {
+		c := ids[i]
+		start[c]--
+		out[start[c]] = raw[i]
+	}
+	best := math.Inf(1)
+	for row := 0; row < g.rows; row++ {
+		for col := 0; col < g.cols; col++ {
+			c := row*g.cols + col
+			first, last := start[c], start[c+1]
+			if first == last {
+				continue
+			}
+			// A point's partners lie in two runs of out: the rest of its
+			// cell with the next cell of the row, and the row below's
+			// cells under its own and its two neighbours.
+			end := last
+			if col+1 < g.cols {
+				end = start[c+2]
+			}
+			var below []Point
+			if row+1 < g.rows {
+				b := c + g.cols
+				below = out[start[b-min(col, 1)]:start[b+min(g.cols-1-col, 1)+1]]
+			}
+			for i := first; i < last; i++ {
+				p := out[i]
+				for _, q := range out[i+1 : end] {
+					if d2 := p.Dist2(q); d2 < best {
+						best = d2
+					}
+				}
+				for _, q := range below {
+					if d2 := p.Dist2(q); d2 < best {
+						best = d2
+					}
+				}
+			}
+		}
+	}
+	if reach := g.cell * (1 - gridSlack); !(best < reach*reach) {
+		return 0, false
+	}
+	return math.Sqrt(best), true
+}
+
+// closestPairGrid returns the grid gridClosestPair buckets pts into: over
+// their bounding box, with square cells of side √(area/n). ok is false
+// when pts cannot take it: fewer than gridMinPoints or more than
+// gridMaxPoints points, a coordinate that is not finite, a box of no area
+// (an axis-parallel line), a cell outside [2⁻⁵⁰⁰, 2⁵⁰⁰] or more than
+// gridCellsPerPoint cells per point.
+func closestPairGrid(pts []Point) (g Grid, ok bool) {
+	n := len(pts)
+	if n < gridMinPoints || n > gridMaxPoints {
+		return Grid{}, false
+	}
+	minX, minY, maxX, maxY := bounds(pts)
+	w, h := maxX-minX, maxY-minY
+	if !(w > 0 && w <= math.MaxFloat64 && h > 0 && h <= math.MaxFloat64) {
+		return Grid{}, false
+	}
+	// √(w·h/n) without overflowing w·h. The counts are checked as floats
+	// before any float→int conversion; the cell's range keeps every square
+	// the accept test reads normal and finite.
+	cell := math.Sqrt(w) * math.Sqrt(h/float64(n))
+	fc, fr := math.Floor(w/cell)+1, math.Floor(h/cell)+1
+	if !(cell >= 0x1p-500 && cell <= 0x1p500 && fc*fr <= gridCellsPerPoint*float64(n)) {
+		return Grid{}, false
+	}
+	return gridOver(minX, minY, maxX, maxY, cell), true
 }
 
 // closestPairDist returns the distance MinPairwiseDist returns, by a sweep
@@ -98,17 +248,17 @@ func closestPairDist(pts []Point) float64 {
 // with the same Dist2, so the maximum is the same float. Non-finite
 // coordinates make every r NaN or +Inf, which never prunes. Points on a
 // common circle about c leave little to prune; the generators' deployments
-// are not of that kind.
+// are not of that kind. Each point's r is computed once, and the candidate
+// list is counted before it is allocated.
 func farthestPairDist(pts []Point) float64 {
-	lo, hi := pts[0], pts[0]
-	for _, p := range pts[1:] {
-		lo = Point{math.Min(lo.X, p.X), math.Min(lo.Y, p.Y)}
-		hi = Point{math.Max(hi.X, p.X), math.Max(hi.Y, p.Y)}
-	}
-	c := lo.Add(hi).Scale(0.5)
+	minX, minY, maxX, maxY := bounds(pts)
+	c := Point{minX, minY}.Add(Point{maxX, maxY}).Scale(0.5)
+	rs := make([]float64, len(pts))
 	a, rMax := 0, math.Inf(-1)
 	for i, p := range pts {
-		if r := p.Sub(c).Norm(); r > rMax {
+		r := p.Sub(c).Norm()
+		rs[i] = r
+		if r > rMax {
 			a, rMax = i, r
 		}
 	}
@@ -118,14 +268,20 @@ func farthestPairDist(pts []Point) float64 {
 			best = d2
 		}
 	}
+	kept := 0
+	for _, r := range rs {
+		if !(reach2(r+rMax) < best) {
+			kept++
+		}
+	}
 	type ranked struct {
 		r float64
 		p Point
 	}
-	var cand []ranked
-	for _, p := range pts {
-		if r := p.Sub(c).Norm(); !(reach2(r+rMax) < best) {
-			cand = append(cand, ranked{r, p})
+	cand := make([]ranked, 0, kept)
+	for i, r := range rs {
+		if !(reach2(r+rMax) < best) {
+			cand = append(cand, ranked{r, pts[i]})
 		}
 	}
 	slices.SortFunc(cand, func(a, b ranked) int { return cmp.Compare(b.r, a.r) })

@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -34,6 +35,112 @@ func TestNewDeploymentNormalises(t *testing.T) {
 	}
 	if d.N() != 3 {
 		t.Errorf("N = %d, want 3", d.N())
+	}
+}
+
+// TestShortestLinkPath: NewDeployment counts each normalisation in
+// geom.deployments, and in geom.extent_sweeps those whose shortest link
+// fell back from the grid to the sweep. Uniform disks and squares of 64
+// points and more take the grid, and so do exponential chains, each of
+// whose pairs lies in one cell; a smaller set, an axis-parallel line, an
+// exact lattice (its shortest links are as long as a cell), clusters
+// (crowded cells), a coordinate that is not finite and the thin strip
+// take the sweep.
+func TestShortestLinkPath(t *testing.T) {
+	gen := func(d *Deployment, err error) []Point {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Points
+	}
+	line := make([]Point, 100)
+	for i := range line {
+		line[i] = Point{3, 1.5 * float64(i*7%100)}
+	}
+	withInf := slices.Clone(gen(UniformDisk(2, 500)))
+	withInf[3].X = math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		pts   []Point
+		sweep bool
+	}{
+		{"disk 64", gen(UniformDisk(1, 64)), false},
+		{"disk 4096", gen(UniformDisk(1, 4096)), false},
+		{"square 64", gen(UniformSquare(1, 64)), false},
+		{"square 4096", gen(UniformSquare(1, 4096)), false},
+		{"exponential chain", gen(ExponentialChain(7, 12, 3)), false},
+		{"disk 63", gen(UniformDisk(1, 63)), true},
+		{"axis-parallel line", line, true},
+		{"lattice", gen(PerturbedGrid(5, 400, 0)), true},
+		{"clusters", gen(Clusters(1, 1024, 4, 2, 640)), true},
+		{"infinite coordinate", withInf, true},
+		{"thin strip", thinStrip(t, true), true},
+	} {
+		deployments, sweeps := mDeployments.Load(), mExtentSweeps.Load()
+		if _, err := NewDeployment(c.pts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := mDeployments.Load() - deployments; got != 1 {
+			t.Errorf("%s: geom.deployments rose by %d, want 1", c.name, got)
+		}
+		want := int64(0)
+		if c.sweep {
+			want = 1
+		}
+		if got := mExtentSweeps.Load() - sweeps; got != want {
+			t.Errorf("%s: geom.extent_sweeps rose by %d, want %d", c.name, got, want)
+		}
+	}
+}
+
+// TestGridClosestPairEveryNeighbour: the scan compares a point with each
+// of the five cell relations it must — one cell, the next cell of its row,
+// and the three cells of the row below. For each, a uniform square gets a
+// pair planted a small fraction of a cell apart across the boundary
+// between two such cells, so it is the closest pair, and the grid's
+// shortest link must be MinPairwiseDist's bit for bit, on that pair.
+func TestGridClosestPairEveryNeighbour(t *testing.T) {
+	d, err := UniformSquare(1, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := closestPairGrid(d.Points)
+	if !ok {
+		t.Fatal("the square takes no grid")
+	}
+	cols, rows, cell := g.Shape()
+	// A is the corner shared by cells (col, row), (col+1, row), (col, row+1)
+	// and (col+1, row+1).
+	col, row := cols/2, rows/2
+	a := Point{g.minX + float64(col+1)*cell, g.minY + float64(row+1)*cell}
+	e := cell / 1024
+	for _, c := range []struct {
+		dc, dr int
+		p, q   Point // offsets from A in units of e
+	}{
+		{0, 0, Point{-2, -1}, Point{-1, -1}},
+		{1, 0, Point{-1, -1}, Point{1, -1}},
+		{-1, 1, Point{1, -1}, Point{-1, 1}},
+		{0, 1, Point{-1, -1}, Point{-1, 1}},
+		{1, 1, Point{-1, -1}, Point{1, 1}},
+	} {
+		pts := slices.Clone(d.Points)
+		// Points 0 and 1 are not on the bounding box, so the grid stays.
+		pts[0], pts[1] = a.Add(c.p.Scale(e)), a.Add(c.q.Scale(e))
+		if h, _ := closestPairGrid(pts); h != g {
+			t.Fatalf("relation (%d, %d): the planted pair moved the grid", c.dc, c.dr)
+		}
+		cp, rp := g.CellAt(pts[0])
+		cq, rq := g.CellAt(pts[1])
+		if cq-cp != c.dc || rq-rp != c.dr {
+			t.Fatalf("relation (%d, %d): planted pair in cells (%d, %d) and (%d, %d)", c.dc, c.dr, cp, rp, cq, rq)
+		}
+		want, i, j := MinPairwiseDist(pts)
+		got, ok := gridClosestPair(pts, make([]Point, len(pts)))
+		if !ok || math.Float64bits(got) != math.Float64bits(want) || i != 0 || j != 1 {
+			t.Errorf("relation (%d, %d): grid %v (ok %v), MinPairwiseDist %v on points %d, %d", c.dc, c.dr, got, ok, want, i, j)
+		}
 	}
 }
 
@@ -254,16 +361,31 @@ func TestLinkClassCount(t *testing.T) {
 }
 
 // BenchmarkNewDeployment normalises uniform-disk point sets of the sizes
-// the scaling experiments reach; the two extent scans dominate.
+// the scaling experiments reach, whose shortest link takes the grid, and a
+// clustered set (crsim's clusters deployment at n = 4096), whose crowded
+// cells send it to the sweep; the two extent scans dominate.
 func BenchmarkNewDeployment(b *testing.B) {
-	for _, n := range []int{4096, 16384, 65536} {
+	type set struct {
+		name string
+		pts  []Point
+	}
+	var sets []set
+	for _, n := range []int{1024, 4096, 16384, 65536} {
 		d, err := UniformDisk(1, n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		sets = append(sets, set{fmt.Sprintf("n=%d", n), d.Points})
+	}
+	d, err := Clusters(1, 4096, 4, 2, 20*64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets = append(sets, set{"clusters/n=4096", d.Points})
+	for _, s := range sets {
+		b.Run(s.name, func(b *testing.B) {
 			for b.Loop() {
-				if _, err := NewDeployment(d.Points); err != nil {
+				if _, err := NewDeployment(s.pts); err != nil {
 					b.Fatal(err)
 				}
 			}

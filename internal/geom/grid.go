@@ -23,12 +23,9 @@ func NewGrid(pts []Point, cell float64) (*Grid, error) {
 	if !(cell > 0) || math.IsInf(cell, 1) {
 		return nil, errors.New("geom: cell size must be positive and finite")
 	}
-	g := &Grid{cell: cell}
 	minX, minY, maxX, maxY := bounds(pts)
-	g.minX, g.minY = minX, minY
-	g.cols = int((maxX-minX)/cell) + 1
-	g.rows = int((maxY-minY)/cell) + 1
-	return g, nil
+	g := gridOver(minX, minY, maxX, maxY, cell)
+	return &g, nil
 }
 
 // NewGridCapped builds a grid that never exceeds maxCells cells, doubling
@@ -50,10 +47,9 @@ func NewGridCapped(pts []Point, cell float64, maxCells int) (*Grid, error) {
 	}
 	minX, minY, maxX, maxY := bounds(pts)
 	for {
-		cols := int((maxX-minX)/cell) + 1
-		rows := int((maxY-minY)/cell) + 1
-		if cols > 0 && rows > 0 && cols <= maxCells && rows <= maxCells/cols {
-			return NewGrid(pts, cell)
+		g := gridOver(minX, minY, maxX, maxY, cell)
+		if g.cols > 0 && g.rows > 0 && g.cols <= maxCells && g.rows <= maxCells/g.cols {
+			return &g, nil
 		}
 		cell *= 2
 		if math.IsInf(cell, 1) {
@@ -62,15 +58,29 @@ func NewGridCapped(pts []Point, cell float64, maxCells int) (*Grid, error) {
 	}
 }
 
-// bounds returns the bounding box of pts.
+// gridOver returns the grid with the given cell size over the bounding box
+// [minX, maxX] × [minY, maxY]: the origin at the box's lower-left corner
+// and enough columns and rows to cover it. A column or row count too large
+// for an int converts to a value NewGridCapped rejects; a caller that
+// cannot reject one checks the counts as floats first.
+func gridOver(minX, minY, maxX, maxY, cell float64) Grid {
+	return Grid{
+		cell: cell, minX: minX, minY: minY,
+		cols: int((maxX-minX)/cell) + 1,
+		rows: int((maxY-minY)/cell) + 1,
+	}
+}
+
+// bounds returns the bounding box of pts. The built-in min and max treat
+// NaN and signed zeros as math.Min and math.Max do, without a call.
 func bounds(pts []Point) (minX, minY, maxX, maxY float64) {
 	minX, minY = math.Inf(1), math.Inf(1)
 	maxX, maxY = math.Inf(-1), math.Inf(-1)
 	for _, p := range pts {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
+		minX = min(minX, p.X)
+		minY = min(minY, p.Y)
+		maxX = max(maxX, p.X)
+		maxY = max(maxY, p.Y)
 	}
 	return minX, minY, maxX, maxY
 }

@@ -106,14 +106,15 @@ func (n certCounts) publish() {
 }
 
 // certBlock is what consecutive listeners of one cell share: the cell, the
-// CSR ranges of its 3×3 block of cells (rings 0 and 1, one contiguous range
-// per grid row), the transmitters in it, and F from ring 2, computed when a
-// listener of the cell first needs it. Every field is a function of the
-// cell alone, so a tile that starts inside a cell rebuilds the same block.
+// runs of its 3×3 block of cells (rings 0 and 1, one run of the row-major
+// CSR per grid row that holds a transmitter), the transmitters in it, and
+// F from ring 2, computed when a listener of the cell first needs it.
+// Every field is a function of the cell alone, so a tile that starts
+// inside a cell rebuilds the same block.
 type certBlock struct {
 	cell, col, row int
-	spans          [3][2]int32
-	nspans         int
+	runs           [3][2]int32
+	nruns          int
 	seen           int
 	far            float64 // F from ring 2, once hasFar
 	farWork        int     // the work units F cost
@@ -130,8 +131,8 @@ func (g *txGrid) setBlock(blk *certBlock, cell int) {
 	for y := max(row-1, 0); y <= min(row+1, g.rows-1); y++ {
 		first, end := g.start[y*g.cols+lo], g.start[y*g.cols+hi+1]
 		if first < end {
-			blk.spans[blk.nspans] = [2]int32{first, end}
-			blk.nspans++
+			blk.runs[blk.nruns] = [2]int32{first, end}
+			blk.nruns++
 			blk.seen += int(end - first)
 		}
 	}
@@ -162,12 +163,10 @@ func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n cer
 		for j, v := range vs[i : i+k] {
 			ws[j].start(g, c.pts[v], nil, 1, sig[j])
 		}
-		for _, s := range blk.spans[:blk.nspans] {
-			if k == 2 {
-				ws[0].spanPair(&ws[1], int(s[0]), int(s[1]))
-			} else {
-				ws[0].span(int(s[0]), int(s[1]))
-			}
+		if runs := blk.runs[:blk.nruns]; k == 2 {
+			ws[0].spanPair(&ws[1], runs)
+		} else {
+			ws[0].span(runs)
 		}
 		for j, v := range vs[i : i+k] {
 			u, ok, walked := c.certify(&ws[j], len(r.txList), &blk)
@@ -205,9 +204,7 @@ func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *c
 	}
 	var w certWalk
 	w.start(g, c.pts[v], us, fadeCap, sig)
-	for _, s := range blk.spans[:blk.nspans] {
-		w.span(int(s[0]), int(s[1]))
-	}
+	w.span(blk.runs[:blk.nruns])
 	u, ok, _ := c.certify(&w, len(r.txList), blk)
 	if ok {
 		c.scratch.park(v, r.txList, u)
@@ -246,7 +243,7 @@ func drawX(u uint64) float64 {
 // rank of the transmitter the listener decodes (−1 for none) with ok true
 // when a test holds, or ok false when it needs the full sum: no test held
 // before every transmitter was seen, the walk spent as much work as the
-// full sum's |tx| terms (one unit per transmitter seen, per bucket range read and per far
+// full sum's |tx| terms (one unit per transmitter seen, per run read and per far
 // ring bounded), so that a listener that falls back pays at most twice the
 // full sum, or a signal was not finite (coincident points). walked reports
 // whether the listener went past its cell's block. The sums are taken in
@@ -293,7 +290,8 @@ func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, wa
 			return -1, false, walked
 		}
 		walked = true
-		w.ring(blk.col, blk.row, ring)
+		runs, n := g.ring(blk.col, blk.row, ring)
+		w.span(runs[:n])
 	}
 }
 
@@ -329,120 +327,134 @@ func (w *certWalk) start(g *txGrid, pv geom.Point, fades []uint64, fadeCap float
 	w.top, w.topLo, w.second, w.tu = -1, -1, -1, -1
 }
 
-// ring adds the cells of ring k around (col, row) — the cells at Chebyshev
-// distance k, clipped to the grid — to the walk: its top and bottom grid
-// rows in full (each one contiguous bucket range), then its left and right
-// columns between them cell by cell. Parts outside the grid cost nothing.
+// ring returns the runs of ring k around (col, row) — the cells at
+// Chebyshev distance k, clipped to the grid — in at most four runs: its top
+// and bottom grid rows in full from the row-major CSR, then its left and
+// right columns between them from the column-major copy. Parts outside the
+// grid have no run.
 //
 //crlint:hotpath
-func (w *certWalk) ring(col, row, k int) {
-	g := w.g
+func (g *txGrid) ring(col, row, k int) (runs [4][2]int32, n int) {
 	top, bottom, left, right := row-k, row+k, col-k, col+k
 	lo, hi := max(left, 0), min(right, g.cols-1)
 	if top >= 0 {
-		w.cells(top*g.cols+lo, top*g.cols+hi)
+		runs[n] = [2]int32{g.start[top*g.cols+lo], g.start[top*g.cols+hi+1]}
+		n++
 	}
 	if bottom < g.rows && k > 0 {
-		w.cells(bottom*g.cols+lo, bottom*g.cols+hi)
+		runs[n] = [2]int32{g.start[bottom*g.cols+lo], g.start[bottom*g.cols+hi+1]}
+		n++
 	}
+	y1, y2 := max(top+1, 0), min(bottom-1, g.rows-1)
 	for _, x := range [2]int{left, right} {
-		if x < 0 || x >= g.cols {
+		if x < 0 || x >= g.cols || y1 > y2 {
 			continue
 		}
-		for y := max(top+1, 0); y <= min(bottom-1, g.rows-1); y++ {
-			w.cells(y*g.cols+x, y*g.cols+x)
-		}
+		runs[n] = [2]int32{g.cstart[x*g.rows+y1], g.cstart[x*g.rows+y2+1]}
+		n++
 	}
+	return runs, n
 }
 
-// cells adds the signals of the round's transmitters in cells first through
-// last, one contiguous bucket range, to the walk.
-//
-//crlint:hotpath
-func (w *certWalk) cells(first, last int) {
-	w.span(int(w.g.start[first]), int(w.g.start[last+1]))
-}
-
-// span adds the transmitters at CSR positions [first, end) to the walk,
+// span adds the transmitters of runs to the walk, one run after another,
 // reading their positions contiguously and, for a faded listener, their
 // fades by rank. T follows the kernel's rule, the first strict maximum in
 // ascending rank, which is ascending transmitter index, so equal upper ends
 // keep the lower rank whatever order the walk meets them in; a
 // transmitter's rank is read only when its upper end ties or beats T, or
-// to find its fade. At α ≠ 3 the pre-loop pass computes the signals.
+// to find its fade. At α ≠ 3 the pre-loop pass computes the signals of
+// every run first. It costs one work unit per transmitter and one per run.
 //
 //crlint:hotpath
-func (w *certWalk) span(first, end int) {
-	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	pv, fades := w.pv, w.fades
+func (w *certWalk) span(runs [][2]int32) {
+	g, pv, fades := w.g, w.pv, w.fades
 	var sig []float64
-	if alpha := w.g.alpha; alpha != 3 {
-		sig = signals(w.sig, pos, pv, alpha, nil)
+	if alpha := g.alpha; alpha != 3 {
+		k := 0
+		for _, r := range runs {
+			k += len(signals(w.sig[k:], g.pos[r[0]:r[1]], pv, alpha, nil))
+		}
+		sig = w.sig[:k]
 	}
 	// A faded listener's U and T₂ stay in w, out of the exact loop's way.
 	lo, top, tu := w.lo, w.top, w.tu
-	for i := range pos {
-		s := signalAt(sig, i, pos[i], pv)
-		t := s
-		if fades != nil {
-			flo, fhi := fadeBracket(drawX(fades[idx[i]]))
-			s, t = s*flo, s*fhi
-			w.hi += t
-			w.second = max(w.second, min(t, top))
-		}
-		lo += s
-		if t >= top {
-			if u := int(idx[i]); t > top || u < tu {
-				top, tu, w.topLo = t, u, s
+	k := 0 // the run's first signal in sig
+	for _, r := range runs {
+		pos, idx := g.pos[r[0]:r[1]], g.idx[r[0]:r[1]]
+		for i := range pos {
+			s := signalAt(sig, k+i, pos[i], pv)
+			t := s
+			if fades != nil {
+				flo, fhi := fadeBracket(drawX(fades[idx[i]]))
+				s, t = s*flo, s*fhi
+				w.hi += t
+				w.second = max(w.second, min(t, top))
+			}
+			lo += s
+			if t >= top {
+				if u := int(idx[i]); t > top || u < tu {
+					top, tu, w.topLo = t, u, s
+				}
 			}
 		}
+		k += len(pos)
 	}
 	if fades == nil {
 		w.hi = lo
 	}
 	w.lo, w.top, w.tu = lo, top, tu
-	w.seen += end - first
-	w.work += end - first + 1
+	w.seen += k
+	w.work += k + len(runs)
 }
 
 // spanPair is span for two exact walks at once, w's and o's: one pass over
-// the transmitters, whose positions both walks read, with each walk's
-// floats its own, exactly as span computes them; at α ≠ 3 each walk's
-// signals come from the pre-loop pass, into its own scratch. Faded
+// the runs' transmitters, whose positions both walks read, with each
+// walk's floats its own, exactly as span computes them; at α ≠ 3 each
+// walk's signals come from the pre-loop pass, into its own scratch. Faded
 // listeners are visited in index order, not cell order, so they never
 // share a block.
 //
 //crlint:hotpath
-func (w *certWalk) spanPair(o *certWalk, first, end int) {
-	pos, idx := w.g.pos[first:end], w.g.idx[first:end]
-	pw, po := w.pv, o.pv
+func (w *certWalk) spanPair(o *certWalk, runs [][2]int32) {
+	g, pw, po := w.g, w.pv, o.pv
 	var sigW, sigO []float64
-	if alpha := w.g.alpha; alpha != 3 {
-		sigW, sigO = signals(w.sig, pos, pw, alpha, nil), signals(o.sig, pos, po, alpha, nil)
+	if alpha := g.alpha; alpha != 3 {
+		k := 0
+		for _, r := range runs {
+			pos := g.pos[r[0]:r[1]]
+			signals(w.sig[k:], pos, pw, alpha, nil)
+			k += len(signals(o.sig[k:], pos, po, alpha, nil))
+		}
+		sigW, sigO = w.sig[:k], o.sig[:k]
 	}
 	sw, bw, uw := w.lo, w.top, w.tu
 	so, bo, uo := o.lo, o.top, o.tu
-	for i := range pos {
-		s := signalAt(sigW, i, pos[i], pw)
-		t := signalAt(sigO, i, pos[i], po)
-		sw += s
-		so += t
-		if s >= bw {
-			if u := int(idx[i]); s > bw || u < uw {
-				bw, uw = s, u
+	k := 0 // the run's first signal in sigW and sigO
+	for _, r := range runs {
+		pos, idx := g.pos[r[0]:r[1]], g.idx[r[0]:r[1]]
+		for i := range pos {
+			s := signalAt(sigW, k+i, pos[i], pw)
+			t := signalAt(sigO, k+i, pos[i], po)
+			sw += s
+			so += t
+			if s >= bw {
+				if u := int(idx[i]); s > bw || u < uw {
+					bw, uw = s, u
+				}
+			}
+			if t >= bo {
+				if u := int(idx[i]); t > bo || u < uo {
+					bo, uo = t, u
+				}
 			}
 		}
-		if t >= bo {
-			if u := int(idx[i]); t > bo || u < uo {
-				bo, uo = t, u
-			}
-		}
+		k += len(pos)
 	}
 	w.lo, w.hi, w.top, w.topLo, w.tu = sw, sw, bw, bw, uw
 	o.lo, o.hi, o.top, o.topLo, o.tu = so, so, bo, bo, uo
 	for _, x := range [2]*certWalk{w, o} {
-		x.seen += end - first
-		x.work += end - first + 1
+		x.seen += k
+		x.work += k + len(runs)
 	}
 }
 

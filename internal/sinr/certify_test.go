@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fadingcr/internal/geom"
@@ -716,11 +717,14 @@ func FuzzCertifiedDelivery(f *testing.F) {
 
 // TestRingWalkCoversSquares: on every shape a round can pick — on square,
 // wide and tall grids — prepare picks the coarsest shape with at least as
-// many transmitters as cells only when no finer one qualifies, a cell's
-// block holds exactly the transmitters of rings 0 and 1, and walking rings
-// 2 through k after it visits exactly the transmitters within Chebyshev
-// distance k: the counts the summed-area table gives, which the far bound F
-// starts from.
+// many transmitters as cells only when no finer one qualifies, the
+// column-major copy holds each cell's ranks and nodes exactly as the
+// row-major CSR does, a cell's block holds exactly the transmitters of
+// rings 0 and 1, and walking rings 2 through k after it visits exactly the
+// transmitters within Chebyshev distance k: the counts the summed-area
+// table gives, which the far bound F starts from. Each ring is at most
+// four runs, each a range of one copy, and costs the walk one work unit
+// per run beyond its transmitters.
 func TestRingWalkCoversSquares(t *testing.T) {
 	rng := xrand.New(15)
 	for _, extent := range [][2]float64{{40, 40}, {400, 3}, {3, 400}} {
@@ -736,6 +740,11 @@ func TestRingWalkCoversSquares(t *testing.T) {
 		tx := denseTx(t, rng, len(pts), 0.3)
 		txList := c.scratch.indices(tx)
 		nodes := c.gather(c.scratch.txNodes, txList)
+		// Another round's transmitters, bucketed first in every shape, so a
+		// copy left from an earlier round shows.
+		other := slices.Clone(c.scratch.indices(denseTx(t, rng, len(pts), 0.1)))
+		otherNodes := c.gather(make([]txNode, len(other)), other)
+		txList = c.scratch.indices(tx)
 		for j := 0; ; j++ {
 			cols, rows := g.shapeAt(j)
 			// A round with as many transmitters as this shape has cells picks
@@ -747,7 +756,26 @@ func TestRingWalkCoversSquares(t *testing.T) {
 				t.Fatalf("grid %d×%d: %d transmitters pick shape %d, want a coarser one", cols, rows, cols*rows-1, got)
 			}
 			g.setShape(j)
+			g.bucket(other, otherNodes)
 			g.bucket(txList, nodes)
+			m := int32(len(txList))
+			if got := g.cstart[len(g.cstart)-1]; got != 2*m {
+				t.Fatalf("grid %d×%d: the column-major copy ends at %d, want %d", g.cols, g.rows, got, 2*m)
+			}
+			for cell := 0; cell < g.cols*g.rows; cell++ {
+				col, row := cell%g.cols, cell/g.cols
+				byRow := g.start[cell]
+				first, end := g.cstart[col*g.rows+row], g.cstart[col*g.rows+row+1]
+				if first < m || end-first != g.start[cell+1]-byRow {
+					t.Fatalf("grid %d×%d, cell (%d, %d): column-major run [%d, %d), row-major [%d, %d)",
+						g.cols, g.rows, col, row, first, end, byRow, g.start[cell+1])
+				}
+				for i := range end - first {
+					if g.idx[first+i] != g.idx[byRow+i] || g.pos[first+i] != g.pos[byRow+i] {
+						t.Fatalf("grid %d×%d, cell (%d, %d): column-major copy differs at %d", g.cols, g.rows, col, row, i)
+					}
+				}
+			}
 			for v := range pts {
 				cell := int(g.cellOf(v))
 				col, row := cell%g.cols, cell/g.cols
@@ -758,14 +786,24 @@ func TestRingWalkCoversSquares(t *testing.T) {
 				}
 				var w certWalk
 				w.start(g, pts[v], nil, 1, nil)
-				for _, s := range blk.spans[:blk.nspans] {
-					w.span(int(s[0]), int(s[1]))
-				}
+				w.span(blk.runs[:blk.nruns])
 				for k := 2; k < max(g.cols, g.rows); k++ {
-					w.ring(col, row, k)
+					runs, n := g.ring(col, row, k)
+					for i, r := range runs[:n] {
+						if r[0] > r[1] || r[0] < m && r[1] > m {
+							t.Fatalf("grid %d×%d, cell (%d, %d), ring %d: run %d of %d is [%d, %d), not a range of one copy",
+								g.cols, g.rows, col, row, k, i, n, r[0], r[1])
+						}
+					}
+					seen, work := w.seen, w.work
+					w.span(runs[:n])
 					if want := g.squareCount(col, row, k); w.seen != want {
 						t.Fatalf("grid %d×%d, cell (%d, %d), rings 0..%d: walk saw %d transmitters, table counts %d",
 							g.cols, g.rows, col, row, k, w.seen, want)
+					}
+					if extra := (w.work - work) - (w.seen - seen); extra != n || n > 4 {
+						t.Fatalf("grid %d×%d, cell (%d, %d), ring %d: %d runs cost %d units beyond their transmitters, want at most 4 and one each",
+							g.cols, g.rows, col, row, k, n, extra)
 					}
 				}
 				if w.seen != len(txList) {

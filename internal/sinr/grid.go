@@ -12,8 +12,8 @@ import (
 // from a listener over the round's transmitters. Its index is one uniform
 // grid over the deployment, reshaped every certified round to about one
 // transmitter per cell, the round's transmitters bucketed by cell in CSR
-// form with a summed-area table of their per-cell counts, and the round's
-// listeners sorted by cell.
+// form, row-major and again column-major, with a summed-area table of
+// their per-cell counts, and the round's listeners sorted by cell.
 const (
 	// certSmallTx: in a round with at most this many transmitters the
 	// certificate does not run and every listener sums the transmitter list
@@ -63,10 +63,16 @@ type txGrid struct {
 	// idx[start[c]:start[c+1]] holds the ranks in txList (rank order is
 	// index order) of the transmitters in cell c, ascending, and pos their
 	// positions and powers in the same order. Cell ids run row-major, so a
-	// run of cells within one grid row is one contiguous range of idx and pos.
-	start []int32
-	idx   []int32
-	pos   []txNode
+	// run of cells within one grid row is one contiguous range of idx and
+	// pos. The same arrays hold a column-major copy after the m
+	// transmitters: cell (col, row)'s ranks again, ascending, at
+	// idx[cstart[col·rows+row]:cstart[col·rows+row+1]], so a run of cells
+	// within one grid column is one contiguous range too. A run is a range
+	// [first, end) of either copy.
+	start  []int32
+	cstart []int32
+	idx    []int32
+	pos    []txNode
 
 	// sat is the round's summed-area table of per-cell transmitter counts:
 	// sat[r·(cols+1) + c] counts the transmitters in rows < r and columns
@@ -113,8 +119,9 @@ func newTxGrid(pts []geom.Point, alpha, maxPower float64) *txGrid {
 	n := len(pts)
 	g.cellID = make([]int32, n)
 	g.start = make([]int32, cols*rows+1)
-	g.idx = make([]int32, n)
-	g.pos = make([]txNode, n)
+	g.cstart = make([]int32, cols*rows+1)
+	g.idx = make([]int32, 2*n)
+	g.pos = make([]txNode, 2*n)
 	g.sat = make([]int32, (rows+1)*(cols+1))
 	g.ringCap = make([]float64, max(cols, rows, 2)+1)
 	g.order = make([]int, n)
@@ -171,7 +178,7 @@ func (g *txGrid) setShape(j int) {
 	g.shift = j
 	g.cols, g.rows = g.shapeAt(j)
 	cells := g.cols * g.rows
-	g.start, g.lstart = g.start[:cells+1], g.lstart[:cells+1]
+	g.start, g.cstart, g.lstart = g.start[:cells+1], g.cstart[:cells+1], g.lstart[:cells+1]
 	g.sat = g.sat[:(g.rows+1)*(g.cols+1)]
 	g.ringCap = g.ringCap[:max(g.cols, g.rows, 2)+1]
 	for k := range g.ringCap {
@@ -193,9 +200,10 @@ func (g *txGrid) cellOf(u int) int32 {
 }
 
 // bucket sorts the round's transmitters by cell — a counting sort into the
-// CSR arrays, with each transmitter's gathered node beside its rank — and
-// refills the summed-area table from the buckets. The buckets inherit
-// txList's ascending order within each cell.
+// CSR arrays, with each transmitter's gathered node beside its rank —
+// copies the buckets column by column after them (cstart), and refills
+// the summed-area table from the buckets, at O(m + cells). The buckets,
+// and so the copy, inherit txList's ascending order within each cell.
 //
 //crlint:hotpath
 func (g *txGrid) bucket(txList []int, nodes []txNode) {
@@ -220,6 +228,18 @@ func (g *txGrid) bucket(txList []int, nodes []txNode) {
 		start[i] = start[i-1]
 	}
 	start[0] = 0
+	at := int32(len(txList))
+	for col := 0; col < g.cols; col++ {
+		for row := 0; row < g.rows; row++ {
+			c := row*g.cols + col
+			g.cstart[col*g.rows+row] = at
+			for i := start[c]; i < start[c+1]; i++ {
+				g.idx[at], g.pos[at] = g.idx[i], g.pos[i]
+				at++
+			}
+		}
+	}
+	g.cstart[len(g.cstart)-1] = at
 	// Row 0 and column 0 of the table are zero; another shape may have left
 	// counts there. start[base+c+1] − start[base] counts row r's
 	// transmitters in columns ≤ c.
