@@ -46,7 +46,7 @@ bench-e2e:
 	done
 
 # Mirror of CI's hotloops step: the SINR pair loops make no call (DESIGN.md
-# §8, "Pair loops"). Builds crsim and requires the disassembly of the four
+# §8, "Pair loops"). Builds crsim and requires the disassembly of the three
 # pair-loop kernels to call nothing but the pre-loop signal pass and the
 # runtime's panic and stack-growth paths; their speed rests on inlining
 # decisions that no test sees.

@@ -168,7 +168,7 @@ func channelName(ch sim.Channel) string {
 	}
 }
 
-// runTrialOutcomes is the common body of trialRounds and trialStats: one
+// runTrialOutcomes is the common body of the trial loops: one
 // simulator execution per trial on a fresh deployment, seeded by the
 // runner.TrialSeeds contract. Every trial builds its own deployment and
 // channel, so Config.Trace capture composes with full parallelism: a
@@ -231,11 +231,15 @@ func trialRounds(
 	builder sim.Builder,
 	simCfg sim.Config,
 ) (rounds []float64, unsolved int, err error) {
-	outcomes, err := runTrialOutcomes(cfg, trials, deploy, channel, builder, simCfg)
+	return roundsOf(runTrialOutcomes(cfg, trials, deploy, channel, builder, simCfg))
+}
+
+// roundsOf returns each outcome's rounds and the number unsolved.
+func roundsOf(outcomes []trialOutcome, err error) (rounds []float64, unsolved int, _ error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	rounds = make([]float64, 0, trials)
+	rounds = make([]float64, 0, len(outcomes))
 	for _, o := range outcomes {
 		if !o.Solved {
 			unsolved++
@@ -245,43 +249,16 @@ func trialRounds(
 	return rounds, unsolved, nil
 }
 
-// trialStats is trialRounds for callers that only need summary statistics:
-// it folds the outcomes (in trial order, so the result is independent of
-// parallelism) into an online aggregator instead of handing back a sample
-// to buffer and sort.
-func trialStats(
-	cfg Config,
-	trials int,
-	deploy func(seed uint64) (*geom.Deployment, error),
-	channel func(d *geom.Deployment) (sim.Channel, error),
-	builder sim.Builder,
-	simCfg sim.Config,
-) (*runner.Aggregator, error) {
-	outcomes, err := runTrialOutcomes(cfg, trials, deploy, channel, builder, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	agg := &runner.Aggregator{}
-	for _, o := range outcomes {
-		agg.Observe(o.Rounds, o.Solved)
-	}
-	return agg, nil
-}
-
 // sinrTrialRounds is trialRounds specialised to the default SINR channel.
 func sinrTrialRounds(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) ([]float64, int, error) {
-	return trialRounds(cfg, trials,
-		func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
-		func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
-		builder,
-		sim.Config{MaxRounds: maxRounds},
-	)
+	return roundsOf(sinrTrialOutcomes(cfg, trials, n, builder, maxRounds))
 }
 
-// sinrTrialStats is sinrTrialRounds for summary-only callers (e.g. E7's
-// failure counting): same executions, online aggregation.
-func sinrTrialStats(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) (*runner.Aggregator, error) {
-	return trialStats(cfg, trials,
+// sinrTrialOutcomes is runTrialOutcomes on uniform disks of n nodes over
+// the default SINR channel, for callers that need each trial's (Solved,
+// Rounds), such as E7's failure counts under several budgets.
+func sinrTrialOutcomes(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) ([]trialOutcome, error) {
+	return runTrialOutcomes(cfg, trials,
 		func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
 		func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 		builder,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -21,6 +22,51 @@ func TestE1Budget(t *testing.T) {
 		if float64(e1Budget(n)) < 20*math.Log2(float64(n)) {
 			t.Errorf("budget for n=%d too tight", n)
 		}
+	}
+}
+
+// TestE7MatchesARunPerBudget: E7 runs each trial once, at its largest
+// budget, and counts a trial as failing budget C·⌈log₂ n⌉ when it is
+// unsolved or solves after it. Its quick table must read what the literal
+// way reads: one run per budget, counting the unsolved. Seed 23 has a trial
+// that solves exactly at a smaller budget (n = 16, C = 4, round 16), which
+// counts as solved; without one the cases could not tell > from ≥.
+func TestE7MatchesARunPerBudget(t *testing.T) {
+	ns, cs := []int{16, 64, 256}, []int{4, 8, 16}
+	atBudget := 0
+	for _, seed := range []uint64{7, 23} {
+		cfg := Config{Seed: seed, Quick: true}
+		trials := cfg.trials(300, 40)
+		tables, err := e7().Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := tables[0].Rows; len(rows) != len(ns) {
+			t.Fatalf("seed %d: E7 has %d rows, want %d", seed, len(rows), len(ns))
+		}
+		for i, n := range ns {
+			for j, c := range cs {
+				budget := c * int(math.Ceil(math.Log2(float64(n))))
+				outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unsolved := 0
+				for _, o := range outcomes {
+					if !o.Solved {
+						unsolved++
+					} else if o.Rounds == float64(budget) && c < cs[len(cs)-1] {
+						atBudget++
+					}
+				}
+				if got, want := tables[0].Rows[i][2+j], fmt.Sprintf("%d/%d", unsolved, trials); got != want {
+					t.Errorf("seed %d n=%d C=%d: E7 reads %s, a run at budget %d %s", seed, n, c, got, budget, want)
+				}
+			}
+		}
+	}
+	if atBudget == 0 {
+		t.Fatal("no trial solved exactly at a budget below the largest; the cases cannot tell > from ≥")
 	}
 }
 

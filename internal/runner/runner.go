@@ -13,9 +13,7 @@
 //     timeout (a canceled run returns promptly with partial results),
 //   - panic recovery that converts a crashing trial into a per-trial
 //     *PanicError instead of killing the whole run,
-//   - a streaming Progress callback suitable for CLI progress lines,
-//   - an online statistics Aggregator (Welford mean/variance, min/max,
-//     unsolved count) for callers that only need summaries.
+//   - a streaming Progress callback suitable for CLI progress lines.
 //
 // Structured trace capture (internal/trace.Capture) composes with the
 // engine without weakening the determinism contract: a worker asks the

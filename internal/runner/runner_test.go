@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -223,38 +222,6 @@ func TestZeroTrials(t *testing.T) {
 	}
 	if res.Done != 0 || len(res.Values) != 0 {
 		t.Fatalf("zero-trial result = %+v", res)
-	}
-}
-
-func TestAggregatorMatchesDirectComputation(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3.5}
-	var a Aggregator
-	for i, x := range xs {
-		a.Observe(x, i%3 != 0)
-	}
-	if a.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", a.N(), len(xs))
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if math.Abs(a.Mean()-mean) > 1e-12 {
-		t.Errorf("Mean = %v, want %v", a.Mean(), mean)
-	}
-	ss := 0.0
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	if wantVar := ss / float64(len(xs)-1); math.Abs(a.Variance()-wantVar) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", a.Variance(), wantVar)
-	}
-	if a.Min() != 1 || a.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 1/9", a.Min(), a.Max())
-	}
-	if a.Unsolved() != 4 {
-		t.Errorf("Unsolved = %d, want 4 (indices 0,3,6,9)", a.Unsolved())
 	}
 }
 

@@ -74,6 +74,13 @@ func TestFadeBracketUpperEndIsMonotone(t *testing.T) {
 	}
 }
 
+// expFade draws a unit-mean exponential fade the literal way, by
+// inverse-CDF sampling of the stream's next Float64 (1 − U avoids log(0)):
+// the reference for the fades the engine computes from its kept draws.
+func expFade(rng *xrand.Reseedable) float64 {
+	return -math.Log(1 - rng.Float64())
+}
+
 // TestDrawFadesCapsEveryFade: drawFades keeps the stream's draws in
 // order, each giving x = 1 − U through drawX, and its cap bounds every fade
 // the kernel computes from them, −math.Log(x) as expFade takes it, within
@@ -104,6 +111,98 @@ func TestDrawFadesCapsEveryFade(t *testing.T) {
 			t.Fatalf("seed %d: drawFades left the stream elsewhere than %d draws on", seed, len(us))
 		}
 	}
+}
+
+// literalBracket is a faded listener's full bracket the literal way: draw
+// v's fades from rng in ascending transmitter index, bracket each one
+// around the unfaded signal g (g·lo ≤ g·fade ≤ g·hi), and sum the ends in
+// that order into L and U, keeping the largest upper end T (the first on
+// ties), its rank ti and lower end ℓ, and T₂, the largest upper end of the
+// others. ties counts the finite upper ends that equalled T when met.
+func literalBracket(c *Channel, v int, txList []int, rng *xrand.Reseedable) (lo, hi, top, topLo, second float64, ti, ties int) {
+	top, topLo, second, ti = -1, -1, -1, -1
+	for i, u := range txList {
+		g := c.signal(u, v)
+		flo, fhi := fadeBracket(1 - rng.Float64())
+		s, t := g*flo, g*fhi
+		lo += s
+		hi += t
+		if t == top && !math.IsInf(t, 1) {
+			ties++
+		}
+		if t > top {
+			second, top, topLo, ti = top, t, s, i
+		} else if t > second {
+			second = t
+		}
+	}
+	return lo, hi, top, topLo, second, ti, ties
+}
+
+// TestBracketAllIsTheLiteralBracket: the full bracket is the walk of one
+// run over the round's transmitters in ascending index (bracketAll), on
+// fades kept by drawFades. Its L, U, T, ℓ, T₂ and T's rank must be
+// literalBracket's bit for bit, at α ∈ {2, 2.5, 3, 4, 6} (the in-place
+// α = 3 signals and the pre-loop pass) on a disk, on a lattice (exact ties
+// in the unfaded signals) and on a lattice whose points lie three to a
+// site (infinite signals, which tie at T).
+func TestBracketAllIsTheLiteralBracket(t *testing.T) {
+	const side = 16
+	n := side * side
+	disk, err := geom.UniformDisk(12, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := gridPoints(side)
+	stacked := gridPoints(side)
+	for i := range stacked {
+		stacked[i] = stacked[i-i%3]
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := xrand.New(8)
+	compared, ties, infinite := 0, 0, 0
+	for _, alpha := range []float64{2, 2.5, 3, 4, 6} {
+		for _, layout := range []struct {
+			name string
+			pts  []geom.Point
+		}{{"disk", disk.Points}, {"lattice", lattice}, {"stacked", stacked}} {
+			c, err := NewRayleigh(Params{Alpha: alpha, Beta: 1, Noise: 1, Power: 1}, layout.pts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := make([]float64, n)
+			for _, density := range []float64{0.1, 0.5} {
+				tx := randomTx(rng, n, density)
+				txList := c.scratch.indices(tx)
+				r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList)}
+				fades := make([]uint64, len(txList))
+				for v := range n {
+					if tx[v] {
+						continue
+					}
+					draws := xrand.NewReseedable(uint64(v))
+					literal := *draws
+					drawFades(draws, fades)
+					var w certWalk
+					c.bracketAll(&w, v, r, fades, sig)
+					lo, hi, top, topLo, second, ti, tied := literalBracket(c, v, txList, &literal)
+					if !same(w.lo, lo) || !same(w.hi, hi) || !same(w.top, top) || !same(w.topLo, topLo) || !same(w.second, second) || w.tu != ti {
+						t.Fatalf("α=%v %s density %v listener %d: walk L=%v U=%v T=%v ℓ=%v T₂=%v rank %d; literal L=%v U=%v T=%v ℓ=%v T₂=%v rank %d",
+							alpha, layout.name, density, v, w.lo, w.hi, w.top, w.topLo, w.second, w.tu, lo, hi, top, topLo, second, ti)
+					}
+					compared++
+					ties += tied
+					if math.IsInf(top, 1) {
+						infinite++
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 || infinite == 0 {
+		t.Fatalf("%d finite upper ends tied T and %d listeners had an infinite T; the cases must have both", ties, infinite)
+	}
+	t.Logf("%d full brackets compared, %d finite ties at T, %d infinite T", compared, ties, infinite)
 }
 
 // fadedTwins returns two channels with the same parameters, points and

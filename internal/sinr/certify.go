@@ -161,7 +161,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n cer
 			k = 2
 		}
 		for j, v := range vs[i : i+k] {
-			ws[j].start(g, c.pts[v], nil, 1, sig[j])
+			ws[j].start(g.pos, g.idx, g.alpha, c.pts[v], nil, 1, sig[j])
 		}
 		if runs := blk.runs[:blk.nruns]; k == 2 {
 			ws[0].spanPair(&ws[1], runs)
@@ -169,7 +169,7 @@ func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n cer
 			ws[0].span(runs)
 		}
 		for j, v := range vs[i : i+k] {
-			u, ok, walked := c.certify(&ws[j], len(r.txList), &blk)
+			u, ok, walked := c.certify(g, &ws[j], len(r.txList), &blk)
 			if walked {
 				n.walks++
 			}
@@ -187,29 +187,39 @@ func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n cer
 }
 
 // walkFaded tries to settle faded listener v on the certificate's walk in
-// round r, whose grid holds the round's transmitters. It draws v's m fades
-// into scratch (drawFades) and walks from v's cell (blk, kept across calls,
-// shares F from ring 2 between listeners of one cell), bracketing only the
-// fades of the transmitters it sees; sig is its signal scratch (start). A
-// settled verdict is parked and walkFaded reports true; otherwise it parks
-// nothing and the caller rewinds rng.
+// round r, whose grid holds the round's transmitters. fades holds v's m
+// draws by rank (drawFades), each fade at most fadeCap. The walk goes out
+// from v's cell (blk, kept across calls, shares F from ring 2 between
+// listeners of one cell), bracketing only the fades of the transmitters it
+// sees; sig is its signal scratch (start). A settled verdict is parked and
+// walkFaded reports true; otherwise it parks nothing.
 //
 //crlint:hotpath
-func (c *Channel) walkFaded(v int, r deliverRound, rng *xrand.Reseedable, blk *certBlock, sig []float64) bool {
-	us := c.scratch.draws[:len(r.txList)]
-	fadeCap := drawFades(rng, us)
+func (c *Channel) walkFaded(v int, r deliverRound, fades []uint64, fadeCap float64, blk *certBlock, sig []float64) bool {
 	g := r.cert
 	if cell := int(g.cellOf(v)); cell != blk.cell {
 		g.setBlock(blk, cell)
 	}
 	var w certWalk
-	w.start(g, c.pts[v], us, fadeCap, sig)
+	w.start(g.pos, g.idx, g.alpha, c.pts[v], fades, fadeCap, sig)
 	w.span(blk.runs[:blk.nruns])
-	u, ok, _ := c.certify(&w, len(r.txList), blk)
+	u, ok, _ := c.certify(g, &w, len(r.txList), blk)
 	if ok {
 		c.scratch.park(v, r.txList, u)
 	}
 	return ok
+}
+
+// bracketAll walks faded listener v of round r over every transmitter:
+// one run, the round's list in ascending index with ranks 0…m−1, so w ends
+// with the ascending loop's L, U, T, ℓ, T₂ and T's rank over the fades of
+// fades, for fadedVerdict. sig is its signal scratch (start).
+//
+//crlint:hotpath
+func (c *Channel) bracketAll(w *certWalk, v int, r deliverRound, fades []uint64, sig []float64) {
+	w.start(r.nodes, c.scratch.ranks, c.params.Alpha, c.pts[v], fades, 1, sig)
+	all := [1][2]int32{{0, int32(len(r.nodes))}}
+	w.span(all[:])
 }
 
 // drawFades fills us with rng's next len(us) draws in sumAll's order, each
@@ -231,29 +241,30 @@ func drawFades(rng *xrand.Reseedable, us []uint64) float64 {
 }
 
 // drawX returns x = 1 − U for a draw kept as drawFades keeps it, bit for
-// bit as 1 − rng.Float64() computes it.
+// bit as 1 − rng.Float64() computes it. The draw's fade is −ln x, a
+// unit-mean exponential by inverse-CDF sampling; x > 0, so it is finite.
 //
 //crlint:hotpath
 func drawX(u uint64) float64 {
 	return 1 - float64(u)/(1<<53)
 }
 
-// certify tries to settle the reception of w's listener, whose walk has
-// summed blk's block, in a round with total transmitters. It returns the
-// rank of the transmitter the listener decodes (−1 for none) with ok true
-// when a test holds, or ok false when it needs the full sum: no test held
-// before every transmitter was seen, the walk spent as much work as the
-// full sum's |tx| terms (one unit per transmitter seen, per run read and per far
-// ring bounded), so that a listener that falls back pays at most twice the
-// full sum, or a signal was not finite (coincident points). walked reports
+// certify tries to settle the reception of w's listener, whose walk over
+// grid g has summed blk's block, in a round with total transmitters. It
+// returns the rank of the transmitter the listener decodes (−1 for none)
+// with ok true when a test holds, or ok false when it needs the full sum:
+// no test held before every transmitter was seen, the walk spent as much
+// work as the full sum's |tx| terms (one unit per transmitter seen, per run
+// read and per far ring bounded), so that a listener that falls back pays
+// at most twice the full sum, or a signal was not finite (coincident
+// points). walked reports
 // whether the listener went past its cell's block. The sums are taken in
 // block and ring order, not in the kernel's ascending order; η absorbs the
 // difference. Every bound on unseen signals is scaled by w.fadeCap, which
 // is 1, exactly, for an exact listener.
 //
 //crlint:hotpath
-func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, walked bool) {
-	g := w.g
+func (c *Channel) certify(g *txGrid, w *certWalk, total int, blk *certBlock) (u int, ok, walked bool) {
 	budget := total
 	for ring := 2; ; ring++ {
 		if !(w.hi <= math.MaxFloat64) {
@@ -295,7 +306,9 @@ func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, wa
 	}
 }
 
-// certWalk is one listener's walk. Each seen computed signal lies in
+// certWalk is one listener's walk over runs of pos, transmitters'
+// positions and powers, whose ranks idx holds: the grid's buckets, or the
+// round's list itself (bracketAll). Each seen computed signal lies in
 // [g·lo, g·hi]: g itself for an exact listener, g times the bracket on its
 // fade for a faded one. The walk keeps L and U (lo, hi), the sums of those
 // ends; T (top), the largest upper end, with its sender's rank tu and lower
@@ -306,7 +319,9 @@ func (c *Channel) certify(w *certWalk, total int, blk *certBlock) (u int, ok, wa
 // every fade (1 if exact), and sig is the scratch the pre-loop pass fills
 // at α ≠ 3 (signals).
 type certWalk struct {
-	g                  *txGrid
+	pos                []txNode
+	idx                []int32
+	alpha              float64
 	pv                 geom.Point
 	fades              []uint64
 	sig                []float64
@@ -317,13 +332,14 @@ type certWalk struct {
 	seen, work         int
 }
 
-// start makes w the walk of the listener at pv, with nothing seen; set
-// field by field, it copies no struct.
+// start makes w the walk over pos and idx, at path-loss exponent alpha, of
+// the listener at pv, with nothing seen; set field by field, it copies no
+// struct.
 //
 //crlint:hotpath
-func (w *certWalk) start(g *txGrid, pv geom.Point, fades []uint64, fadeCap float64, sig []float64) {
+func (w *certWalk) start(pos []txNode, idx []int32, alpha float64, pv geom.Point, fades []uint64, fadeCap float64, sig []float64) {
 	*w = certWalk{}
-	w.g, w.pv, w.fades, w.fadeCap, w.sig = g, pv, fades, fadeCap, sig
+	w.pos, w.idx, w.alpha, w.pv, w.fades, w.fadeCap, w.sig = pos, idx, alpha, pv, fades, fadeCap, sig
 	w.top, w.topLo, w.second, w.tu = -1, -1, -1, -1
 }
 
@@ -367,12 +383,12 @@ func (g *txGrid) ring(col, row, k int) (runs [4][2]int32, n int) {
 //
 //crlint:hotpath
 func (w *certWalk) span(runs [][2]int32) {
-	g, pv, fades := w.g, w.pv, w.fades
+	pv, fades := w.pv, w.fades
 	var sig []float64
-	if alpha := g.alpha; alpha != 3 {
+	if alpha := w.alpha; alpha != 3 {
 		k := 0
 		for _, r := range runs {
-			k += len(signals(w.sig[k:], g.pos[r[0]:r[1]], pv, alpha, nil))
+			k += len(signals(w.sig[k:], w.pos[r[0]:r[1]], pv, alpha, nil))
 		}
 		sig = w.sig[:k]
 	}
@@ -380,7 +396,7 @@ func (w *certWalk) span(runs [][2]int32) {
 	lo, top, tu := w.lo, w.top, w.tu
 	k := 0 // the run's first signal in sig
 	for _, r := range runs {
-		pos, idx := g.pos[r[0]:r[1]], g.idx[r[0]:r[1]]
+		pos, idx := w.pos[r[0]:r[1]], w.idx[r[0]:r[1]]
 		for i := range pos {
 			s := signalAt(sig, k+i, pos[i], pv)
 			t := s
@@ -416,12 +432,12 @@ func (w *certWalk) span(runs [][2]int32) {
 //
 //crlint:hotpath
 func (w *certWalk) spanPair(o *certWalk, runs [][2]int32) {
-	g, pw, po := w.g, w.pv, o.pv
+	pw, po := w.pv, o.pv
 	var sigW, sigO []float64
-	if alpha := g.alpha; alpha != 3 {
+	if alpha := w.alpha; alpha != 3 {
 		k := 0
 		for _, r := range runs {
-			pos := g.pos[r[0]:r[1]]
+			pos := w.pos[r[0]:r[1]]
 			signals(w.sig[k:], pos, pw, alpha, nil)
 			k += len(signals(o.sig[k:], pos, po, alpha, nil))
 		}
@@ -431,7 +447,7 @@ func (w *certWalk) spanPair(o *certWalk, runs [][2]int32) {
 	so, bo, uo := o.lo, o.top, o.tu
 	k := 0 // the run's first signal in sigW and sigO
 	for _, r := range runs {
-		pos, idx := g.pos[r[0]:r[1]], g.idx[r[0]:r[1]]
+		pos, idx := w.pos[r[0]:r[1]], w.idx[r[0]:r[1]]
 		for i := range pos {
 			s := signalAt(sigW, k+i, pos[i], pw)
 			t := signalAt(sigO, k+i, pos[i], po)
@@ -491,8 +507,8 @@ func (g *txGrid) farBound(col, row, ring, seen, total int) (far float64, work in
 // above on the kernel's sum of the seen signals, sets the margin: an exact
 // walk passes S for both, its signals being the kernel's own, and a faded
 // listener passes its lower sum L as sum and its upper sum U as upper (its
-// walk, or sumBracketed). It reports false outside certRange, where
-// rounding is not relative.
+// walk, or its full bracket through fadedVerdict). It reports false outside
+// certRange, where rounding is not relative.
 //
 //crlint:hotpath
 func (p Params) certNone(sum, upper, b, ringCap float64, unseen int) bool {

@@ -785,7 +785,7 @@ func TestRingWalkCoversSquares(t *testing.T) {
 					t.Fatalf("grid %d×%d, cell (%d, %d): block holds %d transmitters, table counts %d", g.cols, g.rows, col, row, blk.seen, want)
 				}
 				var w certWalk
-				w.start(g, pts[v], nil, 1, nil)
+				w.start(g.pos, g.idx, g.alpha, pts[v], nil, 1, nil)
 				w.span(blk.runs[:blk.nruns])
 				for k := 2; k < max(g.cols, g.rows); k++ {
 					runs, n := g.ring(col, row, k)

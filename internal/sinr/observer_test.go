@@ -227,7 +227,8 @@ func TestObserverSINRValueIsConsistent(t *testing.T) {
 // lattice (exact ties, which only the first strict maximum breaks) and on
 // a disk, per-node powers, rounds of at most 64 transmitters and of more,
 // and a faded channel, whose literal loop draws expFade from each round's
-// stream in order, as a replay's pre-loop pass must.
+// stream in order, independently of the draws the engine keeps, as a
+// replay's pre-loop pass must read them.
 func TestObservedSINRIsTheLiteralSum(t *testing.T) {
 	const side = 16
 	n := side * side

@@ -71,7 +71,8 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 // its gathered positions and powers, the per-listener running interference
 // totals, the per-listener strongest signal and its sender, each worker's
 // own scratch (tileScratch), and on a faded channel one listener's fade
-// draws (walkFaded). Sharing the scratch is why channels are not safe for
+// draws (drawFades) and the ranks 0, 1, …, n−1 its full bracket walks
+// (bracketAll). Sharing the scratch is why channels are not safe for
 // concurrent use.
 type deliverScratch struct {
 	txList  []int
@@ -81,6 +82,7 @@ type deliverScratch struct {
 	bestU   []int
 	tiles   []tileScratch
 	draws   []uint64
+	ranks   []int32
 }
 
 // tileScratch is one tile worker's own scratch: its certified-round counts
@@ -95,7 +97,8 @@ type tileScratch struct {
 
 // newDeliverScratch preallocates every buffer at channel-construction time:
 // 56 bytes per node; a tileScratch per worker, with 8 bytes per node per
-// signal buffer; and on a faded channel 8 bytes per node of draws.
+// signal buffer; and on a faded channel 12 bytes per node of draws and
+// ranks.
 func newDeliverScratch(n, workers int, alpha float64, faded bool) deliverScratch {
 	s := deliverScratch{
 		txList:  make([]int, 0, n),
@@ -116,6 +119,10 @@ func newDeliverScratch(n, workers int, alpha float64, faded bool) deliverScratch
 	}
 	if faded {
 		s.draws = make([]uint64, n)
+		s.ranks = make([]int32, n)
+		for i := range s.ranks {
+			s.ranks[i] = int32(i)
+		}
 	}
 	return s
 }

@@ -95,18 +95,19 @@ func cube(d2 float64) float64 {
 
 // signals fills dst with the signals of nodes at pv, in nodes' order,
 // each powers·attenuation(Dist2, α) as the pair loops compute it and, when
-// rng is non-nil, times rng's next exact fade, so a replay draws in stream
-// order; it returns dst resliced to len(nodes). It is the pair loops'
-// pre-loop pass at α ≠ 3 and for a replay: the loops then read the
-// signals and make no call (DESIGN.md §8, "Pair loops").
+// fades is non-nil, times the exact fade −ln x of its draw fades[i]
+// (drawX), so a replay reads the draws its listener's brackets read; it
+// returns dst resliced to len(nodes). It is the pair loops' pre-loop pass
+// at α ≠ 3 and for a replay: the loops then read the signals and make no
+// call (DESIGN.md §8, "Pair loops").
 //
 //crlint:hotpath
-func signals(dst []float64, nodes []txNode, pv geom.Point, alpha float64, rng *xrand.Reseedable) []float64 {
+func signals(dst []float64, nodes []txNode, pv geom.Point, alpha float64, fades []uint64) []float64 {
 	dst = dst[:len(nodes)]
 	for i, nd := range nodes {
 		s := nd.power * attenuation(nd.pt.Dist2(pv), alpha)
-		if rng != nil {
-			s *= expFade(rng)
+		if fades != nil {
+			s *= -math.Log(drawX(fades[i]))
 		}
 		dst[i] = s
 	}
@@ -237,13 +238,15 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // m·(v − t_v) + i: ascending listener-then-transmitter order over every
 // listener, as Deliver visits them. DeliverTo draws only its listed
 // listeners' fades and jumps the stream over the rest, so each listed
-// listener's fades, and receptions, are Deliver's. With no observer, most
-// listeners are settled from bounds on their fades without a logarithm (in
-// rounds of more than certSmallTx transmitters, bounding only the fades its
-// certificate walk sees), and the rest replay the same draws through the
-// exact sum, so no fade and no reception depends on which path a listener
-// took. Faded channels deliver sequentially whatever worker count their
-// options ask for, and their receptions are the same with or without them.
+// listener's fades, and receptions, are Deliver's. Each listed listener's
+// fades are drawn once and kept. With no observer, most listeners are
+// settled from bounds on them without a logarithm (in rounds of more than
+// certSmallTx transmitters, first bounding only the fades its certificate
+// walk sees, then all of them), and the rest replay the kept draws through
+// the exact sum, so no fade and no reception depends on which path a
+// listener took. Faded channels deliver sequentially whatever worker count
+// their options ask for, and their receptions are the same with or without
+// them.
 func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -358,8 +361,9 @@ func (c *Channel) allListeners() []int {
 // around it where it can (certify.go): an unfaded channel visits its
 // listeners cell by cell, and a faded one in list order, bracketing the
 // fades its walks see. A faded listener the walk cannot settle, or any
-// faded listener of a smaller round, brackets all its fades
-// (sumBracketed). Eq. (1) is summed exactly only where the bounds cannot
+// faded listener of a smaller round, brackets all its fades (bracketAll,
+// the same walk over one run of every transmitter), reading the draws it
+// drew once. Eq. (1) is summed exactly only where the bounds cannot
 // decide, so the receptions are the full sum's.
 //
 //crlint:hotpath
@@ -456,15 +460,16 @@ func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
 // ascending sum (sumAll) in the scratch arrays for the sequential
 // threshold pass. An unfaded certified round's vs is in cell order, and
 // certifyTile takes it, giving sumAll only the listeners its certificate
-// cannot decide. A faded channel multiplies each signal by a fade draw from
-// the round's one stream: before listener v's sum it advances the stream
-// to v's position m·(v − t_v) (NewRayleigh), so unlisted listeners, and
-// unlisted transmitters, cost no draws. With no observer, a faded listener
-// takes walkFaded in a certified round, then sumBracketed, each settling it
-// from bounds on its fades without a logarithm; before each fallback the
-// stream rewinds to v's position, and a listener neither settles replays
-// the same draws through sumAll. Faded channels deliver sequentially, so vs
-// is then the round's whole listener list. Concurrent tiles write disjoint
+// cannot decide. A faded channel scales each signal by a fade from the
+// round's one stream: it advances the stream to listener v's position
+// m·(v − t_v) (NewRayleigh), so unlisted listeners, and unlisted
+// transmitters, cost no draws, and draws v's m fades into scratch once
+// (drawFades), observed listeners included. Every later step reads them.
+// With no observer, a faded listener takes walkFaded in a certified round,
+// then the full bracket (bracketAll), each settling it from bounds on its
+// fades without a logarithm, and a listener neither settles replays the
+// same draws through sumAll. Faded channels deliver sequentially, so vs is
+// then the round's whole listener list. Concurrent tiles write disjoint
 // listeners' entries, so they never share a buffer; sig is the tile's
 // worker's own signal scratch (tileScratch). It returns the unfaded
 // certified round's counts.
@@ -474,11 +479,12 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 	if r.cert != nil && c.fade == nil {
 		return c.certifyTile(vs, r, sig)
 	}
-	// Faded: the stream, the draws per listener (m), the stream's position,
-	// the draws taken, the transmitters below v (t_v), whether brackets
-	// may settle listeners, the listeners settled (walked: on the walk) and
+	// Faded: the stream, v's draws (m of them), the stream's position, the
+	// draws taken, the transmitters below v (t_v), whether brackets may
+	// settle listeners, the listeners settled (walked: on the walk) and
 	// replayed, and the last walked cell's block.
 	var rng *xrand.Reseedable
+	var fades []uint64
 	var m, pos, drawn uint64
 	below := 0
 	bracket := false
@@ -486,6 +492,7 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 	blk := certBlock{cell: -1}
 	if c.fade != nil {
 		rng, m = c.fade.rng, uint64(len(r.nodes))
+		fades = c.scratch.draws[:m]
 		bracket = c.observer == nil && certifiable(c.params, len(c.pts))
 	}
 	for _, v := range vs {
@@ -502,24 +509,24 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 			}
 			pos += m
 			drawn += m
+			fadeCap := drawFades(rng, fades)
 			if bracket {
-				at := *rng
-				if r.cert != nil && c.walkFaded(v, r, rng, &blk, sig[0]) {
+				if r.cert != nil && c.walkFaded(v, r, fades, fadeCap, &blk, sig[0]) {
 					settled++
 					walked++
 					continue
 				}
-				*rng = at // a failed walk drew v's fades
-				if k, ok := c.params.fadedVerdict(c.sumBracketed(v, r, rng, sig[0])); ok {
+				var w certWalk
+				c.bracketAll(&w, v, r, fades, sig[0])
+				if k, ok := c.params.fadedVerdict(w.lo, w.hi, w.top, w.topLo, w.second, w.tu); ok {
 					c.scratch.park(v, r.txList, k)
 					settled++
 					continue
 				}
-				*rng = at
 				replayed++
 			}
 		}
-		c.sumAll(v, r, rng, sig[0])
+		c.sumAll(v, r, fades, sig[0])
 	}
 	if rng != nil {
 		// Deliver would draw m fades at each of the n − m listeners.
@@ -533,17 +540,18 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 }
 
 // sumAll parks listener v's full sum: the signals of every transmitter
-// summed in ascending transmitter index, each scaled by the next draw of
-// rng when it is non-nil, with the first strict maximum and its sender.
-// An unfaded α = 3 signal is computed in the loop; at any other α, or for
-// a replay, the pre-loop pass fills buf (signals) and the loop reads it.
+// summed in ascending transmitter index, each scaled by its fade when
+// fades, v's draws by rank, is non-nil, with the first strict maximum and
+// its sender. An unfaded α = 3 signal is computed in the loop; at any
+// other α, or for a faded listener, the pre-loop pass fills buf (signals)
+// and the loop reads it.
 //
 //crlint:hotpath
-func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable, buf []float64) {
+func (c *Channel) sumAll(v int, r deliverRound, fades []uint64, buf []float64) {
 	pv, alpha := c.pts[v], c.params.Alpha
 	var sig []float64
-	if rng != nil || alpha != 3 {
-		sig = signals(buf, r.nodes, pv, alpha, rng)
+	if fades != nil || alpha != 3 {
+		sig = signals(buf, r.nodes, pv, alpha, fades)
 	}
 	b, bi, t := -1.0, -1, 0.0
 	for i, nd := range r.nodes {
@@ -559,41 +567,8 @@ func (c *Channel) sumAll(v int, r deliverRound, rng *xrand.Reseedable, buf []flo
 	}
 }
 
-// sumBracketed returns faded listener v's bracketed sums, for
-// fadedVerdict to settle it without a logarithm. It draws v's fades from
-// rng in sumAll's order and brackets each one (fadeBracket), so sumAll's
-// computed signal lies between g·lo and g·hi, with g the unfaded signal as
-// sumAll computes it (in the loop at α = 3, from the pre-loop pass into
-// buf otherwise). It sums those products into L and U (lo, hi), and keeps
-// the largest g·hi, T (top), with its sender's rank ti and that sender's
-// g·lo, ℓ (topLo), and the largest g·hi of the other transmitters, T₂
-// (second).
-//
-//crlint:hotpath
-func (c *Channel) sumBracketed(v int, r deliverRound, rng *xrand.Reseedable, buf []float64) (lo, hi, top, topLo, second float64, ti int) {
-	pv, alpha := c.pts[v], c.params.Alpha
-	var sig []float64
-	if alpha != 3 {
-		sig = signals(buf, r.nodes, pv, alpha, nil)
-	}
-	top, topLo, second, ti = -1, -1, -1, -1
-	for i, nd := range r.nodes {
-		g := signalAt(sig, i, nd, pv)
-		flo, fhi := fadeBracket(1 - rng.Float64())
-		s, t := g*flo, g*fhi
-		lo += s
-		hi += t
-		if t > top {
-			second, top, topLo, ti = top, t, s, i
-		} else if t > second {
-			second = t
-		}
-	}
-	return lo, hi, top, topLo, second, ti
-}
-
 // fadedVerdict is the certificate's two tests over a faded listener's
-// bracketed sums (sumBracketed): lo and hi are L and U, top is T, topLo ℓ
+// bracketed sums (its walk's): lo and hi are L and U, top is T, topLo ℓ
 // and second T₂, and ti is T's sender's rank. No reception if
 // T < β·(N + L − T − η); reception from T's sender if ℓ > T₂ and
 // ℓ > β·(N + U − ℓ + η), with η = certEps·(N + U); ℓ > T₂ makes that
@@ -643,14 +618,6 @@ func finalizeReceptions(params Params, s *deliverScratch, obs ReceptionObserver,
 			}
 		}
 	}
-}
-
-// expFade draws a unit-mean exponential fade.
-//
-//crlint:hotpath
-func expFade(rng *xrand.Reseedable) float64 {
-	// Inverse-CDF sampling; 1−U avoids log(0).
-	return -math.Log(1 - rng.Float64())
 }
 
 const (

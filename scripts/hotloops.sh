@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # hotloops: the SINR pair loops make no call (DESIGN.md §8, "Pair loops").
-# Builds crsim and disassembles the four kernels of internal/sinr whose
-# loops sum Eq. (1) pair by pair: certWalk.span, certWalk.spanPair,
-# Channel.sumAll and Channel.sumBracketed. Each may call only the pre-loop
-# signal pass (sinr.signals) and the runtime's bounds and stack-growth
-# paths (runtime.panic*, runtime.morestack*). Any other CALL — attenuation
-# let back into a loop by an inlining change, say — fails the check, and so
-# does a kernel missing from the binary (inlined into its caller, renamed
-# or deleted). Shared by `make hotloops` and CI's test job.
+# Builds crsim and disassembles the three kernels of internal/sinr whose
+# loops sum Eq. (1) pair by pair: certWalk.span (the certificate's walk and
+# a faded listener's full bracket), certWalk.spanPair and Channel.sumAll.
+# Each may call only the pre-loop signal pass (sinr.signals) and the
+# runtime's bounds and stack-growth paths (runtime.panic*,
+# runtime.morestack*). Any other CALL — attenuation let back into a loop by
+# an inlining change, say — fails the check, and so does a kernel missing
+# from the binary (inlined into its caller, renamed or deleted). Shared by
+# `make hotloops` and CI's test job.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -15,7 +16,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/crsim" ./cmd/crsim
 
 pkg='fadingcr/internal/sinr'
-kernels=('(*certWalk).span' '(*certWalk).spanPair' '(*Channel).sumAll' '(*Channel).sumBracketed')
+kernels=('(*certWalk).span' '(*certWalk).spanPair' '(*Channel).sumAll')
 allowed="^(${pkg//./\\.}\\.signals|runtime\\.panic[A-Za-z0-9_]*|runtime\\.morestack[A-Za-z0-9_]*(\\.abi0)?)\\(SB\\)\$"
 
 fail=0
