@@ -59,12 +59,13 @@ results:
 
 # Mirror of CI's results-check job: regenerate E1–E18 at full scale into a
 # temporary file and require it to be byte-identical to results_full.txt,
-# so every experiment's full-scale bytes stay pinned; then run crsim, the
-# front end whose SINR rounds take the intra-round parallel engine, at
-# GOMAXPROCS 1, 2 and 4 and require identical output, since the worker
-# count it picks from the cores must never change a result; and run it at
-# n = 2^18 (about 4 s), whose certified rounds' cell-ordered tiles span the
-# most grid cells, at GOMAXPROCS 1 and 2.
+# so every experiment's full-scale bytes stay pinned; then run crsim, whose
+# SINR rounds spread their listener tiles over the cores, at GOMAXPROCS 1,
+# 2 and 4 and require identical output, since the worker count every
+# channel picks from the cores must never change a result: unfaded, and
+# faded, whose tiles each start from a copy of the round's fade stream;
+# and run it at n = 2^18 (about 4 s), whose certified rounds' cell-ordered
+# tiles span the most grid cells, at GOMAXPROCS 1 and 2.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		go run ./cmd/crbench -seed 7 -o "$$tmp/results.txt" && \
@@ -75,6 +76,11 @@ results-check:
 		done && \
 		cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-2.txt" && cmp "$$tmp/crsim-1.txt" "$$tmp/crsim-4.txt" && \
 		echo "crsim -n 16384 -trials 3 -seed 3 identical at GOMAXPROCS 1, 2 and 4" && \
+		for p in 1 2 4; do \
+			GOMAXPROCS=$$p "$$tmp/crsim" -channel rayleigh -n 16384 -trials 2 -seed 5 > "$$tmp/crsim-faded-$$p.txt" || exit 1; \
+		done && \
+		cmp "$$tmp/crsim-faded-1.txt" "$$tmp/crsim-faded-2.txt" && cmp "$$tmp/crsim-faded-1.txt" "$$tmp/crsim-faded-4.txt" && \
+		echo "crsim -channel rayleigh -n 16384 -trials 2 -seed 5 identical at GOMAXPROCS 1, 2 and 4" && \
 		for p in 1 2; do \
 			GOMAXPROCS=$$p "$$tmp/crsim" -n 262144 -seed 3 > "$$tmp/crsim-large-$$p.txt" || exit 1; \
 		done && \

@@ -251,51 +251,39 @@ func benchGridPoints(n int) []geom.Point {
 // BenchmarkSINRDeliverScale measures one Deliver round at simulation-farm
 // scale for the exact engine of DESIGN.md §8, which certifies most
 // listeners from a few grid rings and sums Eq. (1) in full only where its
-// bounds cannot decide: 'exact' is the sequential default and
-// 'exact-parallel' the same engine over intra-round workers, the one
-// remaining engine option. The round is a fixed 20% transmit set (every
-// fifth node of a unit lattice, the early-round default p = 0.2) at α=4.
-// Sizes above 16384 need FADINGCR_BENCH_LARGE=1, so CI runs the large sizes
-// at -benchtime=1x only. Workers are floored at 2 so the parallel engine is
-// exercised even on single-core boxes (where it honestly reports its
-// coordination overhead rather than silently degenerating to sequential).
+// bounds cannot decide, and spreads the round's listener tiles over
+// GOMAXPROCS workers: run it with -cpu 1,2 to compare one core with two.
+// The round is a fixed 20% transmit set (every fifth node of a unit
+// lattice, the early-round default p = 0.2) at α=4. Sizes above 16384
+// need FADINGCR_BENCH_LARGE=1, so CI runs the large sizes at -benchtime=1x
+// only.
 func BenchmarkSINRDeliverScale(b *testing.B) {
-	workers := min(max(2, runtime.GOMAXPROCS(0)), sinr.MaxDeliverParallelism)
 	for _, n := range []int{4096, 16384, 65536, 100000} {
-		engines := []struct {
-			name string
-			opts []fadingcr.ChannelOption
-		}{
-			{"exact", nil},
-			{"exact-parallel", []fadingcr.ChannelOption{fadingcr.WithDeliverParallelism(workers)}},
-		}
-		for _, eng := range engines {
-			b.Run("n="+strconv.Itoa(n)+"/"+eng.name, func(b *testing.B) {
-				if n > 16384 && os.Getenv("FADINGCR_BENCH_LARGE") == "" {
-					b.Skip("set FADINGCR_BENCH_LARGE=1 to run the large sizes")
-				}
-				pts := benchGridPoints(n)
-				side := math.Ceil(math.Sqrt(float64(n)))
-				params := sinr.Params{Alpha: 4, Beta: 1.5, Noise: 1}
-				params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise,
-					(side-1)*math.Sqrt2, sinr.DefaultSingleHopMargin)
-				ch, err := sinr.New(params, pts, eng.opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tx := make([]bool, n)
-				for i := 0; i < n; i += 5 {
-					tx[i] = true
-				}
-				recv := make([]int, n)
-				ch.Deliver(tx, recv) // warm the scratch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ch.Deliver(tx, recv)
-				}
-			})
-		}
+		b.Run("n="+strconv.Itoa(n)+"/exact", func(b *testing.B) {
+			if n > 16384 && os.Getenv("FADINGCR_BENCH_LARGE") == "" {
+				b.Skip("set FADINGCR_BENCH_LARGE=1 to run the large sizes")
+			}
+			pts := benchGridPoints(n)
+			side := math.Ceil(math.Sqrt(float64(n)))
+			params := sinr.Params{Alpha: 4, Beta: 1.5, Noise: 1}
+			params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise,
+				(side-1)*math.Sqrt2, sinr.DefaultSingleHopMargin)
+			ch, err := sinr.New(params, pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tx := make([]bool, n)
+			for i := 0; i < n; i += 5 {
+				tx[i] = true
+			}
+			recv := make([]int, n)
+			ch.Deliver(tx, recv) // warm the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.Deliver(tx, recv)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"fadingcr/internal/catalog"
 	"fadingcr/internal/cli"
@@ -113,10 +112,7 @@ func run(args []string) (err error) {
 	params := sinr.Params{Alpha: *alpha, Beta: *beta, Noise: *noise}
 	params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
 
-	// Trials run one at a time on this one channel, so its rounds take
-	// every core; receptions are byte-identical at any worker count.
-	workers := min(runtime.GOMAXPROCS(0), sinr.MaxDeliverParallelism)
-	built, err := catalog.Channel(*channel, params, d, *seed+1, sinr.WithDeliverParallelism(workers))
+	built, err := catalog.Channel(*channel, params, d, *seed+1)
 	if err != nil {
 		return cli.Usage(err)
 	}

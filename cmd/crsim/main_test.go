@@ -17,21 +17,32 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-// TestRunSpreadsRoundsOverCores: crsim runs its trials one at a time on one
-// channel, so at GOMAXPROCS ≥ 2 its SINR rounds take the parallel engine.
+// TestRunSpreadsRoundsOverCores: crsim's SINR rounds spread their
+// listener tiles over the cores, and its stdout is byte-identical at
+// GOMAXPROCS 1 and 2, unfaded and faded, with one trial and two; the
+// rounds whose listeners span two tiles, which sinr.deliveries_parallel
+// counts, are the same at both.
 func TestRunSpreadsRoundsOverCores(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	parallelRounds := obs.Default.Counter("sinr.deliveries_parallel")
 	for _, args := range [][]string{
-		{"-n", "64", "-seed", "3"},
-		{"-n", "64", "-seed", "3", "-trials", "2"},
+		{"-n", "4500", "-seed", "3"},
+		{"-n", "4500", "-seed", "3", "-trials", "2"},
+		{"-n", "4500", "-seed", "5", "-channel", "rayleigh"},
 	} {
-		before := parallelRounds.Load()
-		if err := run(args); err != nil {
-			t.Fatal(err)
+		var outs [2][]byte
+		var rounds [2]int64
+		for i, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			before := parallelRounds.Load()
+			outs[i] = runCapturingStdout(t, args)
+			rounds[i] = parallelRounds.Load() - before
 		}
-		if parallelRounds.Load() == before {
-			t.Errorf("crsim %v at GOMAXPROCS 2 ran no parallel SINR rounds", args)
+		if string(outs[0]) != string(outs[1]) {
+			t.Errorf("crsim %v: stdout differs between GOMAXPROCS 1 and 2:\n%s\n---\n%s", args, outs[0], outs[1])
+		}
+		if rounds[0] == 0 || rounds[0] != rounds[1] {
+			t.Errorf("crsim %v: %d and %d rounds spanned two tiles at GOMAXPROCS 1 and 2, want the same, and some", args, rounds[0], rounds[1])
 		}
 	}
 }

@@ -95,27 +95,11 @@ type (
 	Experiment = experiments.Experiment
 	// ExperimentConfig scales an experiment run.
 	ExperimentConfig = experiments.Config
-
-	// ChannelOption configures an SINR channel's delivery engine.
-	ChannelOption = sinr.Option
 )
 
 // DefaultSingleHopMargin is the paper's constant c ≥ 4 in the single-hop
 // power condition P > c·β·N·d^α.
 const DefaultSingleHopMargin = sinr.DefaultSingleHopMargin
-
-// MaxDeliverParallelism bounds WithDeliverParallelism worker counts.
-const MaxDeliverParallelism = sinr.MaxDeliverParallelism
-
-// WithDeliverParallelism spreads an unfaded SINR channel's rounds over
-// intra-round workers (DESIGN.md §8). Every SINR channel evaluates Eq. (1)
-// exactly and, without this option, delivers rounds allocation-free;
-// receptions are byte-identical at any worker count, and faded channels,
-// which walk each round's one fade stream in listener order, always
-// deliver sequentially. It pays only where one trial runs at a time: the CLIs pick
-// the count themselves (crsim uses GOMAXPROCS, trial-parallel front ends
-// keep the sequential engine), so none of them exposes it as a flag.
-var WithDeliverParallelism = sinr.WithDeliverParallelism
 
 // Deployment generators.
 var (
@@ -148,9 +132,13 @@ var (
 // Channels and games.
 var (
 	// NewSINRChannel builds the paper's fading channel over a deployment's
-	// positions.
+	// positions. Every SINR channel spreads a round of more than 2048
+	// listeners over the idle cores by itself, allocation-free, with
+	// receptions byte-identical at any core count (DESIGN.md §8); there is
+	// no worker-count option.
 	NewSINRChannel = sinr.New
-	// NewRayleighChannel builds the stochastically faded variant.
+	// NewRayleighChannel builds the stochastically faded variant, whose
+	// rounds spread over the cores as the unfaded channel's do.
 	NewRayleighChannel = sinr.NewRayleigh
 	// NewRadioChannel builds the classical collision channel.
 	NewRadioChannel = radio.New

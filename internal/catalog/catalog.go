@@ -121,18 +121,17 @@ type BuiltChannel struct {
 }
 
 // Channel builds the named channel over the deployment. fadeSeed seeds the
-// Rayleigh fade stream and is ignored by the other kinds; opts configure
-// the SINR delivery engine and are ignored by the radio kinds.
-func Channel(kind string, params sinr.Params, d *geom.Deployment, fadeSeed uint64, opts ...sinr.Option) (BuiltChannel, error) {
+// Rayleigh fade stream and is ignored by the other kinds.
+func Channel(kind string, params sinr.Params, d *geom.Deployment, fadeSeed uint64) (BuiltChannel, error) {
 	switch kind {
 	case "sinr":
-		sc, err := sinr.New(params, d.Points, opts...)
+		sc, err := sinr.New(params, d.Points)
 		if err != nil {
 			return BuiltChannel{}, err
 		}
 		return BuiltChannel{Channel: sc}, nil
 	case "rayleigh":
-		rc, err := sinr.NewRayleigh(params, d.Points, fadeSeed, opts...)
+		rc, err := sinr.NewRayleigh(params, d.Points, fadeSeed)
 		if err != nil {
 			return BuiltChannel{}, err
 		}

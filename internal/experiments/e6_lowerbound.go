@@ -143,7 +143,9 @@ func e7() Experiment {
 				// A run under a smaller budget is a prefix of the run under
 				// the largest, so each trial runs once, at C = 16: it fails
 				// budget C·⌈log₂ n⌉ iff it is unsolved or solves after it.
-				outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, cs[len(cs)-1]*logN)
+				// A trial that fails any budget fails C = 4's, so failure-only
+				// capture keeps the trials not solved by C = 4's budget.
+				outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, cs[len(cs)-1]*logN, cs[0]*logN)
 				if err != nil {
 					return nil, fmt.Errorf("E7 n=%d: %w", n, err)
 				}

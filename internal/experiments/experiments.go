@@ -173,7 +173,10 @@ func channelName(ch sim.Channel) string {
 // runner.TrialSeeds contract. Every trial builds its own deployment and
 // channel, so Config.Trace capture composes with full parallelism: a
 // sampled trial's recorder observes only that trial's channel, and each
-// trace file is a pure function of (Seed, trial).
+// trace file is a pure function of (Seed, trial). Failure-only capture
+// keeps the trace of every trial not solved by round solvedBy: simCfg's
+// MaxRounds, or a smaller budget under which the caller counts failures
+// too.
 func runTrialOutcomes(
 	cfg Config,
 	trials int,
@@ -181,6 +184,7 @@ func runTrialOutcomes(
 	channel func(d *geom.Deployment) (sim.Channel, error),
 	builder sim.Builder,
 	simCfg sim.Config,
+	solvedBy int,
 ) ([]trialOutcome, error) {
 	return runTrials(cfg, trials, func(trial int) (trialOutcome, error) {
 		dseed, pseed := runner.TrialSeeds(cfg.Seed, trial)
@@ -212,7 +216,7 @@ func runTrialOutcomes(
 			return trialOutcome{}, fmt.Errorf("trial %d run: %w", trial, err)
 		}
 		if rec != nil {
-			if err := cfg.Trace.Commit(trial, rec, res.Solved); err != nil {
+			if err := cfg.Trace.Commit(trial, rec, res.Solved && res.Rounds <= solvedBy); err != nil {
 				return trialOutcome{}, fmt.Errorf("trial %d trace: %w", trial, err)
 			}
 		}
@@ -231,7 +235,7 @@ func trialRounds(
 	builder sim.Builder,
 	simCfg sim.Config,
 ) (rounds []float64, unsolved int, err error) {
-	return roundsOf(runTrialOutcomes(cfg, trials, deploy, channel, builder, simCfg))
+	return roundsOf(runTrialOutcomes(cfg, trials, deploy, channel, builder, simCfg, simCfg.MaxRounds))
 }
 
 // roundsOf returns each outcome's rounds and the number unsolved.
@@ -251,17 +255,19 @@ func roundsOf(outcomes []trialOutcome, err error) (rounds []float64, unsolved in
 
 // sinrTrialRounds is trialRounds specialised to the default SINR channel.
 func sinrTrialRounds(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) ([]float64, int, error) {
-	return roundsOf(sinrTrialOutcomes(cfg, trials, n, builder, maxRounds))
+	return roundsOf(sinrTrialOutcomes(cfg, trials, n, builder, maxRounds, maxRounds))
 }
 
 // sinrTrialOutcomes is runTrialOutcomes on uniform disks of n nodes over
 // the default SINR channel, for callers that need each trial's (Solved,
-// Rounds), such as E7's failure counts under several budgets.
-func sinrTrialOutcomes(cfg Config, trials int, n int, builder sim.Builder, maxRounds int) ([]trialOutcome, error) {
+// Rounds), such as E7's failure counts under several budgets, the
+// smallest of which is solvedBy.
+func sinrTrialOutcomes(cfg Config, trials int, n int, builder sim.Builder, maxRounds, solvedBy int) ([]trialOutcome, error) {
 	return runTrialOutcomes(cfg, trials,
 		func(seed uint64) (*geom.Deployment, error) { return geom.UniformDisk(seed, n) },
 		func(d *geom.Deployment) (sim.Channel, error) { return sinr.ChannelFor(DefaultParams(), d) },
 		builder,
 		sim.Config{MaxRounds: maxRounds},
+		solvedBy,
 	)
 }

@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"fadingcr/internal/core"
+	"fadingcr/internal/runner"
 	"fadingcr/internal/sim"
+	"fadingcr/internal/trace"
 )
 
 func TestE1Budget(t *testing.T) {
@@ -47,7 +50,7 @@ func TestE7MatchesARunPerBudget(t *testing.T) {
 		for i, n := range ns {
 			for j, c := range cs {
 				budget := c * int(math.Ceil(math.Log2(float64(n))))
-				outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, budget)
+				outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, budget, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,6 +70,50 @@ func TestE7MatchesARunPerBudget(t *testing.T) {
 	}
 	if atBudget == 0 {
 		t.Fatal("no trial solved exactly at a budget below the largest; the cases cannot tell > from ≥")
+	}
+}
+
+// TestE7TracesEveryCountedFailure: with failure-only capture, E7 keeps
+// the trace of every trial it counts as failed under any budget, not only
+// of the trials unsolved at its largest: at seed 12345, -quick, trial 32
+// solves at n = 16 but after C = 4's budget, and its trace is written.
+// Every trace written is of a counted failure, and the tables are those of
+// the untraced run.
+func TestE7TracesEveryCountedFailure(t *testing.T) {
+	cfg := Config{Seed: 12345, Quick: true}
+	plain := renderAll(t, "E7", cfg)
+	trials := cfg.trials(300, 40)
+	want := map[string]bool{}
+	for _, n := range []int{16, 64, 256} {
+		logN := int(math.Ceil(math.Log2(float64(n))))
+		outcomes, err := sinrTrialOutcomes(cfg, trials, n, core.FixedProbability{}, 16*logN, 4*logN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial, o := range outcomes {
+			if !o.Solved || o.Rounds > float64(4*logN) {
+				_, pseed := runner.TrialSeeds(cfg.Seed, trial)
+				want[trace.Policy{}.Filename(trial, pseed)] = true
+			}
+		}
+	}
+	_, pseed := runner.TrialSeeds(cfg.Seed, 32)
+	if trial32 := (trace.Policy{}).Filename(32, pseed); !want[trial32] {
+		t.Fatalf("trial 32 is no counted failure at seed %d; the case pins nothing", cfg.Seed)
+	}
+	dir := t.TempDir()
+	cfg.Trace = newTestCapture(t, dir, trace.Policy{FailuresOnly: true})
+	if got := renderAll(t, "E7", cfg); got != plain {
+		t.Error("E7's tables differ with failure-only capture")
+	}
+	written := cfg.Trace.Written()
+	for _, path := range written {
+		if !want[filepath.Base(path)] {
+			t.Errorf("trace %s is of no counted failure", filepath.Base(path))
+		}
+	}
+	if len(written) != len(want) {
+		t.Errorf("%d traces written, want one per counted failure, %d", len(written), len(want))
 	}
 }
 

@@ -56,7 +56,7 @@ func Contracts() []Contract {
 		},
 		{
 			ID:        "partwrite",
-			Statement: "Goroutines launched in a loop write captured state only through a goroutine-owned partition index (tile t → worker t mod W); no shared writes or non-atomic counter bumps.",
+			Statement: "Goroutines launched in a loop write captured state only through a goroutine-owned partition index (such as a worker's own slot); no shared writes or non-atomic counter bumps.",
 			Analyzer:  "partwrite",
 			Exemption: "//crlint:allow partwrite <reason>, mutex-guarded closures, or channels",
 		},

@@ -7,15 +7,21 @@ import (
 )
 
 // PartWrite enforces the fixed-partition contract for intra-process
-// parallelism (DESIGN.md §8, introduced with the parallel Deliver's
-// tile t → worker t mod W partition): inside a `go func` closure launched
-// from a loop — a worker-pool or fan-out shape, so several instances of the
+// parallelism (DESIGN.md §8): inside a `go func` closure launched from a
+// loop — a worker-pool or fan-out shape, so several instances of the
 // closure run concurrently — writes to captured slices, arrays, and struct
 // fields must land in a partition the goroutine owns, i.e. be indexed by an
 // expression derived from a goroutine-owned variable (a closure parameter,
 // a variable declared inside the closure such as a channel-received index,
 // or a per-iteration variable of the launching loop, which Go ≥1.22 gives
 // each iteration its own instance of).
+//
+// The SINR delivery engine claims its listener tiles from a per-round
+// counter on the caller and on helpers started as a named function, not a
+// closure, each writing only its own worker slot's scratch and its tiles'
+// listeners (internal/sinr/parallel.go); the loop-launched closures this
+// analyzer checks are those of other fan-outs, such as the trial runner's
+// workers.
 //
 // Three bug shapes are flagged:
 //
@@ -126,7 +132,7 @@ func checkClosureWrites(pass *Pass, loop ast.Stmt, lit *ast.FuncLit) {
 			pass.Reportf(lhs.Pos(), "non-atomic update of captured %s inside a goroutine launched in a loop; use sync/atomic, a channel, or a per-worker cell indexed by the goroutine's own worker id (//crlint:allow partwrite <reason>)", root.Name)
 			return
 		}
-		pass.Reportf(lhs.Pos(), "write to captured %s inside a goroutine launched in a loop is not partitioned by a goroutine-owned index; write into a fixed partition derived from the worker/tile variable, as in tile t → worker t mod W (//crlint:allow partwrite <reason>)", root.Name)
+		pass.Reportf(lhs.Pos(), "write to captured %s inside a goroutine launched in a loop is not partitioned by a goroutine-owned index; write into a fixed partition derived from the worker/tile variable, such as the worker's own slot (//crlint:allow partwrite <reason>)", root.Name)
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -128,16 +128,8 @@ type simResult struct {
 // runSimSpec executes a sim job: Trials independent executions of the
 // scenario, each on a fresh deployment and channel, per the
 // runner.TrialSeeds contract (exactly the harness crsim -trials uses).
-// The runner gives a lone trial one goroutine, so a one-trial job spreads
-// its SINR rounds over the job's parallelism instead; a multi-trial job
-// already spreads its trials and keeps the sequential engine. Receptions
-// are byte-identical either way.
 func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(Progress)) (*Result, error) {
 	ss := spec.Sim
-	workers := 1
-	if spec.Trials == 1 {
-		workers = min(parallelism, sinr.MaxDeliverParallelism)
-	}
 	maxRounds := ss.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = catalog.DefaultMaxRounds(ss.N)
@@ -154,7 +146,7 @@ func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(P
 		}
 		params := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1}
 		params.Power = sinr.MinSingleHopPower(params.Alpha, params.Beta, params.Noise, d.R, sinr.DefaultSingleHopMargin)
-		built, err := catalog.Channel(ss.Channel, params, d, xrand.Split(pseed, 1), sinr.WithDeliverParallelism(workers))
+		built, err := catalog.Channel(ss.Channel, params, d, xrand.Split(pseed, 1))
 		if err != nil {
 			return simTrial{}, fmt.Errorf("trial %d channel: %w", trial, err)
 		}

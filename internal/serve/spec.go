@@ -10,7 +10,6 @@ import (
 
 	"fadingcr/internal/catalog"
 	"fadingcr/internal/experiments"
-	"fadingcr/internal/sinr"
 	"fadingcr/internal/trace"
 )
 
@@ -137,10 +136,10 @@ var (
 //     Its receptions could differ from the exact ones only within a
 //     one-sided bound that exact receptions meet at every ε, so the exact
 //     job answers the request;
-//   - "sinr_parallel" in [0, sinr.MaxDeliverParallelism] set the
-//     intra-round Deliver workers, which never changed a result. The job
-//     now picks them itself (see runSimSpec), so a spec that set the field
-//     hashes as the same job without it.
+//   - "sinr_parallel" in [0, legacyMaxSINRParallel] set the intra-round
+//     Deliver workers, which never changed a result. The SINR engine now
+//     picks them itself, so a spec that set the field hashes as the same
+//     job without it.
 //
 // Any other value of these fields is an error, as it always was.
 func DecodeSpec(r io.Reader) (Spec, error) {
@@ -161,11 +160,15 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	if e := legacy.FarFieldEps; e != nil && !(*e >= 0 && *e < 0.5) {
 		return Spec{}, fmt.Errorf("farfield_eps %v must be in [0, 0.5)", *e)
 	}
-	if p := legacy.SINRParallel; p != nil && (*p < 0 || *p > sinr.MaxDeliverParallelism) {
-		return Spec{}, fmt.Errorf("sinr_parallel %d must be in [0, %d]", *p, sinr.MaxDeliverParallelism)
+	if p := legacy.SINRParallel; p != nil && (*p < 0 || *p > legacyMaxSINRParallel) {
+		return Spec{}, fmt.Errorf("sinr_parallel %d must be in [0, %d]", *p, legacyMaxSINRParallel)
 	}
 	return legacy.Spec, nil
 }
+
+// legacyMaxSINRParallel is the largest worker count the retired
+// sinr_parallel field took.
+const legacyMaxSINRParallel = 256
 
 // Job kind names.
 const (

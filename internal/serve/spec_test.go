@@ -341,10 +341,9 @@ func TestDecodeSpecLegacyGainCache(t *testing.T) {
 }
 
 // TestDecodeSpecLegacySINRParallel: the retired sinr_parallel field is
-// accepted anywhere in [0, sinr.MaxDeliverParallelism], the range the
-// removed knob took, and dropped, so the spec hashes as the job without
-// it, for sim and experiment jobs alike; values outside that range are
-// rejected.
+// accepted anywhere in [0, 256], the range the removed knob took, and
+// dropped, so the spec hashes as the job without it, for sim and
+// experiment jobs alike; values outside that range are rejected.
 func TestDecodeSpecLegacySINRParallel(t *testing.T) {
 	for _, job := range []string{
 		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2%s}`,

@@ -100,11 +100,7 @@ func liveChannels(t *testing.T, d *geom.Deployment) map[string]func() sim.Channe
 	p.Power = sinr.MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, sinr.DefaultSingleHopMargin)
 	return map[string]func() sim.Channel{
 		"uniform":  build(func() (*sinr.Channel, error) { return sinr.New(p, d.Points) }),
-		"parallel": build(func() (*sinr.Channel, error) { return sinr.New(p, d.Points, sinr.WithDeliverParallelism(2)) }),
 		"rayleigh": build(func() (*sinr.Channel, error) { return sinr.NewRayleigh(p, d.Points, 5) }),
-		"rayleigh/parallel": build(func() (*sinr.Channel, error) {
-			return sinr.NewRayleigh(p, d.Points, 5, sinr.WithDeliverParallelism(2))
-		}),
 	}
 }
 

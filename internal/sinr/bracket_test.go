@@ -232,8 +232,10 @@ func fadedTwins(t *testing.T, p Params, pts []geom.Point, seed uint64) (brackete
 // transmitters bracket every fade; rounds of 150 walk the certificate's
 // grid. Each deployment must have listeners the walk settled, listeners
 // the brackets settled and listeners they replayed, or the comparison
-// proves nothing.
+// proves nothing. Then the same over lists of two tiles and more, at 1
+// worker and at 3 (fadedTilesMatchFullSum).
 func TestFadedBracketsMatchFullSum(t *testing.T) {
+	fadedTilesMatchFullSum(t)
 	const n = 300
 	const untouched = -7
 	rng := xrand.New(22)
@@ -273,6 +275,63 @@ func TestFadedBracketsMatchFullSum(t *testing.T) {
 				cd.name, walked, settled, replayed)
 		}
 		t.Logf("%s: %d listener decisions compared, %d settled by brackets (%d on the walk), %d replayed", cd.name, compared, settled, walked, replayed)
+	}
+}
+
+// fadedTilesMatchFullSum is TestFadedBracketsMatchFullSum over lists of
+// two tiles and more, at 1 worker and at 3: a row-major lattice 65 wide
+// (4225 nodes), so a tile starts in the grid cell of the listener before
+// it, and mid-stream, at α ∈ {2.5, 3}, in rounds of 40 transmitters, which
+// bracket every fade, and of 250, which walk, through Deliver and through
+// random DeliverTo lists of about 2500 listeners.
+func fadedTilesMatchFullSum(t *testing.T) {
+	const side = 65
+	const untouched = -7
+	pts := gridPoints(side)
+	n := len(pts)
+	rng := xrand.New(23)
+	for _, alpha := range []float64{2.5, 3} {
+		p := gridParams(alpha, 1, 1, side)
+		for _, w := range []int{1, 3} {
+			label := fmt.Sprintf("lattice of %d, α=%v, %d workers", n, alpha, w)
+			bracketed, exact := fadedTwins(t, p, pts, 9)
+			bracketed.setWorkers(w)
+			settled0, walked0 := mFadedCertified.Load(), mFadedWalked.Load()
+			midCell := false
+			want, got := make([]int, n), make([]int, n)
+			for round, m := range []int{40, 250, 40, 250} {
+				tx := txCount(rng, n, m)
+				list := randomListeners(rng, n, 4)
+				for _, deliverTo := range []bool{false, true} {
+					for v := range got {
+						got[v] = untouched
+					}
+					full := bracketed.allListeners()
+					if deliverTo {
+						full = list
+						exact.DeliverTo(tx, list, want)
+						bracketed.DeliverTo(tx, list, got)
+						checkListed(t, fmt.Sprintf("%s round %d DeliverTo", label, round), got, want, list, untouched)
+					} else {
+						exact.Deliver(tx, want)
+						bracketed.Deliver(tx, got)
+						checkListed(t, fmt.Sprintf("%s round %d", label, round), got, want, full, untouched)
+					}
+					if m > certSmallTx {
+						cell, stream := tileStarts(bracketed, tx, full)
+						if !stream {
+							t.Fatalf("%s round %d (DeliverTo %v): a tile starts at the stream's start", label, round, deliverTo)
+						}
+						midCell = midCell || cell
+					}
+				}
+			}
+			settled, walked := mFadedCertified.Load()-settled0, mFadedWalked.Load()-walked0
+			if walked == 0 || settled == walked || !midCell {
+				t.Errorf("%s: the walk settled %d listeners, the brackets %d in all, a tile started mid-cell: %v; the rounds must have each",
+					label, walked, settled, midCell)
+			}
+		}
 	}
 }
 
@@ -332,8 +391,10 @@ func (o ratioObserver) OnReception(v, _ int, sinr, _ float64) { o[v] = sinr }
 // listener must be replayed through the exact sum, after its walk and its
 // full bracket both gave up, and every listener must decode what the exact
 // sum decodes. The round's 400 transmitters put every listener on the walk,
-// which must settle some of them.
+// which must settle some of them. Then the same for listeners in a list's
+// second tile, at 1 worker and at 3 (fadedTilesAtThreshold).
 func TestFadedBracketsAtThreshold(t *testing.T) {
+	fadedTilesAtThreshold(t)
 	const near, listeners, seed = 400, 20, 5
 	const untouched = -7
 	pts, tx := thresholdLayout(near, listeners)
@@ -391,6 +452,65 @@ func TestFadedBracketsAtThreshold(t *testing.T) {
 		t.Error("the walk settled no listener; the comparison covers only the full bracket")
 	}
 	t.Logf("%d listener decisions compared, %d settled on the walk", decisions, mFadedWalked.Load()-walked0)
+}
+
+// fadedTilesAtThreshold is TestFadedBracketsAtThreshold for listeners in
+// the second tile of a list: thresholdLayout's 400 transmitters, then
+// deliverTile listeners in the same square, then its 20 listeners, which
+// a DeliverTo list of every listener puts in its second tile. That tile
+// starts at the first of them, v, whose fades start at stream position
+// m·(v − t_v) = 400·(v − 400). At β on the exact sum's ratio of one of the
+// first four listeners, or a float neighbour of it, the listener must
+// decode what the exact sum decodes, at 1 worker and at 3, and some
+// listener of the round must be replayed.
+func fadedTilesAtThreshold(t *testing.T) {
+	const near, fill, listeners, seed = 400, deliverTile, 20, 5
+	pts, tx := thresholdLayout(near+fill, listeners)
+	for i := range tx[near : near+fill] {
+		tx[near+i] = false
+	}
+	n := len(pts)
+	list := make([]int, 0, n-near)
+	for v := near; v < n; v++ {
+		list = append(list, v)
+	}
+	for _, alpha := range []float64{2, 3, 4} {
+		for _, noise := range []float64{0, 1} {
+			p := Params{Alpha: alpha, Beta: math.SmallestNonzeroFloat64, Noise: noise, Power: 1}
+			probe, err := NewRayleigh(p, pts, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratios := ratioObserver{}
+			probe.SetObserver(ratios)
+			probe.DeliverTo(tx, list, make([]int, n))
+			for v := near + fill; v < near+fill+4; v++ {
+				ratio, ok := ratios[v]
+				if !ok {
+					t.Fatalf("α=%v N=%v listener %d: no ratio observed", alpha, noise, v)
+				}
+				for _, beta := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
+					q := p
+					q.Beta = beta
+					_, exact := fadedTwins(t, q, pts, seed)
+					want := make([]int, n)
+					exact.DeliverTo(tx, []int{v}, want)
+					for _, w := range []int{1, 3} {
+						label := fmt.Sprintf("α=%v N=%v β=%v (listener %d's ratio or a neighbour), %d workers", alpha, noise, beta, v, w)
+						bracketed, _ := fadedTwins(t, q, pts, seed)
+						bracketed.setWorkers(w)
+						got := make([]int, n)
+						replayed0 := mFadedFallbacks.Load()
+						bracketed.DeliverTo(tx, list, got)
+						if got[v] != want[v] || mFadedFallbacks.Load() == replayed0 {
+							t.Fatalf("%s: listener %d decoded %d (exact sum %d), %d listeners replayed, want at least one",
+								label, v, got[v], want[v], mFadedFallbacks.Load()-replayed0)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestFadedVerdictWithExactBrackets: fadedVerdict's tests hold for any

@@ -76,24 +76,38 @@ func (c *Channel) certGrid() *txGrid {
 	return c.grid
 }
 
-// certCounts tallies the listeners of one pass over a certified round:
+// tileCounts tallies the listeners of a round's tiles, summed over its
+// workers and published once per round: in an unfaded certified round,
 // those the certificate decided, those that walked past their cell's
-// block, and those it gave up on, which took the full sum.
-type certCounts struct {
+// block, and those it gave up on, which took the full sum; in a faded
+// round, the fades drawn, and the listeners brackets settled (walked: on
+// the certificate's walk) and those that replayed their draws.
+type tileCounts struct {
 	certified, walks, fallbacks int
+	drawn                       uint64
+	settled, walked, replayed   int
 }
 
 // add accumulates o into n.
-func (n *certCounts) add(o certCounts) {
+//
+//crlint:hotpath
+func (n *tileCounts) add(o tileCounts) {
 	n.certified += o.certified
 	n.walks += o.walks
 	n.fallbacks += o.fallbacks
+	n.drawn += o.drawn
+	n.settled += o.settled
+	n.walked += o.walked
+	n.replayed += o.replayed
 }
 
-// publish adds the counts to the engine's counters, once per Deliver.
+// publish adds a round's counts to the engine's counters. On a faded
+// channel, fades is the draws a Deliver of the round would take, m at each
+// of its n − m listeners, and the ones the round did not draw count as
+// skipped.
 //
 //crlint:hotpath
-func (n certCounts) publish() {
+func (n tileCounts) publish(faded bool, fades uint64) {
 	if n.certified > 0 {
 		mCertifiedListeners.Add(int64(n.certified))
 	}
@@ -102,6 +116,13 @@ func (n certCounts) publish() {
 	}
 	if n.fallbacks > 0 {
 		mCertFallbacks.Add(int64(n.fallbacks))
+	}
+	if faded {
+		mFadesDrawn.Add(int64(n.drawn))
+		mFadesSkipped.Add(int64(fades - n.drawn))
+		mFadedCertified.Add(int64(n.settled))
+		mFadedWalked.Add(int64(n.walked))
+		mFadedFallbacks.Add(int64(n.replayed))
 	}
 }
 
@@ -147,7 +168,7 @@ func (g *txGrid) setBlock(blk *certBlock, cell int) {
 // take the full sum.
 //
 //crlint:hotpath
-func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n certCounts) {
+func (c *Channel) certifyTile(vs []int, r deliverRound, sig [2][]float64) (n tileCounts) {
 	g := r.cert
 	blk := certBlock{cell: -1}
 	var ws [2]certWalk

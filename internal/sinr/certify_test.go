@@ -196,7 +196,7 @@ func TestCertifiedMatchesFullSum(t *testing.T) {
 		for _, rc := range certCases(cd, uint64(40+i)) {
 			full := rc.build(t)
 			full.SetObserver(fullSum{})
-			certs := []*Channel{rc.build(t), rc.build(t, WithDeliverParallelism(3))}
+			certs := []*Channel{atWorkers(rc.build(t), 1), atWorkers(rc.build(t), 3)}
 			want, got := make([]int, n), make([]int, n)
 			for round, density := range []float64{0.2, 0.5} {
 				tx := denseTx(t, rng, n, density)
@@ -272,7 +272,7 @@ func certifiedShapesMatchFullSum(t *testing.T) {
 			}
 			full := rc.build(t)
 			full.SetObserver(fullSum{})
-			certs := []*Channel{rc.build(t), rc.build(t, WithDeliverParallelism(3))}
+			certs := []*Channel{atWorkers(rc.build(t), 1), atWorkers(rc.build(t), 3)}
 			want, got := make([]int, n), make([]int, n)
 			for _, tx := range shapeRounds(t, certs[0], rng, n/5) {
 				m := countTx(tx)
@@ -509,14 +509,14 @@ func TestCertificateScope(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
-	build := func(faded bool, opts ...Option) *Channel {
+	build := func(faded bool) *Channel {
 		t.Helper()
 		var c *Channel
 		var err error
 		if faded {
-			c, err = NewRayleigh(p, d.Points, 1, opts...)
+			c, err = NewRayleigh(p, d.Points, 1)
 		} else {
-			c, err = New(p, d.Points, opts...)
+			c, err = New(p, d.Points)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -556,11 +556,11 @@ func TestCertificateScope(t *testing.T) {
 	}
 	cases := []scopeCase{
 		{"exact", build(false), dense, true},
-		{"exact, 3 workers", build(false, WithDeliverParallelism(3)), dense, true},
+		{"exact, 3 workers", atWorkers(build(false), 3), dense, true},
 		{"exact, sparse round", build(false), sparse, false},
 		{"observed", observed, dense, false},
 		{"faded", build(true), dense, false},
-		{"faded, 3 workers", build(true, WithDeliverParallelism(3)), dense, false},
+		{"faded, 3 workers", atWorkers(build(true), 3), dense, false},
 	}
 	for name, mk := range outside {
 		c, err := mk()
@@ -682,13 +682,12 @@ func FuzzCertifiedDelivery(f *testing.F) {
 				powers[i] = math.Pow(10, 3*rng.Float64()-1)
 			}
 		}
-		var opts []Option
-		if layout&8 != 0 {
-			opts = append(opts, WithDeliverParallelism(3))
-		}
-		cert, err := NewWithPowers(p, pts, powers, opts...)
+		cert, err := NewWithPowers(p, pts, powers)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if layout&8 != 0 {
+			cert.setWorkers(3)
 		}
 		full, err := NewWithPowers(p, pts, powers)
 		if err != nil {

@@ -14,11 +14,10 @@ func DefaultParams() Params {
 
 // ChannelFor builds a single-hop SINR channel over the deployment with the
 // given parameters, deriving the minimum feasible single-hop power
-// (MinSingleHopPower at DefaultSingleHopMargin) when p.Power is 0. Options
-// configure the delivery engine as in New.
-func ChannelFor(p Params, d *geom.Deployment, opts ...Option) (*Channel, error) {
+// (MinSingleHopPower at DefaultSingleHopMargin) when p.Power is 0.
+func ChannelFor(p Params, d *geom.Deployment) (*Channel, error) {
 	if p.Power == 0 {
 		p.Power = MinSingleHopPower(p.Alpha, p.Beta, p.Noise, d.R, DefaultSingleHopMargin)
 	}
-	return New(p, d.Points, opts...)
+	return New(p, d.Points)
 }

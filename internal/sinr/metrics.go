@@ -11,8 +11,9 @@ var (
 	// mListeners sums the listeners each Deliver evaluated: the listed ones
 	// for DeliverTo, on faded channels too.
 	mListeners = obs.Default.Counter("sinr.listeners")
-	// mDeliveriesParallel counts the Delivers the parallel engine ran; a
-	// faded channel delivers sequentially at any worker count.
+	// mDeliveriesParallel counts the Delivers whose pass one spans two
+	// tiles or more, the rounds the workers can share; the count is the
+	// same at any worker count.
 	mDeliveriesParallel = obs.Default.Counter("sinr.deliveries_parallel")
 	// mCertifiedListeners counts the listeners the exact engine decided from
 	// its certificate, without the full sum: one add per Deliver.
@@ -25,9 +26,10 @@ var (
 	mCertWalks     = obs.Default.Counter("sinr.cert_walks")
 	mCertFallbacks = obs.Default.Counter("sinr.cert_fallbacks")
 	// mFadesDrawn and mFadesSkipped split a faded round's stream, one add
-	// each per round: the fades drawn at the listed listeners, and the
-	// draws of every other listener, which the stream jumped over or never
-	// reached. Their sum is what Deliver would have drawn.
+	// each per round: the fades drawn at the listed listeners, summed over
+	// the round's tiles, and the draws of every other listener, which the
+	// stream jumped over or never reached. Their sum is what Deliver would
+	// have drawn.
 	mFadesDrawn   = obs.Default.Counter("sinr.fades_drawn")
 	mFadesSkipped = obs.Default.Counter("sinr.fades_skipped")
 	// mFadedCertified counts the faded listeners that bounds on their

@@ -26,7 +26,7 @@ func (o *recordingObserver) OnReception(listener, from int, sinr, margin float64
 }
 
 // observerChannels builds one channel per variant: uniform and per-node
-// powers, and faded with and without a parallel option.
+// powers, and faded, at the workers the channel picks and at 3 workers.
 func observerChannels(t *testing.T) map[string]*Channel {
 	t.Helper()
 	d, err := geom.UniformDisk(11, 48)
@@ -52,8 +52,8 @@ func observerChannels(t *testing.T) map[string]*Channel {
 	add("per-node", c, err)
 	c, err = NewRayleigh(p, d.Points, 5)
 	add("rayleigh", c, err)
-	c, err = NewRayleigh(p, d.Points, 5, WithDeliverParallelism(3))
-	add("rayleigh/3 workers", c, err)
+	c, err = NewRayleigh(p, d.Points, 5)
+	add("rayleigh/3 workers", atWorkers(c, 3), err)
 	return out
 }
 
@@ -173,14 +173,31 @@ func TestObserverDoesNotChangeDeliveries(t *testing.T) {
 
 // TestObserverZeroAllocDeliver: with an observer installed whose buffer is
 // preallocated, steady-state Deliver still performs zero allocations — the
-// hook is one pointer test plus an interface call.
+// hook is one pointer test plus an interface call — and so does a round
+// of two tiles at 3 workers, faded and unfaded.
 func TestObserverZeroAllocDeliver(t *testing.T) {
-	for name, ch := range observerChannels(t) {
+	chans := observerChannels(t)
+	const side = 46 // n = 2116: a round's listeners span two tiles
+	pts := gridPoints(side)
+	p := gridParams(3, 1.5, 1, side)
+	c, err := New(p, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans["uniform/3 workers, two tiles"] = atWorkers(c, 3)
+	if c, err = NewRayleigh(p, pts, 5); err != nil {
+		t.Fatal(err)
+	}
+	chans["rayleigh/3 workers, two tiles"] = atWorkers(c, 3)
+	for name, ch := range chans {
 		n := ch.N()
 		tx := make([]bool, n)
 		recv := make([]int, n)
 		for i := range tx {
-			tx[i] = i%5 == 0
+			tx[i] = i%5 == 0 && (n <= deliverTile || i%200 == 0)
+		}
+		if n > deliverTile && n-countTx(tx) <= deliverTile {
+			t.Fatalf("%s: the round's listeners fill one tile", name)
 		}
 		obs := &recordingObserver{got: make([]recordedReception, 0, n)}
 		ch.SetObserver(obs)

@@ -158,14 +158,14 @@ func refCases(t *testing.T, seed uint64, n int) []refCase {
 
 // build returns the case's channel: uniform powers through New, the paper's
 // constructor, and heterogeneous ones through NewWithPowers.
-func (rc refCase) build(t *testing.T, opts ...Option) *Channel {
+func (rc refCase) build(t *testing.T) *Channel {
 	t.Helper()
 	var c *Channel
 	var err error
 	if rc.hetero {
-		c, err = NewWithPowers(rc.p, rc.pts, rc.powers, opts...)
+		c, err = NewWithPowers(rc.p, rc.pts, rc.powers)
 	} else {
-		c, err = New(rc.p, rc.pts, opts...)
+		c, err = New(rc.p, rc.pts)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +175,9 @@ func (rc refCase) build(t *testing.T, opts ...Option) *Channel {
 
 // buildFaded returns the case's faded channel (uniform powers only, as
 // NewRayleigh builds them).
-func (rc refCase) buildFaded(t *testing.T, seed uint64, opts ...Option) *Channel {
+func (rc refCase) buildFaded(t *testing.T, seed uint64) *Channel {
 	t.Helper()
-	c, err := NewRayleigh(rc.p, rc.pts, seed, opts...)
+	c, err := NewRayleigh(rc.p, rc.pts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,27 +258,28 @@ type refVariant struct {
 	fade func(round uint64) refFades
 }
 
-// exactVariants are the case's unfaded engines: sequential and tiled over 3
-// workers.
+// exactVariants are the case's unfaded engines: at 1 worker and tiled over
+// 3.
 func exactVariants(t *testing.T, rc refCase) []refVariant {
 	t.Helper()
 	return []refVariant{
-		{name: "workers=1", ch: rc.build(t, WithDeliverParallelism(1))},
-		{name: "workers=3", ch: rc.build(t, WithDeliverParallelism(3))},
+		{name: "workers=1", ch: atWorkers(rc.build(t), 1)},
+		{name: "workers=3", ch: atWorkers(rc.build(t), 3)},
 	}
 }
 
 // singleStream gives the reference the faded channels' one fade stream.
 func singleStream(round uint64) refFades { return singleStreamFades(refFadeSeed, round) }
 
-// fadedVariants are the case's faded engines: without options and with an
-// explicit parallelism of 1 or 3, all on the one fade stream.
+// fadedVariants are the case's faded engines: at the worker count the
+// channel picks itself, at 1 worker and tiled over 3, all on the one fade
+// stream.
 func fadedVariants(t *testing.T, rc refCase) []refVariant {
 	t.Helper()
 	return []refVariant{
 		{"faded", rc.buildFaded(t, refFadeSeed), singleStream},
-		{"faded workers=1", rc.buildFaded(t, refFadeSeed, WithDeliverParallelism(1)), singleStream},
-		{"faded workers=3", rc.buildFaded(t, refFadeSeed, WithDeliverParallelism(3)), singleStream},
+		{"faded workers=1", atWorkers(rc.buildFaded(t, refFadeSeed), 1), singleStream},
+		{"faded workers=3", atWorkers(rc.buildFaded(t, refFadeSeed), 3), singleStream},
 	}
 }
 
@@ -344,7 +345,7 @@ func TestDeliverMatchesReferencePowers(t *testing.T) {
 
 // TestDeliverMatchesReferenceFaded: the faded channel (NewRayleigh) decodes
 // what the reference decodes when it draws the same fades — one stream per
-// round, with or without an explicit parallelism.
+// round, at any worker count.
 func TestDeliverMatchesReferenceFaded(t *testing.T) {
 	matchReference(t, false, fadedVariants)
 }
@@ -365,10 +366,10 @@ func TestDeliverToMatchesReference(t *testing.T) {
 		n := len(rc.pts)
 		var variants []refVariant
 		for _, w := range []int{1, 3} {
-			variants = append(variants, refVariant{fmt.Sprintf("workers=%d", w), rc.build(t, WithDeliverParallelism(w)), nil})
+			variants = append(variants, refVariant{fmt.Sprintf("workers=%d", w), atWorkers(rc.build(t), w), nil})
 			if !rc.hetero {
 				variants = append(variants, refVariant{fmt.Sprintf("faded workers=%d", w),
-					rc.buildFaded(t, refFadeSeed, WithDeliverParallelism(w)), singleStream})
+					atWorkers(rc.buildFaded(t, refFadeSeed), w), singleStream})
 			}
 		}
 		recv := make([]int, n)

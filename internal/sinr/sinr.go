@@ -182,20 +182,22 @@ type Channel struct {
 	fade     *fadeSource // nil: the paper's deterministic channel
 	grid     *txGrid     // the certificate's, once built
 	noCert   bool        // the certificate cannot run on this channel
-	par      int         // ≥ 2: intra-round parallel workers
+	workers  int         // pass one's workers (roundWorkers), the caller included
 	all      []int       // 0, 1, …, n−1 (built on first use): every listener
+	round    deliverRound
+	job      tileJob // the round's tiles, as its workers claim them
 	scratch  deliverScratch
 	observer ReceptionObserver
 }
 
 // New builds the paper's uniform-power channel for the given parameters
 // and node positions. It returns an error if the parameters are invalid or
-// fewer than one node is given. No option changes a reception.
-func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
+// fewer than one node is given.
+func New(params Params, pts []geom.Point) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return newChannel(params, pts, UniformPowers(len(pts), params.Power), false, opts)
+	return newChannel(params, pts, UniformPowers(len(pts), params.Power), nil)
 }
 
 // NewWithPowers builds a per-node-power channel. powers[u] is node u's
@@ -204,7 +206,7 @@ func New(params Params, pts []geom.Point, opts ...Option) (*Channel, error) {
 // this variant lets the repository exercise the power-control regime the
 // related work ([11]) discusses and probe how sensitive the algorithm is to
 // power heterogeneity (e.g. hardware spread).
-func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Option) (*Channel, error) {
+func NewWithPowers(params Params, pts []geom.Point, powers []float64) (*Channel, error) {
 	probe := params
 	probe.Power = 1 // validate the shared constants independently of Power
 	if err := probe.Validate(); err != nil {
@@ -221,7 +223,7 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 			return nil, fmt.Errorf("sinr: node %d power %v must be positive and finite", u, p)
 		}
 	}
-	return newChannel(params, pts, append([]float64(nil), powers...), false, opts)
+	return newChannel(params, pts, append([]float64(nil), powers...), nil)
 }
 
 // NewRayleigh builds a Rayleigh-faded channel over the deployment: in every
@@ -244,48 +246,50 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // certSmallTx transmitters, first bounding only the fades its certificate
 // walk sees, then all of them), and the rest replay the kept draws through
 // the exact sum, so no fade and no reception depends on which path a
-// listener took. Faded channels deliver sequentially whatever worker count
-// their options ask for, and their receptions are the same with or without
-// them.
-func NewRayleigh(params Params, pts []geom.Point, seed uint64, opts ...Option) (*Channel, error) {
+// listener took. A tile of a round's listeners starts from its own copy of
+// the round's stream, advanced to its first listener's position, so the
+// receptions are the same at any worker count.
+func NewRayleigh(params Params, pts []geom.Point, seed uint64) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := newChannel(params, pts, UniformPowers(len(pts), params.Power), true, opts)
-	if err != nil {
-		return nil, err
-	}
 	// Reseeded every round; the construction seed is never consumed.
-	c.fade = &fadeSource{seed: seed, rng: xrand.NewReseedable(seed)}
-	return c, nil
+	fade := &fadeSource{seed: seed, rng: xrand.NewReseedable(seed)}
+	return newChannel(params, pts, UniformPowers(len(pts), params.Power), fade)
 }
 
 // newChannel is the constructor body shared by New, NewWithPowers and
-// NewRayleigh; it takes ownership of powers. A faded channel delivers
-// sequentially whatever worker count its options ask for.
-func newChannel(params Params, pts []geom.Point, powers []float64, faded bool, opts []Option) (*Channel, error) {
+// NewRayleigh, with fade nil for an unfaded channel; it takes ownership of
+// powers. The channel's rounds take roundWorkers(n) workers.
+func newChannel(params Params, pts []geom.Point, powers []float64, fade *fadeSource) (*Channel, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("sinr: channel needs at least one node")
 	}
-	ec, err := resolveEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	par := ec.workers()
-	if faded {
-		par = 1
-	}
-	return &Channel{
+	c := &Channel{
 		params:  params,
 		pts:     append([]geom.Point(nil), pts...),
 		powers:  powers,
-		par:     par,
-		scratch: newDeliverScratch(len(pts), par, params.Alpha, faded),
-	}, nil
+		fade:    fade,
+		scratch: newDeliverScratch(len(pts), fade != nil),
+	}
+	c.job.run = c
+	c.setWorkers(roundWorkers(len(pts)))
+	return c, nil
+}
+
+// setWorkers gives the channel's rounds w workers, the caller included: a
+// scratch each, and at least w − 1 helpers in the package's pool.
+func (c *Channel) setWorkers(w int) {
+	if w != len(c.scratch.tiles) {
+		c.scratch.tiles = newTileScratch(len(c.pts), w, c.params.Alpha, c.fade != nil)
+	}
+	c.workers = w
+	ensureHelpers(w - 1)
 }
 
 // fadeSource is a faded channel's fade stream: the round count and one
-// reusable, jumpable rng, reseeded at the start of every round.
+// reusable, jumpable rng, reseeded at the start of every round and never
+// advanced, so each tile copies the round-start state.
 type fadeSource struct {
 	seed  uint64
 	round uint64
@@ -385,26 +389,30 @@ func (c *Channel) DeliverTo(tx []bool, listeners []int, recv []int) {
 		}
 		return
 	}
-	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList)}
 	// Pass one visits vs: the listed listeners, or in an unfaded certified
 	// round the non-transmitting ones in cell order.
-	vs := listeners
+	r := deliverRound{tx: tx, txList: txList, nodes: c.gather(c.scratch.txNodes, txList), vs: listeners}
 	if len(txList) > certSmallTx && c.observer == nil {
 		if r.cert = c.certGrid(); r.cert != nil {
 			r.cert.prepare(txList, r.nodes)
 			if c.fade == nil {
-				vs = r.cert.sortListeners(tx, listeners)
+				r.vs = r.cert.sortListeners(tx, listeners)
 			}
 		}
 	}
-	var counts certCounts
-	if c.par > 1 {
-		//crlint:allow hotalloc deliverParallel's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
-		counts = c.deliverParallel(vs, r)
+	c.round = r
+	if len(r.vs) > deliverTile {
+		mDeliveriesParallel.Inc()
+		c.job.runTiles(len(r.vs), c.workers)
 	} else {
-		counts = c.accumulateTile(vs, r, c.scratch.tiles[0].sig)
+		c.tile(0, 0, len(r.vs))
 	}
-	counts.publish()
+	var counts tileCounts
+	for w := range c.scratch.tiles {
+		counts.add(c.scratch.tiles[w].counts)
+		c.scratch.tiles[w].counts = tileCounts{}
+	}
+	counts.publish(c.fade != nil, uint64(len(txList)*(len(c.pts)-len(txList))))
 	finalizeReceptions(c.params, &c.scratch, c.observer, tx, listeners, recv)
 }
 
@@ -414,6 +422,7 @@ type deliverRound struct {
 	txList []int    // the transmitters, ascending
 	nodes  []txNode // txList's positions and powers, gathered
 	cert   *txGrid  // non-nil: certify listeners over this prepared grid
+	vs     []int    // the listeners pass one visits, tile by tile
 }
 
 // txNode is one transmitter as the pair loop reads it. Gathering the
@@ -436,53 +445,44 @@ func (c *Channel) gather(buf []txNode, idx []int) []txNode {
 	return buf
 }
 
-// deliverParallel fans pass one out over runTiles, whose tiles partition
-// the positions of vs, and returns the certified round's counts. It is
-// deliberately not hotpath-annotated: the kernel closure and goroutines
-// allocate O(workers) per round, the documented cost of the parallel
-// option.
-func (c *Channel) deliverParallel(vs []int, r deliverRound) certCounts {
-	mDeliveriesParallel.Inc()
-	tiles := c.scratch.tiles
-	for w := range tiles {
-		tiles[w].counts = certCounts{}
-	}
-	runTiles(len(vs), c.par, func(w, lo, hi int) { tiles[w].counts.add(c.accumulateTile(vs[lo:hi], r, tiles[w].sig)) })
-	var sum certCounts
-	for _, t := range tiles {
-		sum.add(t.counts)
-	}
-	return sum
+// tile is pass one of the channel's current round over positions
+// [lo, hi) of its list, on worker slot's scratch (tiler).
+//
+//crlint:hotpath
+func (c *Channel) tile(slot, lo, hi int) {
+	c.accumulateTile(c.round.vs[lo:hi], c.round, &c.scratch.tiles[slot])
 }
 
-// accumulateTile is pass one of Deliver over the listeners in vs, the one
-// kernel of every mode: per non-transmitting listener, park the full
-// ascending sum (sumAll) in the scratch arrays for the sequential
-// threshold pass. An unfaded certified round's vs is in cell order, and
-// certifyTile takes it, giving sumAll only the listeners its certificate
-// cannot decide. A faded channel scales each signal by a fade from the
-// round's one stream: it advances the stream to listener v's position
-// m·(v − t_v) (NewRayleigh), so unlisted listeners, and unlisted
-// transmitters, cost no draws, and draws v's m fades into scratch once
+// accumulateTile is pass one of Deliver over the listeners in vs, one
+// tile of the round's list, on worker scratch ts, and the one kernel of
+// every mode: per non-transmitting listener, park the full ascending sum
+// (sumAll) in the scratch arrays for the sequential threshold pass. An
+// unfaded certified round's vs is in cell order, and certifyTile takes it,
+// giving sumAll only the listeners its certificate cannot decide. A faded
+// channel scales each signal by a fade from the round's one stream: the
+// tile copies the round-start state and advances it to each listener v's
+// position m·(v − t_v) (NewRayleigh), its first listener's included, so
+// unlisted listeners, and unlisted transmitters, cost no draws, and no
+// tile's draws depend on another's; it draws v's m fades into scratch once
 // (drawFades), observed listeners included. Every later step reads them.
 // With no observer, a faded listener takes walkFaded in a certified round,
 // then the full bracket (bracketAll), each settling it from bounds on its
 // fades without a logarithm, and a listener neither settles replays the
-// same draws through sumAll. Faded channels deliver sequentially, so vs is
-// then the round's whole listener list. Concurrent tiles write disjoint
-// listeners' entries, so they never share a buffer; sig is the tile's
-// worker's own signal scratch (tileScratch). It returns the unfaded
-// certified round's counts.
+// same draws through sumAll. Concurrent tiles write disjoint listeners'
+// entries, so they never share a buffer. It adds the tile's counts to
+// ts.counts.
 //
 //crlint:hotpath
-func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) certCounts {
+func (c *Channel) accumulateTile(vs []int, r deliverRound, ts *tileScratch) {
+	sig := ts.sig
 	if r.cert != nil && c.fade == nil {
-		return c.certifyTile(vs, r, sig)
+		ts.counts.add(c.certifyTile(vs, r, sig))
+		return
 	}
-	// Faded: the stream, v's draws (m of them), the stream's position, the
-	// draws taken, the transmitters below v (t_v), whether brackets may
-	// settle listeners, the listeners settled (walked: on the walk) and
-	// replayed, and the last walked cell's block.
+	// Faded: the tile's stream, v's draws (m of them), the stream's
+	// position, the draws taken, the transmitters below v (t_v), whether
+	// brackets may settle listeners, the listeners settled (walked: on the
+	// walk) and replayed, and the last walked cell's block.
 	var rng *xrand.Reseedable
 	var fades []uint64
 	var m, pos, drawn uint64
@@ -491,8 +491,9 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 	var settled, walked, replayed int
 	blk := certBlock{cell: -1}
 	if c.fade != nil {
-		rng, m = c.fade.rng, uint64(len(r.nodes))
-		fades = c.scratch.draws[:m]
+		rng, m = &ts.rng, uint64(len(r.nodes))
+		*rng = *c.fade.rng
+		fades = ts.draws[:m]
 		bracket = c.observer == nil && certifiable(c.params, len(c.pts))
 	}
 	for _, v := range vs {
@@ -528,15 +529,7 @@ func (c *Channel) accumulateTile(vs []int, r deliverRound, sig [2][]float64) cer
 		}
 		c.sumAll(v, r, fades, sig[0])
 	}
-	if rng != nil {
-		// Deliver would draw m fades at each of the n − m listeners.
-		mFadesDrawn.Add(int64(drawn))
-		mFadesSkipped.Add(int64(m*uint64(len(c.pts)-len(r.txList)) - drawn))
-		mFadedCertified.Add(int64(settled))
-		mFadedWalked.Add(int64(walked))
-		mFadedFallbacks.Add(int64(replayed))
-	}
-	return certCounts{}
+	ts.counts.add(tileCounts{drawn: drawn, settled: settled, walked: walked, replayed: replayed})
 }
 
 // sumAll parks listener v's full sum: the signals of every transmitter

@@ -464,16 +464,18 @@ func randomTx(rng *rand.Rand, n int, density float64) []bool {
 	return tx
 }
 
-// TestDeliverZeroAllocsSteadyState: after the first call, sequential
-// Deliver allocates nothing for uniform powers, per-node powers, and faded
-// channels, which deliver sequentially under a parallel option too and
-// settle most listeners by their bracketed pass: in rounds of 24
-// transmitters by bracketing every fade, and in rounds of 100 on the
-// certificate's walk. Every case runs at α = 3, whose pair loops compute
-// their signals in place, and at α = 2.5, whose loops read the per-worker
-// scratch the pre-loop pass fills; so does a faded round whose listener at
-// β replays its draws through the exact sum (replayRound), delivered again
-// and again.
+// TestDeliverZeroAllocsSteadyState: after the first call, Deliver and
+// DeliverTo allocate nothing for uniform powers, per-node powers, and
+// faded channels, which settle most listeners by their bracketed pass: in
+// rounds of 24 transmitters by bracketing every fade, and in rounds of 100
+// on the certificate's walk. Rounds whose lists span two tiles do not
+// allocate at 3 workers either, faded and unfaded, small and certified:
+// the helpers are the package's, the job and the scratch the channel's.
+// Every case runs at α = 3, whose pair loops compute their signals in
+// place, and at α = 2.5, whose loops read the per-worker scratch the
+// pre-loop pass fills; so does a faded round whose listener at β replays
+// its draws through the exact sum (replayRound), delivered again and
+// again.
 func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	// Recording is on by default; assert it so the zero-alloc bound below
 	// covers the metric increments on the hot path, not just the engine.
@@ -489,6 +491,25 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	const large = 400
 	dl, pl, txl := randomGeometry(t, 22, large, 0.25)
 	recvl := make([]int, large)
+	// Two tiles: a 47-wide lattice, 2209 nodes, with 24 or 100
+	// transmitters, listed all but every 50th.
+	const side = 47
+	tiled := gridPoints(side)
+	pt := gridParams(3, 1.5, 1, side)
+	recvt := make([]int, len(tiled))
+	var tiledList []int
+	for v := range tiled {
+		if v%50 != 49 {
+			tiledList = append(tiledList, v)
+		}
+	}
+	tiledTx := func(m int) []bool {
+		tx := make([]bool, len(tiled))
+		for i := range m {
+			tx[i*len(tiled)/m] = true
+		}
+		return tx
+	}
 	type round struct {
 		c         *Channel
 		tx        []bool
@@ -498,8 +519,8 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	}
 	rounds := map[string]round{}
 	for _, alpha := range []float64{3, 2.5} {
-		p, pl := p, pl
-		p.Alpha, pl.Alpha = alpha, alpha
+		p, pl, pt := p, pl, pt
+		p.Alpha, pl.Alpha, pt.Alpha = alpha, alpha, alpha
 		must := func(c *Channel, err error) *Channel {
 			t.Helper()
 			if err != nil {
@@ -511,7 +532,13 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 		add("uniform", round{c: must(New(p, d.Points)), tx: tx, listeners: listeners, recv: recv})
 		add("per-node", round{c: must(NewWithPowers(p, d.Points, powers)), tx: tx, listeners: listeners, recv: recv})
 		add("faded", round{c: must(NewRayleigh(p, d.Points, 7)), tx: tx, listeners: listeners, recv: recv})
-		add("faded/3 workers", round{c: must(NewRayleigh(p, d.Points, 7, WithDeliverParallelism(3))), tx: tx, listeners: listeners, recv: recv})
+		add("faded/3 workers", round{c: atWorkers(must(NewRayleigh(p, d.Points, 7)), 3), tx: tx, listeners: listeners, recv: recv})
+		for _, m := range []int{24, 100} {
+			add(fmt.Sprintf("uniform/3 workers, two tiles, %d transmitters", m),
+				round{c: atWorkers(must(New(pt, tiled)), 3), tx: tiledTx(m), listeners: tiledList, recv: recvt})
+			add(fmt.Sprintf("faded/3 workers, two tiles, %d transmitters", m),
+				round{c: atWorkers(must(NewRayleigh(pt, tiled, 7)), 3), tx: tiledTx(m), listeners: tiledList, recv: recvt})
+		}
 		add("faded, walked", round{c: must(NewRayleigh(pl, dl.Points, 7)), tx: txl, listeners: []int{0, 3, 4, 40, 200, large - 1}, recv: recvl})
 		replayed, txr, near := replayRound(t, alpha)
 		add("faded, replayed", round{c: replayed, tx: txr, listeners: []int{near, near + 7, len(txr) - 1}, recv: make([]int, len(txr)), replay: true})
@@ -544,6 +571,9 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 	if m := countTx(txl); m <= certSmallTx {
 		t.Errorf("the walked round has %d transmitters, want more than %d", m, certSmallTx)
 	}
+	if len(tiledList)-100 <= deliverTile {
+		t.Errorf("the two-tile rounds list %d listeners, want more than %d", len(tiledList)-100, deliverTile)
+	}
 }
 
 // TestFadedDeliverToKeepsStreamAligned: a faded DeliverTo draws only its
@@ -553,8 +583,7 @@ func TestDeliverZeroAllocsSteadyState(t *testing.T) {
 // lists with leading and trailing gaps, and a list of the round's
 // transmitters alone — it decodes at every listed listener what a twin
 // channel's Deliver decodes, leaves every other entry untouched, and stays
-// aligned with the twin in the rounds that follow, with or without a
-// parallel option.
+// aligned with the twin in the rounds that follow, at 3 workers.
 func TestFadedDeliverToKeepsStreamAligned(t *testing.T) {
 	const n = 120
 	const untouched = -7
@@ -563,10 +592,11 @@ func TestFadedDeliverToKeepsStreamAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subset, err := NewRayleigh(p, d.Points, 3, WithDeliverParallelism(3))
+	subset, err := NewRayleigh(p, d.Points, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	subset.setWorkers(3)
 	rng := xrand.New(14)
 	want, got := make([]int, n), make([]int, n)
 	span := func(lo, hi int) []int {
@@ -629,9 +659,12 @@ type fadedDeliverToInput struct {
 	raw                                []byte
 }
 
-// fadedDeliverToSeeds are FuzzFadedDeliverTo's seed inputs. The last three
-// have rounds of more than certSmallTx transmitters, whose listeners walk
-// the certificate's grid; the last of them has coincident points.
+// fadedDeliverToSeeds are FuzzFadedDeliverTo's seed inputs. The sixth to
+// eighth have rounds of more than certSmallTx transmitters, whose
+// listeners walk the certificate's grid; the eighth has coincident points.
+// The last three list two tiles' worth of listeners or more (sel&32), at 3
+// workers and at 1: small rounds, whose listeners bracket every fade, and
+// rounds that walk.
 var fadedDeliverToSeeds = []fadedDeliverToInput{
 	{1, 60, 3, 40, 128, 0, nil},
 	{2, 200, 5, 10, 30, 1, nil},
@@ -641,11 +674,17 @@ var fadedDeliverToSeeds = []fadedDeliverToInput{
 	{6, 200, 3, 100, 200, 5, nil},
 	{7, 255, 2, 150, 120, 22, nil},
 	{8, 180, 2, 130, 255, 9, []byte{1, 0, 1, 0, 1, 0, 1, 0, 5, 0, 5, 0, 5, 0, 5, 0, 9, 64, 2, 0, 9, 64, 2, 0}},
+	{9, 40, 1, 3, 200, 16 | 32 | 4, nil},
+	{10, 40, 1, 8, 200, 16 | 32 | 5, nil},
+	{11, 40, 1, 8, 220, 32 | 7, nil},
 }
 
 // FuzzFadedDeliverTo: on fuzzer-built point sets (coordinates read from the
 // input on a 1/256 grid, so coincident points come easily, or a uniform
-// square), a faded channel's DeliverTo over a random listener mask decodes,
+// square, padded for sel&32 with a row-major lattice of 2·deliverTile
+// nodes, so consecutive listeners share grid cells and the tiles of a
+// round's list start mid-cell and mid-stream), a faded channel's DeliverTo,
+// at 3 workers for sel&16, over a random listener mask decodes,
 // round after round, what a twin channel's Deliver decodes at every listed
 // listener and leaves every other entry untouched: its jumps keep the fade
 // stream aligned with the twin's. Both take the bracketed pass, on the
@@ -678,30 +717,35 @@ func TestFadedDeliverToSeedsReachTheWalk(t *testing.T) {
 func checkFadedDeliverTo(t *testing.T, in fadedDeliverToInput) {
 	t.Helper()
 	n := 1 + int(in.size)
+	if in.sel&32 != 0 {
+		n += 2 * deliverTile
+	}
 	rng := xrand.New(in.seed)
 	pts := make([]geom.Point, n)
 	for i := range pts {
-		if 4*i+4 <= len(in.raw) {
+		switch j := i - 1 - int(in.size); {
+		case 4*i+4 <= len(in.raw):
 			b := in.raw[4*i : 4*i+4]
 			pts[i] = geom.Point{X: float64(int8(b[0])) + float64(b[1])/256, Y: float64(int8(b[2])) + float64(b[3])/256}
-		} else {
+		case j >= 0:
+			pts[i] = geom.Point{X: 0.3 * (float64(j%64) + rng.Float64()/2), Y: 0.3 * (float64(j/64) + rng.Float64()/2)}
+		default:
 			pts[i] = geom.Point{X: 20 * rng.Float64(), Y: 20 * rng.Float64()}
 		}
 	}
 	alphas := []float64{2.5, 3, 4}
 	betas := []float64{0.5, 1, 1.5}
 	p := Params{Alpha: alphas[int(in.sel)%len(alphas)], Beta: betas[int(in.sel/4)%len(betas)], Noise: 1e-3, Power: 1}
-	var opts []Option
-	if in.sel&16 != 0 {
-		opts = append(opts, WithDeliverParallelism(3))
-	}
 	full, err := NewRayleigh(p, pts, in.seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, err := NewRayleigh(p, pts, in.seed, opts...)
+	listed, err := NewRayleigh(p, pts, in.seed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if in.sel&16 != 0 {
+		listed.setWorkers(3)
 	}
 	observed, err := NewRayleigh(p, pts, in.seed)
 	if err != nil {
@@ -730,35 +774,20 @@ func checkFadedDeliverTo(t *testing.T, in fadedDeliverToInput) {
 }
 
 // TestDeliveryCounters: every Deliver moves the sinr.deliveries metric,
-// sinr.deliveries_parallel counts the calls the parallel engine ran — a
-// faded channel at 3 workers runs the sequential one — sinr.listeners sums
-// the listeners each call evaluated, the listed ones on a faded channel
-// too, sinr.fades_drawn and sinr.fades_skipped split a faded round's
-// stream between the listed listeners and everyone else, and every listed
-// listener of a faded round is either settled by brackets
-// (sinr.faded_certified) or replayed (sinr.faded_fallbacks), unless an
-// observer keeps it on the exact sum.
+// sinr.deliveries_parallel counts the rounds whose pass one spans two
+// tiles or more, whatever the worker count, sinr.listeners sums the
+// listeners each call evaluated, the listed ones on a faded channel too,
+// sinr.fades_drawn (summed over a round's tiles) and sinr.fades_skipped
+// (added once per round) split a faded round's stream between the listed
+// listeners and everyone else, and every listed listener of a faded round
+// is either settled by brackets (sinr.faded_certified) or replayed
+// (sinr.faded_fallbacks), unless an observer keeps it on the exact sum.
+// Every count is exact, and the same at 1 worker and at 3, over rounds of
+// 24 nodes and rounds of more than deliverTile listeners.
 func TestDeliveryCounters(t *testing.T) {
 	d, p, tx := randomGeometry(t, 41, 24, 0.3)
 	recv := make([]int, 24)
-	exact, err := New(p, d.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := New(p, d.Points, WithDeliverParallelism(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	faded, err := NewRayleigh(p, d.Points, 2, WithDeliverParallelism(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m, listening int64
-	for _, on := range tx {
-		if on {
-			m++
-		}
-	}
+	m, listening := int64(countTx(tx)), int64(0)
 	for _, v := range []int{1, 2, 3} {
 		if !tx[v] {
 			listening++
@@ -767,37 +796,74 @@ func TestDeliveryCounters(t *testing.T) {
 	if m == 0 || listening == 0 {
 		t.Fatalf("%d transmitters, %d listening listed nodes: the faded round draws nothing", m, listening)
 	}
-	observed, err := NewRayleigh(p, d.Points, 2)
-	if err != nil {
-		t.Fatal(err)
+	// A 47-wide lattice: 2209 nodes, every 22nd transmitting, so the
+	// round is certified and its listeners span two tiles.
+	const side = 47
+	pts := gridPoints(side)
+	pl := gridParams(3, 1.5, 1, side)
+	nl := int64(len(pts))
+	txl := make([]bool, nl)
+	var list []int
+	for v := range txl {
+		txl[v] = v%22 == 0
+		if v%40 != 0 {
+			list = append(list, v)
+		}
 	}
-	observed.SetObserver(fullSum{})
-	total0, par0, listeners0 := mDeliveries.Load(), mDeliveriesParallel.Load(), mListeners.Load()
-	drawn0, skipped0 := mFadesDrawn.Load(), mFadesSkipped.Load()
-	exact.Deliver(tx, recv)
-	exact.Deliver(tx, recv)
-	parallel.Deliver(tx, recv)
-	exact.DeliverTo(tx, []int{1, 5, 9}, recv)
-	faded.DeliverTo(tx, []int{1, 2, 3}, recv)
-	if got := mDeliveries.Load() - total0; got != 5 {
-		t.Errorf("sinr.deliveries delta = %d, want 5", got)
+	recvl := make([]int, nl)
+	ml, listeningl := int64(countTx(txl)), int64(0)
+	for _, v := range list {
+		if !txl[v] {
+			listeningl++
+		}
 	}
-	if got := mDeliveriesParallel.Load() - par0; got != 1 {
-		t.Errorf("sinr.deliveries_parallel delta = %d, want 1 (the unfaded 3-worker channel only)", got)
+	if ml <= certSmallTx || nl-ml <= deliverTile || int64(len(list)) <= deliverTile {
+		t.Fatalf("%d transmitters, %d listeners, %d listed: the large rounds must be certified and span two tiles", ml, nl-ml, len(list))
 	}
-	if got := mListeners.Load() - listeners0; got != 3*24+3+3 {
-		t.Errorf("sinr.listeners delta = %d, want %d", got, 3*24+3+3)
+	must := func(c *Channel, err error) *Channel {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if got := mFadesDrawn.Load() - drawn0; got != m*listening {
-		t.Errorf("sinr.fades_drawn delta = %d, want %d", got, m*listening)
-	}
-	if got := mFadesSkipped.Load() - skipped0; got != m*(24-m-listening) {
-		t.Errorf("sinr.fades_skipped delta = %d, want %d", got, m*(24-m-listening))
-	}
-	settled0, replayed0 := mFadedCertified.Load(), mFadedFallbacks.Load()
-	faded.DeliverTo(tx, []int{1, 2, 3}, recv)
-	observed.DeliverTo(tx, []int{1, 2, 3}, recv)
-	if got := mFadedCertified.Load() - settled0 + mFadedFallbacks.Load() - replayed0; got != listening {
-		t.Errorf("sinr.faded_certified + sinr.faded_fallbacks delta = %d, want %d (the unobserved round's listening listed nodes)", got, listening)
+	for _, w := range []int{1, 3} {
+		exact := atWorkers(must(New(p, d.Points)), w)
+		faded := atWorkers(must(NewRayleigh(p, d.Points, 2)), w)
+		exactL := atWorkers(must(New(pl, pts)), w)
+		fadedL := atWorkers(must(NewRayleigh(pl, pts, 2)), w)
+		total0, par0, listeners0 := mDeliveries.Load(), mDeliveriesParallel.Load(), mListeners.Load()
+		drawn0, skipped0 := mFadesDrawn.Load(), mFadesSkipped.Load()
+		settled0, replayed0 := mFadedCertified.Load(), mFadedFallbacks.Load()
+		exact.Deliver(tx, recv)
+		exact.Deliver(tx, recv)
+		exact.DeliverTo(tx, []int{1, 5, 9}, recv)
+		faded.DeliverTo(tx, []int{1, 2, 3}, recv)
+		exactL.Deliver(txl, recvl)
+		fadedL.Deliver(txl, recvl)
+		fadedL.DeliverTo(txl, list, recvl)
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"sinr.deliveries", mDeliveries.Load() - total0, 7},
+			{"sinr.deliveries_parallel", mDeliveriesParallel.Load() - par0, 3},
+			{"sinr.listeners", mListeners.Load() - listeners0, 2*24 + 3 + 3 + 2*nl + int64(len(list))},
+			{"sinr.fades_drawn", mFadesDrawn.Load() - drawn0, m*listening + ml*(nl-ml) + ml*listeningl},
+			{"sinr.fades_skipped", mFadesSkipped.Load() - skipped0, m*(24-m-listening) + ml*(nl-ml-listeningl)},
+			{"sinr.faded_certified + sinr.faded_fallbacks",
+				mFadedCertified.Load() - settled0 + mFadedFallbacks.Load() - replayed0, listening + nl - ml + listeningl},
+		} {
+			if c.got != c.want {
+				t.Errorf("%d workers: %s delta = %d, want %d", w, c.name, c.got, c.want)
+			}
+		}
+		observed := must(NewRayleigh(p, d.Points, 2))
+		observed.SetObserver(fullSum{})
+		settled0, replayed0 = mFadedCertified.Load(), mFadedFallbacks.Load()
+		observed.DeliverTo(tx, []int{1, 2, 3}, recv)
+		if got := mFadedCertified.Load() - settled0 + mFadedFallbacks.Load() - replayed0; got != 0 {
+			t.Errorf("%d workers: an observed round moved sinr.faded_certified + sinr.faded_fallbacks by %d, want 0", w, got)
+		}
 	}
 }
