@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short vet lint bench bench-e2e hotloops results results-check obs-smoke trace-smoke serve-smoke shard-smoke fleet-obs-smoke clean
+.PHONY: all build test test-short vet lint bench bench-e2e hotloops results results-check obs-smoke trace-smoke serve-smoke shard-smoke clean
 
 all: build vet lint test
 
@@ -137,14 +137,6 @@ serve-smoke:
 # re-dispatches) must all be byte-identical to the unsharded crbench run.
 shard-smoke:
 	./scripts/shard-smoke.sh
-
-# Mirror of CI's fleet-obs-smoke job: a sharded -trace-dir run over two
-# crserve daemons must reassemble a trace directory byte-identical to the
-# unsharded capture, the coordinator span log must summarise through
-# `crtrace spans`, and `crshard -metrics-fleet` must emit a valid merged
-# metrics snapshot.
-fleet-obs-smoke:
-	./scripts/fleet-obs-smoke.sh
 
 clean:
 	go clean ./...

@@ -11,7 +11,6 @@ package fadingcr_test
 
 import (
 	"context"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -26,7 +25,6 @@ import (
 	"fadingcr/internal/obs"
 	"fadingcr/internal/radio"
 	"fadingcr/internal/runner"
-	"fadingcr/internal/shard"
 	"fadingcr/internal/sim"
 	"fadingcr/internal/sinr"
 )
@@ -352,41 +350,6 @@ func BenchmarkSINRDeliverMetrics(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCoordinatorSpans measures the coordinator-side span-tracing
-// overhead on a sharded E1 run: the identical coordinator + assembly work
-// with span recording off (Spans nil, the default) versus on (spans to
-// io.Discard). The instrumentation is a handful of NDJSON lines per shard
-// against milliseconds of trial execution, so the acceptance bar — recorded
-// in BENCH_obs.json alongside the metrics overhead — is a delta within
-// run-to-run noise.
-func BenchmarkCoordinatorSpans(b *testing.B) {
-	req := shard.Request{
-		Spec:   experiments.Spec{IDs: "E1", Quick: true, Trials: 2, Seed: 7},
-		Shards: 4,
-	}
-	for _, mode := range []struct {
-		name  string
-		spans bool
-	}{{"on", true}, {"off", false}} {
-		b.Run("spans="+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				coord := shard.Coordinator{Executors: []shard.Executor{&shard.Local{Parallelism: 2}}}
-				if mode.spans {
-					coord.Spans = obs.NewSpanLog(io.Discard)
-				}
-				m, err := coord.Run(context.Background(), req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if m.Shards != req.Shards {
-					b.Fatal("merged shard count wrong")
-				}
-			}
-		})
 	}
 }
 

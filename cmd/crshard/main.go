@@ -15,7 +15,8 @@
 // -resume loads matching checkpoints instead of recomputing those shards.
 // A run that lost some shards (daemon down, timeout budget exhausted) exits
 // nonzero listing the failed shards; rerunning with -resume completes just
-// the missing ones.
+// the missing ones. crshard captures no traces: `crbench -trace-dir` with
+// the same spec writes the run's per-trial traces.
 package main
 
 import (
@@ -30,9 +31,7 @@ import (
 
 	"fadingcr/internal/cli"
 	"fadingcr/internal/experiments"
-	"fadingcr/internal/obs"
 	"fadingcr/internal/shard"
-	"fadingcr/internal/trace"
 )
 
 func main() {
@@ -71,13 +70,7 @@ func run(args []string, stdout io.Writer) error {
 		retries      = fs.Int("retries", 2, "re-attempts per executor per shard after a failure")
 		backoff      = fs.Duration("backoff", 200*time.Millisecond, "base delay between a shard's retry attempts (doubles per attempt)")
 		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-
-		spanLog      = fs.String("span-log", "", "write coordinator scheduling spans (NDJSON) to this file (analyse with crtrace spans)")
-		metricsFleet = fs.Bool("metrics-fleet", false, "scrape every -endpoints daemon's /metrics, print one merged NDJSON snapshot, and exit (no experiments run)")
 	)
-	// -trace-dir federates the shards' traces (global trial indices) into
-	// one directory, byte-identical to an unsharded crbench capture.
-	tracePolicy := trace.AddFlags(fs, 100)
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
@@ -99,31 +92,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *metricsFleet {
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout) //crlint:allow nowallclock CLI -timeout flag bounds wall time only
-			defer cancel()
-		}
-		w := stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return runMetricsFleet(ctx, urls, w)
-	}
-
 	req := shard.Request{
 		Spec:   experiments.Spec{IDs: *ids, Seed: *seed, Trials: *trials, Quick: *quick},
 		Shards: *shards,
-	}
-	if tracePolicy.Dir != "" {
-		req.Trace = tracePolicy
 	}
 	if err := req.Validate(); err != nil {
 		return cli.Usage(err)
@@ -158,14 +129,6 @@ func run(args []string, stdout io.Writer) error {
 		coord.Checkpoints = &shard.CheckpointDir{Dir: *checkpointDir}
 		coord.Resume = *resume
 	}
-	if *spanLog != "" {
-		f, err := os.Create(*spanLog)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		coord.Spans = obs.NewSpanLog(f)
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -192,49 +155,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := shard.Assemble(ctx, w, req, merged, *format == "markdown"); err != nil {
 		return err
 	}
-	if req.Trace != nil {
-		n, err := merged.WriteTraceDir(tracePolicy.Dir)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "crshard: %d trace files federated from %d shard(s) into %s\n", n, *shards, tracePolicy.Dir)
-	}
-	if coord.Spans != nil {
-		if serr := coord.Spans.Err(); serr != nil {
-			return fmt.Errorf("span log: %w", serr)
-		}
-	}
 	fmt.Fprintf(os.Stderr, "crshard: %d shard(s) over %d executor(s) in %v (aggregate hash %s)\n",
 		*shards, len(execs), time.Since(runStart).Round(time.Millisecond), //crlint:allow nowallclock CLI elapsed-time summary
 		merged.Hash())
 	return nil
-}
-
-// runMetricsFleet is the -metrics-fleet mode: scrape every endpoint's
-// /metrics, merge the snapshots deterministically (union of names sorted;
-// counters sum, gauges take the last endpoint's value in flag order,
-// histograms merge bucket-wise and recompute quantiles), and emit one
-// combined NDJSON snapshot under a fleet header.
-func runMetricsFleet(ctx context.Context, urls []string, w io.Writer) error {
-	if len(urls) == 0 {
-		return cli.Usagef("-metrics-fleet requires -endpoints")
-	}
-	sources := make([][]obs.MetricSnapshot, 0, len(urls))
-	for _, u := range urls {
-		snaps, err := obs.ScrapeMetrics(ctx, nil, u)
-		if err != nil {
-			return err
-		}
-		sources = append(sources, snaps)
-	}
-	merged, err := obs.MergeSnapshots(sources...)
-	if err != nil {
-		return err
-	}
-	sink := obs.NewSink(w)
-	if err := sink.Emit("fleet",
-		obs.F("schema", obs.FleetSchemaVersion), obs.F("sources", len(urls))); err != nil {
-		return err
-	}
-	return obs.EmitSnapshots(sink, merged)
 }

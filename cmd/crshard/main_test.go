@@ -106,8 +106,11 @@ func TestMainExitCodes(t *testing.T) {
 		{"zero shards", []string{"-ids", "E5", "-shards", "0"}, 2},
 		{"resume without dir", []string{"-ids", "E5", "-resume"}, 2},
 		{"negative workers", []string{"-ids", "E5", "-shards", "2", "-workers", "-1"}, 2},
-		{"bad trace format", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml"}, 2},
-		{"bad trace format with dir", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-format", "xml", "-trace-dir", t.TempDir()}, 2},
+		// crshard captures no traces, spans or fleet metrics: each retired
+		// flag is a usage error, not a run that silently skips it.
+		{"trace dir", []string{"-ids", "E5", "-quick", "-trials", "2", "-trace-dir", t.TempDir()}, 2},
+		{"span log", []string{"-ids", "E5", "-quick", "-trials", "2", "-span-log", filepath.Join(t.TempDir(), "spans.ndjson")}, 2},
+		{"metrics fleet", []string{"-metrics-fleet", "-endpoints", "http://127.0.0.1:1"}, 2},
 		{"unreachable endpoint", []string{"-ids", "E5", "-quick", "-trials", "2", "-shards", "2",
 			"-endpoints", "http://127.0.0.1:1", "-retries", "0", "-backoff", "1ms"}, 1},
 	}

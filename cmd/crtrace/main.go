@@ -7,7 +7,6 @@
 //	crtrace summary trace.ndjson...   # outcomes, round-of-success, contention curve, energy
 //	crtrace diff a.ndjson b.ndjson    # first divergent event; exit 0 iff identical
 //	crtrace render trace.ndjson       # deployment scatter + per-round sparklines
-//	crtrace spans spans.ndjson        # coordinator span log: per-shard timelines
 //
 // diff is the determinism contract made executable: two same-seed runs must
 // produce traces it finds identical (floats compare by bit pattern, not
@@ -42,8 +41,6 @@ commands:
             and exits 1, or exits 0 when byte-equivalent
   render    visualise one trace: deployment scatter plus per-round
             transmitter/reception sparklines
-  spans     summarise a coordinator span log (crshard -span-log):
-            per-shard timelines, retry counts, straggler attribution
 
 Trace files may be NDJSON or binary (the format is sniffed per file).`)
 }
@@ -61,8 +58,6 @@ func run(args []string, out, errw io.Writer) int {
 		return runDiff(args[1:], out, errw)
 	case "render":
 		err = runRender(args[1:], out, errw)
-	case "spans":
-		err = runSpans(args[1:], out, errw)
 	case "-h", "-help", "--help", "help":
 		usage(errw)
 		return 0

@@ -109,7 +109,8 @@ func run(args []string) (code int) {
 }
 
 // verifier carries the run's settings. Its checks spread trials over
-// parallel goroutines, so every channel keeps the sequential SINR engine.
+// parallel goroutines; a SINR round over more than 2048 listeners also
+// offers its listener tiles to whichever tile helpers are idle.
 type verifier struct {
 	seed     uint64
 	trials   int

@@ -31,9 +31,10 @@ type Config struct {
 	// Parallelism is the number of worker goroutines trial loops run
 	// across; 0 selects runtime.GOMAXPROCS(0). Results are bit-identical
 	// at every parallelism: trials derive their seeds from (Seed, trial
-	// index) alone and are reassembled in trial order. With trials already
-	// spread over the cores, every channel keeps the sequential,
-	// allocation-free SINR engine.
+	// index) alone and are reassembled in trial order. Every SINR channel
+	// has one delivery engine: a round over more than 2048 listeners
+	// offers its listener tiles to the package's tile helpers that are
+	// idle at that moment, so trial workers keep their cores.
 	Parallelism int
 	// Context, when non-nil, cancels in-flight trial loops (deadline or
 	// interrupt); a canceled experiment returns the context's error.

@@ -90,13 +90,6 @@ func runTrialsSharded[T any](cfg Config, trials int, fn func(trial int) (T, erro
 		return out, nil
 	}
 	lo, hi := runner.ShardRange(trials, sc.Count, sc.Index)
-	if cfg.Trace != nil {
-		// Tag the capture with the loop index before any of the loop's
-		// commits: loops reuse trial indices (and hence trace file names),
-		// and the loop tag is what lets trace federation reproduce the
-		// unsharded directory's last-loop-wins overwrite order.
-		cfg.Trace.SetLoop(loop)
-	}
 	res, err := runner.Run(cfg.ctx(), hi-lo,
 		func(_ context.Context, local int) (T, error) { return fn(lo + local) },
 		runner.Options[T]{Parallelism: cfg.Parallelism, Progress: cfg.Progress})

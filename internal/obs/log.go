@@ -11,7 +11,8 @@ import "io"
 // with the human-readable message first and structured context after it, in
 // call order, so lines are deterministic and grep-able by both substring and
 // jq filter. It shares Sink's concurrency contract: one line per Log call,
-// never torn. A nil *Logger is a valid no-op, mirroring SpanLog.
+// never torn. A nil *Logger is a valid no-op, so callers log
+// unconditionally.
 type Logger struct {
 	sink  *Sink
 	event string

@@ -60,16 +60,10 @@ func (s *Sink) Emit(event string, fields ...Field) error {
 // {"event":"counter","name":...,"value":N}, histograms as
 // {"event":"histogram","name":...,"count":N,"sum":S,"p50":...,"p95":...,
 // "p99":...,"buckets":[{"lt":...,"count":...},...]} with the deterministic
-// quantile estimates of MetricSnapshot.
+// quantile estimates of MetricSnapshot. It is the one serializer behind the
+// -metrics report and the /metrics handler.
 func (r *Registry) EmitTo(s *Sink) error {
-	return EmitSnapshots(s, r.Snapshot())
-}
-
-// EmitSnapshots writes already-taken metric snapshots in the exact line
-// shape EmitTo produces — the shared serializer behind the -metrics report,
-// the /metrics handler, and the fleet-merged export.
-func EmitSnapshots(s *Sink, snaps []MetricSnapshot) error {
-	for _, m := range snaps {
+	for _, m := range r.Snapshot() {
 		var err error
 		switch m.Kind {
 		case "histogram":

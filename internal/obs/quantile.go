@@ -7,8 +7,7 @@ import (
 
 // bucketBounds parses the rendered bucket bounds of a histogram snapshot
 // back into numbers: bound[i] is bucket i's exclusive upper bound, +Inf for
-// the overflow bucket. It is the inverse of formatBound, shared by quantile
-// estimation and the fleet merge.
+// the overflow bucket. It is the inverse of formatBound.
 func bucketBounds(buckets []Bucket) ([]float64, bool) {
 	bounds := make([]float64, len(buckets))
 	for i, b := range buckets {

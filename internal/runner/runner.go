@@ -9,8 +9,8 @@
 // The engine adds the operational features every long Monte Carlo run
 // wants and no experiment should hand-roll:
 //
-//   - context.Context cancellation and an optional per-run wall-clock
-//     timeout (a canceled run returns promptly with partial results),
+//   - context.Context cancellation (a canceled run returns promptly with
+//     partial results; callers bound wall time with context.WithTimeout),
 //   - panic recovery that converts a crashing trial into a per-trial
 //     *PanicError instead of killing the whole run,
 //   - a streaming Progress callback suitable for CLI progress lines.
@@ -68,9 +68,6 @@ type Options[T any] struct {
 	// Parallelism is the number of worker goroutines; values ≤ 0 select
 	// runtime.GOMAXPROCS(0). Results are independent of it.
 	Parallelism int
-	// Timeout, when positive, bounds the run's wall-clock time; an
-	// expired run returns partial results and context.DeadlineExceeded.
-	Timeout time.Duration
 	// Progress, when non-nil, observes the run after every completed
 	// trial. It must not block for long: it runs on the collector
 	// goroutine that trial completions funnel through.
@@ -169,11 +166,6 @@ func Run[T any](ctx context.Context, trials int, fn func(ctx context.Context, tr
 		// nondeterministic for an already-dead context.
 		res.Elapsed = time.Since(start) //crlint:allow nowallclock elapsed-time reporting
 		return res, err
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout) //crlint:allow nowallclock run timeout bounds wall time only; trial results never observe it
-		defer cancel()
 	}
 	mRuns.Inc()
 	mParallelism.Set(int64(par))

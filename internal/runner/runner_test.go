@@ -160,15 +160,19 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 	}
 }
 
+// TestTimeout: a run under a deadline context returns promptly with
+// context.DeadlineExceeded and partial results.
 func TestTimeout(t *testing.T) {
 	start := time.Now()
-	res, err := Run(context.Background(), 1000, func(ctx context.Context, trial int) (int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := Run(ctx, 1000, func(ctx context.Context, trial int) (int, error) {
 		select {
 		case <-ctx.Done():
 		case <-time.After(2 * time.Millisecond):
 		}
 		return trial, nil
-	}, Options[int]{Parallelism: 2, Timeout: 20 * time.Millisecond})
+	}, Options[int]{Parallelism: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -22,7 +22,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"seed":7,"trials":2}`,
 		`{"sim":{"n":4,"deploy":"pairs","algo":"sweep","channel":"radio-cd","p":0.25,"max_rounds":9},"trace":true}`,
 		`{"experiment":"E5","quick":true,"trials":2,"format":"markdown","sinr_parallel":2}`,
-		`{"kind":"experiment","experiment":"E1,E3","shard":{"index":1,"count":3,"trace":{"format":"ndjson","every":1,"classes":true}}}`,
+		`{"kind":"experiment","experiment":"E1,E3","shard":{"index":1,"count":3}}`,
 		`{"experiment":"E5","seed":3,"gaincache":"auto"}`,
 		`{"sim":{"n":16,"deploy":"disk","algo":"fixed"},"farfield_eps":0.01}`,
 		`{"experiment":"all","farfield_eps":0,"gaincache":"off"}`,

@@ -83,7 +83,7 @@ func runShardSpec(ctx context.Context, spec Spec, parallelism int, progress func
 			progress(Progress{Done: p.Done, Total: p.Total, Solved: p.Solved, Errors: p.Errors})
 		}
 	}
-	req := shard.Request{Spec: spec.experimentSpec(), Shards: spec.Shard.Count, Trace: spec.Shard.Trace}
+	req := shard.Request{Spec: spec.experimentSpec(), Shards: spec.Shard.Count}
 	body, err := shard.RunWorker(ctx, req, spec.Shard.Index, parallelism, rp)
 	if err != nil {
 		return nil, err
@@ -126,8 +126,10 @@ type simResult struct {
 }
 
 // runSimSpec executes a sim job: Trials independent executions of the
-// scenario, each on a fresh deployment and channel, per the
-// runner.TrialSeeds contract (exactly the harness crsim -trials uses).
+// scenario, each on a fresh deployment and channel built from the trial's
+// runner.TrialSeeds pair. This is not crsim's -trials harness, which runs
+// every trial on one deployment and one channel with protocol seed
+// xrand.Split(seed, trial).
 func runSimSpec(ctx context.Context, spec Spec, parallelism int, progress func(Progress)) (*Result, error) {
 	ss := spec.Sim
 	maxRounds := ss.MaxRounds

@@ -344,6 +344,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"unknown algo", `{"sim":{"n":8,"deploy":"disk","algo":"magic"}}`, http.StatusBadRequest},
 		{"bad gaincache", `{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"gaincache":"maybe"}`, http.StatusBadRequest},
 		{"bad farfield_eps", `{"sim":{"n":8,"deploy":"disk","algo":"fixed"},"farfield_eps":0.7}`, http.StatusBadRequest},
+		{"traced shard", `{"experiment":"E5","shard":{"index":0,"count":2,"trace":{}}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, resp := postJob(t, ts, tc.body)

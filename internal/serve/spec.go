@@ -10,7 +10,6 @@ import (
 
 	"fadingcr/internal/catalog"
 	"fadingcr/internal/experiments"
-	"fadingcr/internal/trace"
 )
 
 // Spec is the domain object of the service: one simulation job, as
@@ -75,14 +74,6 @@ type ShardRef struct {
 	// Count is the run's total shard count.
 	//crlint:allow spechash count is required on every shard job; there is no legacy zero form to preserve
 	Count int `json:"count"`
-	// Trace, when non-nil, asks the shard to capture per-trial traces and
-	// append the trace bundle to the wire stream (trace federation). It is
-	// part of the canonical form deliberately even though tracing never
-	// changes the computed values: the cached result BODY differs (bundle
-	// appended), so traced and untraced runs must occupy distinct cache
-	// slots. The omitempty tag keeps every untraced legacy hash stable, and
-	// trace.Policy follows the same field discipline.
-	Trace *trace.Policy `json:"trace,omitempty"`
 }
 
 // SimSpec is the scenario of a sim job, mirroring crsim's flags. It feeds
@@ -123,7 +114,7 @@ var (
 		"n", "deploy", "algo", "channel", "p", "max_rounds",
 	}
 	shardRefHashFields = []string{
-		"index", "count", "trace",
+		"index", "count",
 	}
 )
 
@@ -200,11 +191,6 @@ func (s Spec) Normalized() Spec {
 	}
 	if n.Shard != nil {
 		shard := *n.Shard
-		if shard.Trace != nil {
-			// Equivalent trace spellings must share a cache slot.
-			tr := shard.Trace.Normalized()
-			shard.Trace = &tr
-		}
 		n.Shard = &shard
 	}
 	if n.Kind == "" {
@@ -262,11 +248,6 @@ func (s Spec) Validate() error {
 			}
 			if s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {
 				return fmt.Errorf("shard.index must be in [0, %d), got %d", s.Shard.Count, s.Shard.Index)
-			}
-			if s.Shard.Trace != nil {
-				if err := s.Shard.Trace.Validate(); err != nil {
-					return err
-				}
 			}
 		} else if s.Format != "text" && s.Format != "markdown" {
 			return fmt.Errorf("unknown format %q (want text|markdown)", s.Format)

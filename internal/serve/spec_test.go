@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"fadingcr/internal/trace"
 )
 
 func simSpec() Spec {
@@ -73,57 +71,6 @@ func TestHashDistinguishesShardCoordinates(t *testing.T) {
 			t.Errorf("shard variant %s collides with %s", name, prev)
 		}
 		seen[s.Hash()] = name
-	}
-}
-
-// TestShardTraceHashing pins the trace-federation cache contract: a traced
-// shard job occupies a different cache slot than its untraced twin (the
-// result body differs — a bundle rides after the end line), every distinct
-// policy hashes differently, and equivalent policy spellings hash the same.
-func TestShardTraceHashing(t *testing.T) {
-	base := Spec{Experiment: "E5", Quick: true, Trials: 2, Seed: 7, Shard: &ShardRef{Index: 0, Count: 2}}
-	withTrace := func(tr trace.Policy) Spec {
-		s := base
-		ref := *base.Shard
-		ref.Trace = &tr
-		s.Shard = &ref
-		return s
-	}
-
-	seen := map[string]string{base.Hash(): "untraced"}
-	for _, tr := range []trace.Policy{{}, {Format: trace.FormatBinary}, {EveryK: 5}, {FailuresOnly: true}, {Classes: true}} {
-		s := withTrace(tr)
-		if err := s.Normalized().Validate(); err != nil {
-			t.Fatalf("traced shard job %+v rejected: %v", tr, err)
-		}
-		name := string(s.CanonicalJSON())
-		if prev, dup := seen[s.Hash()]; dup {
-			t.Errorf("trace variant %s collides with %s", name, prev)
-		}
-		seen[s.Hash()] = name
-	}
-
-	// every 0 ≡ 1, and a directory never travels: same policy, same cache
-	// slot.
-	if a, b := withTrace(trace.Policy{}).Hash(), withTrace(trace.Policy{EveryK: 1, Dir: "out"}).Hash(); a != b {
-		t.Error("equivalent trace policy spellings hash differently")
-	}
-
-	// Bad policies never reach the executor: an unknown format does not
-	// decode, and a negative interval does not validate.
-	if _, err := DecodeSpec(strings.NewReader(`{"experiment":"E5","shard":{"index":0,"count":2,"trace":{"format":"xml"}}}`)); err == nil {
-		t.Error("unknown trace format decoded")
-	}
-	if err := withTrace(trace.Policy{EveryK: -1}).Normalized().Validate(); err == nil {
-		t.Error("negative trace sampling interval validated")
-	}
-
-	// The clone must not alias the caller's policy.
-	s := withTrace(trace.Policy{EveryK: 4})
-	n := s.Normalized()
-	n.Shard.Trace.EveryK = 9
-	if s.Shard.Trace.EveryK != 4 {
-		t.Error("Normalized aliased the caller's trace policy")
 	}
 }
 
@@ -370,52 +317,36 @@ func TestDecodeSpecLegacySINRParallel(t *testing.T) {
 	}
 }
 
-// TestShardJobGoldens pins the canonical JSON and hash of shard jobs with
-// and without a trace block, so a change to the policy type cannot move a
-// cache key, and the rejections of malformed policies.
+// TestShardJobGoldens pins the canonical JSON and hash of a shard job, so
+// no change to the spec types can move its cache key, and the rejection of
+// a shard block that carries a trace policy: shard jobs capture no traces,
+// and "trace" is no field of the block.
 func TestShardJobGoldens(t *testing.T) {
 	const e5 = `{"experiment":"E5","quick":true,"trials":2,"seed":7,"shard":{"index":%d,"count":2%s}}`
-	for _, tc := range []struct {
-		name, job, canonical, hash string
-	}{
-		{"untraced", fmt.Sprintf(e5, 0, ""),
-			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2}}`,
-			"2e2350445f9d062d677a37fefcd591456267b5455078eb61c6f1cf62bd06812e"},
-		{"empty trace", fmt.Sprintf(e5, 0, `,"trace":{}`),
-			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2,"trace":{}}}`,
-			"cfeb8bce1c740e7f7c9f3c1a99dfea0afb423fef6405f4ed5141648ff2bfca23"},
-		{"explicit defaults", fmt.Sprintf(e5, 0, `,"trace":{"format":"ndjson","every":1}`),
-			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2,"trace":{}}}`,
-			"cfeb8bce1c740e7f7c9f3c1a99dfea0afb423fef6405f4ed5141648ff2bfca23"},
-		{"every field", fmt.Sprintf(e5, 1, `,"trace":{"format":"binary","every":5,"failures":true,"classes":true}`),
-			`{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":1,"count":2,"trace":{"format":"binary","every":5,"failures":true,"classes":true}}}`,
-			"76b9c733a5e73c13f7678616a24967bb98a67daf4da7ca59f31c3760a61f774e"},
-		{"all experiments", `{"experiment":"all","seed":7,"shard":{"index":0,"count":3,"trace":{"every":100}}}`,
-			`{"kind":"experiment","experiment":"all","seed":7,"shard":{"index":0,"count":3,"trace":{"every":100}}}`,
-			"40d25603706e205892d406b4a45cc901b388a463124f1c16f85a0fecd5d10b54"},
-	} {
-		s, err := DecodeSpec(strings.NewReader(tc.job))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := s.Normalized().Validate(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := string(s.CanonicalJSON()); got != tc.canonical {
-			t.Errorf("%s: canonical JSON\n got %s\nwant %s", tc.name, got, tc.canonical)
-		}
-		if got := s.Hash(); got != tc.hash {
-			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.hash)
-		}
+	s, err := DecodeSpec(strings.NewReader(fmt.Sprintf(e5, 0, "")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, trace := range []string{`{"format":"xml"}`, `{"every":-1}`, `{"format":1}`} {
-		job := fmt.Sprintf(e5, 0, `,"trace":`+trace)
-		s, err := DecodeSpec(strings.NewReader(job))
-		if err == nil {
-			err = s.Normalized().Validate()
-		}
-		if err == nil {
-			t.Errorf("trace %s accepted", trace)
+	if err := s.Normalized().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const canonical = `{"kind":"experiment","experiment":"E5","seed":7,"trials":2,"quick":true,"shard":{"index":0,"count":2}}`
+	if got := string(s.CanonicalJSON()); got != canonical {
+		t.Errorf("canonical JSON\n got %s\nwant %s", got, canonical)
+	}
+	if got, want := s.Hash(), "2e2350445f9d062d677a37fefcd591456267b5455078eb61c6f1cf62bd06812e"; got != want {
+		t.Errorf("hash %s, want %s", got, want)
+	}
+	for _, job := range []string{
+		fmt.Sprintf(e5, 0, `,"trace":{}`),
+		fmt.Sprintf(e5, 0, `,"trace":{"format":"ndjson","every":1}`),
+		fmt.Sprintf(e5, 1, `,"trace":{"format":"binary","every":5,"failures":true,"classes":true}`),
+		`{"experiment":"all","seed":7,"shard":{"index":0,"count":3,"trace":{"every":100}}}`,
+		fmt.Sprintf(e5, 0, `,"trace":{"format":"xml"}`),
+		fmt.Sprintf(e5, 0, `,"trace":{"every":-1}`),
+	} {
+		if _, err := DecodeSpec(strings.NewReader(job)); err == nil || !strings.Contains(err.Error(), `unknown field "trace"`) {
+			t.Errorf("%s: error %v, want an unknown-field rejection", job, err)
 		}
 	}
 }

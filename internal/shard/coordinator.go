@@ -59,12 +59,6 @@ type Coordinator struct {
 	// event (resume, completion, retry, failure): {"event":"shard",
 	// "msg":…, …structured fields}. Writes are serialized.
 	Log io.Writer
-	// Spans, when non-nil, receives one span per scheduling phase —
-	// run → dispatch → execute, with retry/backoff events and a final merge
-	// span — so `crtrace spans` can reconstruct per-shard timelines, retry
-	// counts, and straggler attribution. Purely observational: the merged
-	// bytes are identical with Spans set or nil.
-	Spans *obs.SpanLog
 }
 
 const (
@@ -92,17 +86,15 @@ type coordState struct {
 	gaveUp  [][]bool
 	lastErr []error
 	log     *obs.Logger
-	run     *obs.Span
 }
 
 // next picks the executor's next shard under the lock: the lowest-indexed
 // unfinished shard nobody is running, else (straggler re-dispatch) the
-// lowest-indexed running shard that is failing — the second return
-// reports which case fired. With neither, the index is −1 and the third
-// return is nil when the executor has nothing left to do, or else the
-// channel to wait on: a shard it could still take is running and may yet
-// fail.
-func (s *coordState) next(executor int) (int, bool, <-chan struct{}) {
+// lowest-indexed running shard that is failing. With neither, the index is
+// −1 and the second return is nil when the executor has nothing left to
+// do, or else the channel to wait on: a shard it could still take is
+// running and may yet fail.
+func (s *coordState) next(executor int) (int, <-chan struct{}) {
 	pick, running := -1, false
 	for i := range s.done {
 		if s.done[i] || s.gaveUp[i][executor] {
@@ -119,16 +111,15 @@ func (s *coordState) next(executor int) (int, bool, <-chan struct{}) {
 	}
 	if pick < 0 {
 		if running {
-			return -1, false, s.changed
+			return -1, s.changed
 		}
-		return -1, false, nil
+		return -1, nil
 	}
-	straggler := s.inflight[pick] > 0
-	if !straggler {
+	if s.inflight[pick] == 0 {
 		s.failing[pick] = false
 	}
 	s.inflight[pick]++
-	return pick, straggler, nil
+	return pick, nil
 }
 
 // signal wakes the executors waiting for a change. Call with mu held.
@@ -164,19 +155,11 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 	for i := range st.gaveUp {
 		st.gaveUp[i] = make([]bool, len(c.Executors))
 	}
-	st.run = c.Spans.Begin("run",
-		obs.F("shards", req.Shards), obs.F("executors", len(c.Executors)), obs.F("spec", specHash[:12]))
 
 	resumed := 0
 	if c.Checkpoints != nil && c.Resume {
 		for i := 0; i < req.Shards; i++ {
 			res, err := c.Checkpoints.Load(specHash, req.Shards, i)
-			if err == nil && res != nil {
-				// RequestHash ignores the trace spec, so a checkpoint of the
-				// same spec captured under a different (or no) trace policy
-				// loads cleanly — reject it structurally here.
-				err = req.traceMatches(res)
-			}
 			if err != nil {
 				st.log.Log("ignoring checkpoint", obs.F("shard", i), obs.F("error", err.Error()))
 				continue
@@ -190,7 +173,6 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 		if resumed > 0 {
 			st.log.Log("resumed shards from checkpoints",
 				obs.F("resumed", resumed), obs.F("shards", req.Shards), obs.F("dir", c.Checkpoints.Dir))
-			st.run.Event("resume", obs.F("resumed", resumed))
 		}
 	}
 
@@ -220,7 +202,6 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 		}
 	}
 	if len(failed) > 0 {
-		st.run.End(obs.F("failed", len(failed)))
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("shard: run canceled with %d/%d shard(s) incomplete: %w", len(failed), req.Shards, err)
 		}
@@ -233,11 +214,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 		return nil, errors.New(b.String())
 	}
 
-	ms := st.run.Child("merge", obs.F("shards", req.Shards))
-	m, err := Merge(st.results)
-	ms.End(obs.F("ok", err == nil))
-	st.run.End(obs.F("failed", 0))
-	return m, err
+	return Merge(st.results)
 }
 
 // executorLoop is one executor's work loop: claim a shard, attempt it with
@@ -247,7 +224,7 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 	ex := c.Executors[e]
 	for ctx.Err() == nil {
 		st.mu.Lock()
-		index, straggler, wait := st.next(e)
+		index, wait := st.next(e)
 		st.mu.Unlock()
 		if index < 0 {
 			if wait == nil {
@@ -259,10 +236,7 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 			}
 			continue
 		}
-		sp := st.run.Child("dispatch",
-			obs.F("shard", index), obs.F("executor", ex.Name()), obs.F("straggler", straggler))
-		res, raw, err := c.attemptShard(ctx, req, specHash, st, sp, ex, index, retries, backoff)
-		sp.End(obs.F("ok", err == nil))
+		res, raw, err := c.attemptShard(ctx, req, specHash, st, ex, index, retries, backoff)
 		st.mu.Lock()
 		st.inflight[index]--
 		if err != nil {
@@ -289,9 +263,8 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 // attemptShard runs one (executor, shard) pair with the retry policy and
 // decodes and validates the returned wire bytes before accepting them; it
 // returns the decoded result and the bytes, which the caller keeps only to
-// checkpoint them. sp is the dispatch span the attempts nest under
-// (nil-safe).
-func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash string, st *coordState, sp *obs.Span, ex Executor, index, retries int, backoff time.Duration) (*Result, []byte, error) {
+// checkpoint them.
+func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash string, st *coordState, ex Executor, index, retries int, backoff time.Duration) (*Result, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
@@ -306,10 +279,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			st.log.Log("retrying shard",
 				obs.F("shard", index), obs.F("executor", ex.Name()),
 				obs.F("attempt", attempt+1), obs.F("attempts", retries+1), obs.F("error", lastErr.Error()))
-			sp.Event("retry", obs.F("attempt", attempt+1), obs.F("error", lastErr.Error()))
-			wait := backoff << (attempt - 1)
-			sp.Event("backoff", obs.F("ms", wait.Milliseconds()))
-			if err := sleepCtx(ctx, wait); err != nil {
+			if err := sleepCtx(ctx, backoff<<(attempt-1)); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -319,7 +289,6 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			//crlint:allow nowallclock per-shard timeout is an explicitly configured wall-clock budget
 			attemptCtx, cancel = context.WithTimeout(ctx, c.ShardTimeout)
 		}
-		es := sp.Child("execute", obs.F("shard", index), obs.F("attempt", attempt+1))
 		raw, err := ex.RunShard(attemptCtx, req, index)
 		if cancel != nil {
 			cancel()
@@ -334,14 +303,9 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 			case res.Shards != req.Shards || res.Index != index:
 				err = fmt.Errorf("shard result is %d/%d, want %d/%d", res.Index, res.Shards, index, req.Shards)
 			default:
-				err = req.traceMatches(res)
-			}
-			if err == nil {
-				es.End(obs.F("ok", true))
 				return res, raw, nil
 			}
 		}
-		es.End(obs.F("ok", false))
 		lastErr = err
 		if ctx.Err() != nil {
 			return nil, nil, lastErr

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fadingcr/internal/experiments"
-	"fadingcr/internal/trace"
 )
 
 // decodeAllocBudget is the most Decode may allocate for an input of n
@@ -18,16 +17,15 @@ func decodeAllocBudget(n int) uint64 { return 1<<20 + 64*uint64(n) }
 
 // FuzzDecode: Decode reads both checkpoint files and daemon results, so it
 // must accept or reject any byte stream without panicking and within
-// decodeAllocBudget, and an accepted stream — wire and trailing trace
-// bundle — must re-encode to exactly the bytes read. The corpus is seeded
-// with real untraced and traced worker output and with truncations of it.
+// decodeAllocBudget, and an accepted stream must re-encode to exactly the
+// bytes read. The corpus is seeded with real worker output, the last shard
+// of a two-shard run and a one-shard E3 run, and with truncations of it.
 func FuzzDecode(f *testing.F) {
-	traced := Request{
+	oneShard := Request{
 		Spec:   experiments.Spec{IDs: "E3", Quick: true, Trials: 1, Seed: 7},
 		Shards: 1,
-		Trace:  &trace.Policy{Format: trace.FormatBinary},
 	}
-	for _, req := range []Request{quickRequest(2), traced} {
+	for _, req := range []Request{quickRequest(2), oneShard} {
 		raw, err := RunWorker(context.Background(), req, req.Shards-1, 1, nil)
 		if err != nil {
 			f.Fatal(err)

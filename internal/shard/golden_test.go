@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -148,5 +149,61 @@ func TestGoldenKillAndResume(t *testing.T) {
 	}
 	if m.Hash() != cm.Hash() {
 		t.Errorf("resumed hash %s != clean hash %s", m.Hash(), cm.Hash())
+	}
+}
+
+// TestResumeRejectsDifferentlyTracedCheckpoints: a checkpoint that carries a
+// trace bundle after its end line, as traced runs of wire schema 2 wrote
+// them, does not decode, so a resumed run logs "ignoring checkpoint" for
+// each such shard, recomputes it, and assembles the unsharded bytes.
+func TestResumeRejectsDifferentlyTracedCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	const shards = 3
+	req := goldenRequest(shards)
+	ckpt := &CheckpointDir{Dir: t.TempDir()}
+	warm := Coordinator{Executors: []Executor{&Local{Parallelism: 2}}, Checkpoints: ckpt}
+	if _, err := warm.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		path := ckpt.path(shards, i)
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(path, append(raw, traceBundle...), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var log bytes.Buffer
+	resumed := Coordinator{
+		Executors:   []Executor{&Local{Parallelism: 2}},
+		Checkpoints: ckpt,
+		Resume:      true,
+		Log:         &log,
+	}
+	m, err := resumed.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for msg, want := range map[string]int{
+		`"msg":"ignoring checkpoint"`:  shards,
+		"trailing data after end line": shards,
+		`"msg":"shard done"`:           shards,
+		`"msg":"resumed shards`:        0,
+	} {
+		if got := strings.Count(log.String(), msg); got != want {
+			t.Errorf("log holds %s %d times, want %d:\n%s", msg, got, want, log.String())
+		}
+	}
+	var buf bytes.Buffer
+	if err := Assemble(context.Background(), &buf, req, m, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := renderUnsharded(t, req); buf.String() != want {
+		t.Errorf("resumed output differs from unsharded:\n--- unsharded ---\n%s\n--- resumed ---\n%s", want, buf.String())
 	}
 }

@@ -10,9 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"fadingcr/internal/obs"
-	"fadingcr/internal/trace"
 )
 
 // Endpoint is the remote executor: it runs shards on a crserve daemon via
@@ -36,12 +33,20 @@ const (
 	// maxSubmitResponseBytes bounds the job status a submit returns, a few
 	// dozen bytes of JSON.
 	maxSubmitResponseBytes = 1 << 20
-	// maxResultBytes bounds a shard's result: its wire stream and, on a
-	// traced run, its trace bundle, whose payloads may reach 256 MiB each.
-	// The cap stops an endless body; it is not a size any real shard
-	// approaches.
+	// maxResultBytes bounds a shard's wire stream. The cap stops an
+	// endless body; it is not a size any real shard approaches.
 	maxResultBytes = 1 << 30
 )
+
+// readCapped reads r to its end, failing as soon as it has read more than
+// limit bytes: the bound on every body read from a daemon.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(raw)) > limit {
+		err = fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return raw, err
+}
 
 // Name implements Executor.
 func (e *Endpoint) Name() string { return e.URL }
@@ -69,10 +74,6 @@ type shardJobSpec struct {
 type shardJobRef struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// Trace is Request.Trace; absent for untraced runs so traced and
-	// untraced submissions of one spec stay distinct cache keys on the
-	// daemon (the bundle rides inside the cached result bytes).
-	Trace *trace.Policy `json:"trace,omitempty"`
 }
 
 // jobStatus is the slice of serve's job Status the client reads.
@@ -93,7 +94,7 @@ func (e *Endpoint) RunShard(ctx context.Context, req Request, index int) ([]byte
 		Seed:       req.Spec.Seed,
 		Trials:     req.Spec.Trials,
 		Quick:      req.Spec.Quick,
-		Shard:      shardJobRef{Index: index, Count: req.Shards, Trace: req.Trace},
+		Shard:      shardJobRef{Index: index, Count: req.Shards},
 	})
 	if err != nil {
 		return nil, err
@@ -142,7 +143,7 @@ func (e *Endpoint) submit(ctx context.Context, body []byte) (*jobStatus, error) 
 			defer resp.Body.Close()
 			return nil, fmt.Errorf("%s: submit: %s", e.URL, httpErrorString(resp))
 		}
-		raw, err := obs.ReadCapped(resp.Body, maxSubmitResponseBytes)
+		raw, err := readCapped(resp.Body, maxSubmitResponseBytes)
 		resp.Body.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: submit response: %w", e.URL, err)
@@ -197,7 +198,7 @@ func (e *Endpoint) result(ctx context.Context, id string, limit int64) ([]byte, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: result: %s", e.URL, httpErrorString(resp))
 	}
-	raw, err := obs.ReadCapped(resp.Body, limit)
+	raw, err := readCapped(resp.Body, limit)
 	if err != nil {
 		return nil, fmt.Errorf("%s: result: %w", e.URL, err)
 	}

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"fadingcr/internal/obs"
 )
 
 // streamEndless writes prefix, then zeros until the client goes away: a
@@ -63,13 +61,13 @@ func TestEndpointBoundsResult(t *testing.T) {
 	}
 }
 
-// TestReadCapped: obs.ReadCapped, the read behind both bounds, reads a body
-// of exactly the cap whole; one byte more is an error.
+// TestReadCapped: readCapped, the read behind both bounds, reads a body of
+// exactly the cap whole; one byte more is an error.
 func TestReadCapped(t *testing.T) {
-	if raw, err := obs.ReadCapped(strings.NewReader("abcd"), 4); err != nil || string(raw) != "abcd" {
+	if raw, err := readCapped(strings.NewReader("abcd"), 4); err != nil || string(raw) != "abcd" {
 		t.Errorf("body at the cap: %q, %v", raw, err)
 	}
-	if _, err := obs.ReadCapped(strings.NewReader("abcde"), 4); err == nil {
+	if _, err := readCapped(strings.NewReader("abcde"), 4); err == nil {
 		t.Error("body over the cap accepted")
 	}
 }

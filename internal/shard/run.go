@@ -5,14 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/runner"
-	"fadingcr/internal/trace"
 )
 
 // Request identifies one sharded run: the experiment spec plus the shard
@@ -21,38 +18,6 @@ import (
 type Request struct {
 	Spec   experiments.Spec
 	Shards int
-	// Trace, when non-nil, asks every worker to capture per-trial structured
-	// traces under its global trial indices and ship them back in the
-	// result's trace bundle. Workers capture into a private temp dir, so
-	// Dir is never read. Tracing is observational: it never changes the
-	// computed values, so it is excluded from RequestHash — but results and
-	// checkpoints echo the capture policy in their bundle header, and the
-	// coordinator rejects a result whose policy does not match the request.
-	Trace *trace.Policy
-}
-
-// traceMatches validates a decoded result (or checkpoint) against the
-// request's trace policy: a bundle must be present iff the request traces,
-// and must have been captured under exactly the requested policy. This is
-// what makes stale checkpoints safe — RequestHash ignores tracing, so a
-// checkpoint from an untraced run of the same spec is otherwise
-// indistinguishable from a traced one.
-func (r Request) traceMatches(res *Result) error {
-	if r.Trace == nil {
-		if res.Bundle != nil {
-			return errors.New("shard: result carries a trace bundle the request did not ask for")
-		}
-		return nil
-	}
-	if res.Bundle == nil {
-		return errors.New("shard: result carries no trace bundle for a traced request")
-	}
-	want := r.Trace.Normalized()
-	want.Dir = ""
-	if got := res.Bundle.Policy; got != want {
-		return fmt.Errorf("shard: result traces were captured under policy %+v, request wants %+v", got, want)
-	}
-	return nil
 }
 
 // Validate rejects requests no executor could run.
@@ -60,13 +25,8 @@ func (r Request) Validate() error {
 	if r.Shards < 1 {
 		return fmt.Errorf("shard: shard count %d must be ≥ 1", r.Shards)
 	}
-	if _, _, err := experiments.ConfigFromSpec(r.Spec); err != nil {
-		return err
-	}
-	if r.Trace != nil {
-		return r.Trace.Validate()
-	}
-	return nil
+	_, _, err := experiments.ConfigFromSpec(r.Spec)
+	return err
 }
 
 // RequestHash is the canonical identity of the computation a request
@@ -76,9 +36,6 @@ func (r Request) Validate() error {
 // never changes the computed values, so runs of the same spec share the
 // hash at every shard count (Merged.Hash inherits that invariance), while
 // Merge and the checkpoint loader validate the coordinates structurally.
-// The trace spec is absent for the same reason — tracing is observational —
-// and bundle presence/policy is validated structurally instead (see
-// Request.traceMatches).
 func RequestHash(r Request) string {
 	spec := r.Spec
 	if spec.IDs == "" {
@@ -117,27 +74,6 @@ func RunWorker(ctx context.Context, req Request, index, parallelism int, progres
 	cfg.Context = ctx
 	cfg.Parallelism = parallelism
 	cfg.Progress = progress
-	var capture *trace.Capture
-	if req.Trace != nil {
-		// Capture into a private temp dir: trace files travel to the
-		// coordinator in the result's bundle, never by path. The capture
-		// command is "crbench" regardless of which process hosts the worker,
-		// because the federated directory must be byte-identical to an
-		// unsharded `crbench -trace-dir` run and trace headers embed the
-		// command.
-		tmp, err := os.MkdirTemp("", "crshard-trace-")
-		if err != nil {
-			return nil, fmt.Errorf("shard: trace capture: %w", err)
-		}
-		defer os.RemoveAll(tmp)
-		policy := req.Trace.Normalized()
-		policy.Dir = tmp
-		capture, err = trace.NewCapture("crbench", policy)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Trace = capture
-	}
 	cfg.Shard = &experiments.ShardScope{
 		Index: index,
 		Count: req.Shards,
@@ -152,13 +88,6 @@ func RunWorker(ctx context.Context, req Request, index, parallelism int, progres
 		if _, err := e.Run(cfg); err != nil {
 			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
-	}
-	if capture != nil {
-		bundle, err := capture.Bundle()
-		if err != nil {
-			return nil, err
-		}
-		res.Bundle = bundle
 	}
 	return res.Bytes()
 }

@@ -27,12 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"fadingcr/internal/experiments"
 	"fadingcr/internal/obs"
 	"fadingcr/internal/runner"
-	"fadingcr/internal/trace"
 )
 
 // schemaVersion identifies the wire layout; bump on incompatible change.
@@ -50,12 +48,6 @@ type Result struct {
 	Seed uint64
 	// Loops holds one record per trial loop, in loop order.
 	Loops []experiments.LoopRecord
-	// Bundle carries the worker's captured trace files when the request
-	// asked for tracing, nil otherwise. On the wire it rides directly after
-	// the end line (see trace.Bundle for the format), so one stream carries
-	// both the shard's values and its traces and checkpoints federate
-	// traces for free.
-	Bundle *trace.Bundle
 }
 
 // Encode writes the canonical wire form. The bytes are a pure function of
@@ -70,13 +62,7 @@ func (r *Result) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	if err := endLine(enc, len(r.Loops)); err != nil {
-		return err
-	}
-	if r.Bundle != nil {
-		return r.Bundle.Encode(w)
-	}
-	return nil
+	return endLine(enc, len(r.Loops))
 }
 
 // headerLine, loopLine and endLine write the three wire line shapes.
@@ -218,15 +204,6 @@ func Decode(r io.Reader) (*Result, error) {
 			if err := canonical(raw, func(enc *obs.LineEncoder) error { return endLine(enc, l.Loops) }); err != nil {
 				return nil, err
 			}
-			// An optional trace bundle may ride after the end line; anything
-			// else trailing is still an error.
-			if peeked, _ := br.Peek(trace.BundleMagicLen); trace.IsBundlePrefix(peeked) {
-				bundle, berr := trace.ReadBundle(br)
-				if berr != nil {
-					return nil, fmt.Errorf("shard: %w", berr)
-				}
-				res.Bundle = bundle
-			}
 			if _, err := br.Peek(1); err == nil {
 				return nil, errors.New("shard: trailing data after end line")
 			} else if !errors.Is(err, io.EOF) {
@@ -253,23 +230,6 @@ type Merged struct {
 	Shards   int
 	Seed     uint64
 	Loops    []MergedLoop
-	// TracePolicy and Traces federate the shards' trace captures when the
-	// run was traced: Traces holds every bundle entry in (loop, name, shard)
-	// order with exact duplicates collapsed, ready for WriteTraceDir. Both
-	// are nil/empty for untraced runs, and neither contributes to Hash —
-	// traces are observational, and Hash must stay identical between traced
-	// and untraced runs of one spec.
-	TracePolicy *trace.Policy
-	Traces      []trace.BundleFile
-}
-
-// WriteTraceDir materializes the federated trace capture into dir,
-// reproducing an unsharded capture exactly: entries are written in loop
-// order, so a name written by several loops ends up holding its last loop's
-// bytes, just as the unsharded run's sequential loops would have left it.
-// It returns the number of distinct trace files in the directory.
-func (m *Merged) WriteTraceDir(dir string) (int, error) {
-	return trace.WriteFiles(dir, m.Traces)
 }
 
 // Merge reassembles a run from its shard results, in any input order. It
@@ -330,60 +290,7 @@ func Merge(parts []*Result) (*Merged, error) {
 		}
 		m.Loops = append(m.Loops, ml)
 	}
-	if err := mergeTraces(m, byIndex); err != nil {
-		return nil, err
-	}
 	return m, nil
-}
-
-// mergeTraces federates the shards' trace bundles into m. Bundles must be
-// all-or-none across shards and captured under one policy — a mix means the
-// parts come from runs with different trace settings, which the coordinator
-// treats like a spec mismatch. Entries sort by (loop, name) with ascending
-// shard index breaking ties, which makes the write order deterministic and
-// equal to the unsharded capture's loop overwrite order; entries for the
-// same (loop, name) must be byte-identical (they are re-executions of the
-// same pure trial — e.g. an empty shard's donor trial) and collapse to one.
-func mergeTraces(m *Merged, byIndex []*Result) error {
-	traced := 0
-	for _, p := range byIndex {
-		if p.Bundle != nil {
-			traced++
-		}
-	}
-	if traced == 0 {
-		return nil
-	}
-	if traced != len(byIndex) {
-		return fmt.Errorf("shard: %d of %d shard(s) carry trace bundles; traced runs need all of them", traced, len(byIndex))
-	}
-	policy := byIndex[0].Bundle.Policy
-	var files []trace.BundleFile
-	for i, p := range byIndex {
-		if p.Bundle.Policy != policy {
-			return fmt.Errorf("shard: shard %d traces were captured under a different policy than shard 0", i)
-		}
-		files = append(files, p.Bundle.Files...)
-	}
-	sort.SliceStable(files, func(i, j int) bool {
-		if files[i].Loop != files[j].Loop {
-			return files[i].Loop < files[j].Loop
-		}
-		return files[i].Name < files[j].Name
-	})
-	var out []trace.BundleFile
-	for _, f := range files {
-		if n := len(out); n > 0 && out[n-1].Loop == f.Loop && out[n-1].Name == f.Name {
-			if !bytes.Equal(out[n-1].Data, f.Data) {
-				return fmt.Errorf("shard: trace file %q (loop %d) diverges between shards", f.Name, f.Loop)
-			}
-			continue
-		}
-		out = append(out, f)
-	}
-	m.TracePolicy = &policy
-	m.Traces = out
-	return nil
 }
 
 // Hash is the canonical identity of a merged run: the hex SHA-256 of a

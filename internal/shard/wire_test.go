@@ -27,6 +27,12 @@ func fakeResult(specHash string, shards, index int, loops, total int) *Result {
 	return r
 }
 
+// traceBundle is a trace-bundle section as traced shard streams of wire
+// schema 2 carried it after the end line: a header and an end line over no
+// files. Decode rejects it as trailing data.
+const traceBundle = `{"event":"trace-bundle","schema":1,"format":"ndjson","every":0,"failures":false,"classes":false}` + "\n" +
+	`{"event":"trace-end","files":0,"bytes":0}` + "\n"
+
 func TestWireRoundTrip(t *testing.T) {
 	in := fakeResult("abc123", 3, 1, 2, 10)
 	raw, err := in.Bytes()
@@ -119,6 +125,7 @@ func TestDecodeRejectsCorruptStreams(t *testing.T) {
 		{"no final newline", strings.TrimSuffix(wire, "\n"), "canonical"},
 		{"blank line", strings.Replace(wire, "}\n", "}\n\n", 1), "parse wire line"},
 		{"trailing newline", wire + "\n", "trailing data"},
+		{"trace bundle", wire + traceBundle, "trailing data after end line"},
 	}
 	for _, tc := range cases {
 		_, err := Decode(strings.NewReader(tc.raw))

@@ -115,9 +115,10 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 }
 
 // maxBinaryHeaderSize bounds the declared JSON header length of a binary
-// trace the way maxBundleFileSize bounds bundle payloads: a header is part
-// of a trace file, so it can be no larger than one.
-const maxBinaryHeaderSize = maxBundleFileSize
+// trace, so a corrupted length field cannot ask the reader to allocate
+// unbounded memory. Per-trial traces are small by the capture policy's
+// construction; 256 MiB is far above any real header.
+const maxBinaryHeaderSize = 256 << 20
 
 // readBinary parses a binary trace stream positioned after format sniffing
 // (br still holds the full stream including the magic).

@@ -52,7 +52,7 @@ func (f Format) Ext() string {
 func (f Format) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler through ParseFormat, so
-// a flag or a job spec accepts exactly the CLI names.
+// the -trace-format flag accepts exactly the CLI names.
 func (f *Format) UnmarshalText(b []byte) error {
 	v, err := ParseFormat(string(b))
 	if err != nil {
@@ -74,33 +74,22 @@ func (f Format) Write(t *Trace, w io.Writer) error {
 // is safe by construction: deterministic trial sampling bounds how many
 // recorders ever fill, failure-only retention bounds what reaches disk, and
 // per-trial files keep any single artifact small.
-//
-// Policy is also the JSON "trace" block of a shard job. The block feeds the
-// job's canonical hash, so the type follows the spechash field discipline
-// (DESIGN.md §8); Dir never travels, since each worker captures into its
-// own directory.
-//
-//crlint:spechash
 type Policy struct {
 	// Dir is the output directory (created on first use).
-	Dir string `json:"-"`
+	Dir string
 	// Format selects the per-trial file encoding.
-	Format Format `json:"format,omitempty"`
+	Format Format
 	// EveryK samples every Kth trial (trial % K == 0) — a deterministic,
 	// seed-independent rule, so the sampled set never depends on execution
 	// order. Values ≤ 1 sample every trial.
-	EveryK int `json:"every,omitempty"`
+	EveryK int
 	// FailuresOnly retains only unsolved trials' traces; solved trials are
 	// recorded but dropped at commit (their recorders are recycled).
-	FailuresOnly bool `json:"failures,omitempty"`
+	FailuresOnly bool
 	// Classes additionally records the per-round link-class census (needs
 	// the producer to put deployment points into the header).
-	Classes bool `json:"classes,omitempty"`
+	Classes bool
 }
-
-// policyHashFields names the JSON fields of Policy that feed a shard job's
-// canonical hash (see the spechash analyzer).
-var policyHashFields = []string{"format", "every", "failures", "classes"}
 
 // AddFlags registers the capture flags on fs — -trace-dir, -trace-format,
 // -trace-every (default every), -trace-failures and -trace-classes — and
@@ -121,16 +110,6 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("trace: sampling interval %d must be ≥ 0", p.EveryK)
 	}
 	return nil
-}
-
-// Normalized returns the policy's canonical spelling: EveryK 1 samples
-// every trial, as 0 does, and becomes 0, so equal policies compare and hash
-// equal.
-func (p Policy) Normalized() Policy {
-	if p.EveryK == 1 {
-		p.EveryK = 0
-	}
-	return p
 }
 
 // Sampled reports whether the policy traces the trial.
@@ -165,8 +144,6 @@ type Capture struct {
 
 	pool    sync.Pool
 	mu      sync.Mutex
-	loop    int
-	entries []BundleFile // committed files (Data nil until bundled)
 	written []string
 	dropped int
 	made    bool
@@ -186,21 +163,6 @@ func NewCapture(cmd string, p Policy) (*Capture, error) {
 
 // Policy returns the capture's retention policy.
 func (c *Capture) Policy() Policy { return c.policy }
-
-// SetLoop tags subsequently committed traces with the experiment's current
-// trial-loop index. Experiments run several trial loops through one capture,
-// and loops reuse trial indices — so file names collide across loops and the
-// file a name holds at the end of the run is the last loop's write. The loop
-// tag preserves exactly that ordering information for federation: a shard
-// worker's Bundle keeps each name's highest-loop write, and the
-// coordinator's reassembly replays bundles in loop order. The caller
-// serializes SetLoop against commits (the experiment harness calls it
-// between loops, never while the loop's trials are in flight).
-func (c *Capture) SetLoop(loop int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.loop = loop
-}
 
 // Recorder returns a recycled per-node recorder for the trial, or nil when
 // the sampling policy skips it. The recorder's header is pre-filled with
@@ -253,7 +215,6 @@ func (c *Capture) Commit(trial int, rec *Recorder, solved bool) error {
 	}
 	c.mu.Lock()
 	c.written = append(c.written, path)
-	c.entries = append(c.entries, BundleFile{Loop: c.loop, Trial: trial, Name: filepath.Base(path)})
 	c.mu.Unlock()
 	return nil
 }

@@ -3,8 +3,8 @@
 # service, drives the whole client workflow over HTTP (submit → stream →
 # result), proves that a result-cache hit serves bytes identical to the
 # cold computation (the service-determinism contract, DESIGN.md §8),
-# checks the health and metrics endpoints, and drains gracefully on
-# SIGTERM. Shared by `make serve-smoke` and CI's serve-smoke job.
+# checks the health and metrics endpoints, rejects a shard job that asks
+# for traces with 400, and drains gracefully on SIGTERM. Shared by `make serve-smoke` and CI's serve-smoke job.
 set -euo pipefail
 
 if ! command -v jq >/dev/null 2>&1; then
@@ -50,6 +50,12 @@ echo "$WARM" | jq -e '.state == "done" and .cached == true' >/dev/null
 WARMID=$(echo "$WARM" | jq -r .id)
 curl -sf "http://$ADDR/v1/jobs/$WARMID/result" -o "$OUT/result-warm.json"
 cmp "$OUT/result-cold.json" "$OUT/result-warm.json"
+
+# Shard jobs capture no traces: a shard block carrying a trace policy is
+# an unknown field, rejected before anything runs.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" \
+  -d '{"experiment":"E5","quick":true,"shard":{"index":0,"count":2,"trace":{}}}')
+test "$code" = 400
 
 curl -sf "http://$ADDR/metrics" > "$OUT/serve-metrics.ndjson"
 jq -ce . "$OUT/serve-metrics.ndjson" >/dev/null

@@ -4,7 +4,8 @@
 # byte-identical to the unsharded crbench run — through `crshard` over its
 # local worker, through `crshard` over two live crserve daemons, and through
 # a run that loses one daemon midway and recovers by re-dispatching its
-# shards to the survivor.
+# shards to the survivor. crshard captures no traces, so -trace-dir is a
+# usage error (exit 2); `crbench -trace-dir` with the same spec writes them.
 # Shared by `make shard-smoke` and CI's shard-smoke job.
 set -euo pipefail
 
@@ -17,6 +18,9 @@ go build -o "$OUT/crbench" ./cmd/crbench
 go build -o "$OUT/crshard" ./cmd/crshard
 go build -o "$OUT/crserve" ./cmd/crserve
 "$OUT/crshard" -h >/dev/null 2>&1 # help exits zero
+status=0
+"$OUT/crshard" -ids E1 -quick -trace-dir "$OUT/shard-traces" >/dev/null 2>&1 || status=$?
+test "$status" -eq 2 # -trace-dir is no crshard flag
 
 SPEC_ARGS=(-ids E1,E12 -quick -trials 2 -seed 7)
 
